@@ -90,7 +90,7 @@ class ConstraintSet:
                 raise InfeasibleError("constraint set has no feasible "
                                       "distribution (probe)")
             return _softmax(point)
-        return grid[best]
+        return grid[best].copy()
 
     @staticmethod
     def full_simplex(alphabet) -> "ConstraintSet":

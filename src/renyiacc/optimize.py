@@ -3,10 +3,13 @@ descent, and certified concave maximization over probability simplices."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import BadShapeError
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,21 +85,33 @@ def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
     return pts[best], vals[best], evals
 
 
+_GRIDS: dict[tuple[int, int], np.ndarray] = {}
+
+
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
-    """All points of the k-coordinate simplex with denominator = resolution."""
-    if k == 1:
-        return np.ones((1, 1))
-    pts = []
+    """All points of the k-coordinate simplex with denominator = resolution.
 
-    def rec(prefix, left):
-        if len(prefix) == k - 1:
-            pts.append(prefix + [left])
-            return
-        for i in range(left + 1):
-            rec(prefix + [i], left - i)
-
-    rec([], resolution)
-    return np.asarray(pts, dtype=float) / resolution
+    Rows come in lexicographic order of their integer numerators. The array
+    is built once per ``(k, resolution)`` and shared by every later call, so
+    it is read-only: callers must copy a grid or a row before writing to it.
+    """
+    if k < 1 or resolution < 1:
+        raise BadShapeError(f"simplex grid needs k >= 1 and resolution >= 1, "
+                            f"got k={k}, resolution={resolution}")
+    grid = _GRIDS.get((k, resolution))
+    if grid is None:
+        # stars and bars: k - 1 bar positions among resolution + k - 1 slots;
+        # the gaps between consecutive bars are the numerators
+        slots = resolution + k - 1
+        count = math.comb(slots, k - 1)
+        combos = itertools.combinations(range(slots), k - 1)
+        bars = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp,
+                           count=count * (k - 1)).reshape(count, k - 1)
+        nums = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+        grid = nums / resolution
+        grid.flags.writeable = False
+        _GRIDS[(k, resolution)] = grid
+    return grid
 
 
 @dataclass(frozen=True)
@@ -149,11 +164,3 @@ def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
         if improved and round_delta < tol and radius < 1e-6:
             break
     return SimplexMax(best_v, best_q, delta)
-
-
-def convex_simplex_min(f, k: int, coarse: int = 24, tol: float = 1e-10,
-                       max_rounds: int = 80) -> SimplexMax:
-    """Minimize a convex function over the simplex (negated concave max)."""
-    res = concave_simplex_max(lambda q: -f(q), k, coarse=coarse, tol=tol,
-                              max_rounds=max_rounds)
-    return SimplexMax(-res.value, res.point, res.certificate)

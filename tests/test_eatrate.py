@@ -58,6 +58,9 @@ class TestConstraintSet:
                                  ConstraintSet.max_mass(ALPHABET, BOT, 0.6))
         point = cs.check_nonempty()
         assert cs.contains(point, tol=1e-8)
+        before = point.copy()
+        point[:] = -1.0  # the probe hands back its own copy of the grid row
+        assert np.array_equal(cs.check_nonempty(), before)
         empty = ConstraintSet.stack(
             ConstraintSet.min_mass(ALPHABET, "1", 0.8),
             ConstraintSet.min_mass(ALPHABET, "0", 0.8))

@@ -1,0 +1,82 @@
+import math
+
+import numpy as np
+import pytest
+
+from renyiacc import optimize
+from renyiacc.errors import BadShapeError
+from renyiacc.optimize import concave_simplex_max, simplex_grid
+
+GRID_CASES = [(k, r) for k in range(1, 6) for r in (1, 2, 5, 8, 12)] + [
+    (2, 48), (3, 20), (3, 64), (4, 40), (5, 10)]
+
+
+def reference_grid(k, resolution):
+    """Recursive enumeration: first coordinate slowest, each ascending."""
+    pts = []
+
+    def rec(prefix, left):
+        if len(prefix) == k - 1:
+            pts.append(prefix + [left])
+            return
+        for i in range(left + 1):
+            rec(prefix + [i], left - i)
+
+    rec([], resolution)
+    return np.asarray(pts, dtype=float) / resolution
+
+
+@pytest.mark.parametrize("k,resolution", GRID_CASES)
+def test_grid_matches_recursive_enumeration(k, resolution):
+    grid = simplex_grid(k, resolution)
+    assert grid.dtype == np.float64
+    assert np.array_equal(grid, reference_grid(k, resolution))
+
+
+@pytest.mark.parametrize("k,resolution", GRID_CASES)
+def test_grid_counts_and_numerators(k, resolution):
+    grid = simplex_grid(k, resolution)
+    assert grid.shape == (math.comb(resolution + k - 1, k - 1), k)
+    nums = np.rint(grid * resolution)
+    assert np.array_equal(nums / resolution, grid)
+    assert (nums >= 0).all()
+    assert (nums.sum(axis=1) == resolution).all()
+    assert len(np.unique(nums, axis=0)) == len(nums)
+
+
+def test_grid_is_shared_and_read_only():
+    grid = simplex_grid(3, 7)
+    assert simplex_grid(3, 7) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        grid[1][0] = 0.5
+    row = grid[0].copy()
+    row[0] = 0.5
+    assert grid[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("k,resolution", [(3, 0), (3, -2), (0, 5), (-1, 5)])
+def test_grid_rejects_bad_arguments(k, resolution):
+    with pytest.raises(BadShapeError):
+        simplex_grid(k, resolution)
+    assert (k, resolution) not in optimize._GRIDS
+
+
+@pytest.mark.parametrize("center", [(1.0,), (0.3, 0.7), (0.2, 0.3, 0.5),
+                                    (0.61, 0.05, 0.34)])
+def test_concave_simplex_max_finds_known_maximizer(center):
+    c = np.array(center)
+
+    def f(q):
+        return 1.0 - float(((q - c) ** 2).sum())
+
+    res = concave_simplex_max(f, len(c))
+    assert res.point.shape == c.shape
+    assert res.point.min() >= 0.0
+    assert res.point.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(res.point, c, atol=1e-5)
+    assert res.value == pytest.approx(1.0, abs=1e-10)
+    assert res.certificate <= 1e-10
+
