@@ -237,33 +237,12 @@ class SamplingChannel:
         self.b_names = ("T", "B")
 
     def output_state(self) -> CqState:
-        proto = self.proto
-        regs = [creg("A", proto.outcomes), creg("C", proto.c_alphabet),
-                creg("T", (0, 1)), creg("B", proto.settings)]
-        qd = int(np.prod(self._cond_dims, initial=1))
-        if qd > 1:
-            regs.append(qreg(self._cond_name, qd))
-        shape = tuple(len(r.alphabet) for r in regs if r.is_classical)
-        w = np.zeros(shape)
-        conds: dict = {}
-        c_idx = {c: i for i, c in enumerate(proto.c_alphabet)}
-        for ia, a in enumerate(proto.outcomes):
-            for ib, b in enumerate(proto.settings):
-                p_ab = self._p[(a, b)]
-                if p_ab <= 0.0:
-                    continue
-                blk = self._cond[(a, b)]
-                for t, (pt, pb) in enumerate(
-                        ((1.0 - proto.gamma, proto.p_gen[ib]),
-                         (proto.gamma, proto.p_test[ib]))):
-                    c = BOT if t == 0 else proto.score[(a, b)]
-                    idx = (ia, c_idx[c], t, ib)
-                    val = pt * pb * p_ab
-                    if val <= 0.0:
-                        continue
-                    w[idx] += val
-                    conds[idx] = blk if qd > 1 else np.ones((1, 1))
-        return CqState(regs, w, conds)
+        outcomes, settings = self.proto.outcomes, self.proto.settings
+        p = np.array([[self._p[(a, b)] for b in settings] for a in outcomes])
+        blocks = np.array([[self._cond[(a, b)] for b in settings]
+                           for a in outcomes])
+        return _round_state(self.proto, np.where(p > 0.0, p, 0.0), blocks,
+                            self._cond_name)
 
     def p_c(self) -> np.ndarray:
         """Marginal score distribution over the protocol's c alphabet."""
@@ -297,46 +276,53 @@ def build_sampling_channel(strategy, proto: SamplingProtocol,
     raise AlphabetMismatchError(f"unsupported strategy type {type(strategy)!r}")
 
 
+def _round_state(proto: SamplingProtocol, p_ab: np.ndarray,
+                 blocks: np.ndarray, q_name: str) -> CqState:
+    """One spot-checking round as a state on (A, C, T, B) and the leftovers.
+
+    ``p_ab[a, b]`` is the probability of outcome a at setting b and
+    ``blocks[a, b]`` the normalized leftover state, registered as ``q_name``
+    unless it is one-dimensional. T = 0 is a generation round scored with the
+    bot symbol, T = 1 a test round scored by the protocol.
+    """
+    n_a, n_b = p_ab.shape
+    qd = blocks.shape[-1]
+    regs = [creg("A", proto.outcomes), creg("C", proto.c_alphabet),
+            creg("T", (0, 1)), creg("B", proto.settings)]
+    if qd > 1:
+        regs.append(qreg(q_name, qd))
+    c_of = proto.c_alphabet.index
+    scored = [[c_of(proto.score[(a, b)]) for b in proto.settings]
+              for a in proto.outcomes]
+    ia, ib = np.indices((n_a, n_b))
+    w = np.zeros((n_a, len(proto.c_alphabet), 2, n_b))
+    conds = np.empty(w.shape + (qd, qd), dtype=complex)
+    conds[...] = np.eye(qd) / qd
+    for t, (pt, pb, c) in enumerate(((1.0 - proto.gamma, proto.p_gen, c_of(BOT)),
+                                     (proto.gamma, proto.p_test, scored))):
+        w[ia, c, t, ib] = pt * pb * p_ab
+        conds[ia, c, t, ib] = blocks if qd > 1 else 1.0
+    return CqState(regs, w, conds)
+
+
 def _family_round(family: CPMapFamily, proto: SamplingProtocol,
                   omega: DensityOperator, rp_dims) -> CqState:
     """Apply one sampling round built on a CP family to omega on (R, R')."""
     any_map = next(iter(family.maps.values()))
     din = int(np.prod(any_map.in_dims, initial=1))
     d_rp = omega.dim() // din
-    regs = [creg("A", proto.outcomes), creg("C", proto.c_alphabet),
-            creg("T", (0, 1)), creg("B", proto.settings)]
-    if d_rp > 1:
-        regs.append(qreg("Rp", d_rp))
-    shape = tuple(len(r.alphabet) for r in regs if r.is_classical)
-    w = np.zeros(shape)
-    conds: dict = {}
-    c_idx = {c: i for i, c in enumerate(proto.c_alphabet)}
+    pair = DensityOperator(omega.matrix, (din, d_rp))
+    p_ab = np.zeros((len(proto.outcomes), len(proto.settings)))
+    blocks = np.empty(p_ab.shape + (d_rp, d_rp), dtype=complex)
     for ia, a in enumerate(proto.outcomes):
         for ib, b in enumerate(proto.settings):
-            ch = family.maps[(a, b)]
-            dout = int(np.prod(ch.out_dims, initial=1))
-            big = [np.kron(k, np.eye(d_rp)) for k in ch.kraus]
-            moved = None
-            for k in big:
-                term = k @ omega.matrix @ k.conj().T
-                moved = term if moved is None else moved + term
-            # trace out the updated memory, keep the bystander
-            t4 = moved.reshape(dout, d_rp, dout, d_rp)
-            left = np.trace(t4, axis1=0, axis2=2)
-            p_ab = float(np.trace(left).real)
-            if p_ab <= 1e-15:
-                continue
-            blk = left / p_ab
-            for t, (pt, pb) in enumerate(((1.0 - proto.gamma, proto.p_gen[ib]),
-                                          (proto.gamma, proto.p_test[ib]))):
-                c = BOT if t == 0 else proto.score[(a, b)]
-                idx = (ia, c_idx[c], t, ib)
-                val = pt * pb * p_ab
-                if val <= 0.0:
-                    continue
-                w[idx] += val
-                conds[idx] = blk if d_rp > 1 else np.ones((1, 1))
-    return CqState(regs, w, conds)
+            # apply M^{a|b} to R, trace out the updated memory, keep R'
+            left = pair.apply_channel(family.maps[(a, b)].kraus,
+                                      "Q0").partial_trace([1]).matrix
+            p_ab[ia, ib] = float(np.trace(left).real)
+            blocks[ia, ib] = (left / p_ab[ia, ib] if p_ab[ia, ib] > 1e-15
+                              else np.eye(d_rp) / d_rp)
+    return _round_state(proto, np.where(p_ab > 1e-15, p_ab, 0.0), blocks, "Rp")
 
 
 def check_b_independence(round_channel, trials: int, seed, r_dim: int,
@@ -480,23 +466,21 @@ def reweighted_state(state: CqState, a1: str, b1: str, a2: str, b2: str,
     reproduces the input's (A2, B2) conditional exactly.
     """
     alpha = check_alpha(alpha)
-    if not state.reg(b2).is_classical:
-        raise AlphabetMismatchError(f"register {b2!r} must be classical")
+    if state.classical_names != (b2,):
+        raise AlphabetMismatchError(
+            f"register {b2!r} must be the only classical register")
     sigma_b1 = sigma_b1.matrix if isinstance(sigma_b1, DensityOperator) else \
         np.asarray(sigma_b1, dtype=complex)
     keep = [n for n in state.names if n in (a1, b1)]
     rho_ab = state.marginal(keep).to_density()
     if not support_contained(rho_ab.partial_trace_labels([b1]).matrix, sigma_b1):
         raise SupportViolationError("supp(rho_B1) exceeds supp(sigma_B1)")
-    blocks = {}
-    for combo, p, sub in state.group_by([b2]):
-        if p <= 0.0 or sub is None:
-            continue
-        marg = sub.marginal(keep).to_density()
-        if trace_distance(marg, rho_ab) > 1e-8:
-            raise SupportViolationError(
-                "the (A1, B1) marginal depends on the b2 outcome; the "
-                "decomposition needs rho_{A1 B1 B2} = rho_{A1 B1} x rho_{B2}")
+    per_b2 = state.marginal([b2] + keep)
+    if any(p > 0.0 and trace_distance(m, rho_ab) > 1e-8
+           for p, m in zip(per_b2.weights, per_b2.conds)):
+        raise SupportViolationError(
+            "the (A1, B1) marginal depends on the b2 outcome; the "
+            "decomposition needs rho_{A1 B1 B2} = rho_{A1 B1} x rho_{B2}")
     alpha_p = (alpha - 1.0) / alpha
     sig_pow = _embedded(matrix_power(sigma_b1, -alpha_p), rho_ab, [b1])
     root = matrix_power(rho_ab.matrix, 0.5)
@@ -504,24 +488,12 @@ def reweighted_state(state: CqState, a1: str, b1: str, a2: str, b2: str,
     nu_ab = core / np.trace(core).real
     k_small = matrix_power(nu_ab, 0.5) @ matrix_power(rho_ab.matrix, -0.5)
     # push each b2 block through K . K^dag on the (A1, B1) factors
-    sample = next(sub for _, p, sub in state.group_by([b2]) if p > 0.0)
-    qnames = sample.quantum_names
-    qdims = sample.qdims
-    pos = [i for i, n in enumerate(qnames) if n in (a1, b1)]
-    k_big = embed(k_small, qdims, pos)
-    new_conds = {}
-    w = np.zeros(len(state.alphabet(b2)))
-    for j, (combo, p, sub) in enumerate(state.group_by([b2])):
-        w[j] = p
-        if p <= 0.0 or sub is None:
-            continue
-        dense = sub.to_density()
-        blk = k_big @ dense.matrix @ k_big.conj().T
-        tr = np.trace(blk).real
-        new_conds[(j,)] = blk / tr if tr > 1e-14 else blk
-    regs = [creg(b2, state.alphabet(b2))] + \
-        [qreg(n, d) for n, d in zip(qnames, qdims)]
-    return CqState(regs, w, new_conds)
+    pos = [i for i, n in enumerate(state.quantum_names) if n in (a1, b1)]
+    k_big = embed(k_small, state.qdims, pos)
+    blk = k_big @ state.conds @ k_big.conj().T
+    tr = np.trace(blk, axis1=-2, axis2=-1).real[:, None, None]
+    conds = np.where(tr > 1e-14, blk / np.where(tr > 1e-14, tr, 1.0), blk)
+    return CqState(state.cregs + state.qregs, state.weights, conds)
 
 
 def decomposition_gap(rho: DensityOperator, a1_labels, a2_labels,
@@ -713,13 +685,10 @@ def strategy_to_cq(strategy: TwoQubitStrategy, p_b, settings: str = "pairs",
     table = strategy.response_table(labels, outputs=outputs)
     regs = [creg("A", table.outcomes), creg("B", labels),
             qreg("E", int(np.prod(table.cond_dims, initial=1)))]
-    w = np.zeros((len(table.outcomes), len(labels)))
-    conds = {}
-    for i, a in enumerate(table.outcomes):
-        for j, b in enumerate(labels):
-            w[i, j] = p_b[j] * table.p[(a, b)]
-            conds[(i, j)] = table.cond[(a, b)]
-    return CqState(regs, w, conds)
+    p = np.array([[table.p[(a, b)] for b in labels] for a in table.outcomes])
+    conds = np.array([[table.cond[(a, b)] for b in labels]
+                      for a in table.outcomes])
+    return CqState(regs, p_b * p, conds)
 
 
 @dataclass(frozen=True)

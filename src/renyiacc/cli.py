@@ -57,6 +57,13 @@ def _alphas(spec: str):
     return out
 
 
+def _positive_int(spec: str) -> int:
+    n = int(spec)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _grid(spec: str):
     lo, hi, n = spec.split(":")
     return np.linspace(float(lo), float(hi), int(n))
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_positive_int, default=50)
     p.add_argument("--alpha", default="1.1,1.5,2,3")
     p.add_argument("--only", choices=sorted(ALL_CHECKS))
     p.add_argument("--json")

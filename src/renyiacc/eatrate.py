@@ -468,7 +468,7 @@ def compare_entropies(strategy: TwoQubitStrategy, p_b, alphas,
         alpha = check_alpha(alpha)
         per_b = {}
         for combo, pb, sub in state.group_by(["B"]):
-            if pb <= 0.0 or sub is None:
+            if pb <= 0.0:
                 continue
             per_b[combo[0]] = entropy.h_down(sub, ["A"], alpha)
         hd = entropy.h_down(state, ["A"], alpha)

@@ -107,16 +107,9 @@ def _aligned_blocks(rho: CqState, sigma: CqState):
     for n in rho.classical_names:
         if rho.alphabet(n) != sigma.alphabet(n):
             raise AlphabetMismatchError(f"alphabet mismatch on {n!r}")
-    p, rb, q, sb = [], [], [], []
-    one = np.ones((1, 1), dtype=complex)
-    for idx, _, pc, c in rho.outcomes():
-        p.append(pc)
-        rb.append(one if c is None else c)
-        qc = float(sigma.weights[idx])
-        q.append(qc)
-        sc = sigma.conds[idx]
-        sb.append(one if sc is None else sc)
-    return p, rb, q, sb
+    return (rho.weights.reshape(-1), rho.conds.reshape(-1, rho.qdim, rho.qdim),
+            sigma.weights.reshape(-1),
+            sigma.conds.reshape(-1, sigma.qdim, sigma.qdim))
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
@@ -198,18 +191,11 @@ def _h_down_flat(state: CqState, a_names) -> tuple:
     cq_names = [n for n in state.quantum_names if n not in a_names]
     cq_pos = [state._qpos(n) for n in cq_names]
     if cq_names:
-        sigma = state.marginal(cq_names)
-        sig_mat = sigma.conds[()] if not sigma.cregs else None
-        ref = embed(sig_mat, qdims, cq_pos)
+        ref = embed(state.marginal(cq_names).conds, qdims, cq_pos)
     else:
-        ref = np.ones((1, 1), dtype=complex) if not qdims else np.eye(
-            int(np.prod(qdims)), dtype=complex)
-    one = np.ones((1, 1), dtype=complex)
-    p, blocks = [], []
-    for _, _, pa, c in state.outcomes():
-        p.append(pa)
-        blocks.append(one if c is None else c)
-    return p, blocks, ref
+        ref = np.eye(state.qdim, dtype=complex)
+    return (state.weights.reshape(-1),
+            state.conds.reshape(-1, state.qdim, state.qdim), ref)
 
 
 def h_down(state, a_names, alpha: float) -> float:
@@ -234,7 +220,7 @@ def h_down(state, a_names, alpha: float) -> float:
     # classical conditioning: exact block formula over the classical outcomes
     terms = []
     for _, pc, sub in state.group_by(ccl):
-        if pc <= 0.0 or sub is None:
+        if pc <= 0.0:
             continue
         t = h_down(sub, a_names, alpha)
         if t == -INF:
@@ -350,17 +336,16 @@ def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
     if ccl:
         terms = []
         for _, pc, sub in state.group_by(ccl):
-            if pc <= 0.0 or sub is None:
+            if pc <= 0.0:
                 continue
             terms.append((pc, h_up(sub, a_names, alpha, cfg)))
         m = max(((1.0 - alpha) / alpha) * t for _, t in terms)
         tot = sum(pc * 2.0 ** (((1.0 - alpha) / alpha) * t - m) for pc, t in terms)
         return (alpha / (1.0 - alpha)) * (m + math.log2(tot))
     cq_names = [n for n in cond if not state.reg(n).is_classical]
-    if not cq_names:
-        dense = state.to_density()
-        return renyi_entropy(dense, alpha)
     dense = state.to_density()
+    if not cq_names:
+        return renyi_entropy(dense, alpha)
     order = [n for n in state.names if n in a_names] + cq_names
     perm = dense.permute_labels(order)
     d_a = int(np.prod([state.reg(n).size for n in state.names if n in a_names]))
@@ -397,7 +382,7 @@ def _per_b_down(state: CqState, a_names, up_name: str, alpha: float):
         raise BadPartitionError("optimized register cannot sit inside A")
     out = []
     for combo, pb, sub in state.group_by([up_name]):
-        if pb <= 0.0 or sub is None:
+        if pb <= 0.0:
             continue
         rest = [n for n in sub.names if n not in set(a_names)]
         if rest:
@@ -560,7 +545,7 @@ def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
         return INF
     terms = []
     for i, (combo, pc, sub) in enumerate(state.group_by([c_name])):
-        if pc <= 0.0 or sub is None:
+        if pc <= 0.0:
             continue
         d = _divergence_vs_ref(sub, a_names, sig, b_names, alpha)
         if d == INF:
@@ -588,13 +573,13 @@ def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
                if n not in a_set and n not in (c_name, b_name)]
     outer = []
     for _, pb, sub_b in state.group_by([b_name]):
-        if pb <= 0.0 or sub_b is None:
+        if pb <= 0.0:
             continue
         rho_e = (sub_b.marginal(e_names).to_density().matrix
                  if e_names else np.ones((1, 1)))
         inner = []
         for i, (combo, pcb, sub_cb) in enumerate(sub_b.group_by([c_name])):
-            if pcb <= 0.0 or sub_cb is None:
+            if pcb <= 0.0:
                 continue
             d = _divergence_vs_ref(sub_cb, a_names, rho_e, e_names, alpha)
             if d == INF:
@@ -625,7 +610,3 @@ def key_length(h_up_bits: float, epsilon: float, alpha: float) -> int:
         math.log2(epsilon) - 2.0 / alpha + 1.0)
     return max(0, math.floor(bound))
 
-
-def vn_limit(fn, eps: float = 1e-6) -> float:
-    """Richardson step toward alpha -> 1 for an alpha-indexed entropy callable."""
-    return 2.0 * fn(1.0 + eps) - fn(1.0 + 2.0 * eps)

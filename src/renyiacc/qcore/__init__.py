@@ -9,7 +9,6 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     jacobi_hermitian_eig,
-    kron_all,
     matrix_power,
     support_contained,
     support_projector,
@@ -21,7 +20,6 @@ from .random import (
     random_instance,
     random_isometry,
     random_kraus_channel,
-    random_pure,
     rng_from,
 )
 from .serialize import (
@@ -50,10 +48,10 @@ from .states import (
 __all__ = [
     "HERMITICITY_TOL", "PSD_TOL", "SUPPORT_CUTOFF",
     "eigvalsh_desc", "embed", "hermitian_eig", "is_hermitian",
-    "jacobi_hermitian_eig", "kron_all", "matrix_power",
+    "jacobi_hermitian_eig", "matrix_power",
     "support_contained", "support_projector",
     "random_cq", "random_density", "random_distribution", "random_instance",
-    "random_isometry", "random_kraus_channel", "random_pure", "rng_from",
+    "random_isometry", "random_kraus_channel", "rng_from",
     "cq_from_dict", "cq_to_dict", "density_from_dict", "density_to_dict",
     "dump_state", "load_state", "state_from_dict",
     "CqState", "DensityOperator", "Register", "conditional_operator",

@@ -163,13 +163,6 @@ def support_contained(rho, sigma, cutoff: float = SUPPORT_CUTOFF,
     return leak <= leak_tol * max(tr, 1.0)
 
 
-def kron_all(mats) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def embed(op, dims, acting_on) -> np.ndarray:
     """Embed ``op`` acting on the subsystems ``acting_on`` of a product space.
 

@@ -36,10 +36,6 @@ def random_density(dims, seed, rank: int | None = None) -> DensityOperator:
     return DensityOperator(m / np.trace(m).real, dims)
 
 
-def random_pure(dims, seed) -> DensityOperator:
-    return random_density(dims, seed, rank=1)
-
-
 def random_distribution(n: int, seed, full_support: bool = True) -> np.ndarray:
     """Uniform-ish random point on the simplex (normalized exponentials)."""
     if n < 1:
@@ -83,10 +79,10 @@ def random_cq(alphabet_sizes, qdims, seed, names=None, qnames=None,
     shape = alphabet_sizes
     w = random_distribution(int(np.prod(shape, initial=1)), rng,
                             full_support=full_support_weights).reshape(shape)
-    conds = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        conds[idx] = random_density(qdims or (1,), rng, rank=rank).matrix
-    return CqState(regs, w, conds)
+    # one draw per outcome, in np.ndindex order
+    conds = np.stack([random_density(qdims or (1,), rng, rank=rank).matrix
+                      for _ in np.ndindex(*shape)])
+    return CqState(regs, w, conds.reshape(shape + conds.shape[1:]))
 
 
 def random_instance(kind: str, shape, seed):

@@ -6,13 +6,17 @@ Dense state (schema ``renyiacc/state/v1``)::
      "matrix": [[re, im], ...]}        # row-major, len = (prod dims)^2
 
 Cq-state (schema ``renyiacc/cqstate/v1``) nests one dense block per classical
-outcome tuple::
+outcome tuple, one entry per outcome::
 
     {"schema": "renyiacc/cqstate/v1",
      "registers": [{"kind": "classical", "name": "B", "alphabet": ["0", "1"]},
                    {"kind": "quantum", "name": "E", "dim": 2}],
      "entries": [{"outcome": ["0"], "weight": 0.5, "matrix": [[re, im], ...]},
                  ...]}
+
+Files written by older versions leave out outcomes of zero weight; a missing
+entry is read as weight 0 with the maximally mixed placeholder block. Both
+schemas are validated at load (Hermitian, PSD, normalized).
 """
 
 from __future__ import annotations
@@ -64,12 +68,9 @@ def cq_to_dict(state: CqState) -> dict:
                          "alphabet": [str(a) for a in r.alphabet]})
         else:
             regs.append({"kind": "quantum", "name": r.name, "dim": r.dim})
-    entries = []
-    for _, out, p, c in state.outcomes():
-        if c is None:
-            continue
-        entries.append({"outcome": [str(o) for o in out], "weight": p,
-                        "matrix": matrix_to_json(c)})
+    entries = [{"outcome": [str(o) for o in out], "weight": p,
+                "matrix": matrix_to_json(c)}
+               for _, out, p, c in state.outcomes()]
     return {"schema": CQSTATE_SCHEMA, "registers": regs, "entries": entries}
 
 
@@ -84,9 +85,8 @@ def cq_from_dict(doc: dict) -> CqState:
             raise BadShapeError(f"unknown register kind {r['kind']!r}")
     cregs = [r for r in regs if r.is_classical]
     qdim = int(np.prod([r.dim for r in regs if not r.is_classical], initial=1))
-    shape = tuple(len(r.alphabet) for r in cregs)
-    w = np.zeros(shape)
-    conds = np.empty(shape, dtype=object)
+    w = np.zeros(tuple(len(r.alphabet) for r in cregs))
+    conds = {}
     for e in doc["entries"]:
         idx = tuple(cregs[i].alphabet.index(o)
                     for i, o in enumerate(e["outcome"]))
@@ -105,9 +105,9 @@ def load_state(path: str):
 def state_from_dict(doc: dict):
     schema = doc.get("schema", "")
     if schema == STATE_SCHEMA:
-        return density_from_dict(doc)
+        return density_from_dict(doc).validate()
     if schema == CQSTATE_SCHEMA:
-        return cq_from_dict(doc)
+        return cq_from_dict(doc).validate()
     raise BadShapeError(f"unrecognized state schema {schema!r}")
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import (
     BadIndexError,
     BadPartitionError,
+    BadProbabilityError,
     DimMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -36,6 +37,48 @@ from .linalg import (
 
 TRACE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# kernels on stacks of matrices: leading axes are batch axes, the last two
+# axes hold operators on subsystems of dimensions ``dims`` (Kronecker order)
+# ---------------------------------------------------------------------------
+
+def _partial_trace(x: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem not in ``keep``; kept ones come out in ``keep`` order."""
+    lead = x.shape[:-2]
+    b, k = len(lead), len(dims)
+    t = x.reshape(lead + tuple(dims) * 2)
+    drop = sorted(i for i in range(k) if i not in keep)
+    for off, i in enumerate(drop):
+        ax = b + i - off
+        t = np.trace(t, axis1=ax, axis2=ax + (k - off))
+    # axes now ordered by increasing original index; permute to keep-order
+    remaining = sorted(keep)
+    perm = [b + remaining.index(i) for i in keep]
+    t = t.transpose(list(range(b)) + perm + [len(keep) + j for j in perm])
+    d = int(np.prod([dims[i] for i in keep], initial=1))
+    return t.reshape(lead + (d, d))
+
+
+def _apply_kraus(x: np.ndarray, dims, pos: int, kraus):
+    """sum_K K x K^dag on subsystem ``pos``; returns (stack, new dims)."""
+    kraus = [np.asarray(op, dtype=complex) for op in kraus]
+    dout, din = kraus[0].shape
+    if din != dims[pos]:
+        raise DimMismatchError("Kraus input dim mismatch")
+    lead = x.shape[:-2]
+    b, k = len(lead), len(dims)
+    row, col = b + pos, b + k + pos
+    t = x.reshape(lead + tuple(dims) * 2)
+    out = None
+    for op in kraus:
+        t1 = np.moveaxis(np.tensordot(op, t, axes=([1], [row])), 0, row)
+        t2 = np.moveaxis(np.tensordot(t1, op.conj(), axes=([col], [1])), -1, col)
+        out = t2 if out is None else out + t2
+    dims = tuple(dims[:pos]) + (dout,) + tuple(dims[pos + 1:])
+    d = int(np.prod(dims, initial=1))
+    return out.reshape(lead + (d, d)), dims
 
 
 @dataclass(frozen=True)
@@ -116,19 +159,8 @@ class DensityOperator:
                 raise BadIndexError(f"subsystem index {i} out of range")
         if len(set(keep)) != len(keep):
             raise BadIndexError("duplicate subsystem index")
-        t = self.matrix.reshape(self.dims + self.dims)
-        drop = sorted(i for i in range(k) if i not in keep)
-        for off, i in enumerate(drop):
-            ax = i - off
-            t = np.trace(t, axis1=ax, axis2=ax + (k - off))
-        # axes now ordered by increasing original index; permute to keep-order
-        remaining = sorted(keep)
-        perm = [remaining.index(i) for i in keep]
-        kk = len(keep)
-        t = t.transpose(perm + [kk + j for j in perm])
-        d = int(np.prod([self.dims[i] for i in keep], initial=1))
         return DensityOperator(
-            t.reshape(d, d),
+            _partial_trace(self.matrix, self.dims, keep),
             tuple(self.dims[i] for i in keep),
             tuple(self.labels[i] for i in keep),
             normalized=self.normalized,
@@ -170,21 +202,8 @@ class DensityOperator:
     def apply_channel(self, kraus, on_label: str) -> "DensityOperator":
         """Apply a CP map (Kraus list, possibly dim-changing) to one subsystem."""
         pos = self.index_of(on_label)
-        kraus = [np.asarray(k, dtype=complex) for k in kraus]
-        dout, din = kraus[0].shape
-        if din != self.dims[pos]:
-            raise DimMismatchError("Kraus input dim mismatch")
-        k = len(self.dims)
-        t = self.matrix.reshape(self.dims + self.dims)
-        out = None
-        for op in kraus:
-            t1 = np.moveaxis(np.tensordot(op, t, axes=([1], [pos])), 0, pos)
-            t2 = np.moveaxis(
-                np.tensordot(t1, op.conj(), axes=([k + pos], [1])), -1, k + pos)
-            out = t2 if out is None else out + t2
-        dims = self.dims[:pos] + (dout,) + self.dims[pos + 1:]
-        d = int(np.prod(dims, initial=1))
-        return DensityOperator(out.reshape(d, d), dims, self.labels,
+        matrix, dims = _apply_kraus(self.matrix, self.dims, pos, kraus)
+        return DensityOperator(matrix, dims, self.labels,
                                normalized=self.normalized)
 
     def purify(self, copy_label: str = "ref") -> "DensityOperator":
@@ -274,17 +293,46 @@ def qreg(name: str, dim: int) -> Register:
     return Register(name, dim=int(dim))
 
 
+def _placeholder(qdim: int) -> np.ndarray:
+    """The block of an outcome that has none: the maximally mixed state."""
+    return np.eye(qdim, dtype=complex) / qdim
+
+
+def _outcome_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 as a running total in index order.
+
+    ``np.sum`` adds eight or more terms pairwise, which would make a result
+    depend on how many outcomes happen to be summed at once.
+    """
+    return np.add.accumulate(x, axis=0)[-1]
+
+
+def _normalized(acc: np.ndarray, w: np.ndarray, qdim: int) -> np.ndarray:
+    """Blocks ``acc / w``, with the placeholder where ``w <= WEIGHT_TOL``."""
+    live = (w > WEIGHT_TOL)[..., None, None]
+    return np.where(live, acc / np.where(live, w[..., None, None], 1.0),
+                    _placeholder(qdim))
+
+
 class CqState:
     """State block diagonal over classical registers.
 
     ``weights`` has one axis per classical register (in register order) and
-    sums to one; ``conds[idx]`` is the conditional density matrix on the joint
-    quantum part (quantum registers in register order), or ``None`` where the
-    weight vanishes. States with no quantum register use 1x1 conditionals.
+    sums to one. ``conds`` stacks the conditional density matrices on the
+    joint quantum part (quantum registers in register order) in one complex
+    array of shape ``weights.shape + (qdim, qdim)``: ``conds[idx]`` is the
+    block of outcome ``idx``. States with no quantum register have 1x1 blocks.
 
-    ``conds`` may be given as an object array of the classical shape, a dict
-    mapping index tuples to matrices, a bare matrix (scalar classical shape),
-    or ``None`` for maximally mixed placeholders.
+    The weights are the only mask. A block whose weight is at most
+    ``WEIGHT_TOL`` carries no information and every method weighs it by zero.
+    Where an outcome has no block, or a method would divide by such a weight,
+    the block is the maximally mixed placeholder ``eye(qdim) / qdim``.
+
+    ``conds`` may be given as that stacked array (a bare matrix when there is
+    no classical register), as a dict mapping index tuples to matrices
+    (missing outcomes get the placeholder), or as ``None`` (placeholders
+    throughout). A given array is shared, not copied, and may be a read-only
+    view: no method writes into ``conds``, and results may share it.
     """
 
     def __init__(self, regs, weights, conds=None):
@@ -297,27 +345,25 @@ class CqState:
         self.qdim = int(np.prod([r.dim for r in self.qregs], initial=1))
         shape = tuple(len(r.alphabet) for r in self.cregs)
         self.weights = np.asarray(weights, dtype=float).reshape(shape)
-        filled = np.empty(shape, dtype=object)
+        full = shape + (self.qdim, self.qdim)
         if conds is None:
-            eye = np.eye(self.qdim, dtype=complex) / self.qdim
-            for idx in np.ndindex(*shape):
-                filled[idx] = eye
+            conds = np.broadcast_to(_placeholder(self.qdim), full)
         elif isinstance(conds, dict):
-            for idx in np.ndindex(*shape):
-                entry = conds.get(idx)
-                filled[idx] = None if entry is None else np.asarray(entry, complex)
-        elif isinstance(conds, np.ndarray) and conds.dtype == object:
-            if conds.shape != shape:
-                raise DimMismatchError("conds object array has wrong shape")
-            for idx in np.ndindex(*shape):
-                entry = conds[idx]
-                filled[idx] = None if entry is None else np.asarray(entry, complex)
+            filled = np.empty(full, dtype=complex)
+            filled[...] = _placeholder(self.qdim)
+            for idx, block in conds.items():
+                block = np.asarray(block, dtype=complex)
+                if block.shape != full[-2:]:
+                    raise DimMismatchError(
+                        f"conditional at {idx} has shape {block.shape}")
+                filled[idx] = block
+            conds = filled
         else:
-            if shape != ():
-                raise DimMismatchError("bare conditional only valid with no "
-                                       "classical registers")
-            filled[()] = np.asarray(conds, dtype=complex)
-        self.conds = filled
+            conds = np.asarray(conds, dtype=complex)
+            if conds.shape != full:
+                raise DimMismatchError(
+                    f"conds has shape {conds.shape}, want {full}")
+        self.conds = conds
 
     # -- basics -------------------------------------------------------------
     @property
@@ -359,17 +405,19 @@ class CqState:
 
     def validate(self, atol: float = TRACE_TOL) -> "CqState":
         w = self.weights
+        if not np.all(np.isfinite(w)):
+            raise NotPSDError("classical weight is not finite")
         if w.size and w.min() < -WEIGHT_TOL:
             raise NotPSDError("negative classical weight")
         if abs(w.sum() - 1.0) > atol:
             raise DimMismatchError(f"weights sum to {w.sum()}, not 1")
-        for idx, _, p, c in self.outcomes():
-            if p <= WEIGHT_TOL:
-                continue
-            if c is None or c.shape != (self.qdim, self.qdim):
-                raise DimMismatchError(f"conditional at {idx} has wrong shape")
-            DensityOperator(c, self.qdims or (1,)).validate(atol)
+        for _, _, p, c in self.outcomes():
+            if p > WEIGHT_TOL:
+                DensityOperator(c, self.qdims or (1,)).validate(atol)
         return self
+
+    def _live_weights(self) -> np.ndarray:
+        return np.where(self.weights > WEIGHT_TOL, self.weights, 0.0)
 
     # -- structure manipulation ---------------------------------------------
     def _cpos(self, name: str) -> int:
@@ -390,30 +438,21 @@ class CqState:
         for n in keep_names:
             self.reg(n)
         keep_c = [i for i, r in enumerate(self.cregs) if r.name in keep_names]
+        drop_c = [i for i in range(len(self.cregs)) if i not in keep_c]
         keep_q = [i for i, r in enumerate(self.qregs) if r.name in keep_names]
-        qdims = self.qdims
+        conds = self.conds
+        if len(keep_q) < len(self.qregs):
+            conds = _partial_trace(conds, self.qdims, keep_q)
+        dq = conds.shape[-1]
+        # the summed-out outcomes on one leading axis, in outcome order
+        order = drop_c + keep_c
+        shape = (-1,) + tuple(self.weights.shape[i] for i in keep_c)
+        w = self._live_weights().transpose(order).reshape(shape)
+        c = conds.transpose(order + [len(order), len(order) + 1])
+        new_w = _outcome_sum(w)
+        acc = _outcome_sum(w[..., None, None] * c.reshape(w.shape + (dq, dq)))
         new_regs = [r for r in self.regs if r.name in keep_names]
-        new_shape = tuple(len(self.cregs[i].alphabet) for i in keep_c)
-        del_q = keep_q != list(range(len(self.qregs)))
-        dq_new = int(np.prod([qdims[i] for i in keep_q], initial=1))
-        new_w = np.zeros(new_shape)
-        acc = np.empty(new_shape, dtype=object)
-        for idx, _, p, c in self.outcomes():
-            if p <= WEIGHT_TOL or c is None:
-                continue
-            nidx = tuple(idx[i] for i in keep_c)
-            cm = c
-            if del_q and self.qregs:
-                cm = DensityOperator(c, qdims).partial_trace(keep_q).matrix
-            new_w[nidx] += p
-            acc[nidx] = p * cm if acc[nidx] is None else acc[nidx] + p * cm
-        conds = np.empty(new_shape, dtype=object)
-        for idx in np.ndindex(*new_shape):
-            if new_w[idx] > WEIGHT_TOL:
-                conds[idx] = acc[idx] / new_w[idx]
-            else:
-                conds[idx] = np.eye(max(dq_new, 1), dtype=complex) / max(dq_new, 1)
-        return CqState(new_regs, new_w, conds)
+        return CqState(new_regs, new_w, _normalized(acc, new_w, dq))
 
     def condition(self, assignment: dict):
         """Condition on classical values; returns (probability, reduced CqState)."""
@@ -426,58 +465,35 @@ class CqState:
             return 0.0, None
         new_regs = [r for r in self.regs
                     if not (r.is_classical and r.name in assignment)]
-        sub = self.conds[sel]
-        if not (isinstance(sub, np.ndarray) and sub.dtype == object):
-            wrapped = np.empty((), dtype=object)
-            wrapped[()] = sub
-            sub = wrapped
-        return p, CqState(new_regs, w / p, sub)
+        return p, CqState(new_regs, w / p, self.conds[sel])
 
     def group_by(self, names):
-        """Iterate (outcome tuple, probability, conditional CqState) over ``names``."""
+        """Iterate (outcome tuple, probability, conditional CqState) over ``names``.
+
+        The conditional state is ``None`` exactly when the probability is 0.
+        """
         alphabets = [self.alphabet(n) for n in names]
         for combo in itertools.product(*alphabets):
             p, rest = self.condition(dict(zip(names, combo)))
             yield combo, p, rest
 
     def tensor(self, other: "CqState") -> "CqState":
-        regs = self.regs + other.regs
+        n1, n2 = self.weights.ndim, other.weights.ndim
+        q1, q2 = self.qdim, other.qdim
         w = np.multiply.outer(self.weights, other.weights)
-        n1 = self.weights.ndim
-        conds = np.empty(w.shape, dtype=object)
-        for idx in np.ndindex(*w.shape):
-            c1 = self.conds[idx[:n1]]
-            c2 = other.conds[idx[n1:]]
-            conds[idx] = None if (c1 is None or c2 is None) else np.kron(c1, c2)
-        return CqState(regs, w, conds)
+        # blockwise Kronecker product: (i, k) x (j, l) -> (i k, j l)
+        a = self.conds.reshape(self.weights.shape + (1,) * n2 + (q1, 1, q1, 1))
+        b = other.conds.reshape((1,) * n1 + other.weights.shape + (1, q2, 1, q2))
+        conds = (a * b).reshape(w.shape + (q1 * q2, q1 * q2))
+        return CqState(self.regs + other.regs, w, conds)
 
     def apply_quantum_channel(self, kraus, on_name: str) -> "CqState":
         """Apply a CP map (Kraus list) to one named quantum register of every block."""
-        pos = self._qpos(on_name)
-        qdims = list(self.qdims)
-        m = len(qdims)
-        kraus = [np.asarray(k, dtype=complex) for k in kraus]
-        dout, din = kraus[0].shape
-        if din != qdims[pos]:
-            raise DimMismatchError("Kraus input dim mismatch")
-
-        def act(c):
-            t = c.reshape(qdims + qdims)
-            out = None
-            for k in kraus:
-                t1 = np.moveaxis(np.tensordot(k, t, axes=([1], [pos])), 0, pos)
-                t2 = np.moveaxis(
-                    np.tensordot(t1, k.conj(), axes=([m + pos], [1])), -1, m + pos)
-                out = t2 if out is None else out + t2
-            d = int(np.prod(qdims, initial=1)) // din * dout
-            return out.reshape(d, d)
-
-        regs = [qreg(r.name, dout) if (not r.is_classical and r.name == on_name)
-                else r for r in self.regs]
-        conds = np.empty(self.weights.shape, dtype=object)
-        for idx in np.ndindex(*self.weights.shape):
-            c = self.conds[idx]
-            conds[idx] = None if c is None else act(c)
+        conds, qdims = _apply_kraus(self.conds, self.qdims,
+                                    self._qpos(on_name), kraus)
+        it = iter(qdims)
+        regs = [r if r.is_classical else qreg(r.name, next(it))
+                for r in self.regs]
         return CqState(regs, self.weights, conds)
 
     def apply_classical_map(self, name: str, kernel, new_alphabet) -> "CqState":
@@ -487,49 +503,35 @@ class CqState:
         """
         pos = self._cpos(name)
         kernel = np.asarray(kernel, dtype=float)
-        old_n = len(self.cregs[pos].alphabet)
         new_alphabet = tuple(new_alphabet)
-        new_n = len(new_alphabet)
-        if kernel.shape != (new_n, old_n):
+        if kernel.shape != (len(new_alphabet), len(self.cregs[pos].alphabet)):
             raise DimMismatchError("kernel shape mismatch")
-        shape = self.weights.shape
-        new_shape = shape[:pos] + (new_n,) + shape[pos + 1:]
-        w = np.zeros(new_shape)
-        acc = np.empty(new_shape, dtype=object)
-        for idx, _, p, c in self.outcomes():
-            if p <= WEIGHT_TOL or c is None:
-                continue
-            for j in range(new_n):
-                q = kernel[j, idx[pos]] * p
-                if q <= 0:
-                    continue
-                nidx = idx[:pos] + (j,) + idx[pos + 1:]
-                w[nidx] += q
-                acc[nidx] = q * c if acc[nidx] is None else acc[nidx] + q * c
-        conds = np.empty(new_shape, dtype=object)
-        for idx in np.ndindex(*new_shape):
-            conds[idx] = (acc[idx] / w[idx]) if w[idx] > WEIGHT_TOL else None
+        if kernel.min() < 0.0:
+            raise BadProbabilityError("kernel has a negative entry")
+        # q[i, j, ...] = kernel[j, i] p(..., i, ...): the old symbol i leads
+        p = np.moveaxis(self._live_weights(), pos, 0)
+        q = kernel.T.reshape(kernel.T.shape + (1,) * (p.ndim - 1)) * p[:, None]
+        c = np.moveaxis(self.conds, pos, 0)[:, None]
+        w = np.moveaxis(_outcome_sum(q), 0, pos)
+        acc = np.moveaxis(_outcome_sum(q[..., None, None] * c), 0, pos)
         regs = [creg(name, new_alphabet) if r.name == name else r
                 for r in self.regs]
-        return CqState(regs, w, conds)
+        return CqState(regs, w, _normalized(acc, w, self.qdim))
 
     def append_classical(self, name: str, alphabet, dist_for) -> "CqState":
         """Append a classical register distributed according to the existing outcome.
 
         ``dist_for(outcome_tuple)`` returns the distribution of the new symbol
-        over ``alphabet``.
+        over ``alphabet``. The blocks do not depend on the new symbol.
         """
         alphabet = tuple(alphabet)
-        n = len(alphabet)
-        shape = self.weights.shape + (n,)
-        w = np.zeros(shape)
-        conds = np.empty(shape, dtype=object)
-        for idx, out, p, c in self.outcomes():
-            d = np.asarray(dist_for(out), dtype=float)
-            for j in range(n):
-                w[idx + (j,)] = p * d[j]
-                conds[idx + (j,)] = c
-        return CqState(self.regs + (creg(name, alphabet),), w, conds)
+        shape = self.weights.shape + (len(alphabet),)
+        dist = np.array([dist_for(out) for _, out, _, _ in self.outcomes()],
+                        dtype=float).reshape(shape)
+        conds = np.broadcast_to(self.conds[..., None, :, :],
+                                shape + self.conds.shape[-2:])
+        return CqState(self.regs + (creg(name, alphabet),),
+                       self.weights[..., None] * dist, conds)
 
     # -- dense embedding ----------------------------------------------------
     def register_dims(self) -> tuple[int, ...]:
@@ -537,38 +539,23 @@ class CqState:
 
     def to_density(self) -> DensityOperator:
         """Dense embedding with classical registers as diagonal subsystems."""
+        cshape, qdims = self.weights.shape, self.qdims
+        n, q = self.weights.size, self.qdim
+        # classical axes first: outcome k's block sits at rows and columns k
+        live = np.flatnonzero(self.weights > WEIGHT_TOL)
+        t = np.zeros((n, q, n, q), dtype=complex)
+        t[live, :, live] = (self.weights.reshape(-1)[live, None, None]
+                            * self.conds.reshape(n, q, q)[live])
+        # then into register order
+        ci, qi = iter(range(len(cshape))), iter(range(len(cshape), len(self.regs)))
+        perm = [next(ci) if r.is_classical else next(qi) for r in self.regs]
+        t = t.reshape((cshape + qdims) * 2).transpose(
+            perm + [len(perm) + i for i in perm])
         dims = self.register_dims()
         d = int(np.prod(dims, initial=1))
-        k = len(dims)
-        full = np.zeros((d, d), dtype=complex)
-        t = full.reshape(dims + dims)
-        qdims = self.qdims
-        cpos = [i for i, r in enumerate(self.regs) if r.is_classical]
-        for idx, _, p, c in self.outcomes():
-            if p <= WEIGHT_TOL or c is None:
-                continue
-            sel: list = [slice(None)] * (2 * k)
-            for ci, j in zip(cpos, idx):
-                sel[ci] = j
-                sel[k + ci] = j
-            if qdims:
-                t[tuple(sel)] += (p * c).reshape(qdims + qdims)
-            else:
-                t[tuple(sel)] += p * c[0, 0]
-        return DensityOperator(full, dims, self.names)
-
-    def classical_joint(self) -> np.ndarray:
-        """Joint distribution over the classical registers (weights copy)."""
-        return self.weights.copy()
+        return DensityOperator(t.reshape(d, d), dims, self.names)
 
 
 def cq_from_joint(names, alphabets, joint) -> CqState:
     """Fully classical CqState from a joint probability array."""
-    regs = [creg(n, a) for n, a in zip(names, alphabets)]
-    joint = np.asarray(joint, dtype=float)
-    shape = tuple(len(a) for a in alphabets)
-    conds = np.empty(shape, dtype=object)
-    one = np.ones((1, 1), dtype=complex)
-    for idx in np.ndindex(*shape):
-        conds[idx] = one
-    return CqState(regs, joint.reshape(shape), conds)
+    return CqState([creg(n, a) for n, a in zip(names, alphabets)], joint)

@@ -220,18 +220,12 @@ def check_partial_entropy_props(cfg: SuiteConfig) -> PropertyReport:
 # chain rules
 # ---------------------------------------------------------------------------
 
-def _classical_up(joint: np.ndarray, a_axes, b_axes, alpha: float) -> float:
-    axes = tuple(a_axes) + tuple(b_axes)
-    p = joint.transpose(axes)
-    na = int(np.prod([p.shape[i] for i in range(len(a_axes))], initial=1))
-    return entropy.h_classical(p.reshape(na, -1), alpha, "up")
-
-
-def _classical_down(joint: np.ndarray, a_axes, b_axes, alpha: float) -> float:
-    axes = tuple(a_axes) + tuple(b_axes)
-    p = joint.transpose(axes)
-    na = int(np.prod([p.shape[i] for i in range(len(a_axes))], initial=1))
-    return entropy.h_classical(p.reshape(na, -1), alpha, "down")
+def _classical_h(joint: np.ndarray, a_axes, b_axes, alpha: float,
+                 variant: str) -> float:
+    """``h_classical`` of a joint array, with A on ``a_axes`` and B on ``b_axes``."""
+    p = joint.transpose(tuple(a_axes) + tuple(b_axes))
+    na = int(np.prod(p.shape[:len(a_axes)], initial=1))
+    return entropy.h_classical(p.reshape(na, -1), alpha, variant)
 
 
 def counterexample_channel_instance():
@@ -261,8 +255,9 @@ def chain_rule_gap(omega: np.ndarray, p_b2: np.ndarray,
     """
     n_r = omega.shape[2]
     joint = np.einsum("abr,s,zrs->abzs", omega, p_b2, kernel)
-    lhs = _classical_up(joint, (0, 2), (1, 3), alpha)
-    first = _classical_up(omega.sum(axis=2)[:, :, None], (0,), (1, 2), alpha)
+    lhs = _classical_h(joint, (0, 2), (1, 3), alpha, "up")
+    first = _classical_h(omega.sum(axis=2)[:, :, None], (0,), (1, 2), alpha,
+                         "up")
     s_eb = (kernel ** alpha).sum(axis=0)  # s[r, b2]
 
     def inner(q):
@@ -321,7 +316,7 @@ def check_classical_chain(cfg: SuiteConfig) -> PropertyReport:
                 for b2 in range(nb2):
                     kern[:, a1, b1, b2] = random_distribution(na2, rng)
         joint = np.einsum("ab,s,zabs->abzs", p_ab, p_b2, kern)
-        lhs = _classical_down(joint, (0, 2), (1, 3), alpha)
+        lhs = _classical_h(joint, (0, 2), (1, 3), alpha, "down")
         first = entropy.h_classical(p_ab, alpha, "down")
         worst_round2 = min(
             entropy.h_classical(np.einsum("s,zs->zs", p_b2, kern[:, a1, b1, :]),
@@ -361,19 +356,15 @@ def _measured_state(psi: DensityOperator, p_b, povms, n_a: int, n_c: int,
     regs = [creg("A", tuple(range(n_a))), creg("C", tuple(range(n_c))),
             creg("B", tuple(range(len(p_b))))]
     regs += [qreg(nm, psi.dims[1 + k]) for k, nm in enumerate(side_names)]
-    w = np.zeros((n_a, n_c, len(p_b)))
-    conds = {}
     t = psi.matrix.reshape(d_r, d_side, d_r, d_side)
-    for b, povm in enumerate(povms):
-        for a in range(n_a):
-            for c in range(n_c):
-                # tr_R[(F x I) psi psi^dag] on the side registers
-                blk = np.einsum("ab,bsat->st", povm[a * n_c + c], t)
-                tr = float(np.trace(blk).real)
-                w[a, c, b] = tr * p_b[b]
-                conds[(a, c, b)] = (blk / tr if tr > 1e-15
-                                    else np.eye(d_side) / d_side)
-    return CqState(regs, w, conds)
+    # tr_R[(F x I) psi psi^dag] on the side registers, per (b, a c)
+    blk = np.einsum("kmab,bsat->kmst", np.asarray(povms), t)
+    blk = blk.reshape(len(p_b), n_a, n_c, d_side, d_side).transpose(1, 2, 0, 3, 4)
+    tr = np.trace(blk, axis1=-2, axis2=-1).real
+    live = (tr > 1e-15)[..., None, None]
+    conds = np.where(live, blk / np.where(live, tr[..., None, None], 1.0),
+                     np.eye(d_side) / d_side)
+    return CqState(regs, tr * p_b, conds)
 
 
 def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
@@ -404,11 +395,9 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         st_b = random_cq((3,), (2, 2), rng, names=["C"], qnames=["A", "B"])
         lam = float(rng.uniform(0.0, 0.2))
         mix_w = (1 - lam) * st_a.weights + lam * st_b.weights
-        mix_c = {}
-        for idx in np.ndindex(*st_a.weights.shape):
-            num = ((1 - lam) * st_a.weights[idx] * st_a.conds[idx]
-                   + lam * st_b.weights[idx] * st_b.conds[idx])
-            mix_c[idx] = num / mix_w[idx]
+        mix_c = ((1 - lam) * st_a.weights[:, None, None] * st_a.conds
+                 + lam * st_b.weights[:, None, None] * st_b.conds
+                 ) / mix_w[:, None, None]
         st_tau = CqState(st_a.regs, mix_w, mix_c)
         eps = trace_distance(st_a.to_density(), st_tau.to_density())
         sigma = random_density((2,), rng, rank=2).matrix
@@ -468,10 +457,10 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
                              names=["A", "B"], qnames=["E"])
             rho_e = st_d.marginal(["E"]).conds[()]
             for combo, pa, sub in st_d.group_by(["A"]):
-                if pa <= 0 or sub is None:
+                if pa <= 0:
                     continue
                 ref = CqState(sub.regs, np.ones_like(sub.weights),
-                              {idx: rho_e for idx, _, _, _ in sub.outcomes()})
+                              np.broadcast_to(rho_e, sub.conds.shape))
                 d_val = entropy.renyi_divergence(sub, ref, alpha)
                 s = -math.log2(pa) - d_val
                 slacks.append(s + tol)
@@ -521,7 +510,7 @@ def check_read_and_prepare(cfg: SuiteConfig) -> PropertyReport:
         from .qcore import embed as _embed
         ref_blk = _embed(sigma, (2, 2), (1,))
         ref = CqState(bar.regs, np.ones_like(bar.weights),
-                      {idx: ref_blk for idx, _, _, _ in bar.outcomes()})
+                      np.broadcast_to(ref_blk, bar.conds.shape))
         rhs = -entropy.renyi_divergence(bar, ref, alpha) - m_const
         gap = abs(lhs - rhs)
         slacks.append(tol - gap)

@@ -199,3 +199,66 @@ def test_roundtrip_precision(tmp_path):
     back = load_state(str(path))
     assert np.abs(back.to_density().matrix
                   - st.to_density().matrix).max() < 1e-12
+
+
+def _invalid_cq_doc():
+    # weights sum to 1.6 and block 0 has the eigenvalue -0.5
+    pair = lambda m: [[float(x), 0.0] for x in np.asarray(m).reshape(-1)]
+    return {"schema": "renyiacc/cqstate/v1",
+            "registers": [{"kind": "classical", "name": "B",
+                           "alphabet": ["0", "1"]},
+                          {"kind": "quantum", "name": "A", "dim": 2}],
+            "entries": [{"outcome": ["0"], "weight": 0.8,
+                         "matrix": pair(np.diag([1.5, -0.5]))},
+                        {"outcome": ["1"], "weight": 0.8,
+                         "matrix": pair(np.eye(2) / 2)}]}
+
+
+class TestValidationAtLoad:
+    def _run_on(self, doc, kind, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        return run(["entropy", "--state", str(path), "--cond", "B",
+                    "--alpha", "2", "--kind", kind], capsys)
+
+    def test_invalid_cq_file_exits_2(self, capsys, tmp_path):
+        for kind in ("up", "partial", "down"):
+            code, out, err = self._run_on(_invalid_cq_doc(), kind, capsys,
+                                          tmp_path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_negative_block_alone_exits_2(self, capsys, tmp_path):
+        doc = _invalid_cq_doc()
+        for e in doc["entries"]:
+            e["weight"] = 0.5
+        code, out, err = self._run_on(doc, "up", capsys, tmp_path)
+        assert (code, out) == (2, "")
+        assert "negative eigenvalue" in err
+
+    def test_nan_weight_exits_2(self, capsys, tmp_path):
+        doc = _invalid_cq_doc()
+        doc["entries"][0]["weight"] = float("nan")
+        doc["entries"][1]["weight"] = 1.0
+        code, out, err = self._run_on(doc, "down", capsys, tmp_path)
+        assert (code, out) == (2, "")
+        assert "not finite" in err
+
+    def test_unnormalized_dense_file_exits_2(self, capsys, tmp_path):
+        rho = DensityOperator(2.0 * random_density((2, 2), 7).matrix, (2, 2),
+                              ("A", "B"))
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(density_to_dict(rho)))
+        code, out, err = run(["entropy", "--state", str(path), "--cond", "B",
+                              "--kind", "down"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+def test_verify_rejects_count_below_one(capsys):
+    for count in ("-1", "0"):
+        code, out, err = run(["verify", "--count", count], capsys)
+        assert code == 2
+        assert "pass" not in out
+        assert "--count" in err
