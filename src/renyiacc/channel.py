@@ -20,6 +20,7 @@ import numpy as np
 from .entropy import check_alpha, renyi_divergence
 from .errors import (
     AlphabetMismatchError,
+    BadShapeError,
     DimMismatchError,
     SupportViolationError,
     TargetOutOfRangeError,
@@ -763,6 +764,9 @@ def protocol_to_dict(proto: SamplingProtocol) -> dict:
 
 
 def protocol_from_dict(doc: dict) -> SamplingProtocol:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != PROTOCOL_SCHEMA:
+        raise BadShapeError(f"unrecognized protocol schema {schema!r}")
     outcomes = tuple(doc["outcomes"])
     settings = tuple(doc["settings"])
     p_gen = np.array([float(doc["pGen"].get(str(b), 0.0)) for b in settings])

@@ -34,8 +34,8 @@ from .qcore import load_state
 from .qcore.states import CqState
 from .verify import (
     ALL_CHECKS,
-    ClassicalAttack,
     SuiteConfig,
+    attack_from_dict,
     run_property_suite,
     simulate_two_rounds,
 )
@@ -269,9 +269,7 @@ def cmd_simulate(args) -> int:
     cset = _constraint_set(doc.get("omega"), proto.c_alphabet)
     with open(args.attack) as fh:
         adoc = json.load(fh)
-    attack = ClassicalAttack(
-        np.asarray(adoc["initial"], dtype=float),
-        tuple(np.asarray(k, dtype=float) for k in adoc["kernels"]))
+    attack = attack_from_dict(adoc, proto)
     res = simulate_two_rounds(proto, attack, cset, args.alpha)
     print(f"exact two-round entropy : {res.lhs_exact:.6f}")
     print(f"accumulation bound      : {res.bound:.6f}")

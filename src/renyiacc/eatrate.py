@@ -5,10 +5,13 @@ The rate of one round is the constrained convex program
     inf over score distributions v in the non-abort set of
         (1/(alpha-1)) * KL(v || p_C)  +  v(bot) * H_alpha(A | B^up E^down),
 
-solved exactly by exponential-family tilting with a KKT certificate. The
-outer minimization over device strategies is a heuristic search (simplex
-descent with random restarts); its value is an upper bound on the true rate
-infimum and is labeled as such in reports.
+solved exactly in its exponential-family dual, by projected Newton steps on
+the multipliers of the constraints, with a KKT certificate.
+``inner_inf_v_batch`` solves a whole stack of score laws at once and
+``inner_inf_v`` is its batch of one. The outer minimization over device
+strategies is a heuristic search (simplex descent with random restarts); its
+value is an upper bound on the true rate infimum and is labeled as such in
+reports.
 """
 
 from __future__ import annotations
@@ -135,6 +138,8 @@ def _softmax(x):
 
 @dataclass(frozen=True)
 class InnerSolution:
+    """Minimizer and KKT certificate; a batch solve stacks every field by row."""
+
     value: float
     v_star: np.ndarray
     lam: np.ndarray
@@ -144,111 +149,161 @@ class InnerSolution:
     comp_slack: float
 
 
-def _tilted(p, log_tilt):
-    """Normalized p * 2^log_tilt, in a numerically safe way."""
+_NEWTON_ITERS = 100
+_TOL = 1e-15       # projected gradient times 1 + sum(lam) at convergence
+_BACKTRACKS = 60
+_ARMIJO = 1e-4
+_RIDGE = 1e-13     # relative ridge on the Newton pivots (repeated rows)
+_FLAT = 1e-290     # a variance at or below this is zero
+_TILT_MAX = 1e4    # bits of tilt past which no double ratio changes
+
+
+def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
+                      bot_symbol=BOT) -> InnerSolution:
+    """Exact minimizers of (1/(alpha-1)) KL(v||p) + v(bot) h, one per row.
+
+    ``p_c`` stacks the score laws, shape (n, |C|); ``h_gen`` holds each row's
+    generation entropy, shape (n,). Every row is solved in the
+    exponential-family dual (beta = alpha - 1)
+
+        D(lam) = lam.t - (1/beta) log2 sum p 2^{beta (G^T lam - h 1_bot)},
+
+    maximized over lam >= 0 by projected Newton steps (Bertsekas 1982). The
+    gradient of D is the violation t - G v_lam and its Hessian is
+    -beta ln2 Cov_{v_lam}(G). Each step solves on the free set
+    {lam_j > 0 or grad_j > 0}, backtracks per row until D rises by an
+    Armijo share of the projected move, and projects onto lam >= 0. A row
+    leaves the batch once its projected gradient, times 1 + sum(lam), is
+    below 1e-15, or once its Newton step is at rounding level; rows with
+    k = 0 constraints are closed form. A free constraint with zero variance
+    under v_lam and a positive gradient can never be met, nor can one whose
+    multiplier grows past any representable tilt: both raise
+    ``InfeasibleError``. The fields of the result carry the batch axis.
+    """
+    alpha = check_alpha(alpha)
+    p = np.asarray(p_c, dtype=float)
+    h = np.asarray(h_gen, dtype=float)
+    n, n_sym = p.shape[0], len(cset.alphabet)
+    if p.shape != (n, n_sym) or h.shape != (n,):
+        raise AlphabetMismatchError("p_C rows do not match the alphabet")
+    if (h < -1e-9).any():
+        raise BadProbabilityError("generation entropy must be nonnegative")
+    if bot_symbol not in cset.alphabet:
+        raise AlphabetMismatchError(f"alphabet lacks the symbol {bot_symbol!r}")
     active = p > 0.0
-    expo = np.where(active, log_tilt, -np.inf)
-    m = expo[active].max()
-    w = np.where(active, p * np.power(2.0, expo - m), 0.0)
-    return w / w.sum()
+    if not active.any(axis=1).all():
+        raise BadProbabilityError("p_C row without positive mass")
+    beta = alpha - 1.0
+    g, t, k = cset.mat, cset.rhs, cset.k
+    i_bot = cset.alphabet.index(bot_symbol)
+    expo0 = np.where(active, 0.0, -np.inf)
+    expo0[:, i_bot] -= beta * h
+    lam_max = _TILT_MAX / (beta * max(np.abs(g).max(initial=0.0), 1e-300))
+
+    def tilt(p_rows, expo_rows, lam_rows):
+        """v_lam, D(lam) and the gradient t - G v_lam for each row."""
+        expo = expo_rows + (beta * lam_rows) @ g  # -inf where p vanishes
+        m = expo.max(axis=1, keepdims=True)
+        w = p_rows * np.power(2.0, expo - m)
+        z = w.sum(axis=1)
+        v = w / z[:, None]
+        dual = lam_rows @ t - (m[:, 0] + np.log2(z)) / beta
+        return v, dual, t - v @ g.T
+
+    lam = np.zeros((n, k))
+    v, dual, grad = tilt(p, expo0, lam)
+    # working copies of the rows still iterating, compacted as rows finish
+    rows, pw, ew = np.arange(n), p, expo0
+    lw, vw, dw, gw = lam, v, dual, grad
+    done = np.zeros(n, dtype=bool)
+    diag = np.arange(k)
+    for _ in range(_NEWTON_ITERS if k else 0):
+        free = (lw > 0.0) | (gw > 0.0)
+        pg = np.where(free, gw, 0.0)
+        keep = ~done & (np.abs(pg).max(axis=1) * (1.0 + lw.sum(axis=1)) > _TOL)
+        if not keep.all():
+            if not keep.any():
+                break
+            lam[rows], v[rows], dual[rows], grad[rows] = lw, vw, dw, gw
+            rows, pw, ew, lw, vw, dw, gw, free, pg = (
+                x[keep] for x in (rows, pw, ew, lw, vw, dw, gw, free, pg))
+        # Newton system on the free set, with a unit pivot on bound rows
+        dev = g[None, :, :] - (vw @ g.T)[:, :, None]
+        cov = ((dev * vw[:, None, :]) @ dev.transpose(0, 2, 1)) \
+            * (beta * math.log(2))
+        var = cov[:, diag, diag]
+        flat = var <= _FLAT
+        if (flat & (gw > _TOL)).any():
+            raise InfeasibleError("constraint unreachable by tilting (zero "
+                                  "variance, positive gradient); the set is "
+                                  "infeasible for this p_C")
+        free &= ~flat
+        hess = np.where(free[:, :, None] & free[:, None, :], cov, 0.0)
+        hess[:, diag, diag] = np.where(free, var * (1.0 + _RIDGE), 1.0)
+        pg = np.where(free, pg, 0.0)
+        step = (pg / hess[:, 0] if k == 1
+                else np.linalg.solve(hess, pg[:, :, None])[:, :, 0])
+        # projected Armijo backtracking, one step length per row; a step at
+        # rounding level is taken whole and ends the row
+        tiny = np.abs(step).max(axis=1) <= 1e-13 * (1.0 + lw.max(axis=1))
+        noise = 1e-15 * (1.0 + np.abs(dw) + np.abs(lw @ t))
+        length = np.ones((rows.size, 1))
+        todo = np.ones(rows.size, dtype=bool)
+        for _ in range(_BACKTRACKS):
+            trial = np.maximum(lw + length * step, 0.0)
+            v_t, d_t, g_t = tilt(pw, ew, trial)
+            rise = _ARMIJO * (gw * (trial - lw)).sum(axis=1)
+            ok = todo & (tiny | (d_t - dw >= rise - noise))
+            lw = np.where(ok[:, None], trial, lw)
+            vw = np.where(ok[:, None], v_t, vw)
+            dw = np.where(ok, d_t, dw)
+            gw = np.where(ok[:, None], g_t, gw)
+            todo &= ~ok
+            if not todo.any():
+                break
+            length[todo] *= 0.5
+        if lw.max(initial=0.0) > lam_max:
+            raise InfeasibleError("constraint unreachable by tilting "
+                                  "(multiplier unbounded); the set is "
+                                  "infeasible for this p_C")
+        # a step at rounding level, or one that found no ascent, ends the row
+        done = tiny | todo
+    lam[rows], v[rows], dual[rows], grad[rows] = lw, vw, dw, gw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(v > 0.0, v * np.log2(v / p), 0.0).sum(axis=1)
+    value = kl / beta + v[:, i_bot] * h
+    primal_violation = grad.max(axis=1) if k else np.zeros(n)
+    comp = np.abs(lam * grad).sum(axis=1)
+    res = np.maximum(primal_violation, np.maximum(comp, np.abs(value - dual)))
+    if (primal_violation > 1e-7).any():
+        raise InfeasibleError("dual solve left primal violation "
+                              f"{primal_violation.max():.2e}")
+    return InnerSolution(value=value, v_star=v, lam=lam, dual_value=dual,
+                         kkt_residual=res, primal_violation=primal_violation,
+                         comp_slack=comp)
 
 
 def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
-                bot_symbol=BOT, tol: float = 1e-12,
-                max_sweeps: int = 400) -> InnerSolution:
+                bot_symbol=BOT) -> InnerSolution:
     """Exact minimizer of (1/(alpha-1)) KL(v||p) + v(bot) h over the set.
 
-    Solved in the exponential-family dual: v_lam ~ p * 2^{-(alpha-1)(h*1_bot -
-    G^T lam)} with lam >= 0 found by coordinate-ascent bisection; the returned
-    certificate carries primal feasibility, complementary slackness and the
-    duality gap.
+    ``inner_inf_v_batch`` on a batch of one: v_lam ~ p * 2^{-(alpha-1)(h*1_bot
+    - G^T lam)} with lam >= 0 found by projected Newton steps on the dual;
+    the certificate carries primal feasibility, complementary slackness and
+    the duality gap as plain floats.
     """
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     if p.shape != (len(cset.alphabet),):
         raise AlphabetMismatchError("p_C length does not match the alphabet")
-    if h_gen < 0.0 and h_gen < -1e-9:
-        raise BadProbabilityError("generation entropy must be nonnegative")
-    beta = alpha - 1.0
-    if bot_symbol not in cset.alphabet:
-        raise AlphabetMismatchError(f"alphabet lacks the symbol {bot_symbol!r}")
-    e_bot = np.zeros(len(cset.alphabet))
-    e_bot[cset.alphabet.index(bot_symbol)] = 1.0
-    g = cset.mat
-    t = cset.rhs
-    k = cset.k
-    lam = np.zeros(k)
-
-    def v_of(lam_vec):
-        return _tilted(p, -beta * (h_gen * e_bot - (g.T @ lam_vec
-                                                    if k else 0.0)))
-
-    def primal(v):
-        kl = entropy.kl_divergence(v, p)
-        return kl / beta + float(v @ e_bot) * h_gen
-
-    def dual(lam_vec):
-        w = -beta * (h_gen * e_bot - (g.T @ lam_vec if k else 0.0))
-        active = p > 0.0
-        m = w[active].max()
-        z = float((p[active] * np.power(2.0, w[active] - m)).sum())
-        return float(lam_vec @ t) - (m + math.log2(z)) / beta
-
-    if k:
-        for sweep in range(max_sweeps):
-            moved = 0.0
-            for j in range(k):
-                def slack(x):
-                    trial = lam.copy()
-                    trial[j] = x
-                    return float(g[j] @ v_of(trial)) - t[j]
-
-                if slack(0.0) >= 0.0 and lam[j] == 0.0:
-                    continue
-                if slack(lam[j]) > 0.0 and lam[j] > 0.0:
-                    hi, lo = lam[j], 0.0
-                    if slack(lo) >= 0.0:
-                        moved = max(moved, lam[j])
-                        lam[j] = 0.0
-                        continue
-                else:
-                    lo = lam[j]
-                    hi = max(1.0, 2.0 * lam[j])
-                    grow = 0
-                    while slack(hi) < 0.0:
-                        hi *= 2.0
-                        grow += 1
-                        if grow > 60:
-                            raise InfeasibleError(
-                                f"constraint {j} unreachable by tilting; "
-                                "the set is infeasible for this p_C")
-                new = 0.5 * (lo + hi)
-                for _ in range(200):
-                    if slack(new) >= 0.0:
-                        hi = new
-                    else:
-                        lo = new
-                    new = 0.5 * (lo + hi)
-                    if hi - lo < tol * max(1.0, hi):
-                        break
-                moved = max(moved, abs(lam[j] - hi))
-                lam[j] = hi
-            if moved < tol:
-                break
-    v = v_of(lam)
-    viol = cset.violations(v)
-    primal_violation = float(viol.max()) if viol.size else 0.0
-    comp = float(np.abs(lam * viol).sum()) if k else 0.0
-    value = primal(v)
-    dual_val = dual(lam)
-    gap = abs(value - dual_val)
-    res = max(max(primal_violation, 0.0), comp, gap)
-    if primal_violation > 1e-7:
-        raise InfeasibleError(
-            f"dual solve left primal violation {primal_violation:.2e}")
-    return InnerSolution(value=value, v_star=v, lam=lam, dual_value=dual_val,
-                         kkt_residual=res, primal_violation=primal_violation,
-                         comp_slack=comp)
+    sol = inner_inf_v_batch(p[None, :], np.array([float(h_gen)]), cset, alpha,
+                            bot_symbol=bot_symbol)
+    return InnerSolution(
+        value=float(sol.value[0]), v_star=sol.v_star[0], lam=sol.lam[0],
+        dual_value=float(sol.dual_value[0]),
+        kkt_residual=float(sol.kkt_residual[0]),
+        primal_violation=float(sol.primal_violation[0]),
+        comp_slack=float(sol.comp_slack[0]))
 
 
 def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,

@@ -25,8 +25,18 @@ from .channel import (
     build_read_and_prepare,
 )
 from .counterexample import P_A1_GIVEN_B1, P_B1, p_a2_given
-from .eatrate import ConstraintSet, finite_size_bound, inner_inf_v
-from .errors import EmptyEventError, InfeasibleError
+from .eatrate import (
+    ConstraintSet,
+    finite_size_bound,
+    inner_inf_v,
+    inner_inf_v_batch,
+)
+from .errors import (
+    BadProbabilityError,
+    BadShapeError,
+    EmptyEventError,
+    InfeasibleError,
+)
 from .optimize import concave_simplex_max, nelder_mead, simplex_grid
 from .qcore import (
     CqState,
@@ -544,6 +554,51 @@ class ClassicalAttack:
         return [k.sum(axis=3) for k in self.kernels]  # k[r, b, a]
 
 
+ATTACK_SCHEMA = "renyiacc/attack/v1"
+
+
+def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
+    """Load an attack file, checked against the protocol it attacks.
+
+    The schema tag must be ``ATTACK_SCHEMA``; ``initial`` must be an (r, e)
+    distribution and ``kernels`` exactly two nonnegative arrays of shape
+    (r, n_b, n_a, r) whose (r, b) slices each sum to one over (a, r'), all
+    sums within 1e-9.
+    """
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != ATTACK_SCHEMA:
+        raise BadShapeError(f"unrecognized attack schema {schema!r}")
+    initial = np.asarray(doc["initial"], dtype=float)
+    kernels = doc["kernels"]
+    if initial.ndim != 2:
+        raise BadShapeError(f"initial has shape {initial.shape}, want (r, e)")
+    if not isinstance(kernels, list) or len(kernels) != 2:
+        raise BadShapeError("an attack has exactly two kernels")
+    r_dim = initial.shape[0]
+    want = (r_dim, len(proto.settings), len(proto.outcomes), r_dim)
+    kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
+    for i, k in enumerate(kernels):
+        if k.shape != want:
+            raise BadShapeError(f"kernel {i} has shape {k.shape}, want "
+                                f"{want} (memory, setting, outcome, memory)")
+    for name, arr in (("initial", initial),) + tuple(
+            (f"kernel {i}", k) for i, k in enumerate(kernels)):
+        if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+            raise BadProbabilityError(f"{name} has a negative or non-finite "
+                                      "entry")
+    if abs(initial.sum() - 1.0) > 1e-9:
+        raise BadProbabilityError(f"initial sums to {initial.sum():.12g}, "
+                                  "not 1")
+    for i, k in enumerate(kernels):
+        sums = k.sum(axis=(2, 3))
+        worst = np.unravel_index(np.abs(sums - 1.0).argmax(), sums.shape)
+        if abs(sums[worst] - 1.0) > 1e-9:
+            raise BadProbabilityError(
+                f"kernel {i} slice (r, b) = {tuple(map(int, worst))} sums to "
+                f"{sums[worst]:.12g} over (a, r'), not 1")
+    return ClassicalAttack(initial, kernels)
+
+
 def random_attack(rng, r_dim: int, e_dim: int, n_b: int, n_a: int,
                   rounds: int = 2) -> ClassicalAttack:
     initial = random_distribution(r_dim * e_dim, rng).reshape(r_dim, e_dim)
@@ -596,19 +651,23 @@ def _round_rate_min(proto: SamplingProtocol, k_marg: np.ndarray,
     s_tab = (k_marg ** alpha).sum(axis=2)  # s[r, b]
     gen_on = proto.p_gen > 0.0
 
+    def score_law(qs):
+        """p_C and the clamped generation entropy for each row of qs."""
+        inner = qs @ s_tab  # per-b sum_a p(a|q,b)^alpha
+        mix = (proto.p_gen[gen_on]
+               * inner[:, gen_on] ** (1.0 / alpha)).sum(axis=1)
+        h_gen = (alpha / (1.0 - alpha)) * np.log2(mix)
+        return base + qs @ mat.T, np.maximum(h_gen, 0.0)
+
     def value(q):
-        p_c = base + mat @ q
-        inner = q @ s_tab  # per-b sum_a p(a|q,b)^alpha
-        mix = float((proto.p_gen[gen_on] *
-                     inner[gen_on] ** (1.0 / alpha)).sum())
-        h_gen = (alpha / (1.0 - alpha)) * math.log2(mix)
-        return inner_inf_v(p_c, max(h_gen, 0.0), cset, alpha).value
+        p_c, h_gen = score_law(q[None, :])
+        return inner_inf_v(p_c[0], h_gen[0], cset, alpha).value
 
     res = {2: 48, 3: 20, 4: 12}.get(r_dim, 10)
     grid = simplex_grid(r_dim, res)
-    vals = [value(q) for q in grid]
+    vals = inner_inf_v_batch(*score_law(grid), cset, alpha).value
     best = int(np.argmin(vals))
-    best_val = vals[best]
+    best_val = float(vals[best])
     if r_dim > 1:
         from .eatrate import _softmax
         x0 = np.log(np.maximum(grid[best], 1e-6))

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from renyiacc import entropy as ent
 from renyiacc.channel import (
@@ -100,6 +101,7 @@ def test_c03_infimum_dual_path():
            worst < 1e-10, f"worst={worst:.2e}")
 
 
+@pytest.mark.slow
 def test_c04_ordering_sandwich_1000():
     t0 = time.time()
     cfg = SuiteConfig(seed=SEED, counts={"ordering": 1000},
@@ -196,6 +198,7 @@ def test_c08_fweighted_suite():
            f"props_worst={fw.worst_slack:+.2e}")
 
 
+@pytest.mark.slow
 def test_c09_two_round_accumulation_200():
     t0 = time.time()
     cfg = SuiteConfig(seed=SEED, counts={"two_round": 200},
@@ -207,6 +210,7 @@ def test_c09_two_round_accumulation_200():
            f"worst_slack={rep.worst_slack:+.2e} {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c10_inner_solver_certification():
     worst_res, worst_gap = 0.0, 0.0
     done, i = 0, 0
@@ -304,6 +308,7 @@ def _constrained_entropy_min(functional, threshold, n_a, n_b, p_b, which,
     return TwoQubitStrategy.from_params(x, n_a, n_b)
 
 
+@pytest.mark.slow
 def test_c13_best_effort_bell_comparisons():
     # I3322 correlator: the entropy-minimizing attack at a fixed violation is
     # asymmetric across settings, so the partially optimized entropy strictly

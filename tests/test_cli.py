@@ -134,6 +134,18 @@ class TestRateCommand:
         assert doc["report"]["n"] == 1000
 
 
+def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
+    path = write_protocol(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["schema"] = "renyiacc/protocol/v0"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["rate", "--proto", str(path), "--restarts", "1"],
+                         capsys)
+    assert code == 2
+    assert "unrecognized protocol schema 'renyiacc/protocol/v0'" in err
+    assert "upper bound" not in out
+
+
 class TestCompareCommand:
     def test_compare_table(self, capsys, tmp_path):
         s = TwoQubitStrategy.chsh_tsirelson()
@@ -145,25 +157,72 @@ class TestCompareCommand:
         assert "h_down" in out
 
 
+def attack_doc(n_b=4, n_a=2, r_dim=2):
+    k = np.zeros((r_dim, n_b, n_a, r_dim))
+    rng = np.random.default_rng(3)
+    for r in range(r_dim):
+        for b in range(n_b):
+            x = rng.exponential(size=n_a * r_dim)
+            k[r, b] = (x / x.sum()).reshape(n_a, r_dim)
+    return {"schema": "renyiacc/attack/v1",
+            "initial": (np.ones((r_dim, 1)) / r_dim).tolist(),
+            "kernels": [k.tolist(), k.tolist()]}
+
+
 class TestSimulateCommand:
-    def test_simulate_passes(self, capsys, tmp_path):
+    def simulate(self, capsys, tmp_path, attack):
         proto_path = write_protocol(tmp_path, gamma=0.4)
-        k = np.zeros((2, 4, 2, 2))
-        rng = np.random.default_rng(3)
-        for r in range(2):
-            for b in range(4):
-                x = rng.exponential(size=4)
-                k[r, b] = (x / x.sum()).reshape(2, 2)
-        attack = {"schema": "renyiacc/attack/v1",
-                  "initial": [[0.5], [0.5]],
-                  "kernels": [k.tolist(), k.tolist()]}
         attack_path = tmp_path / "attack.json"
         attack_path.write_text(json.dumps(attack))
-        code, out, _ = run(["simulate", "--proto", str(proto_path),
-                            "--attack", str(attack_path), "--alpha", "2"],
-                           capsys)
+        return run(["simulate", "--proto", str(proto_path),
+                    "--attack", str(attack_path), "--alpha", "2"], capsys)
+
+    def test_simulate_passes(self, capsys, tmp_path):
+        code, out, _ = self.simulate(capsys, tmp_path, attack_doc())
         assert code == 0
         assert "slack" in out
+
+    def test_kernels_summing_to_2_8_exit_2(self, capsys, tmp_path):
+        attack = attack_doc()
+        attack["kernels"] = [(2.8 * np.asarray(k)).tolist()
+                             for k in attack["kernels"]]
+        code, out, err = self.simulate(capsys, tmp_path, attack)
+        assert code == 2
+        assert "error" in err and "2.8" in err
+        assert "slack" not in out
+
+    def test_initial_summing_to_1_1_exit_2(self, capsys, tmp_path):
+        attack = attack_doc()
+        attack["initial"] = [[0.55], [0.55]]
+        code, out, err = self.simulate(capsys, tmp_path, attack)
+        assert code == 2
+        assert "initial sums to 1.1" in err
+        assert "slack" not in out
+
+    def test_wrong_schema_tag_exit_2(self, capsys, tmp_path):
+        attack = attack_doc()
+        attack["schema"] = "renyiacc/protocol/v1"
+        code, out, err = self.simulate(capsys, tmp_path, attack)
+        assert code == 2
+        assert "schema" in err
+        assert "slack" not in out
+
+    def test_shape_mismatch_exit_2(self, capsys, tmp_path):
+        # three settings against a four-setting protocol
+        code, out, err = self.simulate(capsys, tmp_path, attack_doc(n_b=3))
+        assert code == 2
+        assert "kernel 0 has shape (2, 3, 2, 2), want (2, 4, 2, 2)" in err
+        assert "slack" not in out
+
+    def test_negative_kernel_entry_exit_2(self, capsys, tmp_path):
+        attack = attack_doc()
+        k = np.asarray(attack["kernels"][1])
+        k[0, 0, 0, 1] += k[0, 0, 0, 0] + 0.2  # the slice still sums to 1
+        k[0, 0, 0, 0] = -0.2
+        attack["kernels"][1] = k.tolist()
+        code, _, err = self.simulate(capsys, tmp_path, attack)
+        assert code == 2
+        assert "kernel 1 has a negative" in err
 
 
 def test_unknown_flag_exits_2(capsys):

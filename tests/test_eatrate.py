@@ -17,12 +17,14 @@ from renyiacc.eatrate import (
     finite_size_bound,
     gen_round_entropy,
     inner_inf_v,
+    inner_inf_v_batch,
     inner_inf_v_grid,
     optimize_strategy,
     single_round_h,
     strategy_gen_state,
 )
 from renyiacc.errors import (
+    AlphabetMismatchError,
     BadProbabilityError,
     InfeasibleError,
 )
@@ -124,6 +126,171 @@ class TestInnerInfV:
         v_small = inner_inf_v(p, h, small, 2.0).value
         v_large = inner_inf_v(p, h, large, 2.0).value
         assert v_large <= v_small + 1e-12
+
+
+def bisection_reference(p, h, cset, alpha, tol=1e-12, max_sweeps=400):
+    """Coordinate-ascent bisection on the dual: an independent reference.
+
+    Each sweep sets every multiplier in turn to the smallest value that
+    meets its constraint with the others held fixed (or to 0 when the
+    constraint holds there). Returns (value, lam, v).
+    """
+    p = np.asarray(p, dtype=float)
+    beta = alpha - 1.0
+    e_bot = np.zeros(len(cset.alphabet))
+    e_bot[cset.alphabet.index(BOT)] = 1.0
+    g, t, k = cset.mat, cset.rhs, cset.k
+    lam = np.zeros(k)
+
+    def v_of(lam_vec):
+        expo = np.where(p > 0, -beta * (h * e_bot - g.T @ lam_vec), -np.inf)
+        w = np.where(p > 0, p * np.power(2.0, expo - expo.max()), 0.0)
+        return w / w.sum()
+
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for j in range(k):
+            def slack(x):
+                trial = lam.copy()
+                trial[j] = x
+                return float(g[j] @ v_of(trial)) - t[j]
+
+            if slack(0.0) >= 0.0 and lam[j] == 0.0:
+                continue
+            if slack(lam[j]) > 0.0 and lam[j] > 0.0:
+                hi, lo = lam[j], 0.0
+                if slack(lo) >= 0.0:
+                    moved = max(moved, lam[j])
+                    lam[j] = 0.0
+                    continue
+            else:
+                lo, hi = lam[j], max(1.0, 2.0 * lam[j])
+                while slack(hi) < 0.0:
+                    hi *= 2.0
+                    assert hi < 2.0 ** 62, "constraint unreachable"
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if slack(mid) >= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo < tol * max(1.0, hi):
+                    break
+            moved = max(moved, abs(lam[j] - hi))
+            lam[j] = hi
+        if moved < tol:
+            break
+    v = v_of(lam)
+    value = ent.kl_divergence(v, p) / beta + float(v @ e_bot) * h
+    return value, lam, v
+
+
+def reference_instance(seed, k):
+    """A seeded score law and a set of k mass bounds around it."""
+    rng = rng_from((44, k, seed))
+    n = int(rng.integers(3, 6))
+    alphabet = tuple(str(j) for j in range(n - 1)) + (BOT,)
+    p = random_distribution(n, rng)
+    h = float(rng.uniform(0.0, 1.5))
+    syms = rng.choice(n, size=k, replace=False)
+    sets = []
+    for idx in syms:
+        if rng.uniform() < 0.5:
+            sets.append(ConstraintSet.min_mass(
+                alphabet, alphabet[idx],
+                min(0.9 / k, p[idx] + float(rng.uniform(-0.1, 0.3)))))
+        else:
+            sets.append(ConstraintSet.max_mass(
+                alphabet, alphabet[idx],
+                max(0.02, p[idx] - float(rng.uniform(-0.1, 0.3)))))
+    return p, h, ConstraintSet.stack(*sets)
+
+
+class TestNewtonDual:
+    @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0, 3.0))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_matches_bisection_reference(self, k, alpha):
+        active = inactive = 0
+        for seed in range(12):
+            p, h, cs = reference_instance(seed, k)
+            ref_value, ref_lam, _ = bisection_reference(p, h, cs, alpha)
+            sol = inner_inf_v(p, h, cs, alpha)
+            assert abs(sol.value - ref_value) < 1e-10
+            assert np.array_equal(sol.lam > 0, ref_lam > 0)
+            assert sol.kkt_residual < 1e-9
+            active += int((sol.lam > 0).sum())
+            inactive += int((sol.lam == 0).sum())
+        assert active and inactive  # both kinds of multiplier exercised
+
+    @pytest.mark.parametrize("cs", (
+        ConstraintSet.min_mass(ALPHABET, "1", 0.3),
+        ConstraintSet.stack(ConstraintSet.min_mass(ALPHABET, "1", 0.3),
+                            ConstraintSet.max_mass(ALPHABET, BOT, 0.6)),
+        ConstraintSet.full_simplex(ALPHABET),
+    ), ids=("k1", "k2", "k0"))
+    def test_batch_rows_equal_single_solves(self, cs):
+        p = np.array([
+            [0.05, 0.05, 0.90],   # both bounds active
+            [0.20, 0.50, 0.30],   # inactive
+            [0.30, 0.40, 0.30],   # inactive
+            [0.60, 0.00, 0.40],   # zero entry off the constrained symbol
+            [0.00, 0.20, 0.80],   # zero entry, active
+        ])
+        h = np.array([0.5, 0.2, 1.1, 0.0, 0.7])
+        if cs.k:
+            p[3] = [0.60, 0.35, 0.05]
+        for alpha in (1.5, 3.0):
+            batch = inner_inf_v_batch(p, h, cs, alpha)
+            assert batch.value.shape == (5,)
+            assert batch.v_star.shape == (5, 3)
+            assert batch.lam.shape == (5, cs.k)
+            for i in range(5):
+                one = inner_inf_v(p[i], h[i], cs, alpha)
+                assert abs(batch.value[i] - one.value) < 1e-12
+                assert np.abs(batch.v_star[i] - one.v_star).max() < 1e-12
+                assert np.abs(batch.lam[i] - one.lam).max(initial=0) < 1e-12
+                assert abs(batch.kkt_residual[i] - one.kkt_residual) < 1e-12
+            if cs.k:
+                assert (batch.lam[0] > 0).all()
+                assert (batch.lam[1:3] == 0).all()
+
+    def test_batch_shape_checks(self):
+        cs = ConstraintSet.min_mass(ALPHABET, "1", 0.3)
+        with pytest.raises(AlphabetMismatchError):
+            inner_inf_v_batch(np.ones((2, 4)) / 4, np.zeros(2), cs, 2.0)
+        with pytest.raises(AlphabetMismatchError):
+            inner_inf_v_batch(np.ones((2, 3)) / 3, np.zeros(3), cs, 2.0)
+        with pytest.raises(BadProbabilityError):
+            inner_inf_v_batch(np.ones((2, 3)) / 3, [0.1, -0.5], cs, 2.0)
+
+    def test_min_mass_on_unsupported_symbol_raises(self):
+        # p_C(1) = 0: the constraint row has zero variance under every tilt
+        p = np.array([0.5, 0.0, 0.5])
+        with pytest.raises(InfeasibleError):
+            inner_inf_v(p, 0.4, ConstraintSet.min_mass(ALPHABET, "1", 0.3), 2.0)
+
+    @pytest.mark.parametrize("alpha", (1.5, 2.0))
+    def test_repeated_constraint_row_converges(self, alpha):
+        # the covariance of a repeated row is singular
+        p = np.array([0.05, 0.05, 0.9])
+        single = ConstraintSet.min_mass(ALPHABET, "1", 0.3)
+        twice = ConstraintSet.stack(single, single)
+        sol = inner_inf_v(p, 0.5, twice, alpha)
+        assert sol.kkt_residual < 1e-9
+        assert abs(sol.value - inner_inf_v(p, 0.5, single, alpha).value) < 1e-12
+        assert abs(sol.v_star[1] - 0.3) < 1e-9
+
+    def test_constraint_tight_at_zero_multiplier(self):
+        p = np.array([0.2, 0.3, 0.5])
+        free = inner_inf_v(p, 0.6, ConstraintSet.full_simplex(ALPHABET), 2.0)
+        tight = ConstraintSet.min_mass(ALPHABET, "1", free.v_star[1])
+        sol = inner_inf_v(p, 0.6, tight, 2.0)
+        assert np.all(sol.lam == 0.0)
+        assert sol.value == free.value
+        # a zero bound on an unsupported symbol is tight at lam = 0 as well
+        sol = inner_inf_v(np.array([0.5, 0.0, 0.5]), 0.6,
+                          ConstraintSet.min_mass(ALPHABET, "1", 0.0), 2.0)
+        assert np.all(sol.lam == 0.0)
 
 
 class TestGenRound:

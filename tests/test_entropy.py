@@ -129,6 +129,7 @@ class TestHDownUp:
         p2 = joint_distribution().transpose(0, 2, 1, 3).reshape(4, 4)
         assert abs(ent.h_classical(p2, 1.5, "up") - 0.82057) < 1e-5
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(6))
     def test_up_solver_vs_bloch_grid(self, seed):
         # Bloch-parametrized grid search independently replaces the
