@@ -37,6 +37,7 @@ from .qcore import (
     tensor,
     trace_distance,
 )
+from .qcore.states import _apply_kraus, _purification
 
 BOT = "⊥"
 
@@ -88,12 +89,9 @@ class KrausChannel:
         return self
 
     def apply_matrix(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out = None
-        for k in self.kraus:
-            term = k @ rho @ k.conj().T
-            out = term if out is None else out + term
-        return out
+        din = int(np.prod(self.in_dims, initial=1))
+        return _apply_kraus(np.asarray(rho, dtype=complex), (din,), 0,
+                            self.kraus)[0]
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         if rho.dims != self.in_dims:
@@ -228,22 +226,16 @@ class SamplingChannel:
     family mode.
     """
 
-    def __init__(self, proto: SamplingProtocol, p_a_given_b, cond_for,
-                 cond_dims, cond_name: str = "E"):
+    def __init__(self, proto: SamplingProtocol, table: "ResponseTable"):
         self.proto = proto
-        self._p = p_a_given_b  # dict (a, b) -> prob
-        self._cond = cond_for  # dict (a, b) -> density matrix on leftovers
-        self._cond_dims = tuple(cond_dims)
-        self._cond_name = cond_name
-        self.b_names = ("T", "B")
+        # the table's outcome axis in protocol order
+        order = [table.outcomes.index(a) for a in proto.outcomes]
+        self._p = table.p[order]
+        self._cond = table.cond[order]
 
     def output_state(self) -> CqState:
-        outcomes, settings = self.proto.outcomes, self.proto.settings
-        p = np.array([[self._p[(a, b)] for b in settings] for a in outcomes])
-        blocks = np.array([[self._cond[(a, b)] for b in settings]
-                           for a in outcomes])
-        return _round_state(self.proto, np.where(p > 0.0, p, 0.0), blocks,
-                            self._cond_name)
+        return _round_state(self.proto, np.where(self._p > 0.0, self._p, 0.0),
+                            self._cond, "E")
 
     def p_c(self) -> np.ndarray:
         """Marginal score distribution over the protocol's c alphabet."""
@@ -264,7 +256,7 @@ def build_sampling_channel(strategy, proto: SamplingProtocol,
         if extra:
             raise AlphabetMismatchError(f"strategy outcomes {extra} unknown "
                                         "to the protocol")
-        return SamplingChannel(proto, table.p, table.cond, table.cond_dims)
+        return SamplingChannel(proto, table)
     if isinstance(strategy, CPMapFamily):
         if tuple(strategy.outcomes) != tuple(proto.outcomes) or \
                 tuple(strategy.settings) != tuple(proto.settings):
@@ -548,10 +540,18 @@ def bloch_projectors(theta: float, phi: float = 0.0):
 
 @dataclass(frozen=True)
 class ResponseTable:
+    """Outcome probabilities ``p[a, b]`` and Eve's normalized conditional
+    states ``cond[a, b]``: ``a`` indexes ``outcomes``, ``b`` the setting
+    labels the table was built for, in their order."""
+
     outcomes: tuple
-    p: dict
-    cond: dict
-    cond_dims: tuple
+    p: np.ndarray
+    cond: np.ndarray
+
+
+def _projector_stack(angles) -> np.ndarray:
+    """``bloch_projectors`` of each (theta, phi), shape ``(n, 2, 2, 2)``."""
+    return np.array([bloch_projectors(*ang) for ang in angles])
 
 
 @dataclass(frozen=True)
@@ -616,9 +616,6 @@ class TwoQubitStrategy:
         p0, p1 = self.projectors_b(y)
         return p0 - p1
 
-    def purified(self) -> DensityOperator:
-        return self.state.purify(copy_label="E")
-
     def setting_labels(self, settings: str = "pairs") -> tuple:
         if settings == "pairs":
             return tuple(f"{x}{y}" for x in range(len(self.meas_a))
@@ -632,48 +629,35 @@ class TwoQubitStrategy:
 
         Setting labels "xy" address the pair (Alice x, Bob y); a bare "x"
         addresses Alice alone. ``outputs`` selects whether the recorded
-        outcome is Alice's bit or the joint pair "ab".
+        outcome is Alice's bit or the joint pair "ab". Eve holds the
+        purification of the state, of dimension its rank.
         """
-        pur = self.purified()
-        d_e = pur.dims[2]
-        mat = pur.matrix
-        dims = pur.dims
-        p: dict = {}
-        cond: dict = {}
-        outcome_set: list = []
-        for lab in setting_labels:
-            sx = int(str(lab)[0])
-            has_y = len(str(lab)) > 1
-            pa = self.projectors_a(sx)
-            pb = self.projectors_b(int(str(lab)[1])) if has_y else None
-            if outputs == "alice":
-                combos = [(str(a), (a, None)) for a in range(2)]
-            elif outputs == "pair":
-                if not has_y:
-                    raise AlphabetMismatchError(
-                        "pair outputs need pair settings")
-                combos = [(f"{a}{b}", (a, b)) for a in range(2)
-                          for b in range(2)]
-            else:
-                raise AlphabetMismatchError(f"unknown outputs mode {outputs!r}")
-            for sym, (a, b) in combos:
-                proj = pa[a]
-                if b is not None:
-                    proj = np.kron(pa[a], pb[b])
-                    big = embed(proj, dims, (0, 1))
-                else:
-                    big = embed(proj, dims, (0,))
-                sub = big @ mat @ big.conj().T
-                reduced = DensityOperator(sub, dims, pur.labels,
-                                          normalized=False)
-                blk = reduced.partial_trace_labels(["E"]).matrix
-                prob = float(np.trace(blk).real)
-                p[(sym, lab)] = prob
-                cond[(sym, lab)] = blk / prob if prob > 1e-15 else \
-                    np.eye(d_e) / d_e
-                if sym not in outcome_set:
-                    outcome_set.append(sym)
-        return ResponseTable(tuple(outcome_set), p, cond, (d_e,))
+        labels = tuple(setting_labels)
+        pa = _projector_stack(self.meas_a)[[int(str(lab)[0]) for lab in labels]]
+        if outputs == "alice":
+            outcomes = ("0", "1")
+            # proj[a, s] = P_a (x) I on (Qa, Qb)
+            proj = np.einsum("saij,kl->asikjl", pa, np.eye(2))
+        elif outputs == "pair":
+            if any(len(str(lab)) < 2 for lab in labels):
+                raise AlphabetMismatchError("pair outputs need pair settings")
+            pb = _projector_stack(self.meas_b)[[int(str(lab)[1])
+                                                for lab in labels]]
+            outcomes = ("00", "01", "10", "11")
+            proj = np.einsum("saij,sbkl->absikjl", pa, pb)
+        else:
+            raise AlphabetMismatchError(f"unknown outputs mode {outputs!r}")
+        proj = proj.reshape(len(outcomes), len(labels), 4, 4)
+        # |Psi> = sum_i x[:, i] |i>_E; for a Hermitian projector Eve's
+        # block is x^T (proj x)^* = x^T proj^T x^*
+        x = _purification(self.state.matrix)
+        blocks = x.T @ (proj @ x).conj()
+        p = np.trace(blocks, axis1=-2, axis2=-1).real
+        d_e = x.shape[1]
+        live = (p > 1e-15)[..., None, None]
+        cond = np.where(live, blocks / np.where(live, p[..., None, None], 1.0),
+                        np.eye(d_e) / d_e)
+        return ResponseTable(outcomes, p, cond)
 
 
 def strategy_to_cq(strategy: TwoQubitStrategy, p_b, settings: str = "pairs",
@@ -685,11 +669,8 @@ def strategy_to_cq(strategy: TwoQubitStrategy, p_b, settings: str = "pairs",
         raise AlphabetMismatchError("p_b length does not match the settings")
     table = strategy.response_table(labels, outputs=outputs)
     regs = [creg("A", table.outcomes), creg("B", labels),
-            qreg("E", int(np.prod(table.cond_dims, initial=1)))]
-    p = np.array([[table.p[(a, b)] for b in labels] for a in table.outcomes])
-    conds = np.array([[table.cond[(a, b)] for b in labels]
-                      for a in table.outcomes])
-    return CqState(regs, p_b * p, conds)
+            qreg("E", table.cond.shape[-1])]
+    return CqState(regs, p_b * table.p, table.cond)
 
 
 @dataclass(frozen=True)

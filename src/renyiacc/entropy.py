@@ -39,10 +39,16 @@ from .qcore import (
     DensityOperator,
     embed,
     hermitian_eig,
-    matrix_power,
     support_contained,
 )
-from .qcore.linalg import SUPPORT_CUTOFF, check_psd, eigvalsh_desc
+from .qcore.linalg import (
+    SUPPORT_CUTOFF,
+    check_psd,
+    eigvalsh_desc,
+    inside_support,
+    psd_eig,
+    spectral_power,
+)
 
 INF = math.inf
 
@@ -69,10 +75,10 @@ def _divergence_dense(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
         raise NotPSDError("rho has nonpositive trace")
-    if not support_contained(rho, sigma):
+    ws, vs, on = psd_eig(sigma)
+    if not inside_support(rho, vs[:, on]):
         return INF
-    s = (1.0 - alpha) / (2.0 * alpha)
-    ss = matrix_power(sigma, s)
+    ss = spectral_power(ws, vs, on, (1.0 - alpha) / (2.0 * alpha))
     x = ss @ rho @ ss
     w = check_psd(eigvalsh_desc(x), tol=1e-6 * max(tr, 1.0))
     val = float((w ** alpha).sum())
@@ -141,9 +147,10 @@ def max_divergence(rho, sigma) -> float:
         return worst
     r = _as_mat(rho.to_density() if isinstance(rho, CqState) else rho)
     s = _as_mat(sigma.to_density() if isinstance(sigma, CqState) else sigma)
-    if not support_contained(r, s):
+    ws, vs, on = psd_eig(s)
+    if not inside_support(r, vs[:, on]):
         return INF
-    inv = matrix_power(s, -0.5)
+    inv = spectral_power(ws, vs, on, -0.5)
     w = eigvalsh_desc(inv @ r @ inv)
     top = float(w[0])
     if top <= 0.0:

@@ -118,7 +118,7 @@ def simplex_grid(k: int, resolution: int) -> np.ndarray:
 class SimplexMax:
     value: float
     point: np.ndarray
-    certificate: float  # last refinement improvement (halving delta)
+    certificate: float  # last refinement improvement; inf if out of rounds
 
 
 def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
@@ -130,7 +130,7 @@ def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
     ``(1 - r) q + r v`` around the running best. The reported certificate is
     the improvement observed on the last refinement halving; for a smooth
     concave objective successive halvings converge, so a tiny certificate
-    pins the maximum.
+    pins the maximum. It is ``inf`` when ``max_rounds`` runs out first.
     """
     if k == 1:
         q = np.ones(1)
@@ -163,4 +163,6 @@ def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
                 break
         if improved and round_delta < tol and radius < 1e-6:
             break
+    else:
+        delta = math.inf  # the round budget ran out before the stopping rule
     return SimplexMax(best_v, best_q, delta)

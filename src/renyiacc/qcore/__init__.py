@@ -8,16 +8,13 @@ from .linalg import (
     embed,
     hermitian_eig,
     is_hermitian,
-    jacobi_hermitian_eig,
     matrix_power,
     support_contained,
-    support_projector,
 )
 from .random import (
     random_cq,
     random_density,
     random_distribution,
-    random_instance,
     random_isometry,
     random_kraus_channel,
     rng_from,
@@ -48,9 +45,8 @@ from .states import (
 __all__ = [
     "HERMITICITY_TOL", "PSD_TOL", "SUPPORT_CUTOFF",
     "eigvalsh_desc", "embed", "hermitian_eig", "is_hermitian",
-    "jacobi_hermitian_eig", "matrix_power",
-    "support_contained", "support_projector",
-    "random_cq", "random_density", "random_distribution", "random_instance",
+    "matrix_power", "support_contained",
+    "random_cq", "random_density", "random_distribution",
     "random_isometry", "random_kraus_channel", "rng_from",
     "cq_from_dict", "cq_to_dict", "density_from_dict", "density_to_dict",
     "dump_state", "load_state", "state_from_dict",

@@ -52,71 +52,6 @@ def hermitian_eig(m, tol: float = HERMITICITY_TOL):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def jacobi_hermitian_eig(m, tol: float = 1e-13, max_sweeps: int = 64):
-    """Cyclic-Jacobi eigendecomposition via the embedded real-symmetric form.
-
-    The complex Hermitian ``m = X + iY`` is embedded as ``[[X, -Y], [Y, X]]``
-    and diagonalized by sweeps of plane rotations. Eigenpairs of the embedding
-    come in duplicates; one complex representative of each pair is kept by
-    Gram-Schmidt over ``top + i*bottom`` halves. Serves as an independent
-    cross-check of :func:`hermitian_eig`; prefer the LAPACK path when speed
-    matters.
-    """
-    a = as_matrix(m)
-    if not is_hermitian(a):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
-    big = np.block([[a.real, -a.imag], [a.imag, a.real]])
-    p = np.eye(2 * n)
-    scale = max(np.max(np.abs(big)), 1e-300)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for k in range(2 * n - 1):
-            for l in range(k + 1, 2 * n):
-                if abs(big[k, l]) <= tol * scale:
-                    continue
-                off = max(off, abs(big[k, l]))
-                diff = big[l, l] - big[k, k]
-                if abs(diff) > 1e300 * abs(big[k, l]):
-                    t = big[k, l] / diff
-                else:
-                    phi = diff / (2.0 * big[k, l])
-                    t = 1.0 / (abs(phi) + np.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rk, rl = big[k, :].copy(), big[l, :].copy()
-                big[k, :] = c * rk - s * rl
-                big[l, :] = s * rk + c * rl
-                ck, cl = big[:, k].copy(), big[:, l].copy()
-                big[:, k] = c * ck - s * cl
-                big[:, l] = s * ck + c * cl
-                pk, pl = p[:, k].copy(), p[:, l].copy()
-                p[:, k] = c * pk - s * pl
-                p[:, l] = s * pk + c * pl
-        if off <= tol * scale:
-            break
-    w = np.diag(big).copy()
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    p = p[:, order]
-    vals, vecs = [], []
-    for i in range(2 * n):
-        if len(vals) == n:
-            break
-        u = p[:n, i] + 1j * p[n:, i]
-        for v in vecs:
-            u = u - (v.conj() @ u) * v
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-6:
-            vecs.append(u / nrm)
-            vals.append(w[i])
-    if len(vals) < n:
-        raise NotHermitianError("jacobi eigenvector extraction failed")
-    return np.array(vals), np.column_stack(vecs)
-
-
 def eigvalsh_desc(m) -> np.ndarray:
     a = as_matrix(m)
     return np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1].copy()
@@ -129,6 +64,26 @@ def check_psd(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def psd_eig(m, psd_tol: float = PSD_TOL, cutoff: float = SUPPORT_CUTOFF):
+    """Descending eigenpairs of a PSD matrix, clipped at 0, and its support.
+
+    Returns ``(w, v, on)``; ``on`` marks the eigenvalues above ``cutoff``
+    relative to the largest. One call serves both the support test and the
+    spectral powers of the same matrix.
+    """
+    w, v = hermitian_eig(m)
+    w = check_psd(w, psd_tol)
+    top = w[0] if w.size else 0.0
+    return w, v, w > cutoff * max(top, 1e-300)
+
+
+def spectral_power(w, v, on, t: float) -> np.ndarray:
+    """``v diag(w**t) v^dag`` on the support ``on``, with 0 off it."""
+    wt = np.zeros_like(w)
+    wt[on] = w[on] ** t
+    return (v * wt) @ v.conj().T
+
+
 def matrix_power(m, t: float, psd_tol: float = PSD_TOL,
                  cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     """Spectral power of a PSD matrix with 0**t := 0 for all t.
@@ -136,31 +91,24 @@ def matrix_power(m, t: float, psd_tol: float = PSD_TOL,
     Eigenvalues below ``cutoff`` relative to the largest are treated as zero,
     so negative powers act as pseudo-inverses on the support.
     """
-    w, v = hermitian_eig(m)
-    w = check_psd(w, psd_tol)
-    top = w[0] if w.size else 0.0
-    wt = np.zeros_like(w)
-    on = w > cutoff * max(top, 1e-300)
-    wt[on] = w[on] ** t
-    return (v * wt) @ v.conj().T
+    return spectral_power(*psd_eig(m, psd_tol, cutoff), t)
 
 
-def support_projector(m, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    w, v = hermitian_eig(m)
-    w = check_psd(w)
-    top = w[0] if w.size else 0.0
-    on = w > cutoff * max(top, 1e-300)
-    return (v[:, on]) @ (v[:, on].conj().T)
+def inside_support(rho, basis, leak_tol: float = 1e-10) -> bool:
+    """supp(rho) within the span of the orthonormal columns of ``basis``,
+    judged by trace leakage outside it."""
+    pi = basis @ basis.conj().T
+    r = np.asarray(rho, dtype=complex)
+    tr = float(np.trace(r).real)
+    leak = tr - float(np.trace(pi @ r @ pi).real)
+    return leak <= leak_tol * max(tr, 1.0)
 
 
 def support_contained(rho, sigma, cutoff: float = SUPPORT_CUTOFF,
                       leak_tol: float = 1e-10) -> bool:
     """supp(rho) subseteq supp(sigma), judged by trace leakage outside supp(sigma)."""
-    pi = support_projector(sigma, cutoff)
-    r = np.asarray(rho, dtype=complex)
-    tr = float(np.trace(r).real)
-    leak = tr - float(np.trace(pi @ r @ pi).real)
-    return leak <= leak_tol * max(tr, 1.0)
+    _, v, on = psd_eig(sigma, cutoff=cutoff)
+    return inside_support(rho, v[:, on], leak_tol)
 
 
 def embed(op, dims, acting_on) -> np.ndarray:

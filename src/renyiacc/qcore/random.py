@@ -83,27 +83,3 @@ def random_cq(alphabet_sizes, qdims, seed, names=None, qnames=None,
     conds = np.stack([random_density(qdims or (1,), rng, rank=rank).matrix
                       for _ in np.ndindex(*shape)])
     return CqState(regs, w, conds.reshape(shape + conds.shape[1:]))
-
-
-def random_instance(kind: str, shape, seed):
-    """Dispatcher over the generator family.
-
-    kind='density': shape = dims tuple (optionally (dims, rank)).
-    kind='cq': shape = (alphabet_sizes, qdims).
-    kind='isometry': shape = (d_in, d_out).
-    kind='distribution': shape = alphabet size.
-    """
-    if kind == "density":
-        if (isinstance(shape, tuple) and len(shape) == 2
-                and isinstance(shape[0], (tuple, list))):
-            return random_density(tuple(shape[0]), seed, rank=shape[1])
-        return random_density(shape, seed)
-    if kind == "cq":
-        sizes, qdims = shape
-        return random_cq(tuple(sizes), tuple(qdims), seed)
-    if kind == "isometry":
-        d_in, d_out = shape
-        return random_isometry(int(d_in), int(d_out), seed)
-    if kind == "distribution":
-        return random_distribution(int(shape), seed)
-    raise BadShapeError(f"unknown instance kind {kind!r}")

@@ -81,6 +81,19 @@ def _apply_kraus(x: np.ndarray, dims, pos: int, kraus):
     return out.reshape(lead + (d, d)), dims
 
 
+def _purification(m: np.ndarray) -> np.ndarray:
+    """Columns ``sqrt(l_i) psi_i`` over the numerical support of ``m``.
+
+    The ``(d, r)`` result ``x`` has ``x @ x^dag = m``; read as a vector on
+    ``d * r`` it is the purification ``sum_i sqrt(l_i) |psi_i> x |i>``, with
+    the copy basis in descending eigenvalue order.
+    """
+    w, v = hermitian_eig(m)
+    w = np.clip(w, 0.0, None)
+    on = w > 1e-14 * max(w[0], 1e-300)
+    return v[:, on] * np.sqrt(w[on])
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Dense state with subsystem dimensions and names.
@@ -208,20 +221,11 @@ class DensityOperator:
 
     def purify(self, copy_label: str = "ref") -> "DensityOperator":
         """Rank-revealing purification onto a copy register of dim = rank."""
-        w, v = hermitian_eig(self.matrix)
-        w = np.clip(w, 0.0, None)
-        on = w > 1e-14 * max(w[0], 1e-300)
-        lam = w[on]
-        r = int(on.sum())
-        # |Psi> = sum_i sqrt(l_i) |psi_i> x |i>
-        vec = np.zeros(self.dim() * r, dtype=complex)
-        for i in range(r):
-            contrib = np.kron(v[:, on][:, i], np.eye(r)[i])
-            vec += np.sqrt(lam[i]) * contrib
-        mat = np.outer(vec, vec.conj())
+        x = _purification(self.matrix)
+        vec = x.reshape(-1)
         return DensityOperator(
-            mat, self.dims + (r,), self.labels + (copy_label,),
-            normalized=self.normalized)
+            np.outer(vec, vec.conj()), self.dims + (x.shape[1],),
+            self.labels + (copy_label,), normalized=self.normalized)
 
     def is_pure(self, tol: float = 1e-10) -> bool:
         w = eigvalsh_desc(self.matrix)

@@ -418,7 +418,7 @@ class TestStrategy:
         p00 = s.projectors_a(0)[0]
         q00 = s.projectors_b(0)[0]
         direct = float(np.trace(np.kron(p00, q00) @ s.state.matrix).real)
-        assert abs(table.p[("00", "00")] - direct) < 1e-12
+        assert abs(table.p[0, 0] - direct) < 1e-12
 
     def test_marginal_independent_of_setting(self):
         s = TwoQubitStrategy.from_schmidt(
@@ -444,8 +444,7 @@ class TestStrategy:
             0.0, meas_a=((0.5, 0.0),), meas_b=((0.2, 0.0),))
         table = s.response_table(("00",), outputs="alice")
         # product pure state: Eve sees the same (trivial) state for every a
-        assert np.abs(table.cond[("0", "00")]
-                      - table.cond[("1", "00")]).max() < 1e-9
+        assert np.abs(table.cond[0, 0] - table.cond[1, 0]).max() < 1e-9
 
     def test_serialization_roundtrip(self):
         s = TwoQubitStrategy.from_schmidt(
@@ -458,6 +457,90 @@ class TestStrategy:
         f = BellFunctional.i3322_correlator()
         assert f.coefficients.shape == (3, 3)
         assert f.classical_bound == 4.0
+
+
+def reference_response_table(s, setting_labels, outputs):
+    """The embed / partial-trace loop per (setting, outcome) that the
+    response kernel replaced, kept as an independent reference."""
+    pur = s.state.purify(copy_label="E")
+    d_e = pur.dims[2]
+    mat, dims = pur.matrix, pur.dims
+    p, cond, outcome_set = {}, {}, []
+    for lab in setting_labels:
+        pa = s.projectors_a(int(str(lab)[0]))
+        has_y = len(str(lab)) > 1
+        pb = s.projectors_b(int(str(lab)[1])) if has_y else None
+        if outputs == "alice":
+            combos = [(str(a), (a, None)) for a in range(2)]
+        else:
+            combos = [(f"{a}{b}", (a, b)) for a in range(2) for b in range(2)]
+        for sym, (a, b) in combos:
+            if b is not None:
+                big = embed(np.kron(pa[a], pb[b]), dims, (0, 1))
+            else:
+                big = embed(pa[a], dims, (0,))
+            sub = DensityOperator(big @ mat @ big.conj().T, dims, pur.labels,
+                                  normalized=False)
+            blk = sub.partial_trace_labels(["E"]).matrix
+            prob = float(np.trace(blk).real)
+            p[(sym, lab)] = prob
+            cond[(sym, lab)] = blk / prob if prob > 1e-15 else \
+                np.eye(d_e) / d_e
+            if sym not in outcome_set:
+                outcome_set.append(sym)
+    return tuple(outcome_set), p, cond
+
+
+def assert_table_matches_reference(s, labels, outputs):
+    table = s.response_table(labels, outputs=outputs)
+    outcomes, p, cond = reference_response_table(s, labels, outputs)
+    assert table.outcomes == outcomes
+    assert table.p.shape == (len(outcomes), len(labels))
+    for ia, a in enumerate(outcomes):
+        for ib, b in enumerate(labels):
+            assert abs(table.p[ia, ib] - p[(a, b)]) < 1e-12
+            assert np.abs(table.cond[ia, ib] - cond[(a, b)]).max() < 1e-12
+    return table
+
+
+def random_strategy(rank, n_set, seed):
+    rng = rng_from((41, rank, n_set, seed))
+    state = random_density((2, 2), rng, rank=rank)
+    angles = rng.uniform(-math.pi, math.pi, size=(2, n_set, 2))
+    return TwoQubitStrategy(state, tuple(map(tuple, angles[0])),
+                            tuple(map(tuple, angles[1])))
+
+
+class TestResponseKernel:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n_set", [2, 3])
+    @pytest.mark.parametrize("mode,outputs", [("pairs", "alice"),
+                                              ("pairs", "pair"),
+                                              ("alice", "alice")])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_embed_loop(self, rank, mode, outputs, n_set, seed):
+        s = random_strategy(rank, n_set, seed)
+        labels = s.setting_labels(mode)
+        table = assert_table_matches_reference(s, labels, outputs)
+        # Eve holds the purification: her dimension is the rank
+        assert table.cond.shape == (len(table.outcomes), len(labels),
+                                    rank, rank)
+        assert np.abs(table.p.sum(axis=0) - 1.0).max() < 1e-12
+
+    def test_pair_outputs_need_pair_settings(self):
+        s = random_strategy(2, 2, 0)
+        with pytest.raises(AlphabetMismatchError):
+            s.response_table(s.setting_labels("alice"), outputs="pair")
+
+    @pytest.mark.parametrize("outputs", ["alice", "pair"])
+    def test_zero_probability_gets_fallback_block(self, outputs):
+        # |0><0| x I/2 has rank 2; measuring Alice along z never gives 1
+        state = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
+        s = TwoQubitStrategy(state, ((0.0, 0.0),), ((0.0, 0.0),))
+        table = assert_table_matches_reference(s, ("00",), outputs)
+        dead = [i for i, a in enumerate(table.outcomes) if a[0] == "1"]
+        assert table.p[dead].max() <= 1e-15
+        assert np.all(table.cond[dead] == np.eye(2) / 2)
 
 
 class TestProtocolSerialization:

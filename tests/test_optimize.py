@@ -80,3 +80,16 @@ def test_concave_simplex_max_finds_known_maximizer(center):
     assert res.value == pytest.approx(1.0, abs=1e-10)
     assert res.certificate <= 1e-10
 
+
+
+def test_concave_simplex_max_out_of_rounds_reports_inf():
+    # maximizer on a face: the star refinement leaves the face and creeps
+    # back, so the default round budget runs out before the stopping rule
+    c = np.array([0.11, 0.0, 0.89])
+
+    def f(q):
+        return 1.0 - float(((q - c) ** 2).sum())
+
+    res = concave_simplex_max(f, 3)
+    assert res.value < 1.0 - 1e-7
+    assert res.certificate == math.inf

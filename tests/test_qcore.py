@@ -21,20 +21,19 @@ from renyiacc.qcore import (
     eigvalsh_desc,
     embed,
     hermitian_eig,
-    jacobi_hermitian_eig,
     matrix_power,
     purify,
     qreg,
     random_cq,
     random_density,
     random_distribution,
-    random_instance,
     random_isometry,
     rng_from,
     support_contained,
     tensor,
     trace_distance,
 )
+from qcore_reference import jacobi_hermitian_eig, random_instance
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
 
