@@ -119,15 +119,6 @@ class KrausChannel:
                    for i in range(dim))
         return KrausChannel(ks, (dim,), (dim,))
 
-    @staticmethod
-    def from_isometry(v, in_dim: int, out_dim: int, env_dim: int) -> "KrausChannel":
-        """Stinespring dilation V: in -> out*env, traced over the environment."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (out_dim * env_dim, in_dim):
-            raise DimMismatchError("isometry shape mismatch")
-        ks = tuple(v[i * out_dim:(i + 1) * out_dim, :] for i in range(env_dim))
-        return KrausChannel(ks, (in_dim,), (out_dim,))
-
 
 def apply(ch: KrausChannel, rho):
     return ch.apply(rho) if isinstance(rho, DensityOperator) else ch.apply_matrix(rho)
@@ -608,14 +599,6 @@ class TwoQubitStrategy:
     def projectors_b(self, y: int):
         return bloch_projectors(*self.meas_b[y])
 
-    def observable_a(self, x: int):
-        p0, p1 = self.projectors_a(x)
-        return p0 - p1
-
-    def observable_b(self, y: int):
-        p0, p1 = self.projectors_b(y)
-        return p0 - p1
-
     def setting_labels(self, settings: str = "pairs") -> tuple:
         if settings == "pairs":
             return tuple(f"{x}{y}" for x in range(len(self.meas_a))
@@ -783,12 +766,10 @@ def bell_value(strategy: TwoQubitStrategy, functional: BellFunctional) -> float:
     if m.shape[0] > len(strategy.meas_a) or m.shape[1] > len(strategy.meas_b):
         raise AlphabetMismatchError("strategy has too few settings for the "
                                     "functional")
-    rho = strategy.state.matrix
-    total = 0.0
-    for x in range(m.shape[0]):
-        for y in range(m.shape[1]):
-            if m[x, y] == 0.0:
-                continue
-            ob = np.kron(strategy.observable_a(x), strategy.observable_b(y))
-            total += m[x, y] * float(np.trace(ob @ rho).real)
-    return total
+    # observables P0 - P1 per setting; <A_x B_y> = tr((A_x x B_y) rho)
+    pa = _projector_stack(strategy.meas_a[:m.shape[0]])
+    pb = _projector_stack(strategy.meas_b[:m.shape[1]])
+    rho = strategy.state.matrix.reshape(2, 2, 2, 2)
+    corr = np.einsum("xik,yjl,klij->xy", pa[:, 0] - pa[:, 1],
+                     pb[:, 0] - pb[:, 1], rho).real
+    return float((m * corr).sum())

@@ -31,6 +31,7 @@ from .errors import (
     BadPartitionError,
     BNotClassicalError,
     NoConvergenceError,
+    NotHermitianError,
     NotPSDError,
 )
 from .optimize import simplex_grid
@@ -39,16 +40,10 @@ from .qcore import (
     DensityOperator,
     embed,
     hermitian_eig,
+    is_hermitian,
     support_contained,
 )
-from .qcore.linalg import (
-    SUPPORT_CUTOFF,
-    check_psd,
-    eigvalsh_desc,
-    inside_support,
-    psd_eig,
-    spectral_power,
-)
+from .qcore.linalg import PSD_TOL, SUPPORT_CUTOFF, as_matrix, eigvalsh_desc
 
 INF = math.inf
 
@@ -67,95 +62,141 @@ def _as_mat(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# one kernel and one reduction
+# ---------------------------------------------------------------------------
+
+def _log2(x) -> np.ndarray:
+    """Elementwise log2, -inf where x <= 0 (so that 0 log 0 := 0 in sums)."""
+    x = np.asarray(x, dtype=float)
+    return np.log2(x, out=np.full(x.shape, -INF), where=x > 0.0)
+
+
+def _log2sumexp2(x, axis=None):
+    """log2 sum 2**x over ``axis``, shifted by the largest term.
+
+    -inf terms drop out and a +inf term gives +inf. A sum without any other
+    term comes from a state without mass.
+    """
+    x = np.asarray(x, dtype=float)
+    m = np.max(x, axis=axis, keepdims=True, initial=-INF)
+    if np.isneginf(m).any():
+        raise NotPSDError("state has no mass")
+    m = np.where(np.isinf(m), 0.0, m)
+    return np.squeeze(m, axis=axis) + np.log2(np.sum(2.0 ** (x - m), axis=axis))
+
+
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    return (x + np.swapaxes(x.conj(), -1, -2)) / 2
+
+
+def _sandwich_eigs(rho, sigma, t: float):
+    """Eigenvalues of sigma^t rho sigma^t for stacks of blocks ``(..., d, d)``.
+
+    One batched eigendecomposition of sigma gives its numerical support
+    (eigenvalues above SUPPORT_CUTOFF times the largest) and its powers, taken
+    on that support. Returns the ascending eigenvalues, clipped at 0, and per
+    block whether rho leaks out of supp(sigma) by more than 1e-10 of its
+    trace. Raises NotPSDError on a clearly negative eigenvalue of sigma, or
+    of the sandwich of a block inside the support.
+    """
+    ws, vs = np.linalg.eigh(_hermitian_part(sigma))
+    if ws.size and ws[..., 0].min() < -PSD_TOL:
+        raise NotPSDError("reference has a significantly negative eigenvalue "
+                          f"{ws[..., 0].min():.3e}")
+    ws = np.clip(ws, 0.0, None)
+    on = ws > SUPPORT_CUTOFF * np.maximum(ws[..., -1:], 1e-300)
+    y = np.swapaxes(vs.conj(), -1, -2) @ rho @ vs  # rho in sigma's eigenbasis
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    kept = (np.diagonal(y, axis1=-2, axis2=-1).real * on).sum(axis=-1)
+    off = tr - kept > 1e-10 * np.maximum(tr, 1.0)
+    wt = np.where(on, np.where(on, ws, 1.0) ** t, 0.0)
+    w = np.linalg.eigvalsh(_hermitian_part(wt[..., :, None] * y * wt[..., None, :]))
+    bad = (w[..., 0] < -1e-6 * np.maximum(tr, 1.0)) & ~off
+    if bad.any():
+        raise NotPSDError("matrix has a significantly negative eigenvalue "
+                          f"{w[..., 0][bad].min():.3e}")
+    return np.clip(w, 0.0, None), off
+
+
+# ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
 
-def _divergence_dense(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
-    """D_alpha(rho || sigma) for dense positive matrices; +inf off support."""
-    tr = float(np.trace(rho).real)
-    if tr <= 0.0:
+def _divergence_dense(rho, sigma, alpha: float) -> np.ndarray:
+    """D_alpha(rho || sigma) per block of stacks ``(..., d, d)``; +inf off support."""
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(tr <= 0.0):
         raise NotPSDError("rho has nonpositive trace")
-    ws, vs, on = psd_eig(sigma)
-    if not inside_support(rho, vs[:, on]):
-        return INF
-    ss = spectral_power(ws, vs, on, (1.0 - alpha) / (2.0 * alpha))
-    x = ss @ rho @ ss
-    w = check_psd(eigvalsh_desc(x), tol=1e-6 * max(tr, 1.0))
-    val = float((w ** alpha).sum())
-    if val <= 0.0:
-        return INF
-    return (math.log2(val) - math.log2(tr)) / (alpha - 1.0)
+    w, off = _sandwich_eigs(rho, sigma, (1.0 - alpha) / (2.0 * alpha))
+    q = (w ** alpha).sum(axis=-1)
+    return np.where(off | (q <= 0.0), INF,
+                    (_log2(q) - np.log2(tr)) / (alpha - 1.0))
 
 
-def _blocks_divergence(p, rho_blocks, q, sig_blocks, alpha: float) -> float:
+def _block_terms(p, rho, q, sigma, alpha: float) -> np.ndarray:
+    """alpha log2 p + (1 - alpha) log2 q + (alpha - 1) D_alpha(rho || sigma).
+
+    ``p`` and ``q`` weigh a grid of outcomes; ``rho`` and ``sigma`` hold their
+    blocks (broadcast against the grid). A block enters exactly when its p is
+    positive: the others give -inf and drop out of every sum. q = 0 under a
+    positive p gives +inf.
+    """
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float),
+                               np.asarray(q, dtype=float))
+    live = p > 0.0
+    rho = np.broadcast_to(rho, p.shape + np.shape(rho)[-2:])[live]
+    sigma = np.broadcast_to(sigma, p.shape + np.shape(sigma)[-2:])[live]
+    terms = np.full(p.shape, -INF)
+    terms[live] = (alpha * np.log2(p[live]) + (1.0 - alpha) * _log2(q[live])
+                   + (alpha - 1.0) * _divergence_dense(rho, sigma, alpha))
+    return terms
+
+
+def _blocks_divergence(p, rho, q, sigma, alpha: float) -> float:
     """Block decomposition: (1/(a-1)) log2 sum_c p^a q^(1-a) 2^((a-1) D_c)."""
-    terms = []
-    for pc, rb, qc, sb in zip(p, rho_blocks, q, sig_blocks):
-        if pc <= 0.0:
-            continue
-        if qc <= 0.0:
-            return INF
-        d = _divergence_dense(rb, sb, alpha)
-        if d == INF:
-            return INF
-        terms.append(math.log2(pc) * alpha + (1.0 - alpha) * math.log2(qc)
-                     + (alpha - 1.0) * d)
-    if not terms:
-        raise NotPSDError("state has no mass")
-    m = max(terms)
-    tot = sum(2.0 ** (t - m) for t in terms)
-    return (m + math.log2(tot)) / (alpha - 1.0)
+    terms = _block_terms(p, rho, q, sigma, alpha)
+    return float(_log2sumexp2(terms)) / (alpha - 1.0)
 
 
-def _aligned_blocks(rho: CqState, sigma: CqState):
-    if rho.classical_names != sigma.classical_names:
-        raise AlphabetMismatchError("classical registers differ between states")
-    for n in rho.classical_names:
-        if rho.alphabet(n) != sigma.alphabet(n):
-            raise AlphabetMismatchError(f"alphabet mismatch on {n!r}")
-    return (rho.weights.reshape(-1), rho.conds.reshape(-1, rho.qdim, rho.qdim),
-            sigma.weights.reshape(-1),
-            sigma.conds.reshape(-1, sigma.qdim, sigma.qdim))
+def _divergence_args(rho, sigma):
+    """(p, rho blocks, q, sigma blocks) of a divergence's two arguments.
+
+    A cq pair is taken block by block; anything else is one dense block of
+    weight 1. The caller's sigma must be Hermitian, every block of it.
+    """
+    if isinstance(rho, CqState) and isinstance(sigma, CqState):
+        if rho.cregs != sigma.cregs:
+            raise AlphabetMismatchError(
+                "classical registers or alphabets differ between states")
+        p, q = rho.weights.reshape(-1), sigma.weights.reshape(-1)
+        rb = rho.conds.reshape(-1, rho.qdim, rho.qdim)
+        sb = sigma.conds.reshape(-1, sigma.qdim, sigma.qdim)
+    else:
+        p = q = np.ones(1)
+        rb = _as_mat(rho.to_density() if isinstance(rho, CqState) else rho)[None]
+        sb = as_matrix(_as_mat(sigma.to_density() if isinstance(sigma, CqState)
+                               else sigma))[None]
+    if not is_hermitian(sb):
+        raise NotHermitianError("reference is not Hermitian within tolerance")
+    return p, rb, q, sb
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence; cq pairs use the block decomposition."""
     alpha = check_alpha(alpha)
-    if isinstance(rho, CqState) and isinstance(sigma, CqState):
-        return _blocks_divergence(*_aligned_blocks(rho, sigma), alpha)
-    if isinstance(rho, CqState):
-        rho = rho.to_density()
-    if isinstance(sigma, CqState):
-        sigma = sigma.to_density()
-    return _divergence_dense(_as_mat(rho), _as_mat(sigma), alpha)
+    return _blocks_divergence(*_divergence_args(rho, sigma), alpha)
 
 
 def max_divergence(rho, sigma) -> float:
     """D_inf(rho || sigma) = inf { lam : rho <= 2^lam sigma }."""
-    if isinstance(rho, CqState) and isinstance(sigma, CqState):
-        p, rb, q, sb = _aligned_blocks(rho, sigma)
-        worst = -INF
-        for pc, r, qc, s in zip(p, rb, q, sb):
-            if pc <= 0.0:
-                continue
-            if qc <= 0.0:
-                return INF
-            d = max_divergence(r, s)
-            if d == INF:
-                return INF
-            worst = max(worst, math.log2(pc / qc) + d)
-        return worst
-    r = _as_mat(rho.to_density() if isinstance(rho, CqState) else rho)
-    s = _as_mat(sigma.to_density() if isinstance(sigma, CqState) else sigma)
-    ws, vs, on = psd_eig(s)
-    if not inside_support(r, vs[:, on]):
+    p, rb, q, sb = _divergence_args(rho, sigma)
+    live = p > 0.0
+    if np.any(q[live] <= 0.0):
         return INF
-    inv = spectral_power(ws, vs, on, -0.5)
-    w = eigvalsh_desc(inv @ r @ inv)
-    top = float(w[0])
-    if top <= 0.0:
-        return -INF
-    return math.log2(top)
+    w, off = _sandwich_eigs(rb[live], sb[live], -0.5)
+    d = np.where(off, INF,
+                 np.log2(p[live]) - np.log2(q[live]) + _log2(w[..., -1]))
+    return float(np.max(d, initial=-INF))
 
 
 def kl_divergence(v, p) -> float:
@@ -188,21 +229,40 @@ def _split(state: CqState, a_names):
     return a_names, cond
 
 
-def _h_down_flat(state: CqState, a_names) -> tuple:
-    """H_down pieces for a state whose classical registers all sit inside A.
+def _split_outcomes(state: CqState, names):
+    """Weights and blocks with the outcomes of the classical ``names`` on axis 0.
 
-    Returns (weights p_a, blocks rho^{|a}, reference matrix I_Aq x sigma_Cq),
-    so the caller can assemble the divergence.
+    Returns ``(w, conds, rest)``: ``w`` has shape ``(n,) + rest grid`` with
+    the outcomes of ``names`` flattened in the order given, ``conds`` the
+    matching blocks, ``rest`` the other registers in register order.
     """
-    qdims = state.qdims
-    cq_names = [n for n in state.quantum_names if n not in a_names]
-    cq_pos = [state._qpos(n) for n in cq_names]
-    if cq_names:
-        ref = embed(state.marginal(cq_names).conds, qdims, cq_pos)
-    else:
-        ref = np.eye(state.qdim, dtype=complex)
-    return (state.weights.reshape(-1),
-            state.conds.reshape(-1, state.qdim, state.qdim), ref)
+    axes = [state._cpos(n) for n in names]
+    k = len(axes)
+    w = np.moveaxis(state.weights, axes, range(k))
+    conds = np.moveaxis(state.conds, axes, range(k))
+    n = int(np.prod(w.shape[:k], initial=1))
+    rest = [r for r in state.regs if r.name not in names]
+    return (w.reshape((n,) + w.shape[k:]), conds.reshape((n,) + conds.shape[k:]),
+            rest)
+
+
+def _down_blocks(state: CqState, a_names):
+    """Block decomposition of H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest).
+
+    Outcome (a, c) of the classical registers, split into A and conditioning,
+    has weight p(a, c), conditioning weight q = p(c) and reference
+    I_Aq x sigma_{Cq|c}, where sigma_{Cq|c} = sum_a p(a|c) tr_Aq rho_{a,c} is
+    the conditional marginal. Returns (p, blocks, q, references) on that grid.
+    """
+    a_set, cond = _split(state, a_names)
+    a_axes = tuple(i for i, r in enumerate(state.cregs) if r.name in a_set)
+    w = state.weights
+    q = w.sum(axis=a_axes, keepdims=True)
+    given = np.divide(w, q, out=np.zeros_like(w), where=q > 0.0)
+    sigma = CqState(state.regs, given, state.conds).marginal(cond).conds
+    cq_pos = [i for i, r in enumerate(state.qregs) if r.name not in a_set]
+    ref = embed(np.expand_dims(sigma, a_axes), state.qdims, cq_pos)
+    return w, state.conds, q, ref
 
 
 def h_down(state, a_names, alpha: float) -> float:
@@ -211,31 +271,10 @@ def h_down(state, a_names, alpha: float) -> float:
     if isinstance(state, DensityOperator):
         a_idx = state.indices_of(a_names)
         cond = tuple(i for i in range(len(state.dims)) if i not in a_idx)
-        if not cond:
-            return -_divergence_dense(state.matrix,
-                                      np.eye(state.dim(), dtype=complex), alpha)
-        sig = state.partial_trace(cond).matrix
-        ref = embed(sig, state.dims, cond)
-        return -_divergence_dense(state.matrix, ref, alpha)
-    a_names, cond = _split(state, a_names)
-    ccl = [n for n in cond if state.reg(n).is_classical]
-    if not ccl:
-        p, blocks, ref = _h_down_flat(state, a_names)
-        refs = [ref] * len(p)
-        ones = [1.0] * len(p)
-        return -_blocks_divergence(p, blocks, ones, refs, alpha)
-    # classical conditioning: exact block formula over the classical outcomes
-    terms = []
-    for _, pc, sub in state.group_by(ccl):
-        if pc <= 0.0:
-            continue
-        t = h_down(sub, a_names, alpha)
-        if t == -INF:
-            return -INF
-        terms.append((pc, t))
-    m = max((1.0 - alpha) * t for _, t in terms)
-    tot = sum(pc * 2.0 ** ((1.0 - alpha) * t - m) for pc, t in terms)
-    return (m + math.log2(tot)) / (1.0 - alpha)
+        ref = (embed(state.partial_trace(cond).matrix, state.dims, cond) if cond
+               else np.eye(state.dim(), dtype=complex))
+        return -float(_divergence_dense(state.matrix, ref, alpha))
+    return -_blocks_divergence(*_down_blocks(state, a_names), alpha)
 
 
 @dataclass
@@ -338,27 +377,31 @@ def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
         d_b = state.dim() // d_a
         val, _, _ = h_up_dense(perm.matrix, d_a, d_b, alpha, cfg)
         return val
-    a_names, cond = _split(state, a_names)
+    a_set, cond = _split(state, a_names)
     ccl = [n for n in cond if state.reg(n).is_classical]
-    if ccl:
-        terms = []
-        for _, pc, sub in state.group_by(ccl):
-            if pc <= 0.0:
-                continue
-            terms.append((pc, h_up(sub, a_names, alpha, cfg)))
-        m = max(((1.0 - alpha) / alpha) * t for _, t in terms)
-        tot = sum(pc * 2.0 ** (((1.0 - alpha) / alpha) * t - m) for pc, t in terms)
-        return (alpha / (1.0 - alpha)) * (m + math.log2(tot))
     cq_names = [n for n in cond if not state.reg(n).is_classical]
-    dense = state.to_density()
+    # one row per outcome c of the classical conditioning: H_up is
+    # (alpha/(1-alpha)) log2 sum_c p(c) 2^(((1-alpha)/alpha) H_up(A | rest)_{|c})
+    w, conds, rest = _split_outcomes(state, ccl)
+    pc = w.reshape(len(w), -1).sum(axis=1)
+    live = np.flatnonzero(pc > 0.0)
+    given = w[live] / pc[live].reshape((-1,) + (1,) * (w.ndim - 1))
     if not cq_names:
-        return renyi_entropy(dense, alpha)
-    order = [n for n in state.names if n in a_names] + cq_names
-    perm = dense.permute_labels(order)
-    d_a = int(np.prod([state.reg(n).size for n in state.names if n in a_names]))
-    d_b = perm.dim() // d_a
-    val, _, _ = h_up_dense(perm.matrix, d_a, d_b, alpha, cfg)
-    return val
+        # the conditional state is block diagonal: its spectrum is p(a|c)
+        # times that of each block
+        lam = np.linalg.eigvalsh(conds[live])
+        x = alpha * _log2(given[..., None] * lam)
+        inner = _log2sumexp2(x.reshape(len(live), -1), axis=1) / alpha
+    else:
+        order = [n for n in state.names if n in a_set] + cq_names
+        d_a = int(np.prod([state.reg(n).size for n in order if n in a_set]))
+        inner = []
+        for row, c in enumerate(live):
+            dense = CqState(rest, given[row], conds[c]).to_density()
+            perm = dense.permute_labels(order)
+            val, _, _ = h_up_dense(perm.matrix, d_a, perm.dim() // d_a, alpha, cfg)
+            inner.append((1.0 - alpha) / alpha * val)
+    return alpha / (1.0 - alpha) * float(_log2sumexp2(np.log2(pc[live]) + inner))
 
 
 def h_classical(p, alpha: float, variant: str) -> float:
@@ -370,34 +413,31 @@ def h_classical(p, alpha: float, variant: str) -> float:
     if p.ndim != 2:
         p = p.reshape(p.shape[0], -1)
     pb = p.sum(axis=0)
+    live = pb > 0.0
+    lp, lpb = _log2(p[:, live]), np.log2(pb[live])
     if variant == "down":
-        tot = sum(pb[b] * ((p[:, b] / pb[b]) ** alpha).sum()
-                  for b in range(p.shape[1]) if pb[b] > 0)
-        return math.log2(tot) / (1.0 - alpha)
+        return float(_log2sumexp2(alpha * lp + (1.0 - alpha) * lpb)) / (1.0 - alpha)
     if variant == "up":
-        tot = sum(pb[b] * (((p[:, b] / pb[b]) ** alpha).sum()) ** (1.0 / alpha)
-                  for b in range(p.shape[1]) if pb[b] > 0)
-        return (alpha / (1.0 - alpha)) * math.log2(tot)
+        inner = _log2sumexp2(alpha * (lp - lpb), axis=0) / alpha
+        return (alpha / (1.0 - alpha)) * float(_log2sumexp2(lpb + inner))
     raise BadPartitionError(f"variant must be 'up' or 'down', got {variant!r}")
 
 
 def _per_b_down(state: CqState, a_names, up_name: str, alpha: float):
+    """(p(b), H_down(A | rest)_{|b}) over the symbols b of ``up_name`` with
+    p(b) > 0, from one pass over the block terms of the whole state."""
     reg = state.reg(up_name)
     if not reg.is_classical:
         raise BNotClassicalError(f"register {up_name!r} must be classical")
     if up_name in set(a_names):
         raise BadPartitionError("optimized register cannot sit inside A")
-    out = []
-    for combo, pb, sub in state.group_by([up_name]):
-        if pb <= 0.0:
-            continue
-        rest = [n for n in sub.names if n not in set(a_names)]
-        if rest:
-            t = h_down(sub, a_names, alpha)
-        else:
-            t = renyi_entropy(sub.to_density(), alpha)
-        out.append((combo[0], pb, t))
-    return out
+    axis = state._cpos(up_name)
+    terms = np.moveaxis(_block_terms(*_down_blocks(state, a_names), alpha), axis, 0)
+    pb = np.moveaxis(state.weights, axis, 0).reshape(len(terms), -1).sum(axis=1)
+    live = pb > 0.0
+    # the terms of the state given b are these terms minus log2 p(b)
+    per_b = _log2sumexp2(terms[live].reshape(int(live.sum()), -1), axis=1)
+    return pb[live], -(per_b - np.log2(pb[live])) / (alpha - 1.0)
 
 
 def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
@@ -408,11 +448,9 @@ def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
     states.
     """
     alpha = check_alpha(alpha)
-    per_b = _per_b_down(state, a_names, up_name, alpha)
+    pb, hb = _per_b_down(state, a_names, up_name, alpha)
     k = (1.0 - alpha) / alpha
-    m = max(k * t for _, _, t in per_b)
-    tot = sum(pb * 2.0 ** (k * t - m) for _, pb, t in per_b)
-    return (alpha / (1.0 - alpha)) * (m + math.log2(tot))
+    return (alpha / (1.0 - alpha)) * float(_log2sumexp2(np.log2(pb) + k * hb))
 
 
 def optimal_q(r, alpha: float) -> np.ndarray:
@@ -434,27 +472,16 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
     optimizer), using the block decomposition with weights q.
     """
     alpha = check_alpha(alpha)
-    per_b = _per_b_down(state, a_names, up_name, alpha)
-    symbols = [s for s, _, _ in per_b]
-    pb = np.array([p for _, p, _ in per_b])
-    hb = np.array([t for _, _, t in per_b])
+    pb, hb = _per_b_down(state, a_names, up_name, alpha)
     # log2 r_b = alpha log2 p_b + (1 - alpha) h_b; the objective diverges to
     # -inf whenever some q_b vanishes, so the supremum sits in the interior
     # and boundary grid points can be dropped.
     log_r = alpha * np.log2(pb) + (1.0 - alpha) * hb
-    grid = simplex_grid(len(symbols), resolution)
-    grid = grid[(grid > 0).all(axis=1)]
-    qs = [grid, optimal_q(2.0 ** (log_r - log_r.max()), alpha).reshape(1, -1)]
-    best = -INF
-    for batch in qs:
-        if batch.size == 0:
-            continue
-        expo = (1.0 - alpha) * np.log2(batch) + log_r  # per (point, b)
-        m = expo.max(axis=1, keepdims=True)
-        tot = (2.0 ** (expo - m)).sum(axis=1)
-        vals = (m[:, 0] + np.log2(tot)) / (1.0 - alpha)
-        best = max(best, float(vals.max()))
-    return best
+    grid = simplex_grid(len(pb), resolution)
+    q_star = optimal_q(2.0 ** (log_r - log_r.max()), alpha)
+    qs = np.vstack([grid[(grid > 0).all(axis=1)], q_star])
+    vals = _log2sumexp2((1.0 - alpha) * np.log2(qs) + log_r, axis=1) / (1.0 - alpha)
+    return float(vals.max())
 
 
 def renyi_entropy(x, alpha: float) -> float:
@@ -522,13 +549,22 @@ def _f_vector(f, alphabet) -> np.ndarray:
     return arr
 
 
-def _divergence_vs_ref(sub: CqState, a_names, ref_mat: np.ndarray,
-                       ref_names, alpha: float) -> float:
-    """D_alpha(sub || I_A x ref) with ref given densely on the named registers."""
-    dense = sub.to_density()
-    pos = dense.indices_of(ref_names)
-    ref = embed(ref_mat, dense.dims, pos)
-    return _divergence_dense(dense.matrix, ref, alpha)
+def _symbol_divergences(state: CqState, c_name: str, ref, ref_names,
+                        alpha: float):
+    """D_alpha(rho_{|c} || I x ref) for the symbols c of ``c_name`` with p(c) > 0.
+
+    ``ref`` acts densely on the registers ``ref_names``; each rho_{|c} is the
+    dense state of the other registers given c, all in one kernel call.
+    Returns (symbol indices, p(c), divergences).
+    """
+    w, conds, rest = _split_outcomes(state, [c_name])
+    p = w.reshape(len(w), -1).sum(axis=1)
+    live = np.flatnonzero(p > 0.0)
+    rho = np.stack([CqState(rest, w[i] / p[i], conds[i]).to_density().matrix
+                    for i in live])
+    names = [r.name for r in rest]
+    ref = embed(ref, [r.size for r in rest], [names.index(n) for n in ref_names])
+    return live, p[live], _divergence_dense(rho, ref, alpha)
 
 
 def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
@@ -550,17 +586,11 @@ def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
     rho_b = state.marginal(b_names).to_density().matrix if b_names else np.ones((1, 1))
     if not support_contained(rho_b, sig):
         return INF
-    terms = []
-    for i, (combo, pc, sub) in enumerate(state.group_by([c_name])):
-        if pc <= 0.0:
-            continue
-        d = _divergence_vs_ref(sub, a_names, sig, b_names, alpha)
-        if d == INF:
-            return INF
-        terms.append(alpha * math.log2(pc) + (alpha - 1.0) * (f_arr[i] + d))
-    m = max(terms)
-    tot = sum(2.0 ** (t - m) for t in terms)
-    return (m + math.log2(tot)) / (1.0 - alpha)
+    idx, pc, d = _symbol_divergences(state, c_name, sig, b_names, alpha)
+    if np.any(d == INF):
+        return INF
+    terms = alpha * np.log2(pc) + (alpha - 1.0) * (f_arr[idx] + d)
+    return float(_log2sumexp2(terms)) / (1.0 - alpha)
 
 
 def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
@@ -578,26 +608,17 @@ def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
     f_arr = _f_vector(f, state.alphabet(c_name))
     e_names = [n for n in state.names
                if n not in a_set and n not in (c_name, b_name)]
+    w, conds, rest = _split_outcomes(state, [b_name])
+    pb = w.reshape(len(w), -1).sum(axis=1)
     outer = []
-    for _, pb, sub_b in state.group_by([b_name]):
-        if pb <= 0.0:
-            continue
+    for b in np.flatnonzero(pb > 0.0):
+        sub_b = CqState(rest, w[b] / pb[b], conds[b])
         rho_e = (sub_b.marginal(e_names).to_density().matrix
                  if e_names else np.ones((1, 1)))
-        inner = []
-        for i, (combo, pcb, sub_cb) in enumerate(sub_b.group_by([c_name])):
-            if pcb <= 0.0:
-                continue
-            d = _divergence_vs_ref(sub_cb, a_names, rho_e, e_names, alpha)
-            if d == INF:
-                return -INF
-            inner.append(alpha * math.log2(pcb) + (alpha - 1.0) * (d + f_arr[i]))
-        mi = max(inner)
-        li = mi + math.log2(sum(2.0 ** (t - mi) for t in inner))
-        outer.append(math.log2(pb) + li / alpha)
-    mo = max(outer)
-    lo = mo + math.log2(sum(2.0 ** (t - mo) for t in outer))
-    return (alpha / (1.0 - alpha)) * lo
+        idx, pcb, d = _symbol_divergences(sub_b, c_name, rho_e, e_names, alpha)
+        inner = _log2sumexp2(alpha * np.log2(pcb) + (alpha - 1.0) * (d + f_arr[idx]))
+        outer.append(np.log2(pb[b]) + inner / alpha)
+    return (alpha / (1.0 - alpha)) * float(_log2sumexp2(outer))
 
 
 def key_length(h_up_bits: float, epsilon: float, alpha: float) -> int:

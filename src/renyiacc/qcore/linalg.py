@@ -36,8 +36,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
+    """Whether ``m``, a matrix or a stack ``(..., d, d)`` of them, is finite
+    and Hermitian within ``tol`` relative to its largest entry."""
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol * max(1.0, np.max(np.abs(a))))
+    top = np.abs(a).max()
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max()
+    return bool(dev <= tol * max(1.0, top) and top < np.inf)
 
 
 def hermitian_eig(m, tol: float = HERMITICITY_TOL):
@@ -57,31 +61,14 @@ def eigvalsh_desc(m) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1].copy()
 
 
-def check_psd(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Clip a descending eigenvalue vector to [0, inf); reject if clearly negative."""
-    if w.size and w[-1] < -tol:
-        raise NotPSDError(f"matrix has a significantly negative eigenvalue {w[-1]:.3e}")
-    return np.clip(w, 0.0, None)
-
-
-def psd_eig(m, psd_tol: float = PSD_TOL, cutoff: float = SUPPORT_CUTOFF):
-    """Descending eigenpairs of a PSD matrix, clipped at 0, and its support.
-
-    Returns ``(w, v, on)``; ``on`` marks the eigenvalues above ``cutoff``
-    relative to the largest. One call serves both the support test and the
-    spectral powers of the same matrix.
-    """
+def _psd_eig(m, psd_tol: float, cutoff: float):
+    """Descending eigenpairs of a PSD matrix, clipped at 0, and its support:
+    the eigenvalues above ``cutoff`` relative to the largest."""
     w, v = hermitian_eig(m)
-    w = check_psd(w, psd_tol)
-    top = w[0] if w.size else 0.0
-    return w, v, w > cutoff * max(top, 1e-300)
-
-
-def spectral_power(w, v, on, t: float) -> np.ndarray:
-    """``v diag(w**t) v^dag`` on the support ``on``, with 0 off it."""
-    wt = np.zeros_like(w)
-    wt[on] = w[on] ** t
-    return (v * wt) @ v.conj().T
+    if w.size and w[-1] < -psd_tol:
+        raise NotPSDError(f"matrix has a significantly negative eigenvalue {w[-1]:.3e}")
+    w = np.clip(w, 0.0, None)
+    return w, v, w > cutoff * max(w[0] if w.size else 0.0, 1e-300)
 
 
 def matrix_power(m, t: float, psd_tol: float = PSD_TOL,
@@ -91,24 +78,20 @@ def matrix_power(m, t: float, psd_tol: float = PSD_TOL,
     Eigenvalues below ``cutoff`` relative to the largest are treated as zero,
     so negative powers act as pseudo-inverses on the support.
     """
-    return spectral_power(*psd_eig(m, psd_tol, cutoff), t)
-
-
-def inside_support(rho, basis, leak_tol: float = 1e-10) -> bool:
-    """supp(rho) within the span of the orthonormal columns of ``basis``,
-    judged by trace leakage outside it."""
-    pi = basis @ basis.conj().T
-    r = np.asarray(rho, dtype=complex)
-    tr = float(np.trace(r).real)
-    leak = tr - float(np.trace(pi @ r @ pi).real)
-    return leak <= leak_tol * max(tr, 1.0)
+    w, v, on = _psd_eig(m, psd_tol, cutoff)
+    wt = np.zeros_like(w)
+    wt[on] = w[on] ** t
+    return (v * wt) @ v.conj().T
 
 
 def support_contained(rho, sigma, cutoff: float = SUPPORT_CUTOFF,
                       leak_tol: float = 1e-10) -> bool:
     """supp(rho) subseteq supp(sigma), judged by trace leakage outside supp(sigma)."""
-    _, v, on = psd_eig(sigma, cutoff=cutoff)
-    return inside_support(rho, v[:, on], leak_tol)
+    _, v, on = _psd_eig(sigma, PSD_TOL, cutoff)
+    pi = v[:, on] @ v[:, on].conj().T
+    r = np.asarray(rho, dtype=complex)
+    tr = float(np.trace(r).real)
+    return tr - float(np.trace(pi @ r @ pi).real) <= leak_tol * max(tr, 1.0)
 
 
 def embed(op, dims, acting_on) -> np.ndarray:
@@ -116,7 +99,8 @@ def embed(op, dims, acting_on) -> np.ndarray:
 
     ``dims`` lists every subsystem dimension in Kronecker order (index 0 is the
     leftmost factor); ``op`` must act on the listed subsystems in that same
-    relative order. Identity is placed everywhere else.
+    relative order. Identity is placed everywhere else. ``op`` may be a stack
+    ``(..., d_act, d_act)``; each matrix of it is embedded.
     """
     dims = tuple(int(d) for d in dims)
     acting_on = tuple(acting_on)
@@ -127,17 +111,22 @@ def embed(op, dims, acting_on) -> np.ndarray:
         if i < 0 or i >= k:
             raise BadIndexError(f"subsystem index {i} out of range")
         d_act *= dims[i]
-    if op.shape != (d_act, d_act):
+    if op.ndim < 2 or op.shape[-2:] != (d_act, d_act):
         raise DimMismatchError(
             f"operator shape {op.shape} does not match subsystem dims {d_act}")
+    lead = op.shape[:-2]
+    b = len(lead)
     rest = [i for i in range(k) if i not in acting_on]
     d_rest = int(np.prod([dims[i] for i in rest], initial=1))
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
+    # op x identity, as np.kron does it, on every matrix of the stack
+    eye = np.eye(d_rest, dtype=complex).reshape(d_rest, 1, d_rest)
+    full = op[..., :, None, :, None] * eye
     # current tensor order is acting_on + rest; permute back to 0..k-1
     cur = list(acting_on) + rest
     perm = [cur.index(i) for i in range(k)]
     cur_dims = [dims[i] for i in cur]
-    t = full.reshape(cur_dims + cur_dims)
-    t = t.transpose(perm + [k + j for j in perm])
+    t = full.reshape(lead + tuple(cur_dims) * 2)
+    t = t.transpose(list(range(b)) + [b + j for j in perm]
+                    + [b + k + j for j in perm])
     d = int(np.prod(dims, initial=1))
-    return np.ascontiguousarray(t.reshape(d, d))
+    return np.ascontiguousarray(t.reshape(lead + (d, d)))

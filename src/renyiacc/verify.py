@@ -692,7 +692,6 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
         raise InfeasibleError("constraint alphabet differs from protocol")
     n_a, n_b = len(proto.outcomes), len(proto.settings)
     n_c = len(proto.c_alphabet)
-    r_dim, e_dim = attack.initial.shape
     pt = np.array([1.0 - proto.gamma, proto.gamma])
     pb_t = np.stack([proto.p_gen, proto.p_test])  # [t, b]
     c_of = np.zeros((2, n_b, n_a), dtype=int)
@@ -705,7 +704,6 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
     # joint over (e, t1, b1, a1, t2, b2, a2), memories summed
     s1 = np.einsum("re,t,tb,rbaq->etbaq", attack.initial, pt, pb_t, k1)
     joint = np.einsum("etbaq,s,sc,qcdw->etbascd", s1, pt, pb_t, k2)
-    # axes: e t1 b1 a1 t2 b2 a2 -> wait: einsum output etbascd: e,t1,b1,a1,s=t2,c=b2,d=a2
     freq_member = np.zeros((2, n_b, n_a, 2, n_b, n_a), dtype=bool)
     for t1, b1, a1, t2, b2, a2 in itertools.product(
             range(2), range(n_b), range(n_a), range(2), range(n_b), range(n_a)):
@@ -719,17 +717,9 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
     if p_omega <= 1e-14:
         raise EmptyEventError("the non-abort event has zero probability")
     cond = np.where(mask, joint, 0.0) / p_omega
-    # H_up(A^2 C^2 | B^2 E): condition on (e, t1, b1, t2, b2); inner over
-    # (a1, c1, a2, c2) -- c is a function of (t, b, a), so inner over (a1, a2)
-    tot = 0.0
-    for e, t1, b1, t2, b2 in itertools.product(
-            range(e_dim), range(2), range(n_b), range(2), range(n_b)):
-        blk = cond[e, t1, b1, :, t2, b2, :]
-        w = float(blk.sum())
-        if w <= 0.0:
-            continue
-        tot += w * float(((blk / w) ** alpha).sum()) ** (1.0 / alpha)
-    lhs = (alpha / (1.0 - alpha)) * math.log2(tot)
+    # H_up(A^2 C^2 | B^2 E): condition on (e, t1, b1, t2, b2); c is a
+    # function of (t, b, a), so A is (a1, a2)
+    lhs = _classical_h(cond, (3, 6), (0, 1, 2, 4, 5), alpha, "up")
     h_alpha = min(_round_rate_min(proto, km, cset, alpha)
                   for km in attack.marginal_kernels())
     bound = finite_size_bound(2, h_alpha, p_omega, alpha)
