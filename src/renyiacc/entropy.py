@@ -39,7 +39,6 @@ from .qcore import (
     CqState,
     DensityOperator,
     embed,
-    hermitian_eig,
     is_hermitian,
     support_contained,
 )
@@ -285,83 +284,147 @@ class UpConfig:
     max_iter: int = 10000
 
 
+def _from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v diag(w) v^dagger for stacks of eigenpairs."""
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _ab_matrix(x: np.ndarray) -> np.ndarray:
+    """``(k, a, a', i, j)`` blocks of AB operators as ``(k, d_a r, d_a r)`` matrices."""
+    k, d_a, _, r, _ = x.shape
+    return x.transpose(0, 1, 3, 2, 4).reshape(k, d_a * r, d_a * r)
+
+
+def _trace_a(x: np.ndarray, d_a: int) -> np.ndarray:
+    """tr_A of a stack ``(k, d_a r, d_a r)``; a third of the general
+    ``_partial_trace``'s cost per call, which the loop pays every iteration."""
+    k, d, _ = x.shape
+    r = d // d_a
+    return np.einsum("kaiaj->kij", x.reshape(k, d_a, r, d_a, r))
+
+
+def _x_eigs(rc, ws, vs, s: float):
+    """Eigenpairs of X = S rho S, clipped at 0, and sigma^s, where
+    S = I x sigma^s and sigma = vs diag(ws) vs^dagger; rho as ``rc`` blocks."""
+    keep = ws > SUPPORT_CUTOFF * np.max(ws, axis=-1, keepdims=True)
+    ss = _from_eig(np.where(keep, np.where(keep, ws, 1.0) ** s, 0.0), vs)
+    sb = ss[:, None, None]
+    wx, vx = np.linalg.eigh(_ab_matrix(sb @ rc @ sb))
+    return np.clip(wx, 0.0, None), vx, ss
+
+
+def _q_grad(rc, ws, vs, alpha: float):
+    """Q(sigma) = tr[(S rho S)^alpha], S = I x sigma^s, and its gradient in
+    sigma's eigenbasis U, at sigma = vs diag(ws) vs^dagger.
+
+    The gradient is U (Gamma o U^dagger M U) U^dagger with
+    M = alpha tr_A[rho S X^(alpha-1) + h.c.] and Gamma the divided
+    differences of lambda^s at sigma's eigenvalues; this returns
+    Gamma o U^dagger M U.
+    """
+    s = (1.0 - alpha) / (2.0 * alpha)
+    wx, vx, ss = _x_eigs(rc, ws, vs, s)
+    p = _ab_matrix(rc @ ss[:, None, None]) @ _from_eig(wx ** (alpha - 1.0), vx)
+    m = alpha * _trace_a(2.0 * _hermitian_part(p), rc.shape[1])
+    # Gamma_ij = (l_i^s - l_j^s) / (l_i - l_j) = l_j^(s-1) expm1(s d) / expm1(d)
+    # with d = log l_i - log l_j, which is s l^(s-1) on the diagonal
+    lw = np.log(ws)
+    dl = lw[:, :, None] - lw[:, None, :]
+    flat = dl == 0.0
+    phi = np.where(flat, s, np.expm1(s * dl) / np.where(flat, 1.0, np.expm1(dl)))
+    return (wx ** alpha).sum(axis=-1), ws[:, None, :] ** (s - 1.0) * phi * (
+        np.swapaxes(vs.conj(), -1, -2) @ m @ vs)
+
+
+def _up_fixed_point(rc, w0, alpha: float, cfg: UpConfig):
+    """The H_up fixed point of every row of ``rc`` at one support rank, in lockstep.
+
+    ``rc`` is rho compressed onto supp(rho_B) as ``(k, a, a', i, j)`` blocks
+    and ``w0`` the starting marginals' eigenvalues (eigenvectors: the
+    identity). A row leaves the loop once its own step is below ``cfg.tol``.
+    Returns (values, uppers, ticks, rows that did not converge).
+
+    The upper bound is Frank-Wolfe's: Q is convex in sigma for alpha > 1, so
+    min Q >= Q - g with the gap g = <grad Q, sigma> - lambda_min(grad Q).
+    """
+    k, d_a, _, r, _ = rc.shape
+    s, theta = (1.0 - alpha) / (2.0 * alpha), 1.0 / alpha
+    ws = w0.copy()
+    vs = np.broadcast_to(np.eye(r, dtype=complex), (k, r, r)).copy()
+    sig = _from_eig(ws, vs)
+    live = np.arange(k)
+    ticks = 0
+    while live.size and ticks < cfg.max_iter:
+        ticks += 1
+        wx, vx, _ = _x_eigs(rc[live], ws[live], vs[live], s)
+        t_mat = _trace_a(_from_eig(wx ** alpha, vx), d_a)
+        wt, vt = np.linalg.eigh(_hermitian_part(t_mat))
+        h = (theta * _from_eig(np.log(np.clip(wt, 1e-300, None)), vt)
+             + (1.0 - theta) * _from_eig(np.log(np.clip(ws[live], 1e-300, None)),
+                                         vs[live]))
+        wh, vh = np.linalg.eigh(_hermitian_part(h))
+        e = np.exp(wh - wh[:, -1:])
+        e /= e.sum(axis=-1, keepdims=True)
+        new = _from_eig(e, vh)
+        delta = np.abs(new - sig[live]).max(axis=(-2, -1))
+        ws[live], vs[live], sig[live] = e, vh, new
+        live = live[~(delta < cfg.tol)]
+    q, grad = _q_grad(rc, ws, vs, alpha)
+    # <grad Q, sigma> is the diagonal of grad weighed by sigma's eigenvalues
+    low = q - (np.einsum("ki,kii->k", ws, grad).real
+               - np.linalg.eigvalsh(_hermitian_part(grad))[:, 0])
+    upper = np.where(low > 0.0, -_log2(low) / (alpha - 1.0), INF)
+    return -_log2(q) / (alpha - 1.0), upper, ticks, live
+
+
 def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
-               cfg: UpConfig | None = None, sigma0: np.ndarray | None = None):
+               cfg: UpConfig | None = None):
     """sup_sigma -D_alpha(rho_AB || I_A x sigma_B) by damped fixed-point iteration.
 
+    ``rho`` is one matrix ``(d, d)`` or a stack ``(k, d, d)``, d = d_a d_b.
     The update is the matrix geometric mix
     ``sigma <- exp((1/alpha) log T(sigma) + (1 - 1/alpha) log sigma)`` with
     ``T(sigma) = tr_A[(sigma^s rho sigma^s)^alpha]``, whose fixed points are
     the stationary marginals; the mix exponent makes the classical case
-    converge in one step. Runs on the support of rho_B.
+    converge in one step. Each row runs on the support of its rho_B, and the
+    rows of one support rank iterate in lockstep. The eigenpairs of the next
+    sigma come with its construction, so an iteration decomposes three
+    matrices: the sandwich, T and the exponent.
 
-    Returns (value, sigma, iterations).
+    Returns (value, upper, iterations): ``upper`` is a Frank-Wolfe bound
+    value <= H_up <= upper (+inf when the gap is too loose to bound), and
+    ``iterations`` the lockstep ticks. For a stack, value and upper are
+    arrays over its rows.
     """
     alpha = check_alpha(alpha)
     cfg = cfg or UpConfig()
     rho = np.asarray(rho, dtype=complex)
-    rho_b = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-    wB, vB = hermitian_eig(rho_b)
-    wB = np.clip(wB, 0.0, None)
-    on = wB > SUPPORT_CUTOFF * max(wB[0], 1e-300)
-    v_sup = vB[:, on]
-    r = int(on.sum())
-    big = np.kron(np.eye(d_a), v_sup)
-    rho_c = big.conj().T @ rho @ big  # compressed onto supp(rho_B)
-    if sigma0 is None:
-        sig = np.diag(wB[on] / wB[on].sum()).astype(complex)
-    else:
-        sig = v_sup.conj().T @ np.asarray(sigma0, dtype=complex) @ v_sup
-        sig = (sig + sig.conj().T) / 2
-        sig = sig / max(np.trace(sig).real, 1e-12)
-    s = (1.0 - alpha) / (2.0 * alpha)
-    theta = 1.0 / alpha
-    eye_a = np.eye(d_a)
-
-    def sandwich_eigs(sg):
-        ws, vs = np.linalg.eigh(sg)
-        ws = np.clip(ws, 0.0, None)
-        keep = ws > SUPPORT_CUTOFF * max(ws.max(), 1e-300)
-        wt = np.zeros_like(ws)
-        wt[keep] = ws[keep] ** s
-        ss = (vs * wt) @ vs.conj().T
-        big_s = np.kron(eye_a, ss)
-        x = big_s @ rho_c @ big_s
-        wx, vx = np.linalg.eigh(x)
-        wx = np.clip(wx, 0.0, None)
-        return wx, vx
-
-    it = 0
-    for it in range(cfg.max_iter):
-        wx, vx = sandwich_eigs(sig)
-        xa = (vx * wx ** alpha) @ vx.conj().T
-        t_mat = np.trace(xa.reshape(d_a, r, d_a, r), axis1=0, axis2=2)
-        t_mat = (t_mat + t_mat.conj().T) / 2
-        wt, vt = np.linalg.eigh(t_mat)
-        wt = np.clip(wt, 1e-300, None)
-        log_t = (vt * np.log(wt)) @ vt.conj().T
-        ws, vs = np.linalg.eigh(sig)
-        ws = np.clip(ws, 1e-300, None)
-        log_s = (vs * np.log(ws)) @ vs.conj().T
-        h = theta * log_t + (1.0 - theta) * log_s
-        h = (h + h.conj().T) / 2
-        wh, vh = np.linalg.eigh(h)
-        e = np.exp(wh - wh.max())
-        new = (vh * (e / e.sum())) @ vh.conj().T
-        delta = float(np.abs(new - sig).max())
-        sig = new
-        if delta < cfg.tol:
-            break
-    else:
-        wx, _ = sandwich_eigs(sig)
-        best = -(math.log2(max(float((wx ** alpha).sum()), 1e-300))) / (alpha - 1.0)
+    lone = rho.ndim == 2
+    rho = rho.reshape(-1, d_a * d_b, d_a * d_b)
+    rho_b = _trace_a(rho, d_a)
+    if not is_hermitian(rho_b):
+        raise NotHermitianError("marginal is not Hermitian within tolerance")
+    wb, vb = np.linalg.eigh(_hermitian_part(rho_b))
+    wb, vb = np.clip(wb[:, ::-1], 0.0, None), vb[:, :, ::-1]
+    rank = (wb > SUPPORT_CUTOFF * np.maximum(wb[:, :1], 1e-300)).sum(axis=1)
+    value, upper = np.empty(len(rho)), np.empty(len(rho))
+    ticks, stuck = 0, []
+    for r in np.unique(rank):
+        rows = np.flatnonzero(rank == r)
+        v = vb[rows, :, :r]
+        rc = np.einsum("kbi,kabcd,kdj->kacij", v.conj(),
+                       rho[rows].reshape(-1, d_a, d_b, d_a, d_b), v)
+        w0 = wb[rows, :r] / wb[rows, :r].sum(axis=1, keepdims=True)
+        value[rows], upper[rows], n, bad = _up_fixed_point(rc, w0, alpha, cfg)
+        ticks = max(ticks, n)
+        stuck.extend(rows[bad])
+    if lone:
+        value, upper = float(value[0]), float(upper[0])
+    if stuck:
         raise NoConvergenceError(
             f"H_up solver did not reach {cfg.tol} in {cfg.max_iter} iterations",
-            best_value=best, gap=delta)
-    wx, _ = sandwich_eigs(sig)
-    val = -(math.log2(float((wx ** alpha).sum()))) / (alpha - 1.0)
-    sigma_full = v_sup @ sig @ v_sup.conj().T
-    return val, sigma_full, it + 1
+            best_value=value, gap=upper - value)
+    return value, upper, ticks
 
 
 def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
@@ -395,12 +458,11 @@ def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
     else:
         order = [n for n in state.names if n in a_set] + cq_names
         d_a = int(np.prod([state.reg(n).size for n in order if n in a_set]))
-        inner = []
-        for row, c in enumerate(live):
-            dense = CqState(rest, given[row], conds[c]).to_density()
-            perm = dense.permute_labels(order)
-            val, _, _ = h_up_dense(perm.matrix, d_a, perm.dim() // d_a, alpha, cfg)
-            inner.append((1.0 - alpha) / alpha * val)
+        dense = np.stack([CqState(rest, given[row], conds[c]).to_density()
+                          .permute_labels(order).matrix
+                          for row, c in enumerate(live)])
+        vals, _, _ = h_up_dense(dense, d_a, dense.shape[-1] // d_a, alpha, cfg)
+        inner = (1.0 - alpha) / alpha * vals
     return alpha / (1.0 - alpha) * float(_log2sumexp2(np.log2(pc[live]) + inner))
 
 

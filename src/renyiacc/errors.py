@@ -68,8 +68,8 @@ class BadEpsilonError(RenyiaccError):
 class NoConvergenceError(RenyiaccError):
     """Iterative solver failed to reach its tolerance.
 
-    Carries the best value found and the last step size so callers can
-    decide whether the partial answer is still usable.
+    Carries the best value found and its gap to the solver's upper bound so
+    callers can decide whether the partial answer is still usable.
     """
 
     def __init__(self, message, best_value=None, gap=None):

@@ -2,10 +2,13 @@
 
 The references below are the per-outcome implementations the block path
 replaced: they walk the classical outcomes with ``group_by`` and take one
-dense divergence per block. Both sides must agree to 1e-12 on seeded states
-with classical and quantum A, classical-only, quantum-only and mixed
-conditioning, a zero and a sub-WEIGHT_TOL weight, a support violation and
-``strategy_to_cq`` states.
+dense divergence per block, or one run of the unstacked H_up fixed point
+(Kronecker embeddings, five eigendecompositions per iteration) per block.
+Both sides must agree to 1e-12 on seeded states with classical and quantum
+A, classical-only, quantum-only and mixed conditioning, a zero and a
+sub-WEIGHT_TOL weight, a support violation and ``strategy_to_cq`` states.
+The stacked H_up kernel must also match its own lone calls row by row, and
+its Frank-Wolfe upper bound must bracket the value.
 """
 
 import math
@@ -15,7 +18,7 @@ import pytest
 
 from renyiacc import entropy as ent
 from renyiacc.channel import TwoQubitStrategy, strategy_to_cq
-from renyiacc.errors import NotHermitianError, NotPSDError
+from renyiacc.errors import NoConvergenceError, NotHermitianError, NotPSDError
 from renyiacc.qcore import (
     CqState,
     creg,
@@ -153,7 +156,51 @@ def ref_h_up(state, a_names, alpha):
     order = [n for n in state.names if n in a_names] + cq_names
     perm = dense.permute_labels(order)
     d_a = int(np.prod([state.reg(n).size for n in state.names if n in a_names]))
-    return ent.h_up_dense(perm.matrix, d_a, perm.dim() // d_a, alpha)[0]
+    return ref_h_up_dense(perm.matrix, d_a, perm.dim() // d_a, alpha)[0]
+
+
+def ref_h_up_dense(rho, d_a, d_b, alpha, tol=1e-10, max_iter=10000):
+    """(value, iterations) of the H_up fixed point on one dense state, with
+    Kronecker embeddings and a fresh eigendecomposition of every matrix."""
+    w_b, v_b = hermitian_eig(np.trace(rho.reshape(d_a, d_b, d_a, d_b),
+                                      axis1=0, axis2=2))
+    w_b = np.clip(w_b, 0.0, None)
+    on = w_b > 1e-12 * max(w_b[0], 1e-300)
+    r = int(on.sum())
+    big = np.kron(np.eye(d_a), v_b[:, on])
+    rho_c = big.conj().T @ rho @ big
+    sig = np.diag(w_b[on] / w_b[on].sum()).astype(complex)
+    s = (1.0 - alpha) / (2.0 * alpha)
+
+    def sandwich_eigs(sg):
+        ws, vs = np.linalg.eigh(sg)
+        ws = np.clip(ws, 0.0, None)
+        keep = ws > 1e-12 * max(ws.max(), 1e-300)
+        wt = np.zeros_like(ws)
+        wt[keep] = ws[keep] ** s
+        big_s = np.kron(np.eye(d_a), (vs * wt) @ vs.conj().T)
+        wx, vx = np.linalg.eigh(big_s @ rho_c @ big_s)
+        return np.clip(wx, 0.0, None), vx
+
+    def log_m(m, floor):
+        w, v = np.linalg.eigh(m)
+        return (v * np.log(np.clip(w, floor, None))) @ v.conj().T
+
+    for it in range(max_iter):
+        wx, vx = sandwich_eigs(sig)
+        xa = (vx * wx ** alpha) @ vx.conj().T
+        t_mat = np.trace(xa.reshape(d_a, r, d_a, r), axis1=0, axis2=2)
+        h = (log_m((t_mat + t_mat.conj().T) / 2, 1e-300) / alpha
+             + (1.0 - 1.0 / alpha) * log_m(sig, 1e-300))
+        wh, vh = np.linalg.eigh((h + h.conj().T) / 2)
+        e = np.exp(wh - wh.max())
+        new = (vh * (e / e.sum())) @ vh.conj().T
+        delta = float(np.abs(new - sig).max())
+        sig = new
+        if delta < tol:
+            break
+    wx, _ = sandwich_eigs(sig)
+    return -math.log2(float((wx ** alpha).sum())) / (alpha - 1.0), it + 1
 
 
 def ref_max_divergence(rho, sigma):
@@ -424,3 +471,125 @@ def test_h_down_rejects_negative_block():
                  {(0,): np.diag([1.5, -0.5]), (1,): np.eye(2) / 2})
     with pytest.raises(NotPSDError):
         ent.h_down(st, ["A"], 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked H_up kernel
+# ---------------------------------------------------------------------------
+
+def up_stack(seed, rank=None, n=5):
+    """``n`` dense AC blocks (d_a = 2, d_c = 3) of one seeded cq state."""
+    rng = rng_from((77, seed))
+    return random_cq((n,), (2, 3), rng, names=["B"], qnames=["A", "C"],
+                     rank=rank).conds
+
+
+@pytest.mark.parametrize("tol", (1e-10, 1e-7))
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("seed", range(2))
+def test_stacked_rows_match_lone_calls(seed, alpha, tol):
+    # the rows converge after different counts; one that kept iterating
+    # after its own convergence would move its bound by far more than 1e-13
+    cfg = ent.UpConfig(tol=tol)
+    stack = up_stack(seed, n=10)
+    val, up, ticks = ent.h_up_dense(stack, 2, 3, alpha, cfg)
+    lone = [ent.h_up_dense(m, 2, 3, alpha, cfg) for m in stack]
+    assert isinstance(ticks, int)
+    assert ticks == max(n for _, _, n in lone)
+    assert len({n for _, _, n in lone}) > 1
+    for v, u, (v1, u1, _) in zip(val, up, lone):
+        assert abs(v - v1) <= 1e-13 and abs(u - u1) <= 1e-13
+
+
+def mixed_rank_state(seed) -> CqState:
+    """Pure blocks (rho_C of rank two out of three) between full-rank ones,
+    and a zero-weight block that holds no state at all."""
+    full, low = up_stack(seed), up_stack(seed, rank=1)
+    conds = np.concatenate([full[:2], low[:2], full[2:3], low[2:3],
+                            np.zeros((1, 6, 6))])
+    w = random_distribution(7, rng_from((78, seed)))
+    w[-1] = 0.0
+    regs = [creg("B", tuple(range(7))), qreg("A", 2), qreg("C", 3)]
+    return CqState(regs, w / w.sum(), conds)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_support_ranks_share_one_stack(seed, alpha):
+    st = mixed_rank_state(seed)
+    assert close(ent.h_up(st, ["A"], alpha), ref_h_up(st, ["A"], alpha))
+    live = st.conds[:-1]
+    val, up, ticks = ent.h_up_dense(live, 2, 3, alpha)
+    lone = [ent.h_up_dense(m, 2, 3, alpha) for m in live]
+    assert ticks == max(n for _, _, n in lone)
+    for v, u, (v1, u1, n1), m in zip(val, up, lone, live):
+        ref, ref_n = ref_h_up_dense(m, 2, 3, alpha)
+        assert abs(v - v1) <= 1e-13 and abs(u - u1) <= 1e-13
+        assert abs(v - ref) <= TOL and n1 == ref_n
+        assert v <= u <= v + 1e-8
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_brackets_value_on_full_rank_states(seed, alpha):
+    rng = rng_from((79, seed))
+    d_a, d_b = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    rho = random_density((d_a, d_b), rng).matrix
+    val, up, _ = ent.h_up_dense(rho, d_a, d_b, alpha)
+    assert val <= up <= val + 1e-8
+
+
+@pytest.mark.parametrize("max_iter", (1, 2, 3))
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_certificate_holds_when_the_loop_stops_early(alpha, max_iter):
+    rho = random_density((2, 3), rng_from((80, 0))).matrix
+    best, _, _ = ent.h_up_dense(rho, 2, 3, alpha)
+    with pytest.raises(NoConvergenceError) as err:
+        ent.h_up_dense(rho, 2, 3, alpha, ent.UpConfig(tol=1e-16,
+                                                      max_iter=max_iter))
+    early, gap = err.value.best_value, err.value.gap
+    assert early <= best + 1e-12
+    assert early + gap >= best - 1e-12
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_on_rank_deficient_marginals(seed, alpha):
+    # a pure AC block leaves rho_C with rank two out of three
+    for m in up_stack(seed, rank=1):
+        val, up, _ = ent.h_up_dense(m, 2, 3, alpha)
+        assert up >= val - 1e-12
+        assert abs(val - ref_h_up_dense(m, 2, 3, alpha)[0]) <= TOL
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_gradient_matches_central_differences(alpha):
+    rng = rng_from((81, 0))
+    rho = random_density((2, 3), rng).matrix
+    rc = rho.reshape(1, 2, 3, 2, 3).transpose(0, 1, 3, 2, 4)
+    sig = random_density((3,), rng).matrix
+    step = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    step = step + step.conj().T
+
+    def q_grad(m):
+        w, v = np.linalg.eigh(m)
+        q, g = ent._q_grad(rc, w[None], v[None], alpha)
+        return q[0], v @ g[0] @ v.conj().T
+
+    q, grad = q_grad(sig)
+    h = 1e-6
+    fd = (q_grad(sig + h * step)[0] - q_grad(sig - h * step)[0]) / (2 * h)
+    assert abs(fd - np.trace(grad @ step).real) <= 1e-6 * abs(fd)
+    # Q is homogeneous of degree 1 - alpha in sigma
+    assert abs(np.trace(grad @ sig).real - (1.0 - alpha) * q) <= 1e-12 * q
+
+
+def test_h_up_dense_rejects_non_hermitian_marginal():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.1  # rho_B picks up a one-sided off-diagonal entry
+    with pytest.raises(NotHermitianError):
+        ent.h_up_dense(rho, 2, 2, 2.0)
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 0] = np.nan
+    with pytest.raises(NotHermitianError):
+        ent.h_up_dense(rho, 2, 2, 2.0)
