@@ -208,6 +208,23 @@ class SamplingProtocol:
     def c_alphabet(self) -> tuple:
         return score_alphabet(self.d)
 
+    def score_law(self, p_ab) -> np.ndarray:
+        """Score distributions p_C of outcome laws ``p_ab[..., a, b]``.
+
+        ``a`` and ``b`` index ``outcomes`` and ``settings``: the bot symbol
+        gets 1 - gamma, and score(a, b) gets gamma p_test(b) p(a|b).
+        """
+        p = np.asarray(p_ab, dtype=float)
+        c_of = self.c_alphabet.index
+        scored = [c_of(self.score[(a, b)]) for a in self.outcomes
+                  for b in self.settings]
+        onehot = np.zeros((len(scored), len(self.c_alphabet)))
+        onehot[np.arange(len(scored)), scored] = 1.0
+        tested = self.gamma * self.p_test * p
+        out = tested.reshape(p.shape[:-2] + (-1,)) @ onehot
+        out[..., c_of(BOT)] += 1.0 - self.gamma
+        return out
+
 
 class SamplingChannel:
     """One spot-checking round, built from a strategy or a CP map family.
@@ -219,10 +236,9 @@ class SamplingChannel:
 
     def __init__(self, proto: SamplingProtocol, table: "ResponseTable"):
         self.proto = proto
-        # the table's outcome axis in protocol order
-        order = [table.outcomes.index(a) for a in proto.outcomes]
-        self._p = table.p[order]
-        self._cond = table.cond[order]
+        table = table.in_protocol_order(proto)
+        self._p = table.p
+        self._cond = table.cond
 
     def output_state(self) -> CqState:
         return _round_state(self.proto, np.where(self._p > 0.0, self._p, 0.0),
@@ -230,24 +246,15 @@ class SamplingChannel:
 
     def p_c(self) -> np.ndarray:
         """Marginal score distribution over the protocol's c alphabet."""
-        out = self.output_state().marginal(["C"])
-        return out.weights.copy()
+        return self.proto.score_law(np.where(self._p > 0.0, self._p, 0.0))
 
 
 def build_sampling_channel(strategy, proto: SamplingProtocol,
                            outputs: str = "alice") -> SamplingChannel:
     """Bind a device strategy (or CP map family) to a sampling protocol."""
     if isinstance(strategy, TwoQubitStrategy):
-        table = strategy.response_table(proto.settings, outputs=outputs)
-        missing = [a for a in proto.outcomes if a not in table.outcomes]
-        if missing:
-            raise AlphabetMismatchError(f"protocol outcomes {missing} unknown "
-                                        "to the strategy")
-        extra = [a for a in table.outcomes if a not in proto.outcomes]
-        if extra:
-            raise AlphabetMismatchError(f"strategy outcomes {extra} unknown "
-                                        "to the protocol")
-        return SamplingChannel(proto, table)
+        return SamplingChannel(
+            proto, strategy.response_table(proto.settings, outputs=outputs))
     if isinstance(strategy, CPMapFamily):
         if tuple(strategy.outcomes) != tuple(proto.outcomes) or \
                 tuple(strategy.settings) != tuple(proto.settings):
@@ -522,27 +529,108 @@ def decomposition_gap(rho: DensityOperator, a1_labels, a2_labels,
 
 def bloch_projectors(theta: float, phi: float = 0.0):
     """Two-outcome projective qubit measurement along the Bloch direction."""
-    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
-         math.cos(theta))
-    obs = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    eye = np.eye(2, dtype=complex)
-    return (eye + obs) / 2.0, (eye - obs) / 2.0
+    p = _projector_stack((theta, phi))
+    return p[0], p[1]
 
 
 @dataclass(frozen=True)
 class ResponseTable:
     """Outcome probabilities ``p[a, b]`` and Eve's normalized conditional
     states ``cond[a, b]``: ``a`` indexes ``outcomes``, ``b`` the setting
-    labels the table was built for, in their order."""
+    labels the table was built for, in their order. A table of a strategy
+    stack carries the stack axis in front of both."""
 
     outcomes: tuple
     p: np.ndarray
     cond: np.ndarray
 
+    def in_protocol_order(self, proto: SamplingProtocol) -> "ResponseTable":
+        """The table with its outcome axis in the protocol's outcome order."""
+        missing = [a for a in proto.outcomes if a not in self.outcomes]
+        if missing:
+            raise AlphabetMismatchError(f"protocol outcomes {missing} unknown "
+                                        "to the strategy")
+        extra = [a for a in self.outcomes if a not in proto.outcomes]
+        if extra:
+            raise AlphabetMismatchError(f"strategy outcomes {extra} unknown "
+                                        "to the protocol")
+        order = [self.outcomes.index(a) for a in proto.outcomes]
+        return ResponseTable(proto.outcomes, self.p[..., order, :],
+                             self.cond[..., order, :, :, :])
+
 
 def _projector_stack(angles) -> np.ndarray:
-    """``bloch_projectors`` of each (theta, phi), shape ``(n, 2, 2, 2)``."""
-    return np.array([bloch_projectors(*ang) for ang in angles])
+    """``bloch_projectors`` of (theta, phi) pairs ``(..., 2)``, stacked as
+    ``(..., 2, 2, 2)``."""
+    theta, phi = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+         np.cos(theta))
+    obs = sum(c[..., None, None] * pauli
+              for c, pauli in zip(n, (PAULI_X, PAULI_Y, PAULI_Z)))
+    eye = np.eye(2, dtype=complex)
+    return np.stack([(eye + obs) / 2.0, (eye - obs) / 2.0], axis=-3)
+
+
+def response_stack(x, meas_a, meas_b, setting_labels,
+                   outputs: str = "alice") -> ResponseTable:
+    """Response tables of a stack of m two-qubit strategies in one pass.
+
+    ``x`` stacks the states' purifications ``(m, 4, d_e)``, read as
+    ``|Psi> = sum_i x[:, i] |i>_E`` with Eve holding the copy register;
+    ``meas_a`` and ``meas_b`` stack the (theta, phi) Bloch angles per
+    setting, ``(m, n_a, 2)`` and ``(m, n_b, 2)``. Setting labels "xy"
+    address the pair (Alice x, Bob y); a bare "x" addresses Alice alone.
+    ``outputs`` selects whether the recorded outcome is Alice's bit or the
+    joint pair "ab".
+    """
+    labels = tuple(setting_labels)
+    x = np.asarray(x, dtype=complex)
+    m, d_e = x.shape[0], x.shape[-1]
+    # x[m, (i, k), e] as x4[m, i, k, e]: Alice's qubit i, Bob's k, Eve's e
+    x4 = x.reshape(m, 2, 2, d_e)
+
+    def conj_projectors(meas, pos):
+        """P^* per label: Eve's block of a Hermitian projector P is
+        x^T P^* x^*."""
+        angles = np.asarray(meas, dtype=float).reshape(m, -1, 2)
+        return _projector_stack(
+            angles[:, [int(str(lab)[pos]) for lab in labels]]).conj()
+
+    pa = conj_projectors(meas_a, 0)
+    if outputs == "alice":
+        outcomes = ("0", "1")
+        blocks = np.einsum("mike,msaij,mjkf->masef", x4, pa, x4.conj())
+    elif outputs == "pair":
+        if any(len(str(lab)) < 2 for lab in labels):
+            raise AlphabetMismatchError("pair outputs need pair settings")
+        pb = conj_projectors(meas_b, 1)
+        outcomes = ("00", "01", "10", "11")
+        blocks = np.einsum("mike,msaij,msbkl,mjlf->mabsef", x4, pa, pb,
+                           x4.conj()).reshape(m, 4, len(labels), d_e, d_e)
+    else:
+        raise AlphabetMismatchError(f"unknown outputs mode {outputs!r}")
+    p = np.trace(blocks, axis1=-2, axis2=-1).real
+    live = (p > 1e-15)[..., None, None]
+    cond = np.where(live, blocks / np.where(live, p[..., None, None], 1.0),
+                    np.eye(d_e) / d_e)
+    return ResponseTable(outcomes, p, cond)
+
+
+def params_stack(params, n_a: int, n_b: int):
+    """``TwoQubitStrategy.from_params`` of each row of ``params``, stacked.
+
+    Returns ``(x, meas_a, meas_b)`` as ``response_stack`` and
+    ``bell_values`` take them: the Schmidt state cos t |00> + sin t |11> is
+    pure, so its purification is the state vector itself (d_e = 1).
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != 1 + n_a + n_b:
+        raise DimMismatchError(f"want rows of {1 + n_a + n_b} parameters")
+    x = np.zeros((len(params), 4, 1), dtype=complex)
+    x[:, 0, 0] = np.cos(params[:, 0])
+    x[:, 3, 0] = np.sin(params[:, 0])
+    angles = np.stack([params[:, 1:], np.zeros_like(params[:, 1:])], axis=-1)
+    return x, angles[:, :n_a], angles[:, n_a:]
 
 
 @dataclass(frozen=True)
@@ -610,37 +698,14 @@ class TwoQubitStrategy:
     def response_table(self, setting_labels, outputs: str = "alice") -> ResponseTable:
         """Outcome probabilities and Eve conditionals per (outcome, setting).
 
-        Setting labels "xy" address the pair (Alice x, Bob y); a bare "x"
-        addresses Alice alone. ``outputs`` selects whether the recorded
-        outcome is Alice's bit or the joint pair "ab". Eve holds the
-        purification of the state, of dimension its rank.
+        ``response_stack`` on a stack of one; Eve holds the purification of
+        the state, of dimension its rank.
         """
-        labels = tuple(setting_labels)
-        pa = _projector_stack(self.meas_a)[[int(str(lab)[0]) for lab in labels]]
-        if outputs == "alice":
-            outcomes = ("0", "1")
-            # proj[a, s] = P_a (x) I on (Qa, Qb)
-            proj = np.einsum("saij,kl->asikjl", pa, np.eye(2))
-        elif outputs == "pair":
-            if any(len(str(lab)) < 2 for lab in labels):
-                raise AlphabetMismatchError("pair outputs need pair settings")
-            pb = _projector_stack(self.meas_b)[[int(str(lab)[1])
-                                                for lab in labels]]
-            outcomes = ("00", "01", "10", "11")
-            proj = np.einsum("saij,sbkl->absikjl", pa, pb)
-        else:
-            raise AlphabetMismatchError(f"unknown outputs mode {outputs!r}")
-        proj = proj.reshape(len(outcomes), len(labels), 4, 4)
-        # |Psi> = sum_i x[:, i] |i>_E; for a Hermitian projector Eve's
-        # block is x^T (proj x)^* = x^T proj^T x^*
-        x = _purification(self.state.matrix)
-        blocks = x.T @ (proj @ x).conj()
-        p = np.trace(blocks, axis1=-2, axis2=-1).real
-        d_e = x.shape[1]
-        live = (p > 1e-15)[..., None, None]
-        cond = np.where(live, blocks / np.where(live, p[..., None, None], 1.0),
-                        np.eye(d_e) / d_e)
-        return ResponseTable(outcomes, p, cond)
+        t = response_stack(_purification(self.state.matrix)[None],
+                           np.array(self.meas_a)[None],
+                           np.array(self.meas_b)[None],
+                           setting_labels, outputs=outputs)
+        return ResponseTable(t.outcomes, t.p[0], t.cond[0])
 
 
 def strategy_to_cq(strategy: TwoQubitStrategy, p_b, settings: str = "pairs",
@@ -761,15 +826,26 @@ def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
     return TwoQubitStrategy(density_from_dict(doc["state"]), meas_a, meas_b)
 
 
-def bell_value(strategy: TwoQubitStrategy, functional: BellFunctional) -> float:
+def bell_values(rho, meas_a, meas_b, functional: BellFunctional) -> np.ndarray:
+    """Bell values of a stack of m strategies: states ``rho`` ``(m, 4, 4)``
+    and Bloch angles ``meas_a`` / ``meas_b`` as ``response_stack`` takes
+    them."""
     m = functional.coefficients
-    if m.shape[0] > len(strategy.meas_a) or m.shape[1] > len(strategy.meas_b):
+    meas_a = np.asarray(meas_a, dtype=float).reshape(len(rho), -1, 2)
+    meas_b = np.asarray(meas_b, dtype=float).reshape(len(rho), -1, 2)
+    if m.shape[0] > meas_a.shape[1] or m.shape[1] > meas_b.shape[1]:
         raise AlphabetMismatchError("strategy has too few settings for the "
                                     "functional")
     # observables P0 - P1 per setting; <A_x B_y> = tr((A_x x B_y) rho)
-    pa = _projector_stack(strategy.meas_a[:m.shape[0]])
-    pb = _projector_stack(strategy.meas_b[:m.shape[1]])
-    rho = strategy.state.matrix.reshape(2, 2, 2, 2)
-    corr = np.einsum("xik,yjl,klij->xy", pa[:, 0] - pa[:, 1],
-                     pb[:, 0] - pb[:, 1], rho).real
-    return float((m * corr).sum())
+    pa = _projector_stack(meas_a[:, :m.shape[0]])
+    pb = _projector_stack(meas_b[:, :m.shape[1]])
+    rho = np.asarray(rho).reshape(-1, 2, 2, 2, 2)
+    corr = np.einsum("nxik,nyjl,nklij->nxy", pa[:, :, 0] - pa[:, :, 1],
+                     pb[:, :, 0] - pb[:, :, 1], rho).real
+    return (m * corr).sum(axis=(1, 2))
+
+
+def bell_value(strategy: TwoQubitStrategy, functional: BellFunctional) -> float:
+    return float(bell_values(strategy.state.matrix[None],
+                             np.array(strategy.meas_a)[None],
+                             np.array(strategy.meas_b)[None], functional)[0])

@@ -24,10 +24,13 @@ import numpy as np
 from . import entropy
 from .channel import (
     BOT,
+    ResponseTable,
     SamplingProtocol,
     TwoQubitStrategy,
-    bell_value,
+    bell_values,
     build_sampling_channel,
+    params_stack,
+    response_stack,
 )
 from .entropy import check_alpha
 from .errors import (
@@ -35,7 +38,7 @@ from .errors import (
     BadProbabilityError,
     InfeasibleError,
 )
-from .optimize import nelder_mead, simplex_grid
+from .optimize import nelder_mead, nelder_mead_batch, simplex_grid
 from .qcore import rng_from
 
 INF = math.inf
@@ -68,9 +71,11 @@ class ConstraintSet:
         return self.mat.shape[0]
 
     def violations(self, v) -> np.ndarray:
+        """t - G v for a distribution ``(n,)`` or a stack ``(m, n)``."""
+        v = np.asarray(v, dtype=float)
         if self.k == 0:
-            return np.zeros(0)
-        return self.rhs - self.mat @ np.asarray(v, dtype=float)
+            return np.zeros(v.shape[:-1] + (0,))
+        return self.rhs - v @ self.mat.T
 
     def contains(self, v, tol: float = 1e-9) -> bool:
         viol = self.violations(v)
@@ -128,8 +133,9 @@ class ConstraintSet:
 
 
 def _softmax(x):
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+    """Softmax over the last axis."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +144,12 @@ def _softmax(x):
 
 @dataclass(frozen=True)
 class InnerSolution:
-    """Minimizer and KKT certificate; a batch solve stacks every field by row."""
+    """Minimizer and KKT certificate; a batch solve stacks every field by row.
+
+    ``feasible`` is False on the rows of a batch whose constraint set cannot
+    be met under their p_C; their value is +inf and the other fields carry
+    no meaning. A lone solve raises on such a row instead.
+    """
 
     value: float
     v_star: np.ndarray
@@ -147,6 +158,22 @@ class InnerSolution:
     kkt_residual: float
     primal_violation: float
     comp_slack: float
+    feasible: np.ndarray | bool = True
+
+    def row(self, i: int) -> "InnerSolution":
+        """Row ``i`` of a batch solve as a lone solution; raises
+        ``InfeasibleError`` on an infeasible row."""
+        if not self.feasible[i]:
+            raise InfeasibleError("constraint unreachable by tilting (zero "
+                                  "variance, unbounded multiplier or residual "
+                                  "violation); the set is infeasible for this "
+                                  "p_C")
+        return InnerSolution(
+            value=float(self.value[i]), v_star=self.v_star[i],
+            lam=self.lam[i], dual_value=float(self.dual_value[i]),
+            kkt_residual=float(self.kkt_residual[i]),
+            primal_violation=float(self.primal_violation[i]),
+            comp_slack=float(self.comp_slack[i]))
 
 
 _NEWTON_ITERS = 100
@@ -177,8 +204,10 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
     below 1e-15, or once its Newton step is at rounding level; rows with
     k = 0 constraints are closed form. A free constraint with zero variance
     under v_lam and a positive gradient can never be met, nor can one whose
-    multiplier grows past any representable tilt: both raise
-    ``InfeasibleError``. The fields of the result carry the batch axis.
+    multiplier grows past any representable tilt, nor one still violated by
+    more than 1e-7 at the end: such a row leaves the batch and is marked in
+    ``feasible``, and its value is +inf. The fields of the result carry the
+    batch axis.
     """
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
@@ -216,6 +245,7 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
     rows, pw, ew = np.arange(n), p, expo0
     lw, vw, dw, gw = lam, v, dual, grad
     done = np.zeros(n, dtype=bool)
+    stuck_rows = []  # rows found unable to meet their constraints
     diag = np.arange(k)
     for _ in range(_NEWTON_ITERS if k else 0):
         free = (lw > 0.0) | (gw > 0.0)
@@ -233,27 +263,28 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
             * (beta * math.log(2))
         var = cov[:, diag, diag]
         flat = var <= _FLAT
+        stuck = None
         if (flat & (gw > _TOL)).any():
-            raise InfeasibleError("constraint unreachable by tilting (zero "
-                                  "variance, positive gradient); the set is "
-                                  "infeasible for this p_C")
+            stuck = (flat & (gw > _TOL)).any(axis=1)
         free &= ~flat
         hess = np.where(free[:, :, None] & free[:, None, :], cov, 0.0)
         hess[:, diag, diag] = np.where(free, var * (1.0 + _RIDGE), 1.0)
         pg = np.where(free, pg, 0.0)
         step = (pg / hess[:, 0] if k == 1
                 else np.linalg.solve(hess, pg[:, :, None])[:, :, 0])
-        # projected Armijo backtracking, one step length per row; a step at
-        # rounding level is taken whole and ends the row
+        # projected Armijo backtracking: the rows still searching share one
+        # step length; a step at rounding level is taken whole and ends the row
         tiny = np.abs(step).max(axis=1) <= 1e-13 * (1.0 + lw.max(axis=1))
         noise = 1e-15 * (1.0 + np.abs(dw) + np.abs(lw @ t))
-        length = np.ones((rows.size, 1))
-        todo = np.ones(rows.size, dtype=bool)
+        length, todo = 1.0, True
         for _ in range(_BACKTRACKS):
             trial = np.maximum(lw + length * step, 0.0)
             v_t, d_t, g_t = tilt(pw, ew, trial)
             rise = _ARMIJO * (gw * (trial - lw)).sum(axis=1)
             ok = todo & (tiny | (d_t - dw >= rise - noise))
+            if ok.all():  # every row takes its step
+                lw, vw, dw, gw, todo = trial, v_t, d_t, g_t, ~ok
+                break
             lw = np.where(ok[:, None], trial, lw)
             vw = np.where(ok[:, None], v_t, vw)
             dw = np.where(ok, d_t, dw)
@@ -261,13 +292,16 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
             todo &= ~ok
             if not todo.any():
                 break
-            length[todo] *= 0.5
+            length *= 0.5
         if lw.max(initial=0.0) > lam_max:
-            raise InfeasibleError("constraint unreachable by tilting "
-                                  "(multiplier unbounded); the set is "
-                                  "infeasible for this p_C")
-        # a step at rounding level, or one that found no ascent, ends the row
+            unbounded = lw.max(axis=1) > lam_max
+            stuck = unbounded if stuck is None else stuck | unbounded
+        # a step at rounding level, or one that found no ascent, ends the row,
+        # as does a row that cannot be met
         done = tiny | todo
+        if stuck is not None:
+            stuck_rows.append(rows[stuck])
+            done |= stuck
     lam[rows], v[rows], dual[rows], grad[rows] = lw, vw, dw, gw
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.where(v > 0.0, v * np.log2(v / p), 0.0).sum(axis=1)
@@ -275,12 +309,14 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
     primal_violation = grad.max(axis=1) if k else np.zeros(n)
     comp = np.abs(lam * grad).sum(axis=1)
     res = np.maximum(primal_violation, np.maximum(comp, np.abs(value - dual)))
-    if (primal_violation > 1e-7).any():
-        raise InfeasibleError("dual solve left primal violation "
-                              f"{primal_violation.max():.2e}")
+    feasible = primal_violation <= 1e-7
+    if stuck_rows:
+        feasible[np.concatenate(stuck_rows)] = False
+    if not feasible.all():
+        value[~feasible] = INF
     return InnerSolution(value=value, v_star=v, lam=lam, dual_value=dual,
                          kkt_residual=res, primal_violation=primal_violation,
-                         comp_slack=comp)
+                         comp_slack=comp, feasible=feasible)
 
 
 def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
@@ -296,14 +332,8 @@ def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     p = np.asarray(p_c, dtype=float)
     if p.shape != (len(cset.alphabet),):
         raise AlphabetMismatchError("p_C length does not match the alphabet")
-    sol = inner_inf_v_batch(p[None, :], np.array([float(h_gen)]), cset, alpha,
-                            bot_symbol=bot_symbol)
-    return InnerSolution(
-        value=float(sol.value[0]), v_star=sol.v_star[0], lam=sol.lam[0],
-        dual_value=float(sol.dual_value[0]),
-        kkt_residual=float(sol.kkt_residual[0]),
-        primal_violation=float(sol.primal_violation[0]),
-        comp_slack=float(sol.comp_slack[0]))
+    return inner_inf_v_batch(p[None, :], np.array([float(h_gen)]), cset,
+                             alpha, bot_symbol=bot_symbol).row(0)
 
 
 def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
@@ -341,32 +371,57 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     # polish with an exact-penalty simplex descent; the L1 penalty weight only
     # needs to exceed the active multipliers, and feasible iterates are scored
     # without it, so the result can only move down toward the constrained
-    # minimum from the primal side.
+    # minimum from the primal side. Mass off supp(p) scores +inf, so the
+    # descent runs on the support alone, all four starts in lockstep.
     mu = 1e4
+    supp = p > 0.0
 
-    def penalized(x):
-        v = _softmax(x)
-        raw = float(batch_vals(v[None, :])[0])
-        viol = cset.violations(v)
-        pen = float(np.maximum(viol, 0.0).sum()) if viol.size else 0.0
-        return raw + mu * pen
+    def on_support(xs):
+        v = np.zeros((len(xs), p.size))
+        v[:, supp] = _softmax(xs)
+        return v
 
-    starts = [np.log(np.maximum(grid[int(j)], 1e-7)) for j in order[:3]]
-    starts.append(np.log(np.maximum(p, 1e-7)))
-    for start in starts:
-        x, _, _ = nelder_mead(penalized, start, scale=1.0, tol=1e-13,
-                              max_iter=2500)
-        x, _, _ = nelder_mead(penalized, x, scale=0.01, tol=1e-14,
-                              max_iter=2500)
-        v = _softmax(x)
-        if cset.contains(v, tol=1e-9):
-            best_val = min(best_val, float(batch_vals(v[None, :])[0]))
+    def penalized(xs):
+        v = on_support(xs)
+        pen = np.maximum(cset.violations(v), 0.0).sum(axis=1)
+        return batch_vals(v) + mu * pen
+
+    starts = [np.log(np.maximum(grid[int(j)][supp], 1e-7)) for j in order[:3]]
+    starts.append(np.log(np.maximum(p[supp], 1e-7)))
+    runs = nelder_mead_batch(penalized, starts, scale=1.0, tol=1e-13,
+                             max_iter=2500)
+    runs = nelder_mead_batch(penalized, [x for x, _, _ in runs], scale=0.01,
+                             tol=1e-14, max_iter=2500)
+    v = on_support(np.array([x for x, _, _ in runs]))
+    for vi, val in zip(v, batch_vals(v)):
+        if cset.contains(vi, tol=1e-9):
+            best_val = min(best_val, float(val))
     return best_val
 
 
 # ---------------------------------------------------------------------------
 # strategy-level quantities
 # ---------------------------------------------------------------------------
+
+def _round_solutions(table: ResponseTable, proto: SamplingProtocol,
+                     cset: ConstraintSet, alpha: float) -> InnerSolution:
+    """The certified single-round solve of a stack of response tables.
+
+    ``table`` holds ``p[m, a, b]`` and Eve's blocks in the protocol's
+    outcome and setting order. Each row's p_C is read off p through the
+    score map, and its generation entropy H_alpha(A | B^up E^down) is taken
+    on the stacked Eve blocks at the generation law p_gen(b) p(a|b).
+    """
+    p = np.where(table.p > 0.0, table.p, 0.0)
+    h_gen = entropy.h_partial_stack(proto.p_gen * p, table.cond, alpha)
+    return inner_inf_v_batch(proto.score_law(p), h_gen, cset, alpha)
+
+
+def _check_score_alphabet(cset: ConstraintSet, proto: SamplingProtocol):
+    if tuple(cset.alphabet) != tuple(proto.c_alphabet):
+        raise AlphabetMismatchError("constraint alphabet differs from the "
+                                    "protocol score alphabet")
+
 
 def gen_round_entropy(strategy: TwoQubitStrategy, p_gen, alpha: float,
                       settings: str = "pairs", outputs: str = "alice") -> float:
@@ -385,17 +440,47 @@ def strategy_gen_state(strategy: TwoQubitStrategy, p_gen,
 def single_round_h(strategy: TwoQubitStrategy, proto: SamplingProtocol,
                    cset: ConstraintSet, alpha: float,
                    outputs: str = "alice") -> InnerSolution:
-    """Rate contribution of one fixed strategy (upper bounds the infimum)."""
+    """Rate contribution of one fixed strategy (upper bounds the infimum).
+
+    The strategy-stack solve on a stack of one; raises ``InfeasibleError``
+    when the constraint set cannot be met under the strategy's p_C.
+    """
     alpha = check_alpha(alpha)
-    if tuple(cset.alphabet) != tuple(proto.c_alphabet):
-        raise AlphabetMismatchError("constraint alphabet differs from the "
-                                    "protocol score alphabet")
-    ch = build_sampling_channel(strategy, proto, outputs=outputs)
-    p_c = ch.p_c()
-    h_gen = gen_round_entropy(strategy, proto.p_gen, alpha,
-                              settings="pairs" if len(str(proto.settings[0])) > 1
-                              else "alice", outputs=outputs)
-    return inner_inf_v(p_c, h_gen, cset, alpha)
+    _check_score_alphabet(cset, proto)
+    t = strategy.response_table(proto.settings,
+                                outputs=outputs).in_protocol_order(proto)
+    table = ResponseTable(t.outcomes, t.p[None], t.cond[None])
+    return _round_solutions(table, proto, cset, alpha).row(0)
+
+
+def rate_objective(proto: SamplingProtocol, cset: ConstraintSet, alpha: float,
+                   n_a: int = 2, n_b: int = 2, outputs: str = "alice",
+                   bell: tuple | None = None):
+    """The strategy search's objective on stacks of parameter rows.
+
+    Returns ``f(params) -> values``, shape (m, 1 + n_a + n_b) -> (m,): the
+    single-round rate of ``TwoQubitStrategy.from_params`` of each row, 1e6
+    where its constraint set cannot be met, plus the quadratic Bell penalty
+    50 gap^2 + gap when ``bell = (functional, threshold)`` is given and the
+    row's Bell value falls short by gap > 0.
+    """
+    alpha = check_alpha(alpha)
+    _check_score_alphabet(cset, proto)
+
+    def objective(params):
+        x, meas_a, meas_b = params_stack(params, n_a, n_b)
+        table = response_stack(x, meas_a, meas_b, proto.settings,
+                               outputs=outputs).in_protocol_order(proto)
+        sol = _round_solutions(table, proto, cset, alpha)
+        vals = np.where(sol.feasible, sol.value, 1e6)
+        if bell is not None:
+            functional, threshold = bell
+            rho = x @ np.swapaxes(x.conj(), -1, -2)
+            gap = threshold - bell_values(rho, meas_a, meas_b, functional)
+            vals = np.where(sol.feasible & (gap > 0.0),
+                            vals + (50.0 * gap * gap + gap), vals)
+        return vals
+    return objective
 
 
 def finite_size_bound(n: int, h_alpha: float, p_omega: float,
@@ -453,36 +538,26 @@ def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,
     """Heuristic minimization of the single-round rate over two-qubit strategies.
 
     ``bell`` optionally pins the search to strategies with a Bell value at
-    least the given (functional, threshold) via a quadratic penalty.
-    Deterministic under ``seed``; more restarts never increase the value.
+    least the given (functional, threshold) via a quadratic penalty. All
+    restarts descend in lockstep on ``rate_objective``, one stacked call per
+    tick. Deterministic under ``seed``; more restarts never increase the
+    value.
     """
     alpha = check_alpha(alpha)
     if restarts < 1:
         raise BadProbabilityError("need at least one restart")
     cset.check_nonempty()
-    dim = 1 + n_a + n_b
-
-    def objective(params):
-        try:
-            s = TwoQubitStrategy.from_params(params, n_a, n_b)
-            sol = single_round_h(s, proto, cset, alpha, outputs=outputs)
-            val = sol.value
-        except InfeasibleError:
-            return 1e6
-        if bell is not None:
-            functional, threshold = bell
-            gap = threshold - bell_value(
-                TwoQubitStrategy.from_params(params, n_a, n_b), functional)
-            if gap > 0.0:
-                val += 50.0 * gap * gap + gap
-        return val
-
-    best_params, best_val = None, INF
+    objective = rate_objective(proto, cset, alpha, n_a=n_a, n_b=n_b,
+                               outputs=outputs, bell=bell)
+    starts = []
     for i in range(restarts):
         rng = rng_from((int(seed), i))
-        x0 = np.concatenate([[rng.uniform(0.0, math.pi / 4)],
-                             rng.uniform(-math.pi, math.pi, size=n_a + n_b)])
-        x, val, _ = nelder_mead(objective, x0, scale=0.3, max_iter=max_iter)
+        starts.append(np.concatenate(
+            [[rng.uniform(0.0, math.pi / 4)],
+             rng.uniform(-math.pi, math.pi, size=n_a + n_b)]))
+    best_params, best_val = None, INF
+    for x, val, _ in nelder_mead_batch(objective, starts, scale=0.3,
+                                       max_iter=max_iter):
         if val < best_val:
             best_val, best_params = val, x
     s = TwoQubitStrategy.from_params(best_params, n_a, n_b)

@@ -497,9 +497,26 @@ def _per_b_down(state: CqState, a_names, up_name: str, alpha: float):
     terms = np.moveaxis(_block_terms(*_down_blocks(state, a_names), alpha), axis, 0)
     pb = np.moveaxis(state.weights, axis, 0).reshape(len(terms), -1).sum(axis=1)
     live = pb > 0.0
-    # the terms of the state given b are these terms minus log2 p(b)
-    per_b = _log2sumexp2(terms[live].reshape(int(live.sum()), -1), axis=1)
-    return pb[live], -(per_b - np.log2(pb[live])) / (alpha - 1.0)
+    return pb[live], _given_b(terms[live].reshape(int(live.sum()), -1),
+                              pb[live], alpha)
+
+
+def _given_b(terms, pb, alpha: float) -> np.ndarray:
+    """H_down(A | rest)_{|b} from the block terms ``(..., b, j)`` of each b
+    and p(b) ``(..., b)``: the terms of the state given b are these terms
+    minus log2 p(b). It is 0 where p(b) = 0."""
+    live = pb > 0.0
+    per_b = _log2sumexp2(np.where(live[..., None], terms, 0.0), axis=-1)
+    lpb = np.log2(np.where(live, pb, 1.0))
+    return np.where(live, -(per_b - lpb) / (alpha - 1.0), 0.0)
+
+
+def _partial_from_b(pb, hb, alpha: float):
+    """H_alpha(A | B^up rest^down) from p(b) and h_b over the last axis:
+    alpha/(1-alpha) log2 sum_b p(b) 2^{(1-alpha)/alpha h_b}; a b with
+    p(b) = 0 drops out."""
+    k = (1.0 - alpha) / alpha
+    return (alpha / (1.0 - alpha)) * _log2sumexp2(_log2(pb) + k * hb, axis=-1)
 
 
 def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
@@ -510,9 +527,29 @@ def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
     states.
     """
     alpha = check_alpha(alpha)
-    pb, hb = _per_b_down(state, a_names, up_name, alpha)
-    k = (1.0 - alpha) / alpha
-    return (alpha / (1.0 - alpha)) * float(_log2sumexp2(np.log2(pb) + k * hb))
+    return float(_partial_from_b(*_per_b_down(state, a_names, up_name, alpha),
+                                 alpha))
+
+
+def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
+    """H_alpha(A | B^up E^down) of each state in a stack of cq states.
+
+    Row i is the state sum_ab w[i, a, b] |ab><ab| x conds[i, a, b] with
+    classical A and B and a quantum E; ``w`` has shape (m, n_a, n_b) and
+    ``conds`` (m, n_a, n_b, d, d). This is ``h_partial(state, ["A"], "B",
+    alpha)`` for every row at once: block (a, b) is referred to E's
+    marginal given b, sum_a p(a|b) conds[a, b].
+    """
+    alpha = check_alpha(alpha)
+    w = np.asarray(w, dtype=float)
+    conds = np.asarray(conds, dtype=complex)
+    pb = w.sum(axis=1)
+    given = np.divide(w, pb[:, None], out=np.zeros_like(w),
+                      where=pb[:, None] > 0.0)
+    sigma = (given[..., None, None] * conds).sum(axis=1)
+    terms = _block_terms(w, conds, pb[:, None], sigma[:, None], alpha)
+    hb = _given_b(np.swapaxes(terms, 1, 2), pb, alpha)
+    return _partial_from_b(pb, hb, alpha)
 
 
 def optimal_q(r, alpha: float) -> np.ndarray:

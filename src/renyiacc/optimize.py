@@ -36,9 +36,14 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
     return x, f(x)
 
 
-def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
-                max_iter: int = 2000):
-    """Plain Nelder-Mead minimization; returns (x_best, f_best, evals)."""
+def _nelder_mead_steps(x0, scale: float, tol: float, max_iter: int):
+    """Nelder-Mead as a step generator: yields a list of points, is sent
+    their values, and returns (x_best, f_best, evals).
+
+    It asks for n + 1 points at the start, 1 to reflect, expand or contract
+    and n to shrink. A simplex whose best and worst values are equal
+    (infinite ones included) has converged.
+    """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     pts = [x0.copy()]
@@ -46,25 +51,26 @@ def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
         p = x0.copy()
         p[i] += scale if p[i] == 0.0 else scale * max(abs(p[i]), 1.0)
         pts.append(p)
-    vals = [f(p) for p in pts]
+    vals = list((yield pts))
     evals = n + 1
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     for _ in range(max_iter):
         order = np.argsort(vals)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        if abs(vals[-1] - vals[0]) < tol * (abs(vals[0]) + tol):
+        if vals[-1] == vals[0] or \
+                abs(vals[-1] - vals[0]) < tol * (abs(vals[0]) + tol):
             break
         centroid = np.mean(pts[:-1], axis=0)
         refl = centroid + alpha * (centroid - pts[-1])
-        f_refl = f(refl)
+        f_refl = (yield [refl])[0]
         evals += 1
         if vals[0] <= f_refl < vals[-2]:
             pts[-1], vals[-1] = refl, f_refl
             continue
         if f_refl < vals[0]:
             expd = centroid + gamma * (refl - centroid)
-            f_exp = f(expd)
+            f_exp = (yield [expd])[0]
             evals += 1
             if f_exp < f_refl:
                 pts[-1], vals[-1] = expd, f_exp
@@ -72,17 +78,57 @@ def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
                 pts[-1], vals[-1] = refl, f_refl
             continue
         contr = centroid + rho * (pts[-1] - centroid)
-        f_con = f(contr)
+        f_con = (yield [contr])[0]
         evals += 1
         if f_con < vals[-1]:
             pts[-1], vals[-1] = contr, f_con
             continue
         for i in range(1, n + 1):
             pts[i] = pts[0] + sigma * (pts[i] - pts[0])
-            vals[i] = f(pts[i])
+        vals[1:] = (yield pts[1:])
         evals += n
     best = int(np.argmin(vals))
     return pts[best], vals[best], evals
+
+
+def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
+                max_iter: int = 2000):
+    """Plain Nelder-Mead minimization; returns (x_best, f_best, evals)."""
+    steps = _nelder_mead_steps(x0, scale, tol, max_iter)
+    pts = next(steps)
+    while True:
+        try:
+            pts = steps.send([f(p) for p in pts])
+        except StopIteration as stop:
+            return stop.value
+
+
+def nelder_mead_batch(fbatch, x0s, scale: float = 0.25, tol: float = 1e-10,
+                      max_iter: int = 2000) -> list:
+    """Nelder-Mead from each start in ``x0s``, all simplices in lockstep.
+
+    Every tick stacks the points the live simplices ask for and scores them
+    in one call ``fbatch(points) -> values``, shape (m, n) -> (m,). A simplex
+    takes the same decisions it would take alone, so a row-exact ``fbatch``
+    gives what ``nelder_mead`` gives per start. Returns one
+    (x_best, f_best, evals) per start, in order.
+    """
+    runs = [_nelder_mead_steps(x0, scale, tol, max_iter) for x0 in x0s]
+    asks = [next(run) for run in runs]
+    out = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        vals = fbatch(np.array([x for i in live for x in asks[i]]))
+        at = 0
+        for i in live:
+            m = len(asks[i])
+            try:
+                asks[i] = runs[i].send(vals[at:at + m])
+            except StopIteration as stop:
+                out[i] = stop.value
+            at += m
+        live = [i for i in live if out[i] is None]
+    return out
 
 
 _GRIDS: dict[tuple[int, int], np.ndarray] = {}

@@ -12,6 +12,7 @@ order of the dense embedding produced by :meth:`CqState.to_density`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +49,13 @@ def _partial_trace(x: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not in ``keep``; kept ones come out in ``keep`` order."""
     lead = x.shape[:-2]
     b, k = len(lead), len(dims)
-    t = x.reshape(lead + tuple(dims) * 2)
-    drop = sorted(i for i in range(k) if i not in keep)
-    for off, i in enumerate(drop):
-        ax = b + i - off
-        t = np.trace(t, axis1=ax, axis2=ax + (k - off))
-    # axes now ordered by increasing original index; permute to keep-order
-    remaining = sorted(keep)
-    perm = [b + remaining.index(i) for i in keep]
-    t = t.transpose(list(range(b)) + perm + [len(keep) + j for j in perm])
-    d = int(np.prod([dims[i] for i in keep], initial=1))
+    # one einsum: a traced-out subsystem shares its row and column index
+    batch = list(range(b))
+    cols = [b + k + i if i in keep else b + i for i in range(k)]
+    t = np.einsum(x.reshape(lead + tuple(dims) * 2),
+                  batch + list(range(b, b + k)) + cols,
+                  batch + [b + i for i in keep] + [b + k + i for i in keep])
+    d = math.prod(dims[i] for i in keep)
     return t.reshape(lead + (d, d))
 
 

@@ -665,7 +665,11 @@ def _round_rate_min(proto: SamplingProtocol, k_marg: np.ndarray,
 
     res = {2: 48, 3: 20, 4: 12}.get(r_dim, 10)
     grid = simplex_grid(r_dim, res)
-    vals = inner_inf_v_batch(*score_law(grid), cset, alpha).value
+    sol = inner_inf_v_batch(*score_law(grid), cset, alpha)
+    if not sol.feasible.all():
+        raise InfeasibleError("constraint set unreachable for some memory "
+                              "state of the attack")
+    vals = sol.value
     best = int(np.argmin(vals))
     best_val = float(vals[best])
     if r_dim > 1:
@@ -704,13 +708,12 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
     # joint over (e, t1, b1, a1, t2, b2, a2), memories summed
     s1 = np.einsum("re,t,tb,rbaq->etbaq", attack.initial, pt, pb_t, k1)
     joint = np.einsum("etbaq,s,sc,qcdw->etbascd", s1, pt, pb_t, k2)
-    freq_member = np.zeros((2, n_b, n_a, 2, n_b, n_a), dtype=bool)
-    for t1, b1, a1, t2, b2, a2 in itertools.product(
-            range(2), range(n_b), range(n_a), range(2), range(n_b), range(n_a)):
-        f = np.zeros(n_c)
-        f[c_of[t1, b1, a1]] += 0.5
-        f[c_of[t2, b2, a2]] += 0.5
-        freq_member[t1, b1, a1, t2, b2, a2] = cset.contains(f, tol=1e-12)
+    # score frequency of rounds (t1, b1, a1) and (t2, b2, a2): half a count
+    # on each round's symbol; all of them tested against the set at once
+    onehot = np.eye(n_c)[c_of]
+    freq = 0.5 * (onehot[:, :, :, None, None, None] + onehot)
+    freq_member = (cset.violations(freq.reshape(-1, n_c)) <= 1e-12).all(
+        axis=1).reshape(freq.shape[:-1])
     mask = freq_member[None, ...]
     p_omega = float(joint[np.broadcast_to(mask, joint.shape)].sum())
     p_omega = 1.0 if p_omega > 1.0 - 1e-12 else p_omega

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from renyiacc import entropy as ent
 from renyiacc.channel import (
     BOT,
+    BellFunctional,
     SamplingProtocol,
     TwoQubitStrategy,
+    bell_value,
     build_sampling_channel,
 )
 from renyiacc.eatrate import (
@@ -20,6 +23,7 @@ from renyiacc.eatrate import (
     inner_inf_v_batch,
     inner_inf_v_grid,
     optimize_strategy,
+    rate_objective,
     single_round_h,
     strategy_gen_state,
 )
@@ -447,3 +451,112 @@ class TestAsymptotics:
         assert 0.98 <= vals[-1] <= 1.0 + 1e-9
         assert rows[-1].kl_term < 1e-3
         assert abs(rows[-1].target_vn - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the strategy-stack objective and the masked batch solve
+# ---------------------------------------------------------------------------
+
+def parity_protocol(gamma=0.3):
+    """Pair outputs scored by their parity; generation on two of four pairs."""
+    outs = ("00", "01", "10", "11")
+    setts = tuple(f"{x}{y}" for x in range(2) for y in range(2))
+    score = {(a, b): str(int(a[0]) ^ int(a[1])) for a in outs for b in setts}
+    return SamplingProtocol(gamma=gamma, outcomes=outs, settings=setts,
+                            p_gen=[0.7, 0.0, 0.3, 0.0], p_test=[0.25] * 4,
+                            score=score, d=1)
+
+
+class TestStrategyBatch:
+    def test_objective_rows_match_single_round_h(self):
+        proto = parity_protocol()
+        cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.05)
+        chsh = BellFunctional.chsh()
+        rng = rng_from(44)
+        params = np.concatenate([rng.uniform(0, math.pi / 4, (7, 1)),
+                                 rng.uniform(-math.pi, math.pi, (7, 4))],
+                                axis=1)
+        # a product state measured along z: a = b = 0, so parity "1" never
+        # occurs and the bound on it cannot be met
+        params[3] = 0.0
+        for alpha in (1.5, 2.0):
+            vals = rate_objective(proto, cset, alpha, outputs="pair",
+                                  bell=(chsh, 2.5))(params)
+            assert vals.shape == (7,)
+            for i, row in enumerate(params):
+                s = TwoQubitStrategy.from_params(row, 2, 2)
+                try:
+                    want = single_round_h(s, proto, cset, alpha,
+                                          outputs="pair").value
+                except InfeasibleError:
+                    assert i == 3
+                    assert vals[i] == 1e6
+                    continue
+                gap = 2.5 - bell_value(s, chsh)
+                if gap > 0.0:
+                    want += 50.0 * gap * gap + gap
+                assert abs(vals[i] - want) < 1e-12
+            assert (vals[[0, 1, 2, 4, 5, 6]] < 1e6).all()
+
+    def test_objective_is_row_independent(self):
+        proto = alice_protocol(0.1)
+        cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.02)
+        f = rate_objective(proto, cset, 2.0)
+        rng = rng_from(45)
+        params = rng.uniform(-2, 2, (5, 5))
+        vals = f(params)
+        for i in range(5):
+            assert abs(f(params[i:i + 1])[0] - vals[i]) < 1e-12
+
+    def test_masked_batch_feasible_rows_equal_lone_solves(self):
+        cs = ConstraintSet.min_mass(ALPHABET, "1", 0.3)
+        p = np.array([
+            [0.05, 0.05, 0.90],
+            [0.50, 0.00, 0.50],   # symbol 1 unsupported: cannot be met
+            [0.20, 0.50, 0.30],
+            [0.70, 0.00, 0.30],   # likewise
+            [0.00, 0.20, 0.80],
+        ])
+        h = np.array([0.5, 0.4, 1.1, 0.2, 0.7])
+        for alpha in (1.5, 3.0):
+            batch = inner_inf_v_batch(p, h, cs, alpha)
+            assert batch.feasible.tolist() == [True, False, True, False, True]
+            assert np.isinf(batch.value[[1, 3]]).all()
+            for i in (0, 2, 4):
+                one = inner_inf_v(p[i], h[i], cs, alpha)
+                assert abs(batch.value[i] - one.value) < 1e-12
+                assert np.abs(batch.v_star[i] - one.v_star).max() < 1e-12
+                assert np.abs(batch.lam[i] - one.lam).max() < 1e-12
+                assert abs(batch.kkt_residual[i] - one.kkt_residual) < 1e-12
+            for i in (1, 3):
+                with pytest.raises(InfeasibleError):
+                    inner_inf_v(p[i], h[i], cs, alpha)
+                with pytest.raises(InfeasibleError):
+                    batch.row(i)
+
+    def test_masked_batch_unbounded_multiplier(self):
+        # no distribution has v(1) >= 1.2: every multiplier runs away
+        cs = ConstraintSet.min_mass(ALPHABET, "1", 1.2)
+        p = np.array([[0.05, 0.05, 0.9], [0.3, 0.3, 0.4]])
+        batch = inner_inf_v_batch(p, np.array([0.5, 0.1]), cs, 2.0)
+        assert not batch.feasible.any()
+
+    def test_single_round_h_infeasible_raises(self):
+        proto = parity_protocol()
+        cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.05)
+        s = TwoQubitStrategy.from_params(np.zeros(5), 2, 2)
+        with pytest.raises(InfeasibleError):
+            single_round_h(s, proto, cset, 2.0, outputs="pair")
+
+
+def test_grid_oracle_polishes_on_the_support():
+    # p_C(1) = 0: the polish runs on {0, bot}, where the constrained minimum
+    # lies between grid points
+    p = np.array([0.5, 0.0, 0.5])
+    cs = ConstraintSet.min_mass(ALPHABET, "0", 0.2)
+    for h, alpha in ((1.0, 1.5), (0.4, 2.0), (0.1, 3.0)):
+        sol = inner_inf_v(p, h, cs, alpha)
+        start = time.perf_counter()
+        grid = inner_inf_v_grid(p, h, cs, alpha, resolution=100)
+        assert time.perf_counter() - start < 1.0
+        assert abs(grid - sol.value) < 1e-5

@@ -8,7 +8,9 @@ Both sides must agree to 1e-12 on seeded states with classical and quantum
 A, classical-only, quantum-only and mixed conditioning, a zero and a
 sub-WEIGHT_TOL weight, a support violation and ``strategy_to_cq`` states.
 The stacked H_up kernel must also match its own lone calls row by row, and
-its Frank-Wolfe upper bound must bracket the value.
+its Frank-Wolfe upper bound must bracket the value; the stacked
+generation-round entropy ``h_partial_stack`` must match ``h_partial`` of
+each row's state.
 """
 
 import math
@@ -377,6 +379,29 @@ def test_support_violation_is_infinite_on_both_sides():
         assert close(hb[1], ref[1][1])
         # the per-outcome sum gave nan here; the optimum is -inf
         assert ent.h_partial(st, ["X"], "B", alpha) == -INF
+
+
+@pytest.mark.parametrize("outputs", ("alice", "pair"))
+@pytest.mark.parametrize("rank", (1, 2, 4))
+def test_h_partial_stack_rows_match_h_partial(rank, outputs):
+    # stacked rows of strategy states of one Eve dimension, with a setting
+    # of zero weight, against h_partial of each state built by strategy_to_cq
+    rng = rng_from((75, rank))
+    strategies = [TwoQubitStrategy(random_density((2, 2), rng, rank=rank),
+                                   tuple(map(tuple, rng.uniform(-3, 3, (2, 2)))),
+                                   tuple(map(tuple, rng.uniform(-3, 3, (2, 2)))))
+                  for _ in range(3)]
+    p_b = np.array([0.5, 0.0, 0.2, 0.3])
+    tables = [s.response_table(s.setting_labels("pairs"), outputs=outputs)
+              for s in strategies]
+    w = np.stack([p_b * t.p for t in tables])
+    conds = np.stack([t.cond for t in tables])
+    for alpha in ALPHAS:
+        got = ent.h_partial_stack(w, conds, alpha)
+        assert got.shape == (3,)
+        for s, h in zip(strategies, got):
+            st = strategy_to_cq(s, p_b, outputs=outputs)
+            assert close(h, ent.h_partial(st, ["A"], "B", alpha))
 
 
 def cq_pair(seed, case="plain"):

@@ -5,7 +5,12 @@ import pytest
 
 from renyiacc import optimize
 from renyiacc.errors import BadShapeError
-from renyiacc.optimize import concave_simplex_max, simplex_grid
+from renyiacc.optimize import (
+    concave_simplex_max,
+    nelder_mead,
+    nelder_mead_batch,
+    simplex_grid,
+)
 
 GRID_CASES = [(k, r) for k in range(1, 6) for r in (1, 2, 5, 8, 12)] + [
     (2, 48), (3, 20), (3, 64), (4, 40), (5, 10)]
@@ -93,3 +98,87 @@ def test_concave_simplex_max_out_of_rounds_reports_inf():
     res = concave_simplex_max(f, 3)
     assert res.value < 1.0 - 1e-7
     assert res.certificate == math.inf
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead: one simplex and lockstep simplices
+# ---------------------------------------------------------------------------
+
+def rosenbrock_rows(xs):
+    """Row-exact: elementwise per row, +inf where the first coordinate > 5."""
+    xs = np.asarray(xs, dtype=float)
+    val = ((1.0 - xs[:, :-1]) ** 2
+           + 100.0 * (xs[:, 1:] - xs[:, :-1] ** 2) ** 2).sum(axis=1)
+    return np.where(xs[:, 0] > 5.0, math.inf, val)
+
+
+def rosenbrock(x):
+    return rosenbrock_rows(np.asarray(x)[None, :])[0]
+
+
+NM_STARTS = [
+    [1.001, 0.999, 1.002],   # near the minimum: converges early
+    [-1.2, 1.0, 0.5],        # far: runs into the iteration cap below
+    [9.0, 9.0, 9.0],         # an all-infinite simplex: stops at once
+    [0.3, -0.4, 2.0],
+    [1.5, 2.2, 4.9],
+]
+
+
+@pytest.mark.parametrize("max_iter", [150, 2000])
+def test_nelder_mead_batch_rows_equal_lone_runs(max_iter):
+    runs = nelder_mead_batch(rosenbrock_rows, NM_STARTS, scale=0.3,
+                             max_iter=max_iter)
+    assert len(runs) == len(NM_STARTS)
+    for start, (x, f, evals) in zip(NM_STARTS, runs):
+        x1, f1, evals1 = nelder_mead(rosenbrock, start, scale=0.3,
+                                     max_iter=max_iter)
+        assert np.array_equal(x, x1)
+        assert f == f1
+        assert evals == evals1
+    evals = [e for _, _, e in runs]
+    assert len(set(evals)) >= 3  # the rows stop at different ticks
+    assert evals[2] == 4
+
+
+def test_nelder_mead_batch_mixes_capped_and_converged_rows():
+    capped = nelder_mead_batch(rosenbrock_rows, NM_STARTS, scale=0.3,
+                               max_iter=150)
+    free = nelder_mead_batch(rosenbrock_rows, NM_STARTS, scale=0.3,
+                             max_iter=2000)
+    # the near start converges under the cap, the far one is stopped by it
+    assert capped[0][2] == free[0][2]
+    assert capped[1][2] < free[1][2]
+    assert free[1][1] < capped[1][1]
+
+
+def test_nelder_mead_batch_one_call_per_tick():
+    sizes = []
+
+    def fbatch(xs):
+        sizes.append(len(xs))
+        return rosenbrock_rows(xs)
+
+    runs = nelder_mead_batch(fbatch, NM_STARTS[:2], scale=0.3, max_iter=50)
+    assert sizes[0] == 2 * 4  # n + 1 points per simplex at the start
+    assert sum(sizes) == sum(e for _, _, e in runs)
+
+
+def test_nelder_mead_all_infinite_simplex_stops_after_first_tick():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.inf
+
+    x, val, evals = nelder_mead(f, np.zeros(3))
+    assert val == math.inf and evals == 4 and len(calls) == 4
+    ticks = []
+
+    def fbatch(xs):
+        ticks.append(len(xs))
+        return np.full(len(xs), math.inf)
+
+    runs = nelder_mead_batch(fbatch, [np.zeros(3), np.ones(3)])
+    assert ticks == [8]
+    assert [e for _, _, e in runs] == [4, 4]

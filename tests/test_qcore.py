@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,7 @@ from renyiacc.qcore import (
     tensor,
     trace_distance,
 )
+from renyiacc.qcore.states import _partial_trace
 from qcore_reference import jacobi_hermitian_eig, random_instance
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
@@ -311,3 +315,55 @@ def test_creg_qreg_validation():
         CqState([creg("X", (0, 1)), creg("X", (0, 1))], np.ones((2, 2)) / 4)
     r = qreg("E", 3)
     assert not r.is_classical and r.size == 3
+
+
+# ---------------------------------------------------------------------------
+# the partial-trace kernel against the per-subsystem loop it replaced
+# ---------------------------------------------------------------------------
+
+def loop_partial_trace(x, dims, keep):
+    """One np.trace per traced-out subsystem, then a transpose to ``keep``
+    order: the kernel before it became one einsum."""
+    lead = x.shape[:-2]
+    b, k = len(lead), len(dims)
+    t = x.reshape(lead + tuple(dims) * 2)
+    drop = sorted(i for i in range(k) if i not in keep)
+    for off, i in enumerate(drop):
+        ax = b + i - off
+        t = np.trace(t, axis1=ax, axis2=ax + (k - off))
+    remaining = sorted(keep)
+    perm = [b + remaining.index(i) for i in keep]
+    t = t.transpose(list(range(b)) + perm + [len(keep) + j for j in perm])
+    d = int(np.prod([dims[i] for i in keep], initial=1))
+    return t.reshape(lead + (d, d))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partial_trace_kernel_matches_loop(seed):
+    rng = np.random.default_rng([77, seed])
+    k = 1 + seed % 4
+    dims = tuple(int(d) for d in rng.integers(1, 5 if k < 4 else 4, size=k))
+    lead = tuple(int(n) for n in rng.integers(1, 4, size=seed % 3))
+    dim = math.prod(dims)
+    x = (rng.normal(size=lead + (dim, dim))
+         + 1j * rng.normal(size=lead + (dim, dim)))
+    eps = np.finfo(float).eps
+    for r in range(k + 1):
+        for keep in itertools.permutations(range(k), r):
+            got = _partial_trace(x, dims, list(keep))
+            want = loop_partial_trace(x, dims, list(keep))
+            assert got.shape == want.shape
+            traced = math.prod(d for i, d in enumerate(dims) if i not in keep)
+            nontrivial = sum(1 for i, d in enumerate(dims)
+                             if i not in keep and d > 1)
+            kept = math.prod(dims[i] for i in keep)
+            if nontrivial == 0 or (nontrivial == 1 and kept > 1):
+                # the same terms summed in the same order
+                assert np.array_equal(got, want)
+            else:
+                # one pass over the traced indices instead of nested sums:
+                # both are within (traced - 1) eps sum|x| of the exact trace
+                scale = loop_partial_trace(np.abs(x), dims, list(keep)).real
+                bound = 2.0 * max(traced - 1, 1) * eps * scale
+                assert (np.abs(got.real - want.real) <= bound).all()
+                assert (np.abs(got.imag - want.imag) <= bound).all()
