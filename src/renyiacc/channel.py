@@ -29,14 +29,18 @@ from .qcore import (
     CqState,
     DensityOperator,
     creg,
+    density_from_dict,
+    density_to_dict,
     embed,
     matrix_power,
     qreg,
+    random_density,
     rng_from,
     support_contained,
     tensor,
     trace_distance,
 )
+from .qcore.serialize import matrix_to_json
 from .qcore.states import _apply_kraus, _purification
 
 BOT = "⊥"
@@ -143,7 +147,6 @@ class CPMapFamily:
                     raise AlphabetMismatchError(f"missing map for ({a!r}, {b!r})")
 
     def validate(self, seed=0, trials: int = 3, tol: float = 1e-9) -> "CPMapFamily":
-        from .qcore import random_density
         rng = rng_from(seed)
         any_map = next(iter(self.maps.values()))
         din = int(np.prod(any_map.in_dims, initial=1))
@@ -195,18 +198,27 @@ class SamplingProtocol:
                     or p.min() < -1e-12:
                 raise AlphabetMismatchError(f"{name} is not a distribution on B")
             object.__setattr__(self, name, p)
-        want = set("".join(t) for t in itertools.product("01", repeat=self.d))
-        for a in self.outcomes:
-            for b in self.settings:
+        bits = score_alphabet(self.d)[:-1]
+        scored = np.empty((len(self.outcomes), len(self.settings)), dtype=int)
+        for ia, a in enumerate(self.outcomes):
+            for ib, b in enumerate(self.settings):
                 if (a, b) not in self.score:
                     raise AlphabetMismatchError(f"score missing ({a!r}, {b!r})")
-                if self.score[(a, b)] not in want:
+                if self.score[(a, b)] not in bits:
                     raise AlphabetMismatchError(
                         f"score value {self.score[(a, b)]!r} not a {self.d}-bit string")
+                scored[ia, ib] = bits.index(self.score[(a, b)])
+        scored.flags.writeable = False
+        object.__setattr__(self, "_scored", scored)
 
     @property
     def c_alphabet(self) -> tuple:
         return score_alphabet(self.d)
+
+    @property
+    def scored(self) -> np.ndarray:
+        """``c_alphabet`` index of score(a, b), as an ``(n_a, n_b)`` array."""
+        return self._scored
 
     def score_law(self, p_ab) -> np.ndarray:
         """Score distributions p_C of outcome laws ``p_ab[..., a, b]``.
@@ -215,14 +227,10 @@ class SamplingProtocol:
         gets 1 - gamma, and score(a, b) gets gamma p_test(b) p(a|b).
         """
         p = np.asarray(p_ab, dtype=float)
-        c_of = self.c_alphabet.index
-        scored = [c_of(self.score[(a, b)]) for a in self.outcomes
-                  for b in self.settings]
-        onehot = np.zeros((len(scored), len(self.c_alphabet)))
-        onehot[np.arange(len(scored)), scored] = 1.0
+        onehot = np.eye(len(self.c_alphabet))[self.scored.ravel()]
         tested = self.gamma * self.p_test * p
         out = tested.reshape(p.shape[:-2] + (-1,)) @ onehot
-        out[..., c_of(BOT)] += 1.0 - self.gamma
+        out[..., self.c_alphabet.index(BOT)] += 1.0 - self.gamma
         return out
 
 
@@ -241,12 +249,11 @@ class SamplingChannel:
         self._cond = table.cond
 
     def output_state(self) -> CqState:
-        return _round_state(self.proto, np.where(self._p > 0.0, self._p, 0.0),
-                            self._cond, "E")
+        return _round_state(self.proto, self._p, self._cond, "E")
 
     def p_c(self) -> np.ndarray:
         """Marginal score distribution over the protocol's c alphabet."""
-        return self.proto.score_law(np.where(self._p > 0.0, self._p, 0.0))
+        return self.proto.score_law(self._p)
 
 
 def build_sampling_channel(strategy, proto: SamplingProtocol,
@@ -282,15 +289,13 @@ def _round_state(proto: SamplingProtocol, p_ab: np.ndarray,
             creg("T", (0, 1)), creg("B", proto.settings)]
     if qd > 1:
         regs.append(qreg(q_name, qd))
-    c_of = proto.c_alphabet.index
-    scored = [[c_of(proto.score[(a, b)]) for b in proto.settings]
-              for a in proto.outcomes]
     ia, ib = np.indices((n_a, n_b))
     w = np.zeros((n_a, len(proto.c_alphabet), 2, n_b))
     conds = np.empty(w.shape + (qd, qd), dtype=complex)
     conds[...] = np.eye(qd) / qd
-    for t, (pt, pb, c) in enumerate(((1.0 - proto.gamma, proto.p_gen, c_of(BOT)),
-                                     (proto.gamma, proto.p_test, scored))):
+    bot = proto.c_alphabet.index(BOT)
+    for t, (pt, pb, c) in enumerate(((1.0 - proto.gamma, proto.p_gen, bot),
+                                     (proto.gamma, proto.p_test, proto.scored))):
         w[ia, c, t, ib] = pt * pb * p_ab
         conds[ia, c, t, ib] = blocks if qd > 1 else 1.0
     return CqState(regs, w, conds)
@@ -325,7 +330,6 @@ def check_b_independence(round_channel, trials: int, seed, r_dim: int,
     measures || rho_{B R'} - rho_B x omega_{R'} ||_1 / 2. Returns
     (all_below_tol, worst_deviation).
     """
-    from .qcore import random_density
     rng = rng_from(seed)
     worst = 0.0
     for _ in range(trials):
@@ -610,6 +614,7 @@ def response_stack(x, meas_a, meas_b, setting_labels,
     else:
         raise AlphabetMismatchError(f"unknown outputs mode {outputs!r}")
     p = np.trace(blocks, axis1=-2, axis2=-1).real
+    p = np.where(p > 0.0, p, 0.0)
     live = (p > 1e-15)[..., None, None]
     cond = np.where(live, blocks / np.where(live, p[..., None, None], 1.0),
                     np.eye(d_e) / d_e)
@@ -761,19 +766,17 @@ STRATEGY_SCHEMA = "renyiacc/strategy/v1"
 
 
 def kraus_to_dict(ch: KrausChannel) -> dict:
-    from .qcore.serialize import matrix_to_json
     return {"schema": CHANNEL_SCHEMA, "in": list(ch.in_dims),
             "out": list(ch.out_dims), "cp_only": ch.cp_only,
             "kraus": [matrix_to_json(k) for k in ch.kraus]}
 
 
 def kraus_from_dict(doc: dict) -> KrausChannel:
-    import numpy as _np
-    din = int(_np.prod(doc["in"], initial=1))
-    dout = int(_np.prod(doc["out"], initial=1))
+    din = int(np.prod(doc["in"], initial=1))
+    dout = int(np.prod(doc["out"], initial=1))
     ks = []
     for payload in doc["kraus"]:
-        arr = _np.asarray(payload, dtype=float)
+        arr = np.asarray(payload, dtype=float)
         ks.append((arr[:, 0] + 1j * arr[:, 1]).reshape(dout, din))
     return KrausChannel(tuple(ks), tuple(doc["in"]), tuple(doc["out"]),
                         cp_only=bool(doc.get("cp_only", False)))
@@ -810,7 +813,6 @@ def protocol_from_dict(doc: dict) -> SamplingProtocol:
 
 
 def strategy_to_dict(s: TwoQubitStrategy) -> dict:
-    from .qcore.serialize import density_to_dict
     return {"schema": STRATEGY_SCHEMA, "state": density_to_dict(s.state),
             "measA": [list(m) for m in s.meas_a],
             "measB": [list(m) for m in s.meas_b]}
@@ -822,7 +824,6 @@ def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
     if "schmidt" in doc:
         return TwoQubitStrategy.from_schmidt(float(doc["schmidt"]),
                                              meas_a, meas_b)
-    from .qcore.serialize import density_from_dict
     return TwoQubitStrategy(density_from_dict(doc["state"]), meas_a, meas_b)
 
 

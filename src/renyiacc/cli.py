@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -29,7 +30,7 @@ from .eatrate import (
     compare_entropies,
     optimize_strategy,
 )
-from .errors import RenyiaccError
+from .errors import BadIndexError, RenyiaccError
 from .qcore import load_state
 from .qcore.states import CqState
 from .verify import (
@@ -58,10 +59,11 @@ def _alphas(spec: str):
 
 
 def _positive_int(spec: str) -> int:
-    n = int(spec)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    """A whole number of at least 1; float spellings such as 1e6 pass."""
+    x = float(spec)
+    if not (math.isfinite(x) and x >= 1 and x == int(x)):
+        raise argparse.ArgumentTypeError(f"want a whole number >= 1, got {spec}")
+    return int(x)
 
 
 def _grid(spec: str):
@@ -135,6 +137,10 @@ def cmd_entropy(args) -> int:
     state = load_state(args.state)
     cond = [x for x in args.cond.split(",") if x] if args.cond else []
     names = state.names if isinstance(state, CqState) else state.labels
+    unknown = [n for n in cond if n not in names]
+    if unknown:
+        raise BadIndexError(f"--cond names {unknown} are not registers of "
+                            f"the state {list(names)}")
     a_names = [n for n in names if n not in cond]
     if args.kind == "down":
         val = entropy.h_down(state, a_names, args.alpha)
@@ -209,7 +215,7 @@ def cmd_rate(args) -> int:
     report = optimize_strategy(
         proto, cset, args.alpha, restarts=args.restarts, seed=args.seed,
         n_a=int(doc.get("nA", 2)), n_b=int(doc.get("nB", 2)),
-        outputs=outputs, n=int(args.n), p_omega=args.pomega, bell=bell)
+        outputs=outputs, n=args.n, p_omega=args.pomega, bell=bell)
     print(f"single-round rate (upper bound via best-found attack): "
           f"{report.h_alpha:.6f} bits")
     print(f"finite size: n={report.n} p_omega={report.p_omega} -> "
@@ -232,7 +238,7 @@ def cmd_rate(args) -> int:
                     proto, cset, float(a), restarts=max(args.restarts // 4, 1),
                     seed=args.seed, n_a=int(doc.get("nA", 2)),
                     n_b=int(doc.get("nB", 2)), outputs=outputs,
-                    n=int(args.n), p_omega=args.pomega, bell=bell)
+                    n=args.n, p_omega=args.pomega, bell=bell)
                 w.writerow([a, rep.h_alpha, rep.total_bits])
     return EXIT_OK
 
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="heuristic single-round rate search")
     p.add_argument("--proto", required=True)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--n", type=float, default=1e6)
+    p.add_argument("--n", type=_positive_int, default=10 ** 6)
     p.add_argument("--pomega", type=float, default=0.99)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=_default_seed())

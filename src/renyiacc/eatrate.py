@@ -31,6 +31,7 @@ from .channel import (
     build_sampling_channel,
     params_stack,
     response_stack,
+    strategy_to_cq,
 )
 from .entropy import check_alpha
 from .errors import (
@@ -412,9 +413,8 @@ def _round_solutions(table: ResponseTable, proto: SamplingProtocol,
     score map, and its generation entropy H_alpha(A | B^up E^down) is taken
     on the stacked Eve blocks at the generation law p_gen(b) p(a|b).
     """
-    p = np.where(table.p > 0.0, table.p, 0.0)
-    h_gen = entropy.h_partial_stack(proto.p_gen * p, table.cond, alpha)
-    return inner_inf_v_batch(proto.score_law(p), h_gen, cset, alpha)
+    h_gen = entropy.h_partial_stack(proto.p_gen * table.p, table.cond, alpha)
+    return inner_inf_v_batch(proto.score_law(table.p), h_gen, cset, alpha)
 
 
 def _check_score_alphabet(cset: ConstraintSet, proto: SamplingProtocol):
@@ -432,7 +432,6 @@ def gen_round_entropy(strategy: TwoQubitStrategy, p_gen, alpha: float,
 
 def strategy_gen_state(strategy: TwoQubitStrategy, p_gen,
                        settings: str = "pairs", outputs: str = "alice"):
-    from .channel import strategy_to_cq
     return strategy_to_cq(strategy, np.asarray(p_gen, dtype=float),
                           settings=settings, outputs=outputs)
 
@@ -590,7 +589,6 @@ def compare_entropies(strategy: TwoQubitStrategy, p_b, alphas,
                       settings: str = "pairs",
                       outputs: str = "alice") -> list[ComparisonRow]:
     """Partial-vs-down comparison with the per-setting entropy spread."""
-    from .channel import strategy_to_cq
     state = strategy_to_cq(strategy, np.asarray(p_b, dtype=float),
                            settings=settings, outputs=outputs)
     rows = []

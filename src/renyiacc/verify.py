@@ -11,7 +11,6 @@ against the finite-size bound assembled from certified single-round pieces.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,10 +22,13 @@ from .channel import (
     BOT,
     SamplingProtocol,
     build_read_and_prepare,
+    score_alphabet,
 )
 from .counterexample import P_A1_GIVEN_B1, P_B1, p_a2_given
 from .eatrate import (
     ConstraintSet,
+    _check_score_alphabet,
+    _softmax,
     finite_size_bound,
     inner_inf_v,
     inner_inf_v_batch,
@@ -42,6 +44,8 @@ from .qcore import (
     CqState,
     DensityOperator,
     creg,
+    embed,
+    matrix_power,
     qreg,
     random_cq,
     random_density,
@@ -51,6 +55,7 @@ from .qcore import (
     rng_from,
     trace_distance,
 )
+from .qcore.states import _purification
 
 DEFAULT_ALPHAS = (1.1, 1.5, 2.0, 3.0)
 
@@ -352,7 +357,6 @@ def _random_measure_round(rng, d_r: int, n_a: int, n_c: int, n_b: int):
         blocks = [random_density((d_r,), rng).matrix *
                   float(rng.uniform(0.2, 1.0)) for _ in range(n_a * n_c)]
         total = sum(blocks)
-        from .qcore import matrix_power
         inv = matrix_power(total, -0.5)
         povms.append([inv @ g @ inv for g in blocks])
     return p_b, povms
@@ -431,14 +435,9 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         f_mix = rng.uniform(-0.8, 0.8, size=2)
         omegas = [random_density((d_r,), rng) for _ in range(2)]
         lam = float(rng.uniform(0.1, 0.9))
-        purs = []
-        for om in omegas:
-            w, v = np.linalg.eigh(om.matrix)
-            w = np.clip(w, 0, None)
-            vec = np.zeros(d_r * d_r, dtype=complex)
-            for j in range(d_r):
-                vec += math.sqrt(max(w[j], 0.0)) * np.kron(v[:, j], np.eye(d_r)[j])
-            purs.append(vec)
+        # purifications on (R, E), padded to E of dimension d_r
+        purs = [np.pad(x, ((0, 0), (0, d_r - x.shape[1]))).reshape(-1)
+                for x in (_purification(om.matrix) for om in omegas)]
         h_parts = []
         for vec in purs:
             psi = DensityOperator(np.outer(vec, vec.conj()), (d_r, d_r),
@@ -517,8 +516,7 @@ def check_read_and_prepare(cfg: SuiteConfig) -> PropertyReport:
                                  "gap": h_tau - (m_const - fc)})
         lhs = entropy.f_weighted(st, ["A"], "C", sigma, f, alpha)
         bar = rp.apply(st, "C")
-        from .qcore import embed as _embed
-        ref_blk = _embed(sigma, (2, 2), (1,))
+        ref_blk = embed(sigma, (2, 2), (1,))
         ref = CqState(bar.regs, np.ones_like(bar.weights),
                       np.broadcast_to(ref_blk, bar.conds.shape))
         rhs = -entropy.renyi_divergence(bar, ref, alpha) - m_const
@@ -636,18 +634,8 @@ def _round_rate_min(proto: SamplingProtocol, k_marg: np.ndarray,
     function.
     """
     r_dim = k_marg.shape[0]
-    gamma = proto.gamma
-    n_c = len(proto.c_alphabet)
-    c_index = {c: j for j, c in enumerate(proto.c_alphabet)}
-    # p_C(q) = base + mat q (affine); bot row is constant 1 - gamma
-    mat = np.zeros((n_c, r_dim))
-    for ib, b in enumerate(proto.settings):
-        for ia, a in enumerate(proto.outcomes):
-            j = c_index[proto.score[(a, b)]]
-            mat[j] += gamma * proto.p_test[ib] * k_marg[:, ib, ia]
-    mat[c_index[BOT]] = 0.0
-    base = np.zeros(n_c)
-    base[c_index[BOT]] = 1.0 - gamma
+    # p_C is affine in q: the score law of each memory state, mixed by q
+    p_c_mem = proto.score_law(np.swapaxes(k_marg, 1, 2))
     s_tab = (k_marg ** alpha).sum(axis=2)  # s[r, b]
     gen_on = proto.p_gen > 0.0
 
@@ -657,7 +645,7 @@ def _round_rate_min(proto: SamplingProtocol, k_marg: np.ndarray,
         mix = (proto.p_gen[gen_on]
                * inner[:, gen_on] ** (1.0 / alpha)).sum(axis=1)
         h_gen = (alpha / (1.0 - alpha)) * np.log2(mix)
-        return base + qs @ mat.T, np.maximum(h_gen, 0.0)
+        return qs @ p_c_mem, np.maximum(h_gen, 0.0)
 
     def value(q):
         p_c, h_gen = score_law(q[None, :])
@@ -673,7 +661,6 @@ def _round_rate_min(proto: SamplingProtocol, k_marg: np.ndarray,
     best = int(np.argmin(vals))
     best_val = float(vals[best])
     if r_dim > 1:
-        from .eatrate import _softmax
         x0 = np.log(np.maximum(grid[best], 1e-6))
         x, val, _ = nelder_mead(lambda x: value(_softmax(x)), x0,
                                 scale=0.25, tol=1e-13, max_iter=600)
@@ -692,18 +679,13 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
     the conditioning penalty.
     """
     alpha = entropy.check_alpha(alpha)
-    if tuple(cset.alphabet) != tuple(proto.c_alphabet):
-        raise InfeasibleError("constraint alphabet differs from protocol")
-    n_a, n_b = len(proto.outcomes), len(proto.settings)
+    _check_score_alphabet(cset, proto)
     n_c = len(proto.c_alphabet)
     pt = np.array([1.0 - proto.gamma, proto.gamma])
     pb_t = np.stack([proto.p_gen, proto.p_test])  # [t, b]
-    c_of = np.zeros((2, n_b, n_a), dtype=int)
-    c_index = {c: j for j, c in enumerate(proto.c_alphabet)}
-    for ib, b in enumerate(proto.settings):
-        for ia, a in enumerate(proto.outcomes):
-            c_of[0, ib, ia] = c_index[BOT]
-            c_of[1, ib, ia] = c_index[proto.score[(a, b)]]
+    # score symbol of round (t, b, a): bot on generation rounds
+    scored = proto.scored.T
+    c_of = np.stack([np.full_like(scored, proto.c_alphabet.index(BOT)), scored])
     k1, k2 = attack.kernels
     # joint over (e, t1, b1, a1, t2, b2, a2), memories summed
     s1 = np.einsum("re,t,tb,rbaq->etbaq", attack.initial, pt, pb_t, k1)
@@ -733,7 +715,7 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
 def _random_protocol(rng, n_a: int, n_b: int, d: int = 1) -> SamplingProtocol:
     outcomes = tuple(str(a) for a in range(n_a))
     settings = tuple(str(b) for b in range(n_b))
-    bits = ["".join(t) for t in itertools.product("01", repeat=d)]
+    bits = score_alphabet(d)[:-1]
     score = {(a, b): bits[int(rng.integers(0, len(bits)))]
              for a in outcomes for b in settings}
     return SamplingProtocol(
@@ -764,24 +746,19 @@ def check_two_round_accumulation(cfg: SuiteConfig) -> PropertyReport:
         # build a non-abort set around an achievable score frequency
         k_marg = attack.marginal_kernels()[0]
         q0 = attack.initial.sum(axis=1)
-        p_c = np.zeros(len(proto.c_alphabet))
-        c_index = {c: j for j, c in enumerate(proto.c_alphabet)}
-        p_c[c_index[BOT]] = 1.0 - proto.gamma
-        for ib, b in enumerate(proto.settings):
-            for ia, a in enumerate(proto.outcomes):
-                p_c[c_index[proto.score[(a, b)]]] += \
-                    proto.gamma * proto.p_test[ib] * float(q0 @ k_marg[:, ib, ia])
+        p_c = proto.score_law(np.einsum("r,rba->ab", q0, k_marg))
         kind = int(rng.integers(0, 3))
+        alphabet = proto.c_alphabet
         if kind == 0:
-            cset = ConstraintSet.full_simplex(proto.c_alphabet)
-        elif kind == 1:
-            sym = proto.c_alphabet[int(rng.integers(0, len(proto.c_alphabet)))]
-            level = max(0.0, p_c[c_index[sym]] - float(rng.uniform(0.05, 0.4)))
-            cset = ConstraintSet.min_mass(proto.c_alphabet, sym, level)
+            cset = ConstraintSet.full_simplex(alphabet)
         else:
-            sym = proto.c_alphabet[int(rng.integers(0, len(proto.c_alphabet)))]
-            level = min(1.0, p_c[c_index[sym]] + float(rng.uniform(0.05, 0.4)))
-            cset = ConstraintSet.max_mass(proto.c_alphabet, sym, level)
+            j = int(rng.integers(0, len(alphabet)))
+            shift = float(rng.uniform(0.05, 0.4))
+            cset = (ConstraintSet.min_mass(alphabet, alphabet[j],
+                                           max(0.0, p_c[j] - shift))
+                    if kind == 1 else
+                    ConstraintSet.max_mass(alphabet, alphabet[j],
+                                           min(1.0, p_c[j] + shift)))
         try:
             res = simulate_two_rounds(proto, attack, cset, alpha)
         except EmptyEventError:

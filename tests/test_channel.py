@@ -11,6 +11,7 @@ from renyiacc.channel import (
     KrausChannel,
     SamplingProtocol,
     TwoQubitStrategy,
+    _round_state,
     bell_value,
     build_read_and_prepare,
     build_sampling_channel,
@@ -45,6 +46,7 @@ from renyiacc.qcore import (
     rng_from,
     trace_distance,
 )
+from renyiacc.verify import _random_protocol
 
 
 def chsh_protocol(gamma, outputs="pair", p_gen=None):
@@ -154,6 +156,34 @@ class TestSamplingChannel:
                                     outputs="alice").output_state()
         st.validate()
         assert st.classical_names == ("A", "C", "T", "B")
+
+
+class TestRoundLaw:
+    """The score index, the round state and p_C read one round law."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_round_state_marginal_is_score_law(self, d, seed):
+        rng = rng_from((41, d, seed))
+        n_a, n_b = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        proto = _random_protocol(rng, n_a, n_b, d=d)
+        for ia, a in enumerate(proto.outcomes):
+            for ib, b in enumerate(proto.settings):
+                assert proto.c_alphabet[proto.scored[ia, ib]] == \
+                    proto.score[(a, b)]
+        p = np.stack([random_distribution(n_a, rng) for _ in range(n_b)],
+                     axis=1)
+        blocks = np.array([[random_density((2,), rng).matrix
+                            for _ in range(n_b)] for _ in range(n_a)])
+        st = _round_state(proto, p, blocks, "E")
+        assert np.abs(st.marginal(["C"]).weights
+                      - proto.score_law(p)).max() <= 1e-15
+
+    def test_scored_is_read_only(self):
+        proto = chsh_protocol(0.3)
+        assert proto.scored.shape == (4, 4)
+        with pytest.raises(ValueError):
+            proto.scored[0, 0] = 0
 
 
 class TestBIndependence:

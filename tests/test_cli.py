@@ -321,3 +321,31 @@ def test_verify_rejects_count_below_one(capsys):
         assert code == 2
         assert "pass" not in out
         assert "--count" in err
+
+
+def test_entropy_rejects_unknown_cond_register(capsys, tmp_path):
+    st = random_cq((2,), (2, 2), 3, names=["B"], qnames=["A", "E"])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(cq_to_dict(st)))
+    code, out, err = run(["entropy", "--state", str(path), "--cond", "B,X",
+                          "--kind", "down"], capsys)
+    assert (code, out) == (2, "")
+    assert "'X'" in err
+
+
+class TestRateRoundCount:
+    def test_rejects_non_integral_counts(self, capsys, tmp_path):
+        path = write_protocol(tmp_path)
+        for n in ("inf", "1e400", "1.5", "nan", "0"):
+            code, out, err = run(["rate", "--proto", str(path), "--n", n,
+                                  "--restarts", "1"], capsys)
+            assert (code, out) == (2, "")
+            assert "--n" in err
+
+    def test_accepts_float_spelling(self, capsys, tmp_path):
+        path = write_protocol(tmp_path)
+        out_json = tmp_path / "rate.json"
+        code, _, _ = run(["rate", "--proto", str(path), "--n", "1e6",
+                          "--restarts", "1", "--json", str(out_json)], capsys)
+        assert code == 0
+        assert json.loads(out_json.read_text())["report"]["n"] == 10 ** 6

@@ -7,12 +7,13 @@ import pytest
 from renyiacc import entropy as ent
 from renyiacc.channel import BOT, SamplingProtocol
 from renyiacc.eatrate import ConstraintSet
-from renyiacc.errors import EmptyEventError
+from renyiacc.errors import AlphabetMismatchError, EmptyEventError
 from renyiacc.qcore import rng_from
 from renyiacc.verify import (
     ALL_CHECKS,
     ClassicalAttack,
     SuiteConfig,
+    _random_protocol,
     check_chain_rule,
     check_classical_chain,
     check_fweighted_props,
@@ -164,6 +165,23 @@ class TestTwoRounds:
         cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.9)
         with pytest.raises(EmptyEventError):
             simulate_two_rounds(proto, attack, cset, 2.0)
+
+    def test_alphabet_mismatch_raises(self):
+        proto = simple_protocol(0.3)
+        attack = random_attack(rng_from(15), 2, 1, 2, 2)
+        cset = ConstraintSet.full_simplex(("0", "1", "2", BOT))
+        with pytest.raises(AlphabetMismatchError):
+            simulate_two_rounds(proto, attack, cset, 2.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_bit_scores(self, seed):
+        rng = rng_from((16, seed))
+        proto = _random_protocol(rng, 3, 2, d=2)
+        attack = random_attack(rng, 2, 2, 2, 3)
+        cset = ConstraintSet.max_mass(proto.c_alphabet, BOT,
+                                      min(1.0, 1.0 - proto.gamma + 0.1))
+        res = simulate_two_rounds(proto, attack, cset, 2.0)
+        assert res.slack >= -1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_adversarial_memory_attacks(self, seed):
