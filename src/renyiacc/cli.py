@@ -66,9 +66,14 @@ def _positive_int(spec: str) -> int:
     return int(x)
 
 
-def _grid(spec: str):
-    lo, hi, n = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+def _alpha_grid(spec: str):
+    """An order grid ``lo:hi:n``: both ends valid orders, n a whole count."""
+    try:
+        lo, hi, n = spec.split(":")
+        return entropy.check_alpha(lo), entropy.check_alpha(hi), _positive_int(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"want lo:hi:n, got {spec}: {exc}") from None
 
 
 def _emit_json(path, payload):
@@ -110,8 +115,7 @@ def cmd_counterexample(args) -> int:
     print(f"  un-optimized decomposition gap    : {rep.saturation_gap:.2e}")
     rows = [rep]
     if args.grid:
-        rows += alpha_grid_scan(*[float(x) if i < 2 else int(x)
-                                  for i, x in enumerate(args.grid.split(":"))])
+        rows += alpha_grid_scan(*args.grid)
         print("  alpha grid scan (reported, not asserted):")
         for r in rows[1:]:
             print(f"    alpha={r.alpha:.4f} lhs={r.lhs:.5f} rhs={r.rhs:.5f} "
@@ -232,7 +236,7 @@ def cmd_rate(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["alpha", "h_alpha", "total_bits"])
-            for a in (_grid(args.alpha_grid) if args.alpha_grid
+            for a in (np.linspace(*args.alpha_grid) if args.alpha_grid
                       else [args.alpha]):
                 rep = optimize_strategy(
                     proto, cset, float(a), restarts=max(args.restarts // 4, 1),
@@ -305,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="evaluate the two-round chain-rule counterexample")
     p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--grid", help="alpha grid lo:hi:n (reported only)")
+    p.add_argument("--grid", type=_alpha_grid,
+                   help="alpha grid lo:hi:n (reported only)")
     p.add_argument("--json")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_counterexample)
@@ -337,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pomega", type=float, default=0.99)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--alpha-grid", help="CSV curve grid lo:hi:n")
+    p.add_argument("--alpha-grid", type=_alpha_grid,
+                   help="CSV curve grid lo:hi:n")
     p.add_argument("--json")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_rate)

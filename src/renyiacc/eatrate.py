@@ -338,27 +338,23 @@ def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
 
 
 def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
-                     resolution: int = 200, bot_symbol=BOT,
-                     refine_rounds: int = 24) -> float:
-    """Brute-force oracle: simplex grid plus shrinking local rescans.
-
-    The refinement stays a pure primal search (mixtures of the incumbent with
-    grid directions, filtered for feasibility), so the result is independent
-    of the dual-tilting path it checks.
+                     resolution: int = 200, bot_symbol=BOT) -> float:
+    """Brute-force oracle: the best feasible simplex-grid point, polished by
+    a penalised simplex descent. It stays a pure primal search, so the
+    result is independent of the dual-tilting path it checks.
     """
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     beta = alpha - 1.0
     i_bot = cset.alphabet.index(bot_symbol)
+    supp = p > 0.0
+    p_safe = np.where(supp, p, 1.0)
 
     def batch_vals(batch):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(batch > 0, batch / np.where(p > 0, p, 1.0), 1.0)
-            kl = np.where(batch > 0, batch * np.log2(ratio), 0.0).sum(axis=1)
-            bad = ((batch > 0) & (p <= 0)).any(axis=1)
-        vals = kl / beta + batch[:, i_bot] * h_gen
-        vals[bad] = np.inf
-        return vals
+        # a zero entry reads 0 * log2(1) = 0
+        ratio = np.where(batch > 0, batch / p_safe, 1.0)
+        kl = (batch * np.log2(ratio)).sum(axis=1)
+        return kl / beta + batch[:, i_bot] * h_gen
 
     grid = simplex_grid(len(cset.alphabet), resolution)
     if cset.k:
@@ -367,15 +363,16 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     if grid.size == 0:
         raise InfeasibleError("no feasible grid point at this resolution")
     vals = batch_vals(grid)
-    order = np.argsort(vals)
-    best_val = float(vals[order[0]])
+    vals[(grid[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
+    top = np.argpartition(vals, min(2, vals.size - 1))[:3]
+    top = top[np.argsort(vals[top])]
+    best_val = float(vals[top[0]])
     # polish with an exact-penalty simplex descent; the L1 penalty weight only
     # needs to exceed the active multipliers, and feasible iterates are scored
     # without it, so the result can only move down toward the constrained
     # minimum from the primal side. Mass off supp(p) scores +inf, so the
     # descent runs on the support alone, all four starts in lockstep.
     mu = 1e4
-    supp = p > 0.0
 
     def on_support(xs):
         v = np.zeros((len(xs), p.size))
@@ -387,7 +384,7 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
         pen = np.maximum(cset.violations(v), 0.0).sum(axis=1)
         return batch_vals(v) + mu * pen
 
-    starts = [np.log(np.maximum(grid[int(j)][supp], 1e-7)) for j in order[:3]]
+    starts = [np.log(np.maximum(grid[int(j)][supp], 1e-7)) for j in top]
     starts.append(np.log(np.maximum(p[supp], 1e-7)))
     runs = nelder_mead_batch(penalized, starts, scale=1.0, tol=1e-13,
                              max_iter=2500)

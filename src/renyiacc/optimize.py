@@ -37,57 +37,53 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
 
 
 def _nelder_mead_steps(x0, scale: float, tol: float, max_iter: int):
-    """Nelder-Mead as a step generator: yields a list of points, is sent
+    """Nelder-Mead as a step generator: yields an array of points, is sent
     their values, and returns (x_best, f_best, evals).
 
     It asks for n + 1 points at the start, 1 to reflect, expand or contract
     and n to shrink. A simplex whose best and worst values are equal
-    (infinite ones included) has converged.
+    (infinite ones included) has converged. The simplex is one (n + 1, n)
+    array, its values one float array.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    pts = [x0.copy()]
-    for i in range(n):
-        p = x0.copy()
-        p[i] += scale if p[i] == 0.0 else scale * max(abs(p[i]), 1.0)
-        pts.append(p)
-    vals = list((yield pts))
+    pts = np.tile(x0, (n + 1, 1))
+    axes = np.arange(n)
+    pts[axes + 1, axes] += np.where(x0 == 0.0, scale,
+                                    scale * np.maximum(np.abs(x0), 1.0))
+    vals = np.array((yield pts), dtype=float)
     evals = n + 1
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     for _ in range(max_iter):
-        order = np.argsort(vals)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
+        order = vals.argsort()
+        pts, vals = pts[order], vals[order]
         if vals[-1] == vals[0] or \
                 abs(vals[-1] - vals[0]) < tol * (abs(vals[0]) + tol):
             break
-        centroid = np.mean(pts[:-1], axis=0)
+        centroid = pts[:-1].sum(axis=0) / n
         refl = centroid + alpha * (centroid - pts[-1])
-        f_refl = (yield [refl])[0]
+        f_refl = (yield refl[None])[0]
         evals += 1
         if vals[0] <= f_refl < vals[-2]:
             pts[-1], vals[-1] = refl, f_refl
             continue
         if f_refl < vals[0]:
             expd = centroid + gamma * (refl - centroid)
-            f_exp = (yield [expd])[0]
+            f_exp = (yield expd[None])[0]
             evals += 1
-            if f_exp < f_refl:
-                pts[-1], vals[-1] = expd, f_exp
-            else:
-                pts[-1], vals[-1] = refl, f_refl
+            pts[-1], vals[-1] = ((expd, f_exp) if f_exp < f_refl
+                                 else (refl, f_refl))
             continue
         contr = centroid + rho * (pts[-1] - centroid)
-        f_con = (yield [contr])[0]
+        f_con = (yield contr[None])[0]
         evals += 1
         if f_con < vals[-1]:
             pts[-1], vals[-1] = contr, f_con
             continue
-        for i in range(1, n + 1):
-            pts[i] = pts[0] + sigma * (pts[i] - pts[0])
+        pts[1:] = pts[0] + sigma * (pts[1:] - pts[0])
         vals[1:] = (yield pts[1:])
         evals += n
-    best = int(np.argmin(vals))
+    best = vals.argmin()
     return pts[best], vals[best], evals
 
 
@@ -100,7 +96,8 @@ def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
         try:
             pts = steps.send([f(p) for p in pts])
         except StopIteration as stop:
-            return stop.value
+            x, val, evals = stop.value
+            return x, float(val), evals
 
 
 def nelder_mead_batch(fbatch, x0s, scale: float = 0.25, tol: float = 1e-10,
@@ -118,7 +115,7 @@ def nelder_mead_batch(fbatch, x0s, scale: float = 0.25, tol: float = 1e-10,
     out = [None] * len(runs)
     live = list(range(len(runs)))
     while live:
-        vals = fbatch(np.array([x for i in live for x in asks[i]]))
+        vals = fbatch(np.concatenate([asks[i] for i in live]))
         at = 0
         for i in live:
             m = len(asks[i])

@@ -349,3 +349,46 @@ class TestRateRoundCount:
                           "--restarts", "1", "--json", str(out_json)], capsys)
         assert code == 0
         assert json.loads(out_json.read_text())["report"]["n"] == 10 ** 6
+
+
+BAD_GRIDS = ("1.5:2", "1.5:2:0", "1.5:2:x", "1.5:2:-1", "0.5:2:3",
+             "1.5:inf:2", "1.5:2:3:4")
+
+
+class TestAlphaGridSpec:
+    def test_counterexample_rejects_bad_grid(self, capsys, tmp_path):
+        out_csv, out_json = tmp_path / "ce.csv", tmp_path / "ce.json"
+        for spec in BAD_GRIDS:
+            code, out, err = run(["counterexample", "--grid", spec,
+                                  "--csv", str(out_csv),
+                                  "--json", str(out_json)], capsys)
+            assert (code, out) == (2, ""), spec
+            assert "--grid" in err
+            assert not out_csv.exists() and not out_json.exists()
+
+    def test_rate_rejects_bad_alpha_grid(self, capsys, tmp_path):
+        path = write_protocol(tmp_path)
+        out_csv = tmp_path / "rate.csv"
+        for spec in BAD_GRIDS:
+            code, out, err = run(["rate", "--proto", str(path),
+                                  "--restarts", "1", "--alpha-grid", spec,
+                                  "--csv", str(out_csv)], capsys)
+            assert (code, out) == (2, ""), spec
+            assert "--alpha-grid" in err
+            assert not out_csv.exists()
+
+    def test_descending_grid_still_works(self, capsys, tmp_path):
+        out_csv = tmp_path / "ce.csv"
+        code, _, _ = run(["counterexample", "--grid", "2:1.1:3",
+                          "--csv", str(out_csv)], capsys)
+        assert code == 0
+        rows = out_csv.read_text().strip().splitlines()[2:]
+        assert [float(r.split(",")[0]) for r in rows] == [2.0, 1.55, 1.1]
+        path = write_protocol(tmp_path)
+        rate_csv = tmp_path / "rate.csv"
+        code, _, _ = run(["rate", "--proto", str(path), "--restarts", "1",
+                          "--n", "1000", "--alpha-grid", "2:1.1:3",
+                          "--csv", str(rate_csv)], capsys)
+        assert code == 0
+        rows = rate_csv.read_text().strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [2.0, 1.55, 1.1]

@@ -560,3 +560,25 @@ def test_grid_oracle_polishes_on_the_support():
         grid = inner_inf_v_grid(p, h, cs, alpha, resolution=100)
         assert time.perf_counter() - start < 1.0
         assert abs(grid - sol.value) < 1e-5
+
+
+def test_grid_oracle_pinned_values():
+    # values recorded from the oracle before its objective was trimmed: the
+    # second case has p_C(1) = 0, so grid points with mass there score +inf;
+    # the third has no constraint rows (k = 0)
+    rng = np.random.default_rng(7)
+    abc, abcd = ALPHABET, ("0", "1", "2", BOT)
+    p3, p4 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+    p4[1] = 0.0
+    p4 /= p4.sum()
+    pf = rng.dirichlet(np.ones(3))
+    cases = [
+        (p3, 0.7, ConstraintSet.min_mass(abc, "1", p3[1] + 0.2), 2.0, 100,
+         0.212628652636748),
+        (p4, 0.9, ConstraintSet.max_mass(abcd, "0", p4[0] - 0.15), 1.5, 60,
+         0.25867421671087165),
+        (pf, 0.6, ConstraintSet.full_simplex(abc), 3.0, 80,
+         0.03401151761099559),
+    ]
+    for p, h, cs, alpha, resolution, pinned in cases:
+        assert inner_inf_v_grid(p, h, cs, alpha, resolution) == pinned

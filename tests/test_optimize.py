@@ -182,3 +182,39 @@ def test_nelder_mead_all_infinite_simplex_stops_after_first_tick():
     runs = nelder_mead_batch(fbatch, [np.zeros(3), np.ones(3)])
     assert ticks == [8]
     assert [e for _, _, e in runs] == [4, 4]
+
+
+# (f_best, evals) and x_best per NM_STARTS row at scale 0.3, recorded from
+# the list-based driver that preceded the array-backed one: a change to the
+# step arithmetic that both drivers share shows here
+NM_PINNED = {
+    150: ([(4.888268466343844e-21, 267), (0.06438611545424842, 269),
+           (math.inf, 4), (1.8999472066672054e-11, 267),
+           (6.088325677550187e-15, 272)],
+          [[0.9999999999941378, 0.9999999999908475, 0.9999999999752852],
+           [0.8923977323556987, 0.7908637575983348, 0.6176976397338874],
+           [9.0, 9.0, 9.0],
+           [0.9999985179992861, 0.999997312265694, 0.9999944850036935],
+           [0.99999997524415, 0.9999999454854787, 0.9999998910613925]]),
+    2000: ([(4.888268466343844e-21, 267), (4.3341638972310796e-21, 555),
+            (math.inf, 4), (3.841634942919781e-21, 398),
+            (1.439245442501287e-21, 358)],
+           [[0.9999999999941378, 0.9999999999908475, 0.9999999999752852],
+            [1.0000000000142293, 1.0000000000307403, 1.000000000066644],
+            [9.0, 9.0, 9.0],
+            [1.0000000000205542, 1.0000000000365472, 1.0000000000729221],
+            [0.9999999999936571, 0.9999999999905136, 0.9999999999827165]]),
+}
+
+
+@pytest.mark.parametrize("max_iter", sorted(NM_PINNED))
+def test_nelder_mead_pinned_values(max_iter):
+    f_evals, xs = NM_PINNED[max_iter]
+    runs = nelder_mead_batch(rosenbrock_rows, NM_STARTS, scale=0.3,
+                             max_iter=max_iter)
+    assert [(f, e) for _, f, e in runs] == f_evals
+    assert [x.tolist() for x, _, _ in runs] == xs
+    x, f, evals = nelder_mead(rosenbrock, NM_STARTS[1], scale=0.3,
+                              max_iter=max_iter)
+    assert type(f) is float
+    assert (f, evals) == f_evals[1] and x.tolist() == xs[1]
