@@ -124,14 +124,6 @@ class KrausChannel:
         return KrausChannel(ks, (dim,), (dim,))
 
 
-def apply(ch: KrausChannel, rho):
-    return ch.apply(rho) if isinstance(rho, DensityOperator) else ch.apply_matrix(rho)
-
-
-def compose(ch2: KrausChannel, ch1: KrausChannel) -> KrausChannel:
-    return ch2.compose(ch1)
-
-
 @dataclass(frozen=True)
 class CPMapFamily:
     """CP maps M^{a|b} indexed by outcome and setting, trace preserving per b."""
@@ -234,46 +226,6 @@ class SamplingProtocol:
         return out
 
 
-class SamplingChannel:
-    """One spot-checking round, built from a strategy or a CP map family.
-
-    The output is classical on (A, C, T, B) with the quantum leftovers
-    appended: Eve's purifier for strategy mode, any bystander register for
-    family mode.
-    """
-
-    def __init__(self, proto: SamplingProtocol, table: "ResponseTable"):
-        self.proto = proto
-        table = table.in_protocol_order(proto)
-        self._p = table.p
-        self._cond = table.cond
-
-    def output_state(self) -> CqState:
-        return _round_state(self.proto, self._p, self._cond, "E")
-
-    def p_c(self) -> np.ndarray:
-        """Marginal score distribution over the protocol's c alphabet."""
-        return self.proto.score_law(self._p)
-
-
-def build_sampling_channel(strategy, proto: SamplingProtocol,
-                           outputs: str = "alice") -> SamplingChannel:
-    """Bind a device strategy (or CP map family) to a sampling protocol."""
-    if isinstance(strategy, TwoQubitStrategy):
-        return SamplingChannel(
-            proto, strategy.response_table(proto.settings, outputs=outputs))
-    if isinstance(strategy, CPMapFamily):
-        if tuple(strategy.outcomes) != tuple(proto.outcomes) or \
-                tuple(strategy.settings) != tuple(proto.settings):
-            raise AlphabetMismatchError("family alphabets do not match protocol")
-
-        def bound(omega: DensityOperator, rp_dims=()):
-            return _family_round(strategy, proto, omega, rp_dims)
-
-        return bound
-    raise AlphabetMismatchError(f"unsupported strategy type {type(strategy)!r}")
-
-
 def _round_state(proto: SamplingProtocol, p_ab: np.ndarray,
                  blocks: np.ndarray, q_name: str) -> CqState:
     """One spot-checking round as a state on (A, C, T, B) and the leftovers.
@@ -301,9 +253,13 @@ def _round_state(proto: SamplingProtocol, p_ab: np.ndarray,
     return CqState(regs, w, conds)
 
 
-def _family_round(family: CPMapFamily, proto: SamplingProtocol,
-                  omega: DensityOperator, rp_dims) -> CqState:
-    """Apply one sampling round built on a CP family to omega on (R, R')."""
+def family_round(family: CPMapFamily, proto: SamplingProtocol,
+                 omega: DensityOperator) -> CqState:
+    """One spot-checking round of a CP map family on omega over (R, R'):
+    M^{a|b} acts on R, the updated memory is traced out and R' kept as Rp."""
+    if tuple(family.outcomes) != tuple(proto.outcomes) or \
+            tuple(family.settings) != tuple(proto.settings):
+        raise AlphabetMismatchError("family alphabets do not match protocol")
     any_map = next(iter(family.maps.values()))
     din = int(np.prod(any_map.in_dims, initial=1))
     d_rp = omega.dim() // din
@@ -312,13 +268,42 @@ def _family_round(family: CPMapFamily, proto: SamplingProtocol,
     blocks = np.empty(p_ab.shape + (d_rp, d_rp), dtype=complex)
     for ia, a in enumerate(proto.outcomes):
         for ib, b in enumerate(proto.settings):
-            # apply M^{a|b} to R, trace out the updated memory, keep R'
             left = pair.apply_channel(family.maps[(a, b)].kraus,
                                       "Q0").partial_trace([1]).matrix
             p_ab[ia, ib] = float(np.trace(left).real)
             blocks[ia, ib] = (left / p_ab[ia, ib] if p_ab[ia, ib] > 1e-15
                               else np.eye(d_rp) / d_rp)
     return _round_state(proto, np.where(p_ab > 1e-15, p_ab, 0.0), blocks, "Rp")
+
+
+class SamplingChannel:
+    """One spot-checking round of a strategy bound to a protocol: the round
+    state, with Eve's purifier as E, and its score law p_C."""
+
+    def __init__(self, proto: SamplingProtocol, table: "ResponseTable"):
+        self.proto = proto
+        table = table.in_protocol_order(proto)
+        self._p = table.p
+        self._cond = table.cond
+
+    def output_state(self) -> CqState:
+        return _round_state(self.proto, self._p, self._cond, "E")
+
+    def p_c(self) -> np.ndarray:
+        """Marginal score distribution over the protocol's c alphabet."""
+        return self.proto.score_law(self._p)
+
+
+def build_sampling_channel(strategy, proto: SamplingProtocol,
+                           outputs: str = "alice"):
+    """Bind a device strategy to a sampling protocol as a SamplingChannel,
+    or a CP map family as its round ``omega -> family_round(...)``."""
+    if isinstance(strategy, TwoQubitStrategy):
+        return SamplingChannel(
+            proto, strategy.response_table(proto.settings, outputs=outputs))
+    if isinstance(strategy, CPMapFamily):
+        return lambda omega: family_round(strategy, proto, omega)
+    raise AlphabetMismatchError(f"unsupported strategy type {type(strategy)!r}")
 
 
 def check_b_independence(round_channel, trials: int, seed, r_dim: int,
@@ -335,8 +320,7 @@ def check_b_independence(round_channel, trials: int, seed, r_dim: int,
     for _ in range(trials):
         omega = random_density((r_dim, rp_dim), rng)
         omega = DensityOperator(omega.matrix, (r_dim, rp_dim), ("R", "Rp"))
-        out = round_channel(omega) if callable(round_channel) \
-            else round_channel.apply(omega)
+        out = round_channel(omega)
         keep = [n for n in b_names if out.has_register(n)]
         joint = out.marginal(list(keep) + [rp_name]).to_density()
         marg_b = out.marginal(list(keep)).to_density()
@@ -685,12 +669,6 @@ class TwoQubitStrategy:
             math.pi / 4,
             meas_a=((0.0, 0.0), (math.pi / 2, 0.0)),
             meas_b=((math.pi / 4, 0.0), (-math.pi / 4, 0.0)))
-
-    def projectors_a(self, x: int):
-        return bloch_projectors(*self.meas_a[x])
-
-    def projectors_b(self, y: int):
-        return bloch_projectors(*self.meas_b[y])
 
     def setting_labels(self, settings: str = "pairs") -> tuple:
         if settings == "pairs":

@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="evaluate an entropy on a state file")
     p.add_argument("--state", required=True)
     p.add_argument("--cond", default="", help="comma-separated conditioning "
-                                              "register names")
+                                              "register names; A is every "
+                                              "other register and must not "
+                                              "be empty")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--kind", choices=["down", "up", "partial", "vn", "renyi"],
                    default="down")

@@ -28,7 +28,6 @@ from .channel import (
     SamplingProtocol,
     TwoQubitStrategy,
     bell_values,
-    build_sampling_channel,
     params_stack,
     response_stack,
     strategy_to_cq,
@@ -420,17 +419,11 @@ def _check_score_alphabet(cset: ConstraintSet, proto: SamplingProtocol):
                                     "protocol score alphabet")
 
 
-def gen_round_entropy(strategy: TwoQubitStrategy, p_gen, alpha: float,
-                      settings: str = "pairs", outputs: str = "alice") -> float:
-    """H_alpha(A | B^up E^down) of the generation-round output."""
-    state = strategy_gen_state(strategy, p_gen, settings, outputs)
-    return entropy.h_partial(state, ["A"], "B", alpha)
-
-
-def strategy_gen_state(strategy: TwoQubitStrategy, p_gen,
-                       settings: str = "pairs", outputs: str = "alice"):
-    return strategy_to_cq(strategy, np.asarray(p_gen, dtype=float),
-                          settings=settings, outputs=outputs)
+def _round_table(strategy: TwoQubitStrategy, proto: SamplingProtocol,
+                 outputs: str) -> ResponseTable:
+    """The strategy's response table in the protocol's order."""
+    return strategy.response_table(proto.settings,
+                                   outputs=outputs).in_protocol_order(proto)
 
 
 def single_round_h(strategy: TwoQubitStrategy, proto: SamplingProtocol,
@@ -443,8 +436,7 @@ def single_round_h(strategy: TwoQubitStrategy, proto: SamplingProtocol,
     """
     alpha = check_alpha(alpha)
     _check_score_alphabet(cset, proto)
-    t = strategy.response_table(proto.settings,
-                                outputs=outputs).in_protocol_order(proto)
+    t = _round_table(strategy, proto, outputs)
     table = ResponseTable(t.outcomes, t.p[None], t.cond[None])
     return _round_solutions(table, proto, cset, alpha).row(0)
 
@@ -556,13 +548,13 @@ def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,
                                        max_iter=max_iter):
         if val < best_val:
             best_val, best_params = val, x
-    s = TwoQubitStrategy.from_params(best_params, n_a, n_b)
-    sol = single_round_h(s, proto, cset, alpha, outputs=outputs)
+    best = TwoQubitStrategy.from_params(best_params, n_a, n_b)
+    sol = single_round_h(best, proto, cset, alpha, outputs)
     total = finite_size_bound(n, sol.value, p_omega, alpha)
     key = entropy.key_length(total, 1e-9, alpha) if 1.0 < alpha <= 2.0 else None
     return RateReport(
         alpha=alpha, h_alpha=sol.value, v_star=tuple(sol.v_star),
-        p_c=tuple(build_sampling_channel(s, proto, outputs=outputs).p_c()),
+        p_c=tuple(proto.score_law(_round_table(best, proto, outputs).p)),
         strategy_params=tuple(float(x) for x in best_params),
         kkt_residual=sol.kkt_residual, n=n, p_omega=p_omega, total_bits=total,
         key_bits=key, restarts=restarts, seed=int(seed))
@@ -588,14 +580,13 @@ def compare_entropies(strategy: TwoQubitStrategy, p_b, alphas,
     """Partial-vs-down comparison with the per-setting entropy spread."""
     state = strategy_to_cq(strategy, np.asarray(p_b, dtype=float),
                            settings=settings, outputs=outputs)
+    live = [b for b, p in zip(state.alphabet("B"), state.weights.sum(axis=0))
+            if p > 0.0]
     rows = []
     for alpha in alphas:
         alpha = check_alpha(alpha)
-        per_b = {}
-        for combo, pb, sub in state.group_by(["B"]):
-            if pb <= 0.0:
-                continue
-            per_b[combo[0]] = entropy.h_down(sub, ["A"], alpha)
+        _, hb = entropy._per_b_down(state, ["A"], "B", alpha)
+        per_b = dict(zip(live, hb.tolist()))
         hd = entropy.h_down(state, ["A"], alpha)
         hp = entropy.h_partial(state, ["A"], "B", alpha)
         vals = list(per_b.values())
@@ -628,12 +619,11 @@ def asymptotic_check(strategy: TwoQubitStrategy, schedule,
     for alpha, gamma in schedule:
         proto = make_protocol(gamma)
         cset = cset_for(proto)
-        sol = single_round_h(strategy, proto, cset, alpha, outputs=outputs)
-        kl = entropy.kl_divergence(
-            sol.v_star, build_sampling_channel(strategy, proto,
-                                               outputs=outputs).p_c())
+        sol = single_round_h(strategy, proto, cset, alpha, outputs)
+        p_c = proto.score_law(_round_table(strategy, proto, outputs).p)
+        kl = entropy.kl_divergence(sol.v_star, p_c)
         if target is None:
-            state = strategy_gen_state(
+            state = strategy_to_cq(
                 strategy, proto.p_gen,
                 settings="pairs" if len(str(proto.settings[0])) > 1 else "alice",
                 outputs=outputs)

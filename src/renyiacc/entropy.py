@@ -40,9 +40,11 @@ from .qcore import (
     DensityOperator,
     embed,
     is_hermitian,
+    qreg,
     support_contained,
 )
-from .qcore.linalg import PSD_TOL, SUPPORT_CUTOFF, as_matrix, eigvalsh_desc
+from .qcore.linalg import PSD_TOL, SUPPORT_CUTOFF, eigvalsh_desc
+from .qcore.states import _partial_trace
 
 INF = math.inf
 
@@ -54,10 +56,14 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _as_mat(x) -> np.ndarray:
-    if isinstance(x, DensityOperator):
-        return x.matrix
-    return np.asarray(x, dtype=complex)
+def _cq(x) -> CqState:
+    """``x`` as a CqState: a DensityOperator, or a bare matrix, becomes the
+    state with no classical register. The only type check of this module."""
+    if isinstance(x, CqState):
+        return x
+    if not isinstance(x, DensityOperator):
+        x = DensityOperator(x, (len(x),))
+    return CqState([qreg(n, d) for n, d in zip(x.labels, x.dims)], 1.0, x.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +157,27 @@ def _block_terms(p, rho, q, sigma, alpha: float) -> np.ndarray:
     return terms
 
 
-def _blocks_divergence(p, rho, q, sigma, alpha: float) -> float:
+def _blocks_divergence(terms, alpha: float) -> float:
     """Block decomposition: (1/(a-1)) log2 sum_c p^a q^(1-a) 2^((a-1) D_c)."""
-    terms = _block_terms(p, rho, q, sigma, alpha)
     return float(_log2sumexp2(terms)) / (alpha - 1.0)
 
 
 def _divergence_args(rho, sigma):
     """(p, rho blocks, q, sigma blocks) of a divergence's two arguments.
 
-    A cq pair is taken block by block; anything else is one dense block of
-    weight 1. The caller's sigma must be Hermitian, every block of it.
+    A pair on the same classical registers is taken block by block; a pair
+    of which one side has none is compared as one dense block of weight 1.
+    The caller's sigma must be Hermitian, every block of it.
     """
-    if isinstance(rho, CqState) and isinstance(sigma, CqState):
-        if rho.cregs != sigma.cregs:
+    rho, sigma = _cq(rho), _cq(sigma)
+    if rho.cregs != sigma.cregs:
+        if rho.cregs and sigma.cregs:
             raise AlphabetMismatchError(
                 "classical registers or alphabets differ between states")
-        p, q = rho.weights.reshape(-1), sigma.weights.reshape(-1)
-        rb = rho.conds.reshape(-1, rho.qdim, rho.qdim)
-        sb = sigma.conds.reshape(-1, sigma.qdim, sigma.qdim)
-    else:
-        p = q = np.ones(1)
-        rb = _as_mat(rho.to_density() if isinstance(rho, CqState) else rho)[None]
-        sb = as_matrix(_as_mat(sigma.to_density() if isinstance(sigma, CqState)
-                               else sigma))[None]
+        rho, sigma = _cq(rho.to_density()), _cq(sigma.to_density())
+    p, q = rho.weights.reshape(-1), sigma.weights.reshape(-1)
+    rb = rho.conds.reshape(-1, rho.qdim, rho.qdim)
+    sb = sigma.conds.reshape(-1, sigma.qdim, sigma.qdim)
     if not is_hermitian(sb):
         raise NotHermitianError("reference is not Hermitian within tolerance")
     return p, rb, q, sb
@@ -183,7 +186,8 @@ def _divergence_args(rho, sigma):
 def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence; cq pairs use the block decomposition."""
     alpha = check_alpha(alpha)
-    return _blocks_divergence(*_divergence_args(rho, sigma), alpha)
+    return _blocks_divergence(_block_terms(*_divergence_args(rho, sigma), alpha),
+                              alpha)
 
 
 def max_divergence(rho, sigma) -> float:
@@ -218,14 +222,13 @@ def kl_divergence(v, p) -> float:
 # conditional entropies
 # ---------------------------------------------------------------------------
 
-def _split(state: CqState, a_names):
+def _split(state: CqState, a_names) -> set:
     a_names = set(a_names)
     for n in a_names:
         state.reg(n)
-    cond = [n for n in state.names if n not in a_names]
     if not a_names:
         raise BadPartitionError("A side of the partition is empty")
-    return a_names, cond
+    return a_names
 
 
 def _split_outcomes(state: CqState, names):
@@ -245,35 +248,38 @@ def _split_outcomes(state: CqState, names):
             rest)
 
 
-def _down_blocks(state: CqState, a_names):
-    """Block decomposition of H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest).
+def _down_blocks(w, conds, a_axes, a_pos, qdims, alpha: float) -> np.ndarray:
+    """Block terms of H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest).
 
-    Outcome (a, c) of the classical registers, split into A and conditioning,
-    has weight p(a, c), conditioning weight q = p(c) and reference
-    I_Aq x sigma_{Cq|c}, where sigma_{Cq|c} = sum_a p(a|c) tr_Aq rho_{a,c} is
-    the conditional marginal. Returns (p, blocks, q, references) on that grid.
+    ``w`` holds the weights of the classical outcomes, after any leading
+    stack axes, and ``conds`` their blocks on quantum registers of dims
+    ``qdims``; A owns the axes ``a_axes`` of ``w`` and the quantum positions
+    ``a_pos``. Outcome (a, c) has conditioning weight q = p(c) and reference
+    I_Aq x sigma_{Cq|c}, with sigma_{Cq|c} = sum_a p(a|c) tr_Aq rho_{a,c}.
     """
-    a_set, cond = _split(state, a_names)
-    a_axes = tuple(i for i, r in enumerate(state.cregs) if r.name in a_set)
-    w = state.weights
     q = w.sum(axis=a_axes, keepdims=True)
     given = np.divide(w, q, out=np.zeros_like(w), where=q > 0.0)
-    sigma = CqState(state.regs, given, state.conds).marginal(cond).conds
-    cq_pos = [i for i, r in enumerate(state.qregs) if r.name not in a_set]
-    ref = embed(np.expand_dims(sigma, a_axes), state.qdims, cq_pos)
-    return w, state.conds, q, ref
+    cq_pos = [i for i in range(len(qdims)) if i not in a_pos]
+    rest = _partial_trace(conds, qdims, cq_pos) if a_pos else conds
+    sigma = (given[..., None, None] * rest).sum(axis=a_axes, keepdims=True)
+    ref = embed(sigma, qdims, cq_pos) if a_pos else sigma
+    return _block_terms(w, conds, q, ref, alpha)
+
+
+def _down_terms(state: CqState, a_names, alpha: float) -> np.ndarray:
+    """``_down_blocks`` of a state, with A given by register names."""
+    a_set = _split(state, a_names)
+    return _down_blocks(
+        state.weights, state.conds,
+        tuple(i for i, r in enumerate(state.cregs) if r.name in a_set),
+        tuple(i for i, r in enumerate(state.qregs) if r.name in a_set),
+        state.qdims, alpha)
 
 
 def h_down(state, a_names, alpha: float) -> float:
     """H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest)."""
     alpha = check_alpha(alpha)
-    if isinstance(state, DensityOperator):
-        a_idx = state.indices_of(a_names)
-        cond = tuple(i for i in range(len(state.dims)) if i not in a_idx)
-        ref = (embed(state.partial_trace(cond).matrix, state.dims, cond) if cond
-               else np.eye(state.dim(), dtype=complex))
-        return -float(_divergence_dense(state.matrix, ref, alpha))
-    return -_blocks_divergence(*_down_blocks(state, a_names), alpha)
+    return -_blocks_divergence(_down_terms(_cq(state), a_names, alpha), alpha)
 
 
 @dataclass
@@ -430,19 +436,10 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
 def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
     """Fully optimized conditional Renyi entropy H_up_alpha(A | rest)."""
     alpha = check_alpha(alpha)
-    if isinstance(state, DensityOperator):
-        a_idx = state.indices_of(a_names)
-        cond = tuple(i for i in range(len(state.dims)) if i not in a_idx)
-        if not cond:
-            return renyi_entropy(state, alpha)
-        perm = state.permute(tuple(a_idx) + cond)
-        d_a = int(np.prod([state.dims[i] for i in a_idx]))
-        d_b = state.dim() // d_a
-        val, _, _ = h_up_dense(perm.matrix, d_a, d_b, alpha, cfg)
-        return val
-    a_set, cond = _split(state, a_names)
-    ccl = [n for n in cond if state.reg(n).is_classical]
-    cq_names = [n for n in cond if not state.reg(n).is_classical]
+    state = _cq(state)
+    a_set = _split(state, a_names)
+    ccl = [r.name for r in state.cregs if r.name not in a_set]
+    cq_names = [r.name for r in state.qregs if r.name not in a_set]
     # one row per outcome c of the classical conditioning: H_up is
     # (alpha/(1-alpha)) log2 sum_c p(c) 2^(((1-alpha)/alpha) H_up(A | rest)_{|c})
     w, conds, rest = _split_outcomes(state, ccl)
@@ -485,20 +482,28 @@ def h_classical(p, alpha: float, variant: str) -> float:
     raise BadPartitionError(f"variant must be 'up' or 'down', got {variant!r}")
 
 
+def _per_b(terms, w, b_axis: int, n_stack: int, alpha: float):
+    """(p(b), H(A | rest)_{|b}) over the symbols b on axis ``b_axis`` of the
+    block terms and their weights ``w``; the first ``n_stack`` axes are stack
+    axes, kept in front of b. H is 0 where p(b) = 0."""
+    rest = [i for i in range(n_stack, w.ndim) if i != b_axis]
+    terms = terms.transpose([*range(n_stack), b_axis, *rest])
+    pb = w.sum(axis=tuple(rest))
+    return pb, _given_b(terms.reshape(pb.shape + (-1,)), pb, alpha)
+
+
 def _per_b_down(state: CqState, a_names, up_name: str, alpha: float):
     """(p(b), H_down(A | rest)_{|b}) over the symbols b of ``up_name`` with
-    p(b) > 0, from one pass over the block terms of the whole state."""
+    p(b) > 0."""
     reg = state.reg(up_name)
     if not reg.is_classical:
         raise BNotClassicalError(f"register {up_name!r} must be classical")
     if up_name in set(a_names):
         raise BadPartitionError("optimized register cannot sit inside A")
-    axis = state._cpos(up_name)
-    terms = np.moveaxis(_block_terms(*_down_blocks(state, a_names), alpha), axis, 0)
-    pb = np.moveaxis(state.weights, axis, 0).reshape(len(terms), -1).sum(axis=1)
+    pb, hb = _per_b(_down_terms(state, a_names, alpha), state.weights,
+                    state._cpos(up_name), 0, alpha)
     live = pb > 0.0
-    return pb[live], _given_b(terms[live].reshape(int(live.sum()), -1),
-                              pb[live], alpha)
+    return pb[live], hb[live]
 
 
 def _given_b(terms, pb, alpha: float) -> np.ndarray:
@@ -537,19 +542,12 @@ def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
     Row i is the state sum_ab w[i, a, b] |ab><ab| x conds[i, a, b] with
     classical A and B and a quantum E; ``w`` has shape (m, n_a, n_b) and
     ``conds`` (m, n_a, n_b, d, d). This is ``h_partial(state, ["A"], "B",
-    alpha)`` for every row at once: block (a, b) is referred to E's
-    marginal given b, sum_a p(a|b) conds[a, b].
+    alpha)`` for every row at once.
     """
     alpha = check_alpha(alpha)
-    w = np.asarray(w, dtype=float)
-    conds = np.asarray(conds, dtype=complex)
-    pb = w.sum(axis=1)
-    given = np.divide(w, pb[:, None], out=np.zeros_like(w),
-                      where=pb[:, None] > 0.0)
-    sigma = (given[..., None, None] * conds).sum(axis=1)
-    terms = _block_terms(w, conds, pb[:, None], sigma[:, None], alpha)
-    hb = _given_b(np.swapaxes(terms, 1, 2), pb, alpha)
-    return _partial_from_b(pb, hb, alpha)
+    w, conds = np.asarray(w, dtype=float), np.asarray(conds, dtype=complex)
+    terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], alpha)
+    return _partial_from_b(*_per_b(terms, w, 2, 1, alpha), alpha)
 
 
 def optimal_q(r, alpha: float) -> np.ndarray:
@@ -583,36 +581,31 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
     return float(vals.max())
 
 
+def _spectrum(x) -> np.ndarray:
+    """A distribution as given, or the eigenvalues of a state, clipped at 0."""
+    if np.ndim(x) == 1:
+        return np.asarray(x, dtype=float)
+    return np.clip(eigvalsh_desc(_cq(x).to_density().matrix), 0.0, None)
+
+
 def renyi_entropy(x, alpha: float) -> float:
-    """Unconditional Renyi entropy of a distribution or density operator."""
+    """Unconditional Renyi entropy of a distribution or a state."""
     alpha = check_alpha(alpha)
-    if isinstance(x, DensityOperator):
-        w = np.clip(eigvalsh_desc(x.matrix), 0.0, None)
-    else:
-        arr = np.asarray(x)
-        if arr.ndim == 1:
-            w = np.asarray(arr, dtype=float)
-        else:
-            w = np.clip(eigvalsh_desc(arr), 0.0, None)
+    w = _spectrum(x)
     tot = float((w[w > 0] ** alpha).sum())
     return math.log2(tot) / (1.0 - alpha)
 
 
 def von_neumann(x) -> float:
     """H(rho) = -tr rho log2 rho (or Shannon entropy of a distribution)."""
-    if isinstance(x, DensityOperator):
-        w = np.clip(eigvalsh_desc(x.matrix), 0.0, None)
-    else:
-        arr = np.asarray(x)
-        w = np.asarray(arr, dtype=float) if arr.ndim == 1 else np.clip(
-            eigvalsh_desc(arr), 0.0, None)
+    w = _spectrum(x)
     w = w[w > 1e-18]
     return float(-(w * np.log2(w)).sum())
 
 
 def conditional_von_neumann(state, a_names) -> float:
     """H(A | rest) = H(full) - H(rest)."""
-    rho = state.to_density() if isinstance(state, CqState) else state
+    rho = _cq(state).to_density()
     cond = [n for n in rho.labels if n not in set(a_names)]
     h_all = von_neumann(rho)
     if not cond:
@@ -681,7 +674,7 @@ def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
     a_set = set(a_names)
     b_names = [n for n in state.names if n not in a_set and n != c_name]
     f_arr = _f_vector(f, c_reg.alphabet)
-    sig = _as_mat(sigma)
+    sig = _cq(sigma).to_density().matrix
     rho_b = state.marginal(b_names).to_density().matrix if b_names else np.ones((1, 1))
     if not support_contained(rho_b, sig):
         return INF
@@ -697,27 +690,20 @@ def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
     """Closed form of sup_{q_B} H^f_alpha(AC|BE) for classical B and C.
 
     Per symbol b, the inner sum runs over c with weights p(c|b)^alpha and the
-    divergences are taken against the b-conditional marginal on E.
+    divergences are taken against the b-conditional marginal on E: this is
+    the partially optimized H(AC | B^up E^down) with the block terms of each
+    c shifted by (alpha - 1) f_c.
     """
     alpha = check_alpha(alpha)
     for n, label in ((c_name, "C"), (b_name, "B")):
         if not state.reg(n).is_classical:
             raise BNotClassicalError(f"register {n!r} ({label}) must be classical")
-    a_set = set(a_names)
     f_arr = _f_vector(f, state.alphabet(c_name))
-    e_names = [n for n in state.names
-               if n not in a_set and n not in (c_name, b_name)]
-    w, conds, rest = _split_outcomes(state, [b_name])
-    pb = w.reshape(len(w), -1).sum(axis=1)
-    outer = []
-    for b in np.flatnonzero(pb > 0.0):
-        sub_b = CqState(rest, w[b] / pb[b], conds[b])
-        rho_e = (sub_b.marginal(e_names).to_density().matrix
-                 if e_names else np.ones((1, 1)))
-        idx, pcb, d = _symbol_divergences(sub_b, c_name, rho_e, e_names, alpha)
-        inner = _log2sumexp2(alpha * np.log2(pcb) + (alpha - 1.0) * (d + f_arr[idx]))
-        outer.append(np.log2(pb[b]) + inner / alpha)
-    return (alpha / (1.0 - alpha)) * float(_log2sumexp2(outer))
+    w, c_axis = state.weights, state._cpos(c_name)
+    terms = _down_terms(state, [*a_names, c_name], alpha) + (alpha - 1.0) \
+        * np.expand_dims(f_arr, tuple(range(1, w.ndim - c_axis)))
+    return float(_partial_from_b(*_per_b(terms, w, state._cpos(b_name), 0, alpha),
+                                 alpha))
 
 
 def key_length(h_up_bits: float, epsilon: float, alpha: float) -> int:

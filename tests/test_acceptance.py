@@ -29,11 +29,9 @@ from renyiacc.counterexample import (
 )
 from renyiacc.eatrate import (
     ConstraintSet,
-    gen_round_entropy,
     inner_inf_v,
     inner_inf_v_grid,
     single_round_h,
-    strategy_gen_state,
 )
 from renyiacc.errors import InfeasibleError
 from renyiacc.optimize import nelder_mead
@@ -275,8 +273,9 @@ def test_c12_deterministic_generation_equality():
         alpha = float(rng.choice((1.1, 1.5, 2.0, 3.0)))
         p_gen = np.zeros(4)
         p_gen[int(rng.integers(0, 4))] = 1.0
-        ge = gen_round_entropy(s, p_gen, alpha)
-        hd = ent.h_down(strategy_gen_state(s, p_gen), ["A"], alpha)
+        st = strategy_to_cq(s, p_gen)
+        ge = ent.h_partial(st, ["A"], "B", alpha)
+        hd = ent.h_down(st, ["A"], alpha)
         worst = max(worst, abs(ge - hd))
     report(12, "deterministic-generation equality on 50 strategies",
            worst < 1e-10, f"worst={worst:.2e}")

@@ -13,10 +13,12 @@ from renyiacc.channel import (
     TwoQubitStrategy,
     _round_state,
     bell_value,
+    bloch_projectors,
     build_read_and_prepare,
     build_sampling_channel,
     check_b_independence,
     decomposition_gap,
+    family_round,
     flat_spike_distribution,
     kraus_from_dict,
     kraus_to_dict,
@@ -119,12 +121,17 @@ class TestCPMapFamily:
             CPMapFamily({}, ("0",), ("0",))
 
 
+def round_table(strategy, proto, outputs="alice"):
+    """The strategy's response table in the protocol's order."""
+    return strategy.response_table(proto.settings,
+                                   outputs=outputs).in_protocol_order(proto)
+
+
 class TestSamplingChannel:
     def test_gamma_zero_all_generation(self):
         proto = chsh_protocol(0.0)
-        ch = build_sampling_channel(TwoQubitStrategy.chsh_tsirelson(), proto,
-                                    outputs="pair")
-        p_c = ch.p_c()
+        p_c = proto.score_law(round_table(TwoQubitStrategy.chsh_tsirelson(),
+                                          proto, outputs="pair").p)
         assert abs(p_c[-1] - 1.0) < 1e-12  # bot carries all mass
 
     def test_gamma_one_deterministic_score_support(self):
@@ -134,28 +141,44 @@ class TestSamplingChannel:
         proto = SamplingProtocol(gamma=1.0, outcomes=outs, settings=setts,
                                  p_gen=[1.0], p_test=[1.0], score=score, d=1)
         s = TwoQubitStrategy.chsh_tsirelson()
-        p_c = build_sampling_channel(s, proto).p_c()
+        p_c = proto.score_law(round_table(s, proto).p)
         assert abs(p_c[proto.c_alphabet.index("1")] - 1.0) < 1e-12
 
     def test_chsh_win_probability(self):
         proto = chsh_protocol(1.0)
-        ch = build_sampling_channel(TwoQubitStrategy.chsh_tsirelson(), proto,
-                                    outputs="pair")
-        win = ch.p_c()[proto.c_alphabet.index("1")]
+        p_c = proto.score_law(round_table(TwoQubitStrategy.chsh_tsirelson(),
+                                          proto, outputs="pair").p)
+        win = p_c[proto.c_alphabet.index("1")]
         assert abs(win - math.cos(math.pi / 8) ** 2) < 1e-9
 
     def test_alphabet_mismatch(self):
         proto = chsh_protocol(0.5)  # pair outcomes
         with pytest.raises(AlphabetMismatchError):
-            build_sampling_channel(TwoQubitStrategy.chsh_tsirelson(), proto,
-                                   outputs="alice")
+            round_table(TwoQubitStrategy.chsh_tsirelson(), proto,
+                        outputs="alice")
 
     def test_output_state_is_valid(self):
         proto = chsh_protocol(0.3, outputs="alice")
-        st = build_sampling_channel(TwoQubitStrategy.chsh_tsirelson(), proto,
-                                    outputs="alice").output_state()
+        table = round_table(TwoQubitStrategy.chsh_tsirelson(), proto,
+                            outputs="alice")
+        st = _round_state(proto, table.p, table.cond, "E")
         st.validate()
         assert st.classical_names == ("A", "C", "T", "B")
+
+    def test_build_sampling_channel_is_round_law_and_state(self):
+        # the strategy binding adds nothing to the round law and round state
+        proto = chsh_protocol(0.3, outputs="alice")
+        s = TwoQubitStrategy.chsh_tsirelson()
+        ch = build_sampling_channel(s, proto, outputs="alice")
+        table = round_table(s, proto, outputs="alice")
+        assert np.array_equal(ch.p_c(), proto.score_law(table.p))
+        st = ch.output_state()
+        ref = _round_state(proto, table.p, table.cond, "E")
+        assert st.names == ref.names
+        assert np.array_equal(st.weights, ref.weights)
+        assert np.array_equal(st.conds, ref.conds)
+        with pytest.raises(AlphabetMismatchError):
+            build_sampling_channel(object(), proto)
 
 
 class TestRoundLaw:
@@ -206,9 +229,15 @@ class TestBIndependence:
         proto = SamplingProtocol(gamma=0.4, outcomes=outs, settings=setts,
                                  p_gen=[0.5, 0.5], p_test=[0.3, 0.7],
                                  score=score, d=1)
-        ch = build_sampling_channel(fam, proto)
-        ok, dev = check_b_independence(ch, trials=5, seed=3, r_dim=2)
+        ok, dev = check_b_independence(
+            lambda omega: family_round(fam, proto, omega), trials=5, seed=3,
+            r_dim=2)
         assert ok and dev < 1e-9
+        omega = random_density((2, 2), 4)
+        got = build_sampling_channel(fam, proto)(omega)
+        want = family_round(fam, proto, omega)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.conds, want.conds)
 
     def test_copying_channel_fails(self):
         def leaky(omega: DensityOperator):
@@ -445,8 +474,8 @@ class TestStrategy:
     def test_born_rule_against_direct(self):
         s = TwoQubitStrategy.chsh_tsirelson()
         table = s.response_table(("00",), outputs="pair")
-        p00 = s.projectors_a(0)[0]
-        q00 = s.projectors_b(0)[0]
+        p00 = bloch_projectors(*s.meas_a[0])[0]
+        q00 = bloch_projectors(*s.meas_b[0])[0]
         direct = float(np.trace(np.kron(p00, q00) @ s.state.matrix).real)
         assert abs(table.p[0, 0] - direct) < 1e-12
 
@@ -497,9 +526,9 @@ def reference_response_table(s, setting_labels, outputs):
     mat, dims = pur.matrix, pur.dims
     p, cond, outcome_set = {}, {}, []
     for lab in setting_labels:
-        pa = s.projectors_a(int(str(lab)[0]))
+        pa = bloch_projectors(*s.meas_a[int(str(lab)[0])])
         has_y = len(str(lab)) > 1
-        pb = s.projectors_b(int(str(lab)[1])) if has_y else None
+        pb = bloch_projectors(*s.meas_b[int(str(lab)[1])]) if has_y else None
         if outputs == "alice":
             combos = [(str(a), (a, None)) for a in range(2)]
         else:

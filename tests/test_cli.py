@@ -333,6 +333,17 @@ def test_entropy_rejects_unknown_cond_register(capsys, tmp_path):
     assert "'X'" in err
 
 
+def test_entropy_rejects_empty_a_on_dense_state(capsys, tmp_path):
+    rho = DensityOperator(random_density((2, 2), 7).matrix, (2, 2), ("A", "B"))
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(density_to_dict(rho)))
+    for kind in ("down", "up"):
+        code, out, err = run(["entropy", "--state", str(path), "--cond", "A,B",
+                              "--kind", kind], capsys)
+        assert (code, out) == (2, "")
+        assert "empty" in err
+
+
 class TestRateRoundCount:
     def test_rejects_non_integral_counts(self, capsys, tmp_path):
         path = write_protocol(tmp_path)

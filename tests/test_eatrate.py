@@ -11,21 +11,19 @@ from renyiacc.channel import (
     SamplingProtocol,
     TwoQubitStrategy,
     bell_value,
-    build_sampling_channel,
+    strategy_to_cq,
 )
 from renyiacc.eatrate import (
     ConstraintSet,
     asymptotic_check,
     compare_entropies,
     finite_size_bound,
-    gen_round_entropy,
     inner_inf_v,
     inner_inf_v_batch,
     inner_inf_v_grid,
     optimize_strategy,
     rate_objective,
     single_round_h,
-    strategy_gen_state,
 )
 from renyiacc.errors import (
     AlphabetMismatchError,
@@ -44,6 +42,12 @@ def alice_protocol(gamma, p_gen=None):
     return SamplingProtocol(gamma=gamma, outcomes=outs, settings=setts,
                             p_gen=p_gen if p_gen is not None else [0.25] * 4,
                             p_test=[0.25] * 4, score=score, d=1)
+
+
+def round_table(strategy, proto, outputs="alice"):
+    """The strategy's response table in the protocol's order."""
+    return strategy.response_table(proto.settings,
+                                   outputs=outputs).in_protocol_order(proto)
 
 
 class TestConstraintSet:
@@ -307,16 +311,17 @@ class TestGenRound:
         k = int(rng.integers(0, 4))
         p_gen = np.zeros(4)
         p_gen[k] = 1.0
-        ge = gen_round_entropy(s, p_gen, 2.0)
-        hd = ent.h_down(strategy_gen_state(s, p_gen), ["A"], 2.0)
+        st = strategy_to_cq(s, p_gen)
+        ge = ent.h_partial(st, ["A"], "B", 2.0)
+        hd = ent.h_down(st, ["A"], 2.0)
         assert abs(ge - hd) < 1e-10
 
     def test_pure_max_chsh_equals_up(self):
         s = TwoQubitStrategy.chsh_tsirelson()
         p_gen = np.ones(4) / 4
-        ge = gen_round_entropy(s, p_gen, 2.0)
-        hu = ent.h_up(strategy_gen_state(s, p_gen).marginal(["A", "B"]),
-                      ["A"], 2.0)
+        st = strategy_to_cq(s, p_gen)
+        ge = ent.h_partial(st, ["A"], "B", 2.0)
+        hu = ent.h_up(st.marginal(["A", "B"]), ["A"], 2.0)
         assert abs(ge - hu) < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
@@ -326,9 +331,9 @@ class TestGenRound:
             np.concatenate([[rng.uniform(0, math.pi / 4)],
                             rng.uniform(-math.pi, math.pi, 4)]), 2, 2)
         p_gen = random_distribution(4, rng)
-        st = strategy_gen_state(s, p_gen)
+        st = strategy_to_cq(s, p_gen)
         for alpha in (1.5, 2.0):
-            ge = gen_round_entropy(s, p_gen, alpha)
+            ge = ent.h_partial(st, ["A"], "B", alpha)
             assert ent.h_down(st, ["A"], alpha) <= ge + 1e-9
             assert ge <= ent.h_up(st, ["A"], alpha) + 1e-9
 
@@ -341,7 +346,8 @@ class TestSingleRound:
         sol = single_round_h(s, proto, cset, 2.0)
         # p_C is a point mass on bot, so v = delta_bot and the value is the
         # full generation entropy
-        assert abs(sol.value - gen_round_entropy(s, proto.p_gen, 2.0)) < 1e-9
+        assert abs(sol.value - ent.h_partial(strategy_to_cq(s, proto.p_gen),
+                                             ["A"], "B", 2.0)) < 1e-9
 
     def test_honest_threshold_gives_weighted_gen(self):
         # near order one the KL coefficient dominates, pinning the optimizer
@@ -350,14 +356,14 @@ class TestSingleRound:
         alpha = 1.01
         proto = alice_protocol(gamma)
         s = TwoQubitStrategy.chsh_tsirelson()
-        ch = build_sampling_channel(s, proto)
-        p_c = ch.p_c()
+        p_c = proto.score_law(round_table(s, proto).p)
         cset = ConstraintSet.min_mass(proto.c_alphabet, "1",
                                       p_c[proto.c_alphabet.index("1")] - 1e-6)
         sol = single_round_h(s, proto, cset, alpha)
         kl = ent.kl_divergence(sol.v_star, p_c)
         assert kl < 0.01
-        expect = (1 - gamma) * gen_round_entropy(s, proto.p_gen, alpha)
+        expect = (1 - gamma) * ent.h_partial(strategy_to_cq(s, proto.p_gen),
+                                             ["A"], "B", alpha)
         assert abs(sol.value - expect) < 0.02
 
     def test_tighter_than_down_variant(self):
@@ -369,9 +375,9 @@ class TestSingleRound:
             np.concatenate([[0.5], rng.uniform(-2, 2, 4)]), 2, 2)
         cset = ConstraintSet.full_simplex(proto.c_alphabet)
         sol = single_round_h(s, proto, cset, 2.0)
-        ch = build_sampling_channel(s, proto)
-        hd = ent.h_down(strategy_gen_state(s, proto.p_gen), ["A"], 2.0)
-        down_sol = inner_inf_v(ch.p_c(), hd, cset, 2.0)
+        hd = ent.h_down(strategy_to_cq(s, proto.p_gen), ["A"], 2.0)
+        down_sol = inner_inf_v(proto.score_law(round_table(s, proto).p), hd,
+                               cset, 2.0)
         assert sol.value >= down_sol.value - 1e-10
 
 

@@ -8,6 +8,7 @@ from renyiacc.errors import (
     AlphabetMismatchError,
     AllZeroError,
     BadEpsilonError,
+    BadPartitionError,
     BNotClassicalError,
     NoConvergenceError,
 )
@@ -26,6 +27,72 @@ from renyiacc.qcore import (
 )
 
 ALPHAS = (1.1, 1.5, 2.0, 3.0)
+
+# (h_down, h_up) at ALPHAS of random_density(dims, rng_from((911, i))), i the
+# index of dims in DENSE_DIMS, with A its first, its last or all its registers
+DENSE_DIMS = [(2, 3), (3, 2), (2, 2), (2, 2, 2)]
+DENSE_PINNED = {
+    ((2, 3), "first"): (
+        [0.5893717365678963, 0.508678331048134,
+         0.43053534701127916, 0.319442077387234],
+        [0.5896685677858741, 0.5141950880008355,
+         0.44676350426159306, 0.36014381546830787]),
+    ((2, 3), "last"): (
+        [1.041563199523673, 0.9538514381389576,
+         0.8704731594882203, 0.7513028855358688],
+        [1.0417464724129568, 0.9577842748972218,
+         0.8834876351768028, 0.7872096473652003]),
+    ((2, 3), "all"): (
+        [2.025471780168988, 1.928018857824973,
+         1.8318295966435723, 1.6903363744593425],
+        [2.025471780168991, 1.9280188578249737,
+         1.8318295966435725, 1.6903363744593427]),
+    ((3, 2), "first"): (
+        [0.718223616512298, 0.5750937953895491,
+         0.4543384332127259, 0.30933095523168636],
+        [0.718424434181034, 0.5780918528394026,
+         0.46106473472410026, 0.31947909568226573]),
+    ((3, 2), "last"): (
+        [0.27052225910188377, 0.15887921625051296,
+         0.0667082443196413, -0.0457338126956635],
+        [0.27083209770777794, 0.16443405841040226,
+         0.08282313774838113, -0.005965662873474601]),
+    ((3, 2), "all"): (
+        [1.5118357700218428, 1.343530697192827,
+         1.1997986443038506, 1.0281819489824089],
+        [1.5118357700218443, 1.3435306971928271,
+         1.1997986443038509, 1.0281819489824089]),
+    ((2, 2), "first"): (
+        [0.3939839141387026, 0.3111042362146104,
+         0.25261389316649624, 0.20006879900142574],
+        [0.39400760821892095, 0.31145389015757025,
+         0.25339926569642385, 0.20149208352934883]),
+    ((2, 2), "last"): (
+        [0.6121566675564384, 0.5365303802417856,
+         0.47121184504185326, 0.3874690125148302],
+        [0.6124828561407951, 0.5433190707841393,
+         0.49239904604819024, 0.4416860554751055]),
+    ((2, 2), "all"): (
+        [1.1341150859738112, 0.9917305309068765,
+         0.8723195155380143, 0.7377229938314899],
+        [1.1341150859738145, 0.9917305309068772,
+         0.8723195155380145, 0.7377229938314901]),
+    ((2, 2, 2), "first"): (
+        [0.4078007621611969, 0.30308302687549543,
+         0.20298219999220282, 0.056270736576576434],
+        [0.40835591187811565, 0.314842115996994,
+         0.24119992775448074, 0.1599074176502865]),
+    ((2, 2, 2), "last"): (
+        [0.31820909745787473, 0.2142933633378241,
+         0.12379403932182383, 0.004087900935780309],
+        [0.3186091918397282, 0.22248743468176524,
+         0.1498860501097294, 0.073605556991275]),
+    ((2, 2, 2), "all"): (
+        [2.252702473395117, 2.156031821290919,
+         2.078501260888054, 1.9866672204945428],
+        [2.252702473395117, 2.156031821290919,
+         2.078501260888054, 1.9866672204945428]),
+}
 
 
 def classical_up_bruteforce(p, alpha):
@@ -209,6 +276,28 @@ class TestHDownUp:
         rhs = ent.h_up(DensityOperator(r1.matrix, (2, 2), ("A", "B")), ["A"], alpha) \
             + ent.h_up(DensityOperator(r2.matrix, (2, 2), ("A", "B")), ["A"], alpha)
         assert abs(lhs - rhs) < 1e-8
+
+    @pytest.mark.parametrize("key", list(DENSE_PINNED), ids=[
+        "x".join(map(str, dims)) + "-" + which for dims, which in DENSE_PINNED])
+    def test_dense_states_pinned_values(self, key):
+        # h_down and h_up of seeded DensityOperators at the four orders,
+        # recorded from the dense branches that preceded the cq adapter
+        dims, which = key
+        rho = random_density(dims, rng_from((911, DENSE_DIMS.index(dims))))
+        a = {"first": rho.labels[:1], "last": rho.labels[-1:],
+             "all": rho.labels}[which]
+        down, up = DENSE_PINNED[key]
+        for alpha, hd, hu in zip(ALPHAS, down, up):
+            assert abs(ent.h_down(rho, a, alpha) - hd) <= 1e-13
+            assert abs(ent.h_up(rho, a, alpha) - hu) <= 1e-13
+
+    @pytest.mark.parametrize("h", [ent.h_down, ent.h_up])
+    def test_dense_empty_a_raises(self, h):
+        # a dense state is a cq state with no classical register, so an
+        # empty A is rejected as it is for any cq state
+        rho = random_density((2, 2), rng_from(912))
+        with pytest.raises(BadPartitionError):
+            h(rho, [], 2.0)
 
 
 class TestPartial:
