@@ -31,15 +31,15 @@ from .qcore import (
     creg,
     density_from_dict,
     density_to_dict,
+    eigvalsh_desc,
     embed,
-    matrix_power,
     qreg,
     random_density,
     rng_from,
-    support_contained,
     tensor,
     trace_distance,
 )
+from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
 from .qcore.serialize import matrix_to_json
 from .qcore.states import _apply_kraus, _purification
 
@@ -85,8 +85,7 @@ class KrausChannel:
         s = self.completeness()
         eye = np.eye(s.shape[0])
         if self.cp_only:
-            w = np.linalg.eigvalsh(eye - s)
-            if w.min() < -tol:
+            if eigvalsh_desc(eye - s)[-1] < -tol:
                 raise DimMismatchError("CP-only channel exceeds trace preservation")
         elif np.abs(s - eye).max() > tol:
             raise DimMismatchError("channel is not trace preserving")
@@ -435,6 +434,24 @@ def _embedded(op, rho: DensityOperator, labels) -> np.ndarray:
     return embed(op, rho.dims, rho.indices_of(labels))
 
 
+def _reweighting(rho: DensityOperator, b_labels, sigma_b, alpha: float):
+    """(nu, nu^{1/2}, rho^{-1/2}), nu = (rho^{1/2} sigma_B^{(1-alpha)/alpha}
+    rho^{1/2})^alpha normalized; SupportViolationError off supp(sigma_B)."""
+    sigma_b = sigma_b.matrix if isinstance(sigma_b, DensityOperator) else sigma_b
+    ws, vs = _eigh(_hermitian(sigma_b), floor=PSD_TOL)
+    if _leaks(rho.partial_trace_labels(b_labels).matrix, ws, vs)[0]:
+        raise SupportViolationError("supp(rho_B) exceeds supp(sigma_B)")
+    sig_pow = _embedded(_from_eig(_power(ws, (1.0 - alpha) / alpha), vs),
+                        rho, b_labels)
+    wr, vr = _eigh(_hermitian(rho.matrix), floor=PSD_TOL)
+    root = _from_eig(_power(wr, 0.5), vr)
+    wc, vc = _eigh(root @ sig_pow @ root, floor=PSD_TOL)
+    wn = _power(wc, alpha)
+    wn = wn / wn.sum()
+    return (_from_eig(wn, vc), _from_eig(_power(wn, 0.5), vc),
+            _from_eig(_power(wr, -0.5), vr))
+
+
 def reweighted_state(state: CqState, a1: str, b1: str, a2: str, b2: str,
              sigma_b1, alpha: float) -> CqState:
     """Reweighted cq-state nu for a state classical on b2.
@@ -448,27 +465,18 @@ def reweighted_state(state: CqState, a1: str, b1: str, a2: str, b2: str,
     if state.classical_names != (b2,):
         raise AlphabetMismatchError(
             f"register {b2!r} must be the only classical register")
-    sigma_b1 = sigma_b1.matrix if isinstance(sigma_b1, DensityOperator) else \
-        np.asarray(sigma_b1, dtype=complex)
     keep = [n for n in state.names if n in (a1, b1)]
     rho_ab = state.marginal(keep).to_density()
-    if not support_contained(rho_ab.partial_trace_labels([b1]).matrix, sigma_b1):
-        raise SupportViolationError("supp(rho_B1) exceeds supp(sigma_B1)")
+    _, nu_root, inv_root = _reweighting(rho_ab, [b1], sigma_b1, alpha)
     per_b2 = state.marginal([b2] + keep)
     if any(p > 0.0 and trace_distance(m, rho_ab) > 1e-8
            for p, m in zip(per_b2.weights, per_b2.conds)):
         raise SupportViolationError(
             "the (A1, B1) marginal depends on the b2 outcome; the "
             "decomposition needs rho_{A1 B1 B2} = rho_{A1 B1} x rho_{B2}")
-    alpha_p = (alpha - 1.0) / alpha
-    sig_pow = _embedded(matrix_power(sigma_b1, -alpha_p), rho_ab, [b1])
-    root = matrix_power(rho_ab.matrix, 0.5)
-    core = matrix_power(root @ sig_pow @ root, alpha)
-    nu_ab = core / np.trace(core).real
-    k_small = matrix_power(nu_ab, 0.5) @ matrix_power(rho_ab.matrix, -0.5)
     # push each b2 block through K . K^dag on the (A1, B1) factors
     pos = [i for i, n in enumerate(state.quantum_names) if n in (a1, b1)]
-    k_big = embed(k_small, state.qdims, pos)
+    k_big = embed(nu_root @ inv_root, state.qdims, pos)
     blk = k_big @ state.conds @ k_big.conj().T
     tr = np.trace(blk, axis1=-2, axis2=-1).real[:, None, None]
     conds = np.where(tr > 1e-14, blk / np.where(tr > 1e-14, tr, 1.0), blk)
@@ -483,31 +491,21 @@ def decomposition_gap(rho: DensityOperator, a1_labels, a2_labels,
     part and adds H_down(A2 | A1 B) on the reweighted state.
     """
     alpha = check_alpha(alpha)
-    sigma_b = sigma_b.matrix if isinstance(sigma_b, DensityOperator) else \
-        np.asarray(sigma_b, dtype=complex)
     a1_labels, a2_labels, b_labels = map(list, (a1_labels, a2_labels, b_labels))
-    if not support_contained(rho.partial_trace_labels(b_labels).matrix, sigma_b):
-        raise SupportViolationError("supp(rho_B) exceeds supp(sigma_B)")
-    ref_full = _embedded(sigma_b, rho, b_labels)
-    lhs = -renyi_divergence(rho.matrix, ref_full, alpha)
-
     keep = [n for n in rho.labels if n in set(a1_labels) | set(b_labels)]
     rho_a1b = rho.partial_trace_labels(keep)
-    ref_small = _embedded(sigma_b, rho_a1b, b_labels)
-    term1 = -renyi_divergence(rho_a1b.matrix, ref_small, alpha)
-
-    alpha_p = (alpha - 1.0) / alpha
-    root = matrix_power(rho_a1b.matrix, 0.5)
-    core = matrix_power(
-        root @ _embedded(matrix_power(sigma_b, -alpha_p), rho_a1b, b_labels) @ root,
-        alpha)
-    nu_small = core / np.trace(core).real
-    inv_root_big = _embedded(matrix_power(rho_a1b.matrix, -0.5), rho, keep)
+    nu_small, nu_root, inv_root = _reweighting(rho_a1b, b_labels, sigma_b,
+                                               alpha)
+    sigma_b = sigma_b.matrix if isinstance(sigma_b, DensityOperator) else sigma_b
+    lhs = -renyi_divergence(rho.matrix, _embedded(sigma_b, rho, b_labels),
+                            alpha)
+    term1 = -renyi_divergence(rho_a1b.matrix,
+                              _embedded(sigma_b, rho_a1b, b_labels), alpha)
+    inv_root_big = _embedded(inv_root, rho, keep)
+    nu_root_big = _embedded(nu_root, rho, keep)
     cond_op = inv_root_big @ rho.matrix @ inv_root_big
-    nu_root_big = _embedded(matrix_power(nu_small, 0.5), rho, keep)
     nu_full = nu_root_big @ cond_op @ nu_root_big
-    nu_ref = _embedded(nu_small, rho, keep)
-    term2 = -renyi_divergence(nu_full, nu_ref, alpha)
+    term2 = -renyi_divergence(nu_full, _embedded(nu_small, rho, keep), alpha)
     return abs(lhs - (term1 + term2))
 
 
@@ -802,7 +800,8 @@ def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
     if "schmidt" in doc:
         return TwoQubitStrategy.from_schmidt(float(doc["schmidt"]),
                                              meas_a, meas_b)
-    return TwoQubitStrategy(density_from_dict(doc["state"]), meas_a, meas_b)
+    return TwoQubitStrategy(density_from_dict(doc["state"]).validate(), meas_a,
+                            meas_b)
 
 
 def bell_values(rho, meas_a, meas_b, functional: BellFunctional) -> np.ndarray:

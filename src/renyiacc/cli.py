@@ -30,7 +30,7 @@ from .eatrate import (
     compare_entropies,
     optimize_strategy,
 )
-from .errors import BadIndexError, RenyiaccError
+from .errors import AlphabetMismatchError, BadIndexError, RenyiaccError
 from .qcore import load_state
 from .qcore.states import CqState
 from .verify import (
@@ -51,11 +51,10 @@ def _default_seed() -> int:
 
 
 def _alphas(spec: str):
-    out = tuple(float(x) for x in spec.split(","))
-    for a in out:
-        if not a > 1.0:
-            raise ValueError(f"alpha {a} must exceed 1")
-    return out
+    try:
+        return tuple(entropy.check_alpha(x) for x in spec.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{spec}: {exc}") from None
 
 
 def _positive_int(spec: str) -> int:
@@ -64,6 +63,13 @@ def _positive_int(spec: str) -> int:
     if not (math.isfinite(x) and x >= 1 and x == int(x)):
         raise argparse.ArgumentTypeError(f"want a whole number >= 1, got {spec}")
     return int(x)
+
+
+def _probability(spec: str) -> float:
+    x = float(spec)
+    if not 0.0 < x <= 1.0:
+        raise argparse.ArgumentTypeError(f"want a probability in (0, 1], got {spec}")
+    return x
 
 
 def _alpha_grid(spec: str):
@@ -83,17 +89,22 @@ def _emit_json(path, payload):
 
 
 def _constraint_set(doc, alphabet) -> ConstraintSet:
+    """``omega`` entries as rows ``row . omega >= rhs``; an entry may carry
+    both ``min`` and ``max``, and its coefficient keys must be symbols."""
+    symbols = [str(c) for c in alphabet]
     rows, rhs = [], []
     for item in doc or []:
-        row = [float(item["coeffs"].get(str(c), 0.0)) for c in alphabet]
-        if "min" in item:
-            rows.append(row)
-            rhs.append(float(item["min"]))
-        elif "max" in item:
-            rows.append([-x for x in row])
-            rhs.append(-float(item["max"]))
-        else:
+        unknown = sorted(set(item["coeffs"]) - set(symbols))
+        if unknown:
+            raise AlphabetMismatchError(f"omega coefficients for {unknown} "
+                                        f"outside the score alphabet {symbols}")
+        if "min" not in item and "max" not in item:
             raise ValueError("constraint needs a 'min' or 'max' bound")
+        row = [float(item["coeffs"].get(c, 0.0)) for c in symbols]
+        for sign, key in ((1.0, "min"), (-1.0, "max")):
+            if key in item:
+                rows.append([sign * x for x in row])
+                rhs.append(sign * float(item[key]))
     if not rows:
         return ConstraintSet.full_simplex(alphabet)
     return ConstraintSet(alphabet, np.asarray(rows), np.asarray(rhs))
@@ -178,8 +189,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_verify(args) -> int:
     counts = {name: args.count for name in ALL_CHECKS}
-    cfg = SuiteConfig(seed=args.seed, counts=counts,
-                      alphas=_alphas(args.alpha))
+    cfg = SuiteConfig(seed=args.seed, counts=counts, alphas=args.alpha)
     rep = run_property_suite(cfg, only=args.only)
     for r in rep.results:
         status = "pass" if r.passed else "FAIL"
@@ -254,7 +264,7 @@ def cmd_compare(args) -> int:
     n_set = (len(strategy.meas_a) * len(strategy.meas_b)
              if settings == "pairs" else len(strategy.meas_a))
     p_b = np.ones(n_set) / n_set
-    rows = compare_entropies(strategy, p_b, _alphas(args.alpha),
+    rows = compare_entropies(strategy, p_b, args.alpha,
                              settings=settings, outputs="alice")
     print("alpha   h_down     h_partial  gap         per-setting spread")
     for r in rows:
@@ -262,7 +272,7 @@ def cmd_compare(args) -> int:
               f"{r.gap:+.3e}  {r.asymmetry:.3e}")
     _emit_json(args.json, {
         "schema": "renyiacc/compare-report/v1", "version": __version__,
-        "alphas": list(_alphas(args.alpha)),
+        "alphas": list(args.alpha),
         "rows": [{"alpha": r.alpha, "h_down": r.h_down,
                   "h_partial": r.h_partial, "gap": r.gap,
                   "asymmetry": r.asymmetry,
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--count", type=_positive_int, default=50)
-    p.add_argument("--alpha", default="1.1,1.5,2,3")
+    p.add_argument("--alpha", type=_alphas, default="1.1,1.5,2,3")
     p.add_argument("--only", choices=sorted(ALL_CHECKS))
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
@@ -341,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proto", required=True)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--n", type=_positive_int, default=10 ** 6)
-    p.add_argument("--pomega", type=float, default=0.99)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--pomega", type=_probability, default=0.99,
+                   help="probability of the non-abort event, in (0, 1]")
+    p.add_argument("--restarts", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--alpha-grid", type=_alpha_grid,
                    help="CSV curve grid lo:hi:n")
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="partial-vs-down comparison for a strategy")
     p.add_argument("--strategy", required=True)
-    p.add_argument("--alpha", default="1.5,2,3")
+    p.add_argument("--alpha", type=_alphas, default="1.5,2,3")
     p.add_argument("--settings", choices=["pairs", "alice"], default="pairs")
     p.add_argument("--json")
     p.set_defaults(func=cmd_compare)

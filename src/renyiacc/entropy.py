@@ -29,22 +29,16 @@ from .errors import (
     AllZeroError,
     BadEpsilonError,
     BadPartitionError,
+    BadProbabilityError,
     BNotClassicalError,
     NoConvergenceError,
     NotHermitianError,
     NotPSDError,
 )
 from .optimize import simplex_grid
-from .qcore import (
-    CqState,
-    DensityOperator,
-    embed,
-    is_hermitian,
-    qreg,
-    support_contained,
-)
-from .qcore.linalg import PSD_TOL, SUPPORT_CUTOFF, eigvalsh_desc
-from .qcore.states import _partial_trace
+from .qcore import CqState, DensityOperator, embed, is_hermitian, qreg
+from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _leaks, _power, _support
+from .qcore.states import TRACE_TOL, WEIGHT_TOL, _dense, _partial_trace
 
 INF = math.inf
 
@@ -57,13 +51,16 @@ def check_alpha(alpha: float) -> float:
 
 
 def _cq(x) -> CqState:
-    """``x`` as a CqState: a DensityOperator, or a bare matrix, becomes the
-    state with no classical register. The only type check of this module."""
-    if isinstance(x, CqState):
-        return x
-    if not isinstance(x, DensityOperator):
-        x = DensityOperator(x, (len(x),))
-    return CqState([qreg(n, d) for n, d in zip(x.labels, x.dims)], 1.0, x.matrix)
+    """``x`` as a CqState, blocks checked finite and Hermitian: this module's
+    one type and input check (PSD is judged where a block is decomposed)."""
+    if not isinstance(x, CqState):
+        if not isinstance(x, DensityOperator):
+            x = DensityOperator(x, (len(x),))
+        x = CqState([qreg(n, d) for n, d in zip(x.labels, x.dims)], 1.0,
+                    x.matrix)
+    if not is_hermitian(x.conds):
+        raise NotHermitianError("state is not Hermitian within tolerance")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -90,37 +87,16 @@ def _log2sumexp2(x, axis=None):
     return np.squeeze(m, axis=axis) + np.log2(np.sum(2.0 ** (x - m), axis=axis))
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    return (x + np.swapaxes(x.conj(), -1, -2)) / 2
-
-
 def _sandwich_eigs(rho, sigma, t: float):
-    """Eigenvalues of sigma^t rho sigma^t for stacks of blocks ``(..., d, d)``.
-
-    One batched eigendecomposition of sigma gives its numerical support
-    (eigenvalues above SUPPORT_CUTOFF times the largest) and its powers, taken
-    on that support. Returns the ascending eigenvalues, clipped at 0, and per
-    block whether rho leaks out of supp(sigma) by more than 1e-10 of its
-    trace. Raises NotPSDError on a clearly negative eigenvalue of sigma, or
-    of the sandwich of a block inside the support.
-    """
-    ws, vs = np.linalg.eigh(_hermitian_part(sigma))
-    if ws.size and ws[..., 0].min() < -PSD_TOL:
-        raise NotPSDError("reference has a significantly negative eigenvalue "
-                          f"{ws[..., 0].min():.3e}")
-    ws = np.clip(ws, 0.0, None)
-    on = ws > SUPPORT_CUTOFF * np.maximum(ws[..., -1:], 1e-300)
-    y = np.swapaxes(vs.conj(), -1, -2) @ rho @ vs  # rho in sigma's eigenbasis
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    kept = (np.diagonal(y, axis1=-2, axis2=-1).real * on).sum(axis=-1)
-    off = tr - kept > 1e-10 * np.maximum(tr, 1.0)
-    wt = np.where(on, np.where(on, ws, 1.0) ** t, 0.0)
-    w = np.linalg.eigvalsh(_hermitian_part(wt[..., :, None] * y * wt[..., None, :]))
-    bad = (w[..., 0] < -1e-6 * np.maximum(tr, 1.0)) & ~off
-    if bad.any():
-        raise NotPSDError("matrix has a significantly negative eigenvalue "
-                          f"{w[..., 0][bad].min():.3e}")
-    return np.clip(w, 0.0, None), off
+    """Ascending eigenvalues of sigma^t rho sigma^t, clipped at 0, and whether
+    rho leaks out of supp(sigma), per block; NotPSDError on a clearly negative
+    sigma, or sandwich (below -1e-6 max(tr rho, 1)) inside the support."""
+    ws, vs = _eigh(sigma, floor=PSD_TOL)
+    off, y, tr = _leaks(rho, ws, vs)  # y: rho in sigma's eigenbasis
+    wt = _power(ws, t)
+    w = _eigh(wt[..., :, None] * y * wt[..., None, :], vectors=False,
+              floor=np.where(off, INF, 1e-6 * np.maximum(tr, 1.0)))
+    return w, off
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +143,17 @@ def _divergence_args(rho, sigma):
 
     A pair on the same classical registers is taken block by block; a pair
     of which one side has none is compared as one dense block of weight 1.
-    The caller's sigma must be Hermitian, every block of it.
     """
     rho, sigma = _cq(rho), _cq(sigma)
     if rho.cregs != sigma.cregs:
         if rho.cregs and sigma.cregs:
             raise AlphabetMismatchError(
                 "classical registers or alphabets differ between states")
-        rho, sigma = _cq(rho.to_density()), _cq(sigma.to_density())
+        return (np.ones(1), rho.to_density().matrix[None], np.ones(1),
+                sigma.to_density().matrix[None])
     p, q = rho.weights.reshape(-1), sigma.weights.reshape(-1)
     rb = rho.conds.reshape(-1, rho.qdim, rho.qdim)
     sb = sigma.conds.reshape(-1, sigma.qdim, sigma.qdim)
-    if not is_hermitian(sb):
-        raise NotHermitianError("reference is not Hermitian within tolerance")
     return p, rb, q, sb
 
 
@@ -231,21 +205,20 @@ def _split(state: CqState, a_names) -> set:
     return a_names
 
 
-def _split_outcomes(state: CqState, names):
-    """Weights and blocks with the outcomes of the classical ``names`` on axis 0.
-
-    Returns ``(w, conds, rest)``: ``w`` has shape ``(n,) + rest grid`` with
-    the outcomes of ``names`` flattened in the order given, ``conds`` the
-    matching blocks, ``rest`` the other registers in register order.
-    """
-    axes = [state._cpos(n) for n in names]
-    k = len(axes)
+def _given(state: CqState, names):
+    """``(live, p, w, conds, rest)``: the flat indices of the outcomes of the
+    classical ``names`` with p > 0, their p, and the weights and blocks of the
+    state given each, stacked on axis 0, on the other registers ``rest``."""
+    axes, k = [state._cpos(n) for n in names], len(names)
     w = np.moveaxis(state.weights, axes, range(k))
-    conds = np.moveaxis(state.conds, axes, range(k))
-    n = int(np.prod(w.shape[:k], initial=1))
-    rest = [r for r in state.regs if r.name not in names]
-    return (w.reshape((n,) + w.shape[k:]), conds.reshape((n,) + conds.shape[k:]),
-            rest)
+    w = w.reshape((-1,) + w.shape[k:])
+    conds = np.moveaxis(state.conds, axes, range(k)).reshape(
+        w.shape + state.conds.shape[-2:])
+    p = w.reshape(len(w), -1).sum(axis=1)
+    live = np.flatnonzero(p > 0.0)
+    given = w[live] / p[live].reshape((-1,) + (1,) * (w.ndim - 1))
+    return live, p[live], given, conds[live], [r for r in state.regs
+                                                if r.name not in names]
 
 
 def _down_blocks(w, conds, a_axes, a_pos, qdims, alpha: float) -> np.ndarray:
@@ -290,11 +263,6 @@ class UpConfig:
     max_iter: int = 10000
 
 
-def _from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v diag(w) v^dagger for stacks of eigenpairs."""
-    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 def _ab_matrix(x: np.ndarray) -> np.ndarray:
     """``(k, a, a', i, j)`` blocks of AB operators as ``(k, d_a r, d_a r)`` matrices."""
     k, d_a, _, r, _ = x.shape
@@ -309,19 +277,18 @@ def _trace_a(x: np.ndarray, d_a: int) -> np.ndarray:
     return np.einsum("kaiaj->kij", x.reshape(k, d_a, r, d_a, r))
 
 
-def _x_eigs(rc, ws, vs, s: float):
-    """Eigenpairs of X = S rho S, clipped at 0, and sigma^s, where
-    S = I x sigma^s and sigma = vs diag(ws) vs^dagger; rho as ``rc`` blocks."""
-    keep = ws > SUPPORT_CUTOFF * np.max(ws, axis=-1, keepdims=True)
-    ss = _from_eig(np.where(keep, np.where(keep, ws, 1.0) ** s, 0.0), vs)
+def _x_eigs(rc, ws, vs, s: float, floor):
+    """Eigenpairs of X = S rho S (NotPSDError below ``-floor`` per row) and
+    sigma^s, where S = I x sigma^s, sigma = vs diag(ws) vs^dagger, rho as rc blocks."""
+    ss = _from_eig(_power(ws, s), vs)
     sb = ss[:, None, None]
-    wx, vx = np.linalg.eigh(_ab_matrix(sb @ rc @ sb))
-    return np.clip(wx, 0.0, None), vx, ss
+    wx, vx = _eigh(_ab_matrix(sb @ rc @ sb), floor=floor, symmetrize=False)
+    return wx, vx, ss
 
 
-def _q_grad(rc, ws, vs, alpha: float):
+def _q_grad(rc, ws, vs, alpha: float, floor):
     """Q(sigma) = tr[(S rho S)^alpha], S = I x sigma^s, and its gradient in
-    sigma's eigenbasis U, at sigma = vs diag(ws) vs^dagger.
+    sigma's eigenbasis U, at sigma = vs diag(ws) vs^dagger; ``floor`` as in _x_eigs.
 
     The gradient is U (Gamma o U^dagger M U) U^dagger with
     M = alpha tr_A[rho S X^(alpha-1) + h.c.] and Gamma the divided
@@ -329,9 +296,9 @@ def _q_grad(rc, ws, vs, alpha: float):
     Gamma o U^dagger M U.
     """
     s = (1.0 - alpha) / (2.0 * alpha)
-    wx, vx, ss = _x_eigs(rc, ws, vs, s)
+    wx, vx, ss = _x_eigs(rc, ws, vs, s, floor)
     p = _ab_matrix(rc @ ss[:, None, None]) @ _from_eig(wx ** (alpha - 1.0), vx)
-    m = alpha * _trace_a(2.0 * _hermitian_part(p), rc.shape[1])
+    m = alpha * _trace_a(p + np.swapaxes(p.conj(), -1, -2), rc.shape[1])
     # Gamma_ij = (l_i^s - l_j^s) / (l_i - l_j) = l_j^(s-1) expm1(s d) / expm1(d)
     # with d = log l_i - log l_j, which is s l^(s-1) on the diagonal
     lw = np.log(ws)
@@ -355,6 +322,7 @@ def _up_fixed_point(rc, w0, alpha: float, cfg: UpConfig):
     """
     k, d_a, _, r, _ = rc.shape
     s, theta = (1.0 - alpha) / (2.0 * alpha), 1.0 / alpha
+    floor = 1e-6 * np.maximum(np.einsum("kaaii->k", rc).real, 1.0)  # as a sandwich
     ws = w0.copy()
     vs = np.broadcast_to(np.eye(r, dtype=complex), (k, r, r)).copy()
     sig = _from_eig(ws, vs)
@@ -362,23 +330,23 @@ def _up_fixed_point(rc, w0, alpha: float, cfg: UpConfig):
     ticks = 0
     while live.size and ticks < cfg.max_iter:
         ticks += 1
-        wx, vx, _ = _x_eigs(rc[live], ws[live], vs[live], s)
+        wx, vx, _ = _x_eigs(rc[live], ws[live], vs[live], s, floor[live])
         t_mat = _trace_a(_from_eig(wx ** alpha, vx), d_a)
-        wt, vt = np.linalg.eigh(_hermitian_part(t_mat))
+        wt, vt = _eigh(t_mat)
         h = (theta * _from_eig(np.log(np.clip(wt, 1e-300, None)), vt)
              + (1.0 - theta) * _from_eig(np.log(np.clip(ws[live], 1e-300, None)),
                                          vs[live]))
-        wh, vh = np.linalg.eigh(_hermitian_part(h))
+        wh, vh = _eigh(h)
         e = np.exp(wh - wh[:, -1:])
         e /= e.sum(axis=-1, keepdims=True)
         new = _from_eig(e, vh)
         delta = np.abs(new - sig[live]).max(axis=(-2, -1))
         ws[live], vs[live], sig[live] = e, vh, new
         live = live[~(delta < cfg.tol)]
-    q, grad = _q_grad(rc, ws, vs, alpha)
+    q, grad = _q_grad(rc, ws, vs, alpha, floor)
     # <grad Q, sigma> is the diagonal of grad weighed by sigma's eigenvalues
     low = q - (np.einsum("ki,kii->k", ws, grad).real
-               - np.linalg.eigvalsh(_hermitian_part(grad))[:, 0])
+               - _eigh(grad, vectors=False)[:, 0])
     upper = np.where(low > 0.0, -_log2(low) / (alpha - 1.0), INF)
     return -_log2(q) / (alpha - 1.0), upper, ticks, live
 
@@ -405,14 +373,13 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
     alpha = check_alpha(alpha)
     cfg = cfg or UpConfig()
     rho = np.asarray(rho, dtype=complex)
+    if not is_hermitian(rho):
+        raise NotHermitianError("state is not Hermitian within tolerance")
     lone = rho.ndim == 2
     rho = rho.reshape(-1, d_a * d_b, d_a * d_b)
-    rho_b = _trace_a(rho, d_a)
-    if not is_hermitian(rho_b):
-        raise NotHermitianError("marginal is not Hermitian within tolerance")
-    wb, vb = np.linalg.eigh(_hermitian_part(rho_b))
-    wb, vb = np.clip(wb[:, ::-1], 0.0, None), vb[:, :, ::-1]
-    rank = (wb > SUPPORT_CUTOFF * np.maximum(wb[:, :1], 1e-300)).sum(axis=1)
+    wb, vb = _eigh(_trace_a(rho, d_a), floor=PSD_TOL)
+    wb, vb = wb[:, ::-1], vb[:, :, ::-1]
+    rank = _support(wb).sum(axis=1)
     value, upper = np.empty(len(rho)), np.empty(len(rho))
     ticks, stuck = 0, []
     for r in np.unique(rank):
@@ -442,25 +409,20 @@ def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
     cq_names = [r.name for r in state.qregs if r.name not in a_set]
     # one row per outcome c of the classical conditioning: H_up is
     # (alpha/(1-alpha)) log2 sum_c p(c) 2^(((1-alpha)/alpha) H_up(A | rest)_{|c})
-    w, conds, rest = _split_outcomes(state, ccl)
-    pc = w.reshape(len(w), -1).sum(axis=1)
-    live = np.flatnonzero(pc > 0.0)
-    given = w[live] / pc[live].reshape((-1,) + (1,) * (w.ndim - 1))
+    _, pc, given, conds, rest = _given(state, ccl)
     if not cq_names:
         # the conditional state is block diagonal: its spectrum is p(a|c)
         # times that of each block
-        lam = np.linalg.eigvalsh(conds[live])
+        lam = _eigh(conds, vectors=False, floor=PSD_TOL)
         x = alpha * _log2(given[..., None] * lam)
-        inner = _log2sumexp2(x.reshape(len(live), -1), axis=1) / alpha
+        inner = _log2sumexp2(x.reshape(len(pc), -1), axis=1) / alpha
     else:
         order = [n for n in state.names if n in a_set] + cq_names
         d_a = int(np.prod([state.reg(n).size for n in order if n in a_set]))
-        dense = np.stack([CqState(rest, given[row], conds[c]).to_density()
-                          .permute_labels(order).matrix
-                          for row, c in enumerate(live)])
+        dense = _dense(rest, given, conds, order)
         vals, _, _ = h_up_dense(dense, d_a, dense.shape[-1] // d_a, alpha, cfg)
         inner = (1.0 - alpha) / alpha * vals
-    return alpha / (1.0 - alpha) * float(_log2sumexp2(np.log2(pc[live]) + inner))
+    return alpha / (1.0 - alpha) * float(_log2sumexp2(np.log2(pc) + inner))
 
 
 def h_classical(p, alpha: float, variant: str) -> float:
@@ -532,8 +494,8 @@ def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
     states.
     """
     alpha = check_alpha(alpha)
-    return float(_partial_from_b(*_per_b_down(state, a_names, up_name, alpha),
-                                 alpha))
+    return float(_partial_from_b(*_per_b_down(_cq(state), a_names, up_name,
+                                              alpha), alpha))
 
 
 def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
@@ -569,7 +531,7 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
     optimizer), using the block decomposition with weights q.
     """
     alpha = check_alpha(alpha)
-    pb, hb = _per_b_down(state, a_names, up_name, alpha)
+    pb, hb = _per_b_down(_cq(state), a_names, up_name, alpha)
     # log2 r_b = alpha log2 p_b + (1 - alpha) h_b; the objective diverges to
     # -inf whenever some q_b vanishes, so the supremum sits in the interior
     # and boundary grid points can be dropped.
@@ -582,10 +544,14 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
 
 
 def _spectrum(x) -> np.ndarray:
-    """A distribution as given, or the eigenvalues of a state, clipped at 0."""
+    """A distribution (BadProbabilityError on an entry below -WEIGHT_TOL or a
+    sum off 1 by TRACE_TOL), or the eigenvalues of a state, clipped at 0."""
     if np.ndim(x) == 1:
-        return np.asarray(x, dtype=float)
-    return np.clip(eigvalsh_desc(_cq(x).to_density().matrix), 0.0, None)
+        p = np.asarray(x, dtype=float)
+        if p.min(initial=0.0) < -WEIGHT_TOL or not abs(p.sum() - 1.0) <= TRACE_TOL:
+            raise BadProbabilityError(f"{p.tolist()} is not a distribution")
+        return p
+    return _eigh(_cq(x).to_density().matrix, vectors=False, floor=PSD_TOL)
 
 
 def renyi_entropy(x, alpha: float) -> float:
@@ -598,7 +564,10 @@ def renyi_entropy(x, alpha: float) -> float:
 
 def von_neumann(x) -> float:
     """H(rho) = -tr rho log2 rho (or Shannon entropy of a distribution)."""
-    w = _spectrum(x)
+    return _shannon(_spectrum(x))
+
+
+def _shannon(w) -> float:
     w = w[w > 1e-18]
     return float(-(w * np.log2(w)).sum())
 
@@ -607,10 +576,11 @@ def conditional_von_neumann(state, a_names) -> float:
     """H(A | rest) = H(full) - H(rest)."""
     rho = _cq(state).to_density()
     cond = [n for n in rho.labels if n not in set(a_names)]
-    h_all = von_neumann(rho)
+    h_all = _shannon(_eigh(rho.matrix, vectors=False, floor=PSD_TOL))
     if not cond:
         return h_all
-    return h_all - von_neumann(rho.partial_trace_labels(cond))
+    marginal = rho.partial_trace_labels(cond).matrix
+    return h_all - _shannon(_eigh(marginal, vectors=False, floor=PSD_TOL))
 
 
 def cond_mutual_info(rho: DensityOperator, a_names, b_names, c_names) -> float:
@@ -649,14 +619,11 @@ def _symbol_divergences(state: CqState, c_name: str, ref, ref_names,
     dense state of the other registers given c, all in one kernel call.
     Returns (symbol indices, p(c), divergences).
     """
-    w, conds, rest = _split_outcomes(state, [c_name])
-    p = w.reshape(len(w), -1).sum(axis=1)
-    live = np.flatnonzero(p > 0.0)
-    rho = np.stack([CqState(rest, w[i] / p[i], conds[i]).to_density().matrix
-                    for i in live])
+    live, p, given, conds, rest = _given(state, [c_name])
     names = [r.name for r in rest]
     ref = embed(ref, [r.size for r in rest], [names.index(n) for n in ref_names])
-    return live, p[live], _divergence_dense(rho, ref, alpha)
+    return live, p, _divergence_dense(_dense(rest, given, conds, names), ref,
+                                      alpha)
 
 
 def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
@@ -668,6 +635,7 @@ def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
     Returns +inf when supp(rho_B) is not contained in supp(sigma_B).
     """
     alpha = check_alpha(alpha)
+    state = _cq(state)
     c_reg = state.reg(c_name)
     if not c_reg.is_classical:
         raise BNotClassicalError(f"register {c_name!r} must be classical")
@@ -675,9 +643,6 @@ def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
     b_names = [n for n in state.names if n not in a_set and n != c_name]
     f_arr = _f_vector(f, c_reg.alphabet)
     sig = _cq(sigma).to_density().matrix
-    rho_b = state.marginal(b_names).to_density().matrix if b_names else np.ones((1, 1))
-    if not support_contained(rho_b, sig):
-        return INF
     idx, pc, d = _symbol_divergences(state, c_name, sig, b_names, alpha)
     if np.any(d == INF):
         return INF
@@ -695,6 +660,7 @@ def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
     c shifted by (alpha - 1) f_c.
     """
     alpha = check_alpha(alpha)
+    state = _cq(state)
     for n, label in ((c_name, "C"), (b_name, "B")):
         if not state.reg(n).is_classical:
             raise BNotClassicalError(f"register {n!r} ({label}) must be classical")

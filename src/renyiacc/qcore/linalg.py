@@ -3,11 +3,13 @@
 Conventions used throughout the package:
 
 - matrices are numpy complex arrays;
-- eigenvalues are returned in descending order;
+- every eigendecomposition runs through ``_eigh``, in numpy's ascending
+  order; the public ``hermitian_eig`` and ``eigvalsh_desc`` return it descending;
 - negative and fractional powers of PSD matrices are taken on the numerical
   support (pseudo-inverse convention) with a relative eigenvalue cutoff of
   ``SUPPORT_CUTOFF`` against the largest eigenvalue;
-- eigenvalues above ``-PSD_TOL`` are accepted as nonnegative and clipped.
+- eigenvalues above ``-PSD_TOL`` are accepted as nonnegative and clipped;
+- Hermiticity and finiteness are checked by the public functions, not ``_eigh``.
 """
 
 from __future__ import annotations
@@ -35,63 +37,82 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m) -> bool:
     """Whether ``m``, a matrix or a stack ``(..., d, d)`` of them, is finite
-    and Hermitian within ``tol`` relative to its largest entry."""
+    and Hermitian within ``HERMITICITY_TOL`` relative to its largest entry."""
     a = np.asarray(m)
     top = np.abs(a).max()
     dev = np.abs(a - a.conj().swapaxes(-1, -2)).max()
-    return bool(dev <= tol * max(1.0, top) and top < np.inf)
+    return bool(dev <= HERMITICITY_TOL * max(1.0, top) and top < np.inf)
 
 
-def hermitian_eig(m, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and unitary ``v``.
-    """
+def _hermitian(m) -> np.ndarray:
     a = as_matrix(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return a
+
+
+def _eigh(x, vectors: bool = True, floor=None, symmetrize: bool = True):
+    """Ascending eigenvalues (and eigenvectors) of the Hermitian part of each
+    matrix of a stack, unchecked. With ``floor`` (a tolerance, or one per
+    matrix) they are states: NotPSDError below ``-floor``, else clipped at 0.
+    ``symmetrize=False`` skips the Hermitian part for exact products."""
+    h = (x + np.swapaxes(x.conj(), -1, -2)) / 2 if symmetrize else x
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    if floor is not None and w.size:
+        if (w[..., 0] < -floor).any():
+            raise NotPSDError("matrix has a significantly negative eigenvalue "
+                              f"{w[..., 0].min():.3e}")
+        w = np.clip(w, 0.0, None)
+    return (w, v) if vectors else w
+
+
+def _from_eig(w, v) -> np.ndarray:
+    """v diag(w) v^dagger for stacks of eigenpairs."""
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _support(w) -> np.ndarray:
+    top = np.max(w, axis=-1, keepdims=True, initial=0.0)
+    return w > SUPPORT_CUTOFF * np.maximum(top, 1e-300)
+
+
+def _power(w, t: float) -> np.ndarray:
+    """Eigenvalues to the power ``t`` on the support, 0 off it."""
+    on = _support(w)
+    return np.where(on, np.where(on, w, 1.0) ** t, 0.0)
+
+
+def hermitian_eig(m):
+    """``(w, v)`` with ``m = v diag(w) v^dagger``, ``w`` descending."""
+    w, v = _eigh(_hermitian(m))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def eigvalsh_desc(m) -> np.ndarray:
-    a = as_matrix(m)
-    return np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1].copy()
+    return _eigh(as_matrix(m), vectors=False)[::-1].copy()
 
 
-def _psd_eig(m, psd_tol: float, cutoff: float):
-    """Descending eigenpairs of a PSD matrix, clipped at 0, and its support:
-    the eigenvalues above ``cutoff`` relative to the largest."""
-    w, v = hermitian_eig(m)
-    if w.size and w[-1] < -psd_tol:
-        raise NotPSDError(f"matrix has a significantly negative eigenvalue {w[-1]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return w, v, w > cutoff * max(w[0] if w.size else 0.0, 1e-300)
+def matrix_power(m, t: float) -> np.ndarray:
+    """Spectral power of a PSD matrix on its support (0**t := 0 for all t)."""
+    w, v = _eigh(_hermitian(m), floor=PSD_TOL)
+    return _from_eig(_power(w, t), v)
 
 
-def matrix_power(m, t: float, psd_tol: float = PSD_TOL,
-                 cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Spectral power of a PSD matrix with 0**t := 0 for all t.
-
-    Eigenvalues below ``cutoff`` relative to the largest are treated as zero,
-    so negative powers act as pseudo-inverses on the support.
-    """
-    w, v, on = _psd_eig(m, psd_tol, cutoff)
-    wt = np.zeros_like(w)
-    wt[on] = w[on] ** t
-    return (v * wt) @ v.conj().T
+def _leaks(rho, w, v):
+    """(rho leaks 1e-10 of its trace out of supp(v diag(w) v^dagger),
+    rho in the basis ``v``, tr rho) per matrix of stacks."""
+    y = np.swapaxes(v.conj(), -1, -2) @ rho @ v
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    kept = (np.diagonal(y, axis1=-2, axis2=-1).real * _support(w)).sum(axis=-1)
+    return tr - kept > 1e-10 * np.maximum(tr, 1.0), y, tr
 
 
-def support_contained(rho, sigma, cutoff: float = SUPPORT_CUTOFF,
-                      leak_tol: float = 1e-10) -> bool:
+def support_contained(rho, sigma) -> bool:
     """supp(rho) subseteq supp(sigma), judged by trace leakage outside supp(sigma)."""
-    _, v, on = _psd_eig(sigma, PSD_TOL, cutoff)
-    pi = v[:, on] @ v[:, on].conj().T
-    r = np.asarray(rho, dtype=complex)
-    tr = float(np.trace(r).real)
-    return tr - float(np.trace(pi @ r @ pi).real) <= leak_tol * max(tr, 1.0)
+    w, v = _eigh(_hermitian(sigma), floor=PSD_TOL)
+    return not _leaks(np.asarray(rho, dtype=complex), w, v)[0]
 
 
 def embed(op, dims, acting_on) -> np.ndarray:

@@ -26,12 +26,12 @@ from ..errors import (
     NotPSDError,
 )
 from .linalg import (
-    HERMITICITY_TOL,
     PSD_TOL,
+    _eigh,
+    _hermitian,
     as_matrix,
     embed,
     eigvalsh_desc,
-    hermitian_eig,
     is_hermitian,
     matrix_power,
 )
@@ -79,6 +79,18 @@ def _apply_kraus(x: np.ndarray, dims, pos: int, kraus):
     return out.reshape(lead + (d, d)), dims
 
 
+def _check_states(blocks, trace_tol: float, normalized: bool = True) -> None:
+    """Reject blocks ``(k, d, d)`` that are not states (unless ``normalized``,
+    trace at most 1)."""
+    if not is_hermitian(blocks):
+        raise NotHermitianError("density operator is not Hermitian")
+    _eigh(blocks, vectors=False, floor=PSD_TOL)
+    tr = np.trace(blocks, axis1=-2, axis2=-1).real
+    if np.any(tr > 1.0 + trace_tol) or normalized and np.any(tr < 1.0 - trace_tol):
+        raise DimMismatchError(f"trace {tr} is not {'' if normalized else 'at most '}"
+                               f"1 within {trace_tol}")
+
+
 def _purification(m: np.ndarray) -> np.ndarray:
     """Columns ``sqrt(l_i) psi_i`` over the numerical support of ``m``.
 
@@ -86,8 +98,8 @@ def _purification(m: np.ndarray) -> np.ndarray:
     ``d * r`` it is the purification ``sum_i sqrt(l_i) |psi_i> x |i>``, with
     the copy basis in descending eigenvalue order.
     """
-    w, v = hermitian_eig(m)
-    w = np.clip(w, 0.0, None)
+    w, v = _eigh(_hermitian(m), floor=PSD_TOL)
+    w, v = w[::-1], v[:, ::-1]
     on = w > 1e-14 * max(w[0], 1e-300)
     return v[:, on] * np.sqrt(w[on])
 
@@ -121,17 +133,7 @@ class DensityOperator:
 
     # -- validation ---------------------------------------------------------
     def validate(self, trace_tol: float = TRACE_TOL) -> "DensityOperator":
-        if not is_hermitian(self.matrix, HERMITICITY_TOL):
-            raise NotHermitianError("density operator is not Hermitian")
-        w = eigvalsh_desc(self.matrix)
-        if w[-1] < -PSD_TOL:
-            raise NotPSDError(f"negative eigenvalue {w[-1]:.3e}")
-        tr = self.trace()
-        if self.normalized:
-            if abs(tr - 1.0) > trace_tol:
-                raise DimMismatchError(f"trace {tr} not 1 within {trace_tol}")
-        elif tr > 1.0 + trace_tol:
-            raise DimMismatchError(f"sub-normalized state has trace {tr} > 1")
+        _check_states(self.matrix[None], trace_tol, self.normalized)
         return self
 
     def trace(self) -> float:
@@ -413,9 +415,7 @@ class CqState:
             raise NotPSDError("negative classical weight")
         if abs(w.sum() - 1.0) > atol:
             raise DimMismatchError(f"weights sum to {w.sum()}, not 1")
-        for _, _, p, c in self.outcomes():
-            if p > WEIGHT_TOL:
-                DensityOperator(c, self.qdims or (1,)).validate(atol)
+        _check_states(self.conds[w > WEIGHT_TOL], atol)
         return self
 
     def _live_weights(self) -> np.ndarray:
@@ -541,21 +541,29 @@ class CqState:
 
     def to_density(self) -> DensityOperator:
         """Dense embedding with classical registers as diagonal subsystems."""
-        cshape, qdims = self.weights.shape, self.qdims
-        n, q = self.weights.size, self.qdim
-        # classical axes first: outcome k's block sits at rows and columns k
-        live = np.flatnonzero(self.weights > WEIGHT_TOL)
-        t = np.zeros((n, q, n, q), dtype=complex)
-        t[live, :, live] = (self.weights.reshape(-1)[live, None, None]
-                            * self.conds.reshape(n, q, q)[live])
-        # then into register order
-        ci, qi = iter(range(len(cshape))), iter(range(len(cshape), len(self.regs)))
-        perm = [next(ci) if r.is_classical else next(qi) for r in self.regs]
-        t = t.reshape((cshape + qdims) * 2).transpose(
-            perm + [len(perm) + i for i in perm])
-        dims = self.register_dims()
-        d = int(np.prod(dims, initial=1))
-        return DensityOperator(t.reshape(d, d), dims, self.names)
+        return DensityOperator(_dense(self.regs, self.weights, self.conds,
+                                      self.names), self.register_dims(), self.names)
+
+
+def _dense(regs, weights, conds, order) -> np.ndarray:
+    """Dense matrices of the cq states ``(weights, conds)`` (any leading stack
+    axes) on ``regs``, subsystems in the name ``order``, as in ``to_density``."""
+    src = sorted(regs, key=lambda r: not r.is_classical)
+    shape = tuple(r.size for r in src)
+    nc = sum(r.is_classical for r in src)
+    n, q = math.prod(shape[:nc]), math.prod(shape[nc:])
+    lead = weights.shape[:weights.ndim - nc]
+    w = weights.reshape(lead + (n, 1, 1))
+    blocks = np.where(w > WEIGHT_TOL, w * conds.reshape(lead + (n, q, q)), 0.0)
+    # classical axes first: outcome k's block sits at rows and columns k
+    t = np.zeros(lead + (n, q, n, q), dtype=complex)
+    t[..., np.arange(n), :, np.arange(n), :] = np.moveaxis(blocks, -3, 0)
+    # then into the requested order
+    perm = [[r.name for r in src].index(name) for name in order]
+    b, m = len(lead), len(src)
+    t = t.reshape(lead + shape * 2).transpose(
+        [*range(b)] + [b + i for i in perm] + [b + m + i for i in perm])
+    return t.reshape(lead + (n * q, n * q))
 
 
 def cq_from_joint(names, alphabets, joint) -> CqState:

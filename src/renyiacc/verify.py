@@ -44,6 +44,7 @@ from .qcore import (
     CqState,
     DensityOperator,
     creg,
+    eigvalsh_desc,
     embed,
     matrix_power,
     qreg,
@@ -418,7 +419,7 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         f = rng.uniform(-m_const * 0.9, m_const * 0.45, size=3)
         ha = entropy.f_weighted(st_a, ["A"], "C", sigma, f, alpha)
         hb = entropy.f_weighted(st_tau, ["A"], "C", sigma, f, alpha)
-        m_sig = float(np.linalg.eigvalsh(sigma).min())
+        m_sig = float(eigvalsh_desc(sigma)[-1])
         kappa = 2 * 3 * 2 ** math.ceil(2 * m_const) / m_sig
         bound = (alpha / (alpha - 1.0)) * math.log2(
             1.0 + eps * kappa ** ((alpha - 1.0) / alpha))

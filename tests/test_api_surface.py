@@ -7,6 +7,10 @@ anywhere in the package outside its own definition: as a name, an attribute
 or an imported name (a package re-export counts). A public name with no use
 must be on ``ALLOWED`` with a one-word reason; a name kept there must still
 be defined and still be unused, so the list stays exact.
+
+A second guard keeps numpy's Hermitian eigensolvers (``eigh``,
+``eigvalsh``) to ``qcore/linalg.py``: every other module decomposes through
+its one spectral helper, which holds the PSD rule.
 """
 
 import ast
@@ -23,6 +27,7 @@ ALLOWED = {
     "KrausChannel.compose": "state-model",
     "KrausChannel.dephasing": "state-model",
     "DensityOperator.is_pure": "state-model",
+    "DensityOperator.permute_labels": "state-model",
     "build_sampling_channel": "benchmark",
     "SamplingChannel.output_state": "benchmark",
     "CqState.apply_classical_map": "state-model",
@@ -94,3 +99,36 @@ def test_allow_list_is_exact():
 
 def test_reasons_are_one_word():
     assert all(reason and " " not in reason for reason in ALLOWED.values())
+
+
+EIGENSOLVERS = {"eigh", "eigvalsh"}
+SPECTRAL_HOME = PACKAGE / "qcore" / "linalg.py"
+
+
+def eigensolver_uses(tree):
+    """Line numbers where a module names ``eigh`` or ``eigvalsh``, as an
+    attribute (``np.linalg.eigh``) or as a name imported from a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and any(a.name in EIGENSOLVERS for a in node.names):
+            yield node.lineno
+
+
+def test_eigensolver_is_called_only_in_linalg():
+    found = {
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != SPECTRAL_HOME
+        for line in eigensolver_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert not found, (
+        f"eigh/eigvalsh outside qcore/linalg.py: {sorted(found)}; decompose "
+        "through qcore.linalg._eigh")
+
+
+def test_eigensolver_guard_sees_each_spelling():
+    src = ("import numpy as np\nfrom numpy.linalg import eigvalsh\n"
+           "w = np.linalg.eigh(m)\n")
+    assert sorted(eigensolver_uses(ast.parse(src))) == [2, 3]
+    assert list(eigensolver_uses(ast.parse(SPECTRAL_HOME.read_text())))

@@ -9,7 +9,7 @@ from renyiacc.channel import (
     protocol_to_dict,
     strategy_to_dict,
 )
-from renyiacc.cli import main
+from renyiacc.cli import _constraint_set, main
 from renyiacc.qcore import (
     DensityOperator,
     cq_to_dict,
@@ -155,6 +155,18 @@ class TestCompareCommand:
                             "--alpha", "1.5,2"], capsys)
         assert code == 0
         assert "h_down" in out
+
+    def test_compare_rejects_a_state_that_is_not_a_state(self, capsys,
+                                                         tmp_path):
+        doc = strategy_to_dict(TwoQubitStrategy.chsh_tsirelson())
+        path = tmp_path / "strategy.json"
+        # not Hermitian; trace 2, where h_down read -1.000000 with exit 0
+        for bad in (np.eye(4) / 4 + 0.1j * np.diag([1, 1, -1, -1]),
+                    np.eye(4) / 2):
+            doc["state"] = density_to_dict(DensityOperator(bad, (2, 2)))
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(["compare", "--strategy", str(path)], capsys)
+            assert (code, out) == (2, "")
 
 
 def attack_doc(n_b=4, n_a=2, r_dim=2):
@@ -403,3 +415,64 @@ class TestAlphaGridSpec:
         assert code == 0
         rows = rate_csv.read_text().strip().splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == [2.0, 1.55, 1.1]
+
+
+class TestOmegaEntries:
+    def test_entry_with_both_bounds_gives_two_rows(self):
+        cset = _constraint_set(
+            [{"coeffs": {"1": 1.0}, "min": 0.04, "max": 0.3}], ("0", "1"))
+        assert np.array_equal(cset.mat, [[0.0, 1.0], [-0.0, -1.0]])
+        assert np.array_equal(cset.rhs, [0.04, -0.3])
+
+    def test_single_bounds_are_one_row_each(self):
+        cset = _constraint_set([{"coeffs": {"1": 1.0}, "min": 0.04},
+                                {"coeffs": {"0": 2.0}, "max": 0.5}],
+                               ("0", "1"))
+        assert np.array_equal(cset.mat, [[0.0, 1.0], [-2.0, -0.0]])
+        assert np.array_equal(cset.rhs, [0.04, -0.5])
+
+    def test_empty_set_exits_2(self, capsys, tmp_path):
+        path = write_protocol(tmp_path, omega=[{"coeffs": {"1": 1.0},
+                                                "min": 0.04, "max": 0.01}])
+        code, out, err = run(["rate", "--proto", str(path), "--n", "1000",
+                              "--restarts", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "feasible" in err
+
+    def test_unknown_symbol_exits_2(self, capsys, tmp_path):
+        path = write_protocol(tmp_path, omega=[{"coeffs": {"1": 1, "x": 5},
+                                                "min": 0.04}])
+        code, out, err = run(["rate", "--proto", str(path), "--restarts", "1"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert "'x'" in err
+
+
+class TestParseTimeChecks:
+    def test_rate_rejects_bad_pomega(self, capsys, tmp_path):
+        path = write_protocol(tmp_path)
+        for spec in ("1.5", "0", "-0.2", "nan", "x"):
+            code, out, err = run(["rate", "--proto", str(path),
+                                  "--pomega", spec], capsys)
+            assert (code, out) == (2, ""), spec
+            assert "--pomega" in err
+
+    def test_rate_rejects_bad_restarts(self, capsys, tmp_path):
+        path = write_protocol(tmp_path)
+        for spec in ("0", "-3", "1.5"):
+            code, out, err = run(["rate", "--proto", str(path),
+                                  "--restarts", spec], capsys)
+            assert (code, out) == (2, ""), spec
+            assert "--restarts" in err
+
+    def test_order_lists_use_the_order_check(self, capsys, tmp_path):
+        strategy = tmp_path / "s.json"
+        strategy.write_text(json.dumps(strategy_to_dict(
+            TwoQubitStrategy.chsh_tsirelson())))
+        for spec in ("1.5,inf", "1,2", "nan", "2,x"):
+            for args in (["verify", "--alpha", spec],
+                         ["compare", "--strategy", str(strategy),
+                          "--alpha", spec]):
+                code, out, err = run(args, capsys)
+                assert (code, out) == (2, ""), (args, spec)
+                assert "--alpha" in err

@@ -492,10 +492,16 @@ def test_cq_max_divergence_rejects_non_hermitian_reference():
 
 
 def test_h_down_rejects_negative_block():
+    # and so do h_partial and h_up: H_up's classical branch decomposes the
+    # block through the same PSD check
     st = CqState([creg("B", (0, 1)), qreg("A", 2)], [0.5, 0.5],
                  {(0,): np.diag([1.5, -0.5]), (1,): np.eye(2) / 2})
     with pytest.raises(NotPSDError):
         ent.h_down(st, ["A"], 2.0)
+    with pytest.raises(NotPSDError):
+        ent.h_partial(st, ["A"], "B", 2.0)
+    with pytest.raises(NotPSDError):
+        ent.h_up(st, ["A"], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +604,7 @@ def test_gradient_matches_central_differences(alpha):
 
     def q_grad(m):
         w, v = np.linalg.eigh(m)
-        q, g = ent._q_grad(rc, w[None], v[None], alpha)
+        q, g = ent._q_grad(rc, w[None], v[None], alpha, 1e-6)
         return q[0], v @ g[0] @ v.conj().T
 
     q, grad = q_grad(sig)
