@@ -81,13 +81,13 @@ class KrausChannel:
             s += k.conj().T @ k
         return s
 
-    def validate(self, tol: float = 1e-9) -> "KrausChannel":
+    def validate(self) -> "KrausChannel":
         s = self.completeness()
         eye = np.eye(s.shape[0])
         if self.cp_only:
-            if eigvalsh_desc(eye - s)[-1] < -tol:
+            if eigvalsh_desc(eye - s)[-1] < -1e-9:
                 raise DimMismatchError("CP-only channel exceeds trace preservation")
-        elif np.abs(s - eye).max() > tol:
+        elif np.abs(s - eye).max() > 1e-9:
             raise DimMismatchError("channel is not trace preserving")
         return self
 
@@ -137,16 +137,17 @@ class CPMapFamily:
                 if (a, b) not in self.maps:
                     raise AlphabetMismatchError(f"missing map for ({a!r}, {b!r})")
 
-    def validate(self, seed=0, trials: int = 3, tol: float = 1e-9) -> "CPMapFamily":
+    def validate(self, seed=0) -> "CPMapFamily":
+        """Check the normalization per setting on three random inputs."""
         rng = rng_from(seed)
         any_map = next(iter(self.maps.values()))
         din = int(np.prod(any_map.in_dims, initial=1))
-        for _ in range(trials):
+        for _ in range(3):
             omega = random_density((din,), rng).matrix
             for b in self.settings:
                 tot = sum(np.trace(self.maps[(a, b)].apply_matrix(omega)).real
                           for a in self.outcomes)
-                if abs(tot - 1.0) > tol:
+                if abs(tot - 1.0) > 1e-9:
                     raise DimMismatchError(
                         f"family not normalized at setting {b!r}: {tot}")
         return self
@@ -305,40 +306,39 @@ def build_sampling_channel(strategy, proto: SamplingProtocol,
     raise AlphabetMismatchError(f"unsupported strategy type {type(strategy)!r}")
 
 
-def check_b_independence(round_channel, trials: int, seed, r_dim: int,
-                         rp_dim: int = 2, b_names=("T", "B"),
-                         rp_name: str = "Rp", tol: float = 1e-8):
+def check_b_independence(round_channel, trials: int, seed, r_dim: int):
     """Empirical check of the side-information independence condition.
 
-    Feeds random entangled inputs on (R, R') through the round channel and
-    measures || rho_{B R'} - rho_B x omega_{R'} ||_1 / 2. Returns
-    (all_below_tol, worst_deviation).
+    Feeds random entangled inputs on (R, R'), R' a qubit, through the round
+    channel and measures || rho_{B R'} - rho_B x omega_{R'} ||_1 / 2, with B
+    the channel's registers among T and B. Returns (all_below_1e-8,
+    worst_deviation).
     """
     rng = rng_from(seed)
     worst = 0.0
     for _ in range(trials):
-        omega = random_density((r_dim, rp_dim), rng)
-        omega = DensityOperator(omega.matrix, (r_dim, rp_dim), ("R", "Rp"))
+        omega = random_density((r_dim, 2), rng)
+        omega = DensityOperator(omega.matrix, (r_dim, 2), ("R", "Rp"))
         out = round_channel(omega)
-        keep = [n for n in b_names if out.has_register(n)]
-        joint = out.marginal(list(keep) + [rp_name]).to_density()
-        marg_b = out.marginal(list(keep)).to_density()
+        keep = [n for n in ("T", "B") if out.has_register(n)]
+        joint = out.marginal(keep + ["Rp"]).to_density()
+        marg_b = out.marginal(keep).to_density()
         marg_rp = omega.partial_trace_labels(["Rp"])
         dev = trace_distance(joint, tensor(marg_b, marg_rp))
         worst = max(worst, dev)
-    return worst < tol, worst
+    return worst < 1e-8, worst
 
 
 # ---------------------------------------------------------------------------
 # read-and-prepare channels
 # ---------------------------------------------------------------------------
 
-def flat_spike_distribution(target: float, alpha: float, dim: int,
-                            tol: float = 1e-13) -> np.ndarray:
+def flat_spike_distribution(target: float, alpha: float,
+                            dim: int) -> np.ndarray:
     """Distribution (x, (1-x)/(d-1), ...) with Renyi entropy = target.
 
-    Solved by bisection on x in [1/d, 1]; the entropy decreases from log2(d)
-    to 0 over that interval.
+    Solved by bisection on x in [1/d, 1] to a width of 1e-15; the entropy
+    decreases from log2(d) to 0 over that interval.
     """
     alpha = check_alpha(alpha)
     if dim < 1:
@@ -363,7 +363,7 @@ def flat_spike_distribution(target: float, alpha: float, dim: int,
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * 0.01:
+        if hi - lo < 1e-15:
             break
     x = 0.5 * (lo + hi)
     out = np.full(dim, (1.0 - x) / (dim - 1))
@@ -391,7 +391,8 @@ class ReadAndPrepareChannel:
     def tau(self, symbol) -> np.ndarray:
         return self.taus[self.alphabet.index(symbol)]
 
-    def apply(self, state: CqState, c_name: str, d_name: str = "D") -> CqState:
+    def apply(self, state: CqState, c_name: str) -> CqState:
+        """Append the register D, drawn from tau of the symbol on ``c_name``."""
         if tuple(state.alphabet(c_name)) != self.alphabet:
             raise AlphabetMismatchError(
                 f"register {c_name!r} alphabet does not match the channel")
@@ -402,7 +403,7 @@ class ReadAndPrepareChannel:
             sym = outcome[pos]
             return taus[self.alphabet.index(sym)]
 
-        return state.append_classical(d_name, tuple(range(self.dim_d)), dist_for)
+        return state.append_classical("D", tuple(range(self.dim_d)), dist_for)
 
 
 def build_read_and_prepare(f, m_const: float, alpha: float,

@@ -81,13 +81,13 @@ class ConstraintSet:
         viol = self.violations(v)
         return bool(viol.size == 0 or viol.max() <= tol)
 
-    def check_nonempty(self, resolution: int = 40) -> np.ndarray:
+    def check_nonempty(self) -> np.ndarray:
         """Probe the simplex for a feasible point; raises when none is found."""
         if self.k == 0:
             v = np.zeros(len(self.alphabet))
             v[0] = 1.0
             return v
-        grid = simplex_grid(len(self.alphabet), resolution)
+        grid = simplex_grid(len(self.alphabet), 40)
         viol = np.maximum(self.rhs[None, :] - grid @ self.mat.T, 0.0).max(axis=1)
         best = int(np.argmin(viol))
         if viol[best] > 1e-9:
@@ -185,8 +185,8 @@ _FLAT = 1e-290     # a variance at or below this is zero
 _TILT_MAX = 1e4    # bits of tilt past which no double ratio changes
 
 
-def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
-                      bot_symbol=BOT) -> InnerSolution:
+def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
+                      alpha: float) -> InnerSolution:
     """Exact minimizers of (1/(alpha-1)) KL(v||p) + v(bot) h, one per row.
 
     ``p_c`` stacks the score laws, shape (n, |C|); ``h_gen`` holds each row's
@@ -217,14 +217,14 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
         raise AlphabetMismatchError("p_C rows do not match the alphabet")
     if (h < -1e-9).any():
         raise BadProbabilityError("generation entropy must be nonnegative")
-    if bot_symbol not in cset.alphabet:
-        raise AlphabetMismatchError(f"alphabet lacks the symbol {bot_symbol!r}")
+    if BOT not in cset.alphabet:
+        raise AlphabetMismatchError(f"alphabet lacks the symbol {BOT!r}")
     active = p > 0.0
     if not active.any(axis=1).all():
         raise BadProbabilityError("p_C row without positive mass")
     beta = alpha - 1.0
     g, t, k = cset.mat, cset.rhs, cset.k
-    i_bot = cset.alphabet.index(bot_symbol)
+    i_bot = cset.alphabet.index(BOT)
     expo0 = np.where(active, 0.0, -np.inf)
     expo0[:, i_bot] -= beta * h
     lam_max = _TILT_MAX / (beta * max(np.abs(g).max(initial=0.0), 1e-300))
@@ -319,8 +319,8 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet, alpha: float,
                          comp_slack=comp, feasible=feasible)
 
 
-def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
-                bot_symbol=BOT) -> InnerSolution:
+def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet,
+                alpha: float) -> InnerSolution:
     """Exact minimizer of (1/(alpha-1)) KL(v||p) + v(bot) h over the set.
 
     ``inner_inf_v_batch`` on a batch of one: v_lam ~ p * 2^{-(alpha-1)(h*1_bot
@@ -333,11 +333,11 @@ def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     if p.shape != (len(cset.alphabet),):
         raise AlphabetMismatchError("p_C length does not match the alphabet")
     return inner_inf_v_batch(p[None, :], np.array([float(h_gen)]), cset,
-                             alpha, bot_symbol=bot_symbol).row(0)
+                             alpha).row(0)
 
 
 def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
-                     resolution: int = 200, bot_symbol=BOT) -> float:
+                     resolution: int = 200) -> float:
     """Brute-force oracle: the best feasible simplex-grid point, polished by
     a penalised simplex descent. It stays a pure primal search, so the
     result is independent of the dual-tilting path it checks.
@@ -345,7 +345,7 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     beta = alpha - 1.0
-    i_bot = cset.alphabet.index(bot_symbol)
+    i_bot = cset.alphabet.index(BOT)
     supp = p > 0.0
     p_safe = np.where(supp, p, 1.0)
 
@@ -606,7 +606,7 @@ class AsymptoticRow:
 
 
 def asymptotic_check(strategy: TwoQubitStrategy, schedule,
-                     make_protocol, cset_for, outputs: str = "alice"):
+                     make_protocol, cset_for):
     """Rate along a schedule of (alpha, gamma) versus the von Neumann target.
 
     ``make_protocol(gamma)`` builds the sampling protocol; ``cset_for(proto)``
@@ -619,14 +619,13 @@ def asymptotic_check(strategy: TwoQubitStrategy, schedule,
     for alpha, gamma in schedule:
         proto = make_protocol(gamma)
         cset = cset_for(proto)
-        sol = single_round_h(strategy, proto, cset, alpha, outputs)
-        p_c = proto.score_law(_round_table(strategy, proto, outputs).p)
+        sol = single_round_h(strategy, proto, cset, alpha)
+        p_c = proto.score_law(_round_table(strategy, proto, "alice").p)
         kl = entropy.kl_divergence(sol.v_star, p_c)
         if target is None:
             state = strategy_to_cq(
                 strategy, proto.p_gen,
-                settings="pairs" if len(str(proto.settings[0])) > 1 else "alice",
-                outputs=outputs)
+                settings="pairs" if len(str(proto.settings[0])) > 1 else "alice")
             target = entropy.conditional_von_neumann(state, ["A"])
         rows.append(AsymptoticRow(alpha=float(alpha), gamma=float(gamma),
                                   value=sol.value, kl_term=kl,

@@ -400,7 +400,7 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
     return value, upper, ticks
 
 
-def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
+def h_up(state, a_names, alpha: float) -> float:
     """Fully optimized conditional Renyi entropy H_up_alpha(A | rest)."""
     alpha = check_alpha(alpha)
     state = _cq(state)
@@ -420,7 +420,7 @@ def h_up(state, a_names, alpha: float, cfg: UpConfig | None = None) -> float:
         order = [n for n in state.names if n in a_set] + cq_names
         d_a = int(np.prod([state.reg(n).size for n in order if n in a_set]))
         dense = _dense(rest, given, conds, order)
-        vals, _, _ = h_up_dense(dense, d_a, dense.shape[-1] // d_a, alpha, cfg)
+        vals, _, _ = h_up_dense(dense, d_a, dense.shape[-1] // d_a, alpha)
         inner = (1.0 - alpha) / alpha * vals
     return alpha / (1.0 - alpha) * float(_log2sumexp2(np.log2(pc) + inner))
 
@@ -508,6 +508,8 @@ def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
     """
     alpha = check_alpha(alpha)
     w, conds = np.asarray(w, dtype=float), np.asarray(conds, dtype=complex)
+    if not is_hermitian(conds):
+        raise NotHermitianError("state is not Hermitian within tolerance")
     terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], alpha)
     return _partial_from_b(*_per_b(terms, w, 2, 1, alpha), alpha)
 
@@ -544,14 +546,16 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
 
 
 def _spectrum(x) -> np.ndarray:
-    """A distribution (BadProbabilityError on an entry below -WEIGHT_TOL or a
-    sum off 1 by TRACE_TOL), or the eigenvalues of a state, clipped at 0."""
-    if np.ndim(x) == 1:
-        p = np.asarray(x, dtype=float)
-        if p.min(initial=0.0) < -WEIGHT_TOL or not abs(p.sum() - 1.0) <= TRACE_TOL:
-            raise BadProbabilityError(f"{p.tolist()} is not a distribution")
-        return p
-    return _eigh(_cq(x).to_density().matrix, vectors=False, floor=PSD_TOL)
+    """A distribution, or the eigenvalues of a state clipped at 0. Either
+    must be a distribution: BadProbabilityError on an entry below
+    -WEIGHT_TOL or a sum off 1 by more than TRACE_TOL."""
+    vector = np.ndim(x) == 1
+    p = np.asarray(x, dtype=float) if vector else \
+        _eigh(_cq(x).to_density().matrix, vectors=False, floor=PSD_TOL)
+    if p.min(initial=0.0) < -WEIGHT_TOL or not abs(p.sum() - 1.0) <= TRACE_TOL:
+        what = "" if vector else "the spectrum "
+        raise BadProbabilityError(f"{what}{p.tolist()} is not a distribution")
+    return p
 
 
 def renyi_entropy(x, alpha: float) -> float:
@@ -576,7 +580,7 @@ def conditional_von_neumann(state, a_names) -> float:
     """H(A | rest) = H(full) - H(rest)."""
     rho = _cq(state).to_density()
     cond = [n for n in rho.labels if n not in set(a_names)]
-    h_all = _shannon(_eigh(rho.matrix, vectors=False, floor=PSD_TOL))
+    h_all = _shannon(_spectrum(rho.matrix))
     if not cond:
         return h_all
     marginal = rho.partial_trace_labels(cond).matrix

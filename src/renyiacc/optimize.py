@@ -14,14 +14,14 @@ from .errors import BadShapeError
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 200):
-    """Maximum of a unimodal function on [lo, hi]; returns (x, f(x))."""
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
+    """Maximum of a unimodal function on [lo, hi] in at most 200 steps;
+    returns (x, f(x))."""
     a, b = float(lo), float(hi)
     c = b - _PHI * (b - a)
     d = a + _PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a < tol:
             break
         if fc >= fd:
@@ -164,8 +164,7 @@ class SimplexMax:
     certificate: float  # last refinement improvement; inf if out of rounds
 
 
-def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
-                        max_rounds: int = 80) -> SimplexMax:
+def concave_simplex_max(f, k: int, coarse: int = 48) -> SimplexMax:
     """Maximize a concave function over the probability simplex in k coordinates.
 
     One coordinate reduces to a point, two to golden-section search, more to a
@@ -173,7 +172,9 @@ def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
     ``(1 - r) q + r v`` around the running best. The reported certificate is
     the improvement observed on the last refinement halving; for a smooth
     concave objective successive halvings converge, so a tiny certificate
-    pins the maximum. It is ``inf`` when ``max_rounds`` runs out first.
+    pins the maximum. The search stops once an improving round gains less
+    than 1e-10 at a radius below 1e-6; the certificate is ``inf`` when 80
+    rounds run out first.
     """
     if k == 1:
         q = np.ones(1)
@@ -189,7 +190,7 @@ def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
     radius = 2.0 / coarse
     local = simplex_grid(k, 8)
     delta = math.inf
-    for _ in range(max_rounds):
+    for _ in range(80):
         improved = False
         round_delta = 0.0
         for v in local:
@@ -204,7 +205,7 @@ def concave_simplex_max(f, k: int, coarse: int = 48, tol: float = 1e-10,
             radius *= 0.5
             if radius < 1e-12:
                 break
-        if improved and round_delta < tol and radius < 1e-6:
+        if improved and round_delta < 1e-10 and radius < 1e-6:
             break
     else:
         delta = math.inf  # the round budget ran out before the stopping rule

@@ -36,14 +36,13 @@ def random_density(dims, seed, rank: int | None = None) -> DensityOperator:
     return DensityOperator(m / np.trace(m).real, dims)
 
 
-def random_distribution(n: int, seed, full_support: bool = True) -> np.ndarray:
-    """Uniform-ish random point on the simplex (normalized exponentials)."""
+def random_distribution(n: int, seed) -> np.ndarray:
+    """Uniform-ish random point on the simplex with full support
+    (normalized exponentials plus 1e-3)."""
     if n < 1:
         raise BadShapeError("alphabet must be nonempty")
     rng = rng_from(seed)
-    x = rng.exponential(size=n)
-    if full_support:
-        x = x + 1e-3
+    x = rng.exponential(size=n) + 1e-3
     return x / x.sum()
 
 
@@ -67,7 +66,7 @@ def random_kraus_channel(d_in: int, d_out: int, n_env: int, seed):
 
 
 def random_cq(alphabet_sizes, qdims, seed, names=None, qnames=None,
-              rank: int | None = None, full_support_weights: bool = True) -> CqState:
+              rank: int | None = None) -> CqState:
     """Random cq-state: Dirichlet-ish weights, independent random conditionals."""
     rng = rng_from(seed)
     alphabet_sizes = tuple(int(s) for s in alphabet_sizes)
@@ -77,8 +76,7 @@ def random_cq(alphabet_sizes, qdims, seed, names=None, qnames=None,
     regs = [creg(n, tuple(range(s))) for n, s in zip(names, alphabet_sizes)]
     regs += [qreg(n, d) for n, d in zip(qnames, qdims)]
     shape = alphabet_sizes
-    w = random_distribution(int(np.prod(shape, initial=1)), rng,
-                            full_support=full_support_weights).reshape(shape)
+    w = random_distribution(int(np.prod(shape, initial=1)), rng).reshape(shape)
     # one draw per outcome, in np.ndindex order
     conds = np.stack([random_density(qdims or (1,), rng, rank=rank).matrix
                       for _ in np.ndindex(*shape)])

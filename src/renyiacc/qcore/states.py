@@ -132,8 +132,8 @@ class DensityOperator:
         object.__setattr__(self, "labels", labels)
 
     # -- validation ---------------------------------------------------------
-    def validate(self, trace_tol: float = TRACE_TOL) -> "DensityOperator":
-        _check_states(self.matrix[None], trace_tol, self.normalized)
+    def validate(self) -> "DensityOperator":
+        _check_states(self.matrix[None], TRACE_TOL, self.normalized)
         return self
 
     def trace(self) -> float:
@@ -407,15 +407,15 @@ class CqState:
             out = tuple(self.cregs[i].alphabet[j] for i, j in enumerate(idx))
             yield idx, out, float(self.weights[idx]), self.conds[idx]
 
-    def validate(self, atol: float = TRACE_TOL) -> "CqState":
+    def validate(self) -> "CqState":
         w = self.weights
         if not np.all(np.isfinite(w)):
             raise NotPSDError("classical weight is not finite")
         if w.size and w.min() < -WEIGHT_TOL:
             raise NotPSDError("negative classical weight")
-        if abs(w.sum() - 1.0) > atol:
+        if abs(w.sum() - 1.0) > TRACE_TOL:
             raise DimMismatchError(f"weights sum to {w.sum()}, not 1")
-        _check_states(self.conds[w > WEIGHT_TOL], atol)
+        _check_states(self.conds[w > WEIGHT_TOL], TRACE_TOL)
         return self
 
     def _live_weights(self) -> np.ndarray:

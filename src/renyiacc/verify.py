@@ -66,15 +66,6 @@ class SuiteConfig:
     seed: int = 0
     counts: dict = field(default_factory=dict)
     alphas: tuple = DEFAULT_ALPHAS
-    max_classical: int = 4
-    max_quantum: int = 4
-    tolerances: dict = field(default_factory=dict)
-
-    def count(self, name: str, default: int) -> int:
-        return int(self.counts.get(name, default))
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
 
 @dataclass
@@ -112,11 +103,54 @@ def _child(seed, *tags) -> tuple:
     return (int(seed),) + tuple(int(t) for t in tags)
 
 
-def _report(name, slacks, tol, failures, t0, count) -> PropertyReport:
-    worst = min(slacks) if slacks else math.inf
-    return PropertyReport(name=name, passed=not failures, instances=count,
-                          worst_slack=worst, tolerance=tol, failures=failures,
-                          elapsed=time.time() - t0)
+class _Recorder:
+    """The bookkeeping of one check: child seeds, slacks and failures.
+
+    Instance ``i`` draws from ``rng_from(_child(cfg.seed, tag, i))``. A slack
+    is recorded as it is and fails when it is below ``-tol``; every failure
+    record starts with the child seed of the instance that made it.
+    """
+
+    def __init__(self, cfg: SuiteConfig, key: str, tag: int, count: int,
+                 tol: float, name: str | None = None):
+        self.seed, self.tag, self.tol = cfg.seed, tag, tol
+        self.name = name or key
+        self.n = int(cfg.counts.get(key, count))
+        self.instances = 0
+        self.child = None
+        self.worst = math.inf
+        self.failures = []
+        self.t0 = time.perf_counter()
+
+    def instance(self, i: int):
+        """Count instance ``i`` and return the rng of its child seed."""
+        self.child = _child(self.seed, self.tag, i)
+        self.instances += 1
+        return rng_from(self.child)
+
+    def stream(self):
+        """Instances 0, 1, ... until ``n`` of them count."""
+        i, start = 0, self.instances
+        while self.instances - start < self.n:
+            yield self.instance(i)
+            i += 1
+
+    def discard(self):
+        """The current instance does not count."""
+        self.instances -= 1
+
+    def record(self, *slacks, failed: bool = False, **fields):
+        """Record ``slacks``; on failure, the child seed and ``fields``."""
+        self.worst = min((self.worst, *slacks))
+        if failed or any(s < -self.tol for s in slacks):
+            self.failures.append({"seed": self.child, **fields})
+
+    def report(self) -> PropertyReport:
+        return PropertyReport(
+            name=self.name, passed=not self.failures,
+            instances=self.instances, worst_slack=self.worst,
+            tolerance=self.tol, failures=self.failures,
+            elapsed=time.perf_counter() - self.t0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +164,14 @@ def check_ordering(cfg: SuiteConfig, h_down_fn=None, h_partial_fn=None,
     The entropy callables are injectable so a broken implementation can be
     shown to trip the check (mutation sanity).
     """
-    t0 = time.time()
     h_down_fn = h_down_fn or entropy.h_down
     h_partial_fn = h_partial_fn or entropy.h_partial
     h_up_fn = h_up_fn or entropy.h_up
-    tol = cfg.tol("ordering", 1e-9)
-    n = cfg.count("ordering", 120)
-    slacks, failures = [], []
-    for i in range(n):
-        rng = rng_from(_child(cfg.seed, 1, i))
-        nb = int(rng.integers(2, cfg.max_classical + 1))
-        da = int(rng.integers(2, min(cfg.max_quantum, 4) + 1))
-        dc = int(rng.integers(2, min(cfg.max_quantum, 4) + 1))
+    rec = _Recorder(cfg, "ordering", 1, 120, 1e-9)
+    for i, rng in enumerate(rec.stream()):
+        nb = int(rng.integers(2, 5))
+        da = int(rng.integers(2, 5))
+        dc = int(rng.integers(2, 5))
         if i % 3 == 2:
             # fully classical side information exercises the closed forms
             st = random_cq((nb, dc, da), (), rng, names=["B", "C", "A"],
@@ -153,13 +183,9 @@ def check_ordering(cfg: SuiteConfig, h_down_fn=None, h_partial_fn=None,
             hd = h_down_fn(st, ["A"], alpha)
             hp = h_partial_fn(st, ["A"], "B", alpha)
             hu = h_up_fn(st, ["A"], alpha)
-            s1, s2 = hp - hd, hu - hp
-            slacks += [s1, s2]
-            if s1 < -tol or s2 < -tol:
-                failures.append({"seed": _child(cfg.seed, 1, i),
-                                 "alpha": alpha, "h_down": hd,
-                                 "h_partial": hp, "h_up": hu})
-    return _report("ordering", slacks, tol, failures, t0, n)
+            rec.record(hp - hd, hu - hp, alpha=alpha, h_down=hd,
+                       h_partial=hp, h_up=hu)
+    return rec.report()
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +193,8 @@ def check_ordering(cfg: SuiteConfig, h_down_fn=None, h_partial_fn=None,
 # ---------------------------------------------------------------------------
 
 def check_partial_entropy_props(cfg: SuiteConfig) -> PropertyReport:
-    t0 = time.time()
-    tol = cfg.tol("partial_props", 1e-9)
-    n = cfg.count("partial_props", 40)
-    slacks, failures = [], []
-    for i in range(n):
-        rng = rng_from(_child(cfg.seed, 2, i))
+    rec = _Recorder(cfg, "partial_props", 2, 40, 1e-9)
+    for rng in rec.stream():
         alpha = float(rng.choice(cfg.alphas))
         nb = int(rng.integers(2, 4))
         da, dc = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -192,10 +214,7 @@ def check_partial_entropy_props(cfg: SuiteConfig) -> PropertyReport:
             entropy.h_down(DensityOperator(rho_ac, (da, dc), ("A", "C")),
                            ["A"], alpha)
         for g, tag in ((gap_up, "consistency-up"), (gap_down, "consistency-down")):
-            slacks.append(tol - abs(g))
-            if abs(g) > tol:
-                failures.append({"seed": _child(cfg.seed, 2, i), "check": tag,
-                                 "gap": g})
+            rec.record(-abs(g), check=tag, gap=g)
 
         # (ii) data processing / isometric invariance on C
         st3 = random_cq((nb,), (da, dc), rng, names=["B"], qnames=["A", "C"])
@@ -203,19 +222,12 @@ def check_partial_entropy_props(cfg: SuiteConfig) -> PropertyReport:
         kraus = random_kraus_channel(dc, dc, 2, rng)
         after = entropy.h_partial(st3.apply_quantum_channel(kraus, "C"),
                                   ["A"], "B", alpha)
-        slack = after - before + tol
-        slacks.append(slack)
-        if slack < 0:
-            failures.append({"seed": _child(cfg.seed, 2, i),
-                             "check": "data-processing", "before": before,
-                             "after": after})
+        rec.record(after - before, check="data-processing", before=before,
+                   after=after)
         iso = random_isometry(dc, dc + 1, rng)
         inv = entropy.h_partial(st3.apply_quantum_channel([iso], "C"),
                                 ["A"], "B", alpha) - before
-        slacks.append(tol - abs(inv))
-        if abs(inv) > tol:
-            failures.append({"seed": _child(cfg.seed, 2, i),
-                             "check": "isometry", "gap": inv})
+        rec.record(-abs(inv), check="isometry", gap=inv)
 
         # (iii) classical D register: monotonicity and subadditivity
         nd = int(rng.integers(2, 4))
@@ -225,11 +237,8 @@ def check_partial_entropy_props(cfg: SuiteConfig) -> PropertyReport:
         left = entropy.h_partial(st4, ["A", "D"], "B", alpha)
         right = entropy.h_partial(st4, ["A"], "B", alpha)
         for s, tag in ((left - mid, "AD-monotone"), (mid - right, "subadditive")):
-            slacks.append(s + tol)
-            if s < -tol:
-                failures.append({"seed": _child(cfg.seed, 2, i), "check": tag,
-                                 "slack": s})
-    return _report("partial_props", slacks, tol, failures, t0, n)
+            rec.record(s, check=tag, slack=s)
+    return rec.report()
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +295,18 @@ def chain_rule_gap(omega: np.ndarray, p_b2: np.ndarray,
 
 
 def check_chain_rule(cfg: SuiteConfig) -> PropertyReport:
-    t0 = time.time()
-    tol = cfg.tol("chain_rule", 1e-9)
-    n = cfg.count("chain_rule", 40)
-    slacks, failures = [], []
-    instances = [(_child(cfg.seed, 3, 10 ** 6),) + counterexample_channel_instance()]
-    for i in range(n):
-        rng = rng_from(_child(cfg.seed, 3, i))
+    rec = _Recorder(cfg, "chain_rule", 3, 40, 1e-9)
+
+    def check(omega, p_b2, kernel):
+        alpha = float(rng_from(rec.child).choice(cfg.alphas))
+        slack, cert, lhs, first, inf_term = chain_rule_gap(
+            omega, p_b2, kernel, alpha)
+        rec.record(slack, failed=cert > 1e-8, alpha=alpha, slack=slack,
+                   certificate=cert, lhs=lhs, first=first, inf_term=inf_term)
+
+    rec.instance(10 ** 6)
+    check(*counterexample_channel_instance())
+    for rng in rec.stream():
         na1, nb1 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         n_r = int(rng.integers(2, 4))
         na2, nb2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -301,27 +315,14 @@ def check_chain_rule(cfg: SuiteConfig) -> PropertyReport:
         kernel = np.stack([
             np.stack([random_distribution(na2, rng) for _ in range(nb2)], axis=1)
             for _ in range(n_r)], axis=1)
-        instances.append((_child(cfg.seed, 3, i), omega, p_b2, kernel))
-    for tag, omega, p_b2, kernel in instances:
-        alpha = float(rng_from(tag).choice(cfg.alphas))
-        slack, cert, lhs, first, inf_term = chain_rule_gap(
-            omega, p_b2, kernel, alpha)
-        slacks.append(slack + tol)
-        if slack < -tol or cert > 1e-8:
-            failures.append({"seed": tag, "alpha": alpha, "slack": slack,
-                             "certificate": cert, "lhs": lhs, "first": first,
-                             "inf_term": inf_term})
-    return _report("chain_rule", slacks, tol, failures, t0, len(instances))
+        check(omega, p_b2, kernel)
+    return rec.report()
 
 
 def check_classical_chain(cfg: SuiteConfig) -> PropertyReport:
     """Chain rule for the un-optimized entropy under independent side info."""
-    t0 = time.time()
-    tol = cfg.tol("classical_chain", 1e-9)
-    n = cfg.count("classical_chain", 200)
-    slacks, failures = [], []
-    for i in range(n):
-        rng = rng_from(_child(cfg.seed, 4, i))
+    rec = _Recorder(cfg, "classical_chain", 4, 200, 1e-9)
+    for rng in rec.stream():
         alpha = float(rng.choice(cfg.alphas))
         na1, nb1, na2, nb2 = (int(rng.integers(2, 4)) for _ in range(4))
         p_ab = random_distribution(na1 * nb1, rng).reshape(na1, nb1)
@@ -339,11 +340,8 @@ def check_classical_chain(cfg: SuiteConfig) -> PropertyReport:
                                 alpha, "down")
             for a1 in range(na1) for b1 in range(nb1))
         slack = lhs - (first + worst_round2)
-        slacks.append(slack + tol)
-        if slack < -tol:
-            failures.append({"seed": _child(cfg.seed, 4, i), "alpha": alpha,
-                             "slack": slack})
-    return _report("classical_chain", slacks, tol, failures, t0, n)
+        rec.record(slack, alpha=alpha, slack=slack)
+    return rec.report()
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +381,8 @@ def _measured_state(psi: DensityOperator, p_b, povms, n_a: int, n_c: int,
 
 
 def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
-    t0 = time.time()
-    tol = cfg.tol("fweighted", 1e-9)
-    n = cfg.count("fweighted", 40)
-    slacks, failures = [], []
-    for i in range(n):
-        rng = rng_from(_child(cfg.seed, 5, i))
+    rec = _Recorder(cfg, "fweighted", 5, 40, 1e-9)
+    for rng in rec.stream():
         alpha = float(rng.choice(cfg.alphas))
 
         # (a) concavity in f of the q_B-optimized entropy
@@ -399,10 +393,7 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         h2 = entropy.f_weighted_sup_qb(st, ["A"], "C", "B", f2, alpha)
         hm = entropy.f_weighted_sup_qb(st, ["A"], "C", "B", (f1 + f2) / 2, alpha)
         s = hm - 0.5 * (h1 + h2)
-        slacks.append(s + tol)
-        if s < -tol:
-            failures.append({"seed": _child(cfg.seed, 5, i),
-                             "check": "f-concavity", "slack": s})
+        rec.record(s, check="f-concavity", slack=s)
 
         # (b) continuity in the state
         m_const = 1.4
@@ -423,12 +414,8 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         kappa = 2 * 3 * 2 ** math.ceil(2 * m_const) / m_sig
         bound = (alpha / (alpha - 1.0)) * math.log2(
             1.0 + eps * kappa ** ((alpha - 1.0) / alpha))
-        s = bound - abs(ha - hb)
-        slacks.append(s + tol)
-        if s < -tol:
-            failures.append({"seed": _child(cfg.seed, 5, i),
-                             "check": "continuity", "gap": abs(ha - hb),
-                             "bound": bound, "eps": eps})
+        rec.record(bound - abs(ha - hb), check="continuity",
+                   gap=abs(ha - hb), bound=bound, eps=eps)
 
         # (c) mixing bound for the channel-output entropy
         d_r = int(rng.integers(2, 4))
@@ -454,10 +441,7 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         stm = _measured_state(psi_m, p_b, povms, 2, 2, ["E", "F"])
         h_mix = entropy.f_weighted_sup_qb(stm, ["A"], "C", "B", f_mix, alpha)
         s = lam * h_parts[0] + (1 - lam) * h_parts[1] - h_mix
-        slacks.append(s + tol)
-        if s < -tol:
-            failures.append({"seed": _child(cfg.seed, 5, i),
-                             "check": "mixing", "slack": s})
+        rec.record(s, check="mixing", slack=s)
 
         # (d) the divergence cap from the classical weight; two independent
         # states per instance so the default run covers twice the count
@@ -473,10 +457,7 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
                               np.broadcast_to(rho_e, sub.conds.shape))
                 d_val = entropy.renyi_divergence(sub, ref, alpha)
                 s = -math.log2(pa) - d_val
-                slacks.append(s + tol)
-                if s < -tol:
-                    failures.append({"seed": _child(cfg.seed, 5, i),
-                                     "check": "div_bnd", "slack": s})
+                rec.record(s, check="div_bnd", slack=s)
 
         # (e) data processing under a channel on E
         st_e = random_cq((2, 2), (2, 3), rng, names=["C", "B"],
@@ -487,21 +468,14 @@ def check_fweighted_props(cfg: SuiteConfig) -> PropertyReport:
         after = entropy.f_weighted_sup_qb(
             st_e.apply_quantum_channel(kraus, "E"), ["A"], "C", "B", f_e, alpha)
         s = after - before
-        slacks.append(s + tol)
-        if s < -tol:
-            failures.append({"seed": _child(cfg.seed, 5, i),
-                             "check": "dpi-E", "slack": s})
-    return _report("fweighted", slacks, tol, failures, t0, n)
+        rec.record(s, check="dpi-E", slack=s)
+    return rec.report()
 
 
 def check_read_and_prepare(cfg: SuiteConfig) -> PropertyReport:
     """Divergence-expression identity and non-disturbance on random tuples."""
-    t0 = time.time()
-    tol = cfg.tol("read_and_prepare", 1e-8)
-    n = cfg.count("read_and_prepare", 40)
-    slacks, failures = [], []
-    for i in range(n):
-        rng = rng_from(_child(cfg.seed, 6, i))
+    rec = _Recorder(cfg, "read_and_prepare", 6, 40, 1e-8)
+    for rng in rec.stream():
         alpha = float(rng.choice(cfg.alphas))
         n_c = int(rng.integers(2, 4))
         st = random_cq((n_c,), (2, 2), rng, names=["C"], qnames=["A", "B"])
@@ -510,11 +484,8 @@ def check_read_and_prepare(cfg: SuiteConfig) -> PropertyReport:
         sigma = random_density((2,), rng).matrix
         rp = build_read_and_prepare(f, m_const, alpha, tuple(range(n_c)))
         for j, fc in enumerate(f):
-            h_tau = entropy.renyi_entropy(rp.taus[j], alpha)
-            if abs(h_tau - (m_const - fc)) > 1e-10:
-                failures.append({"seed": _child(cfg.seed, 6, i),
-                                 "check": "tau-target",
-                                 "gap": h_tau - (m_const - fc)})
+            gap = entropy.renyi_entropy(rp.taus[j], alpha) - (m_const - fc)
+            rec.record(failed=abs(gap) > 1e-10, check="tau-target", gap=gap)
         lhs = entropy.f_weighted(st, ["A"], "C", sigma, f, alpha)
         bar = rp.apply(st, "C")
         ref_blk = embed(sigma, (2, 2), (1,))
@@ -522,16 +493,11 @@ def check_read_and_prepare(cfg: SuiteConfig) -> PropertyReport:
                       np.broadcast_to(ref_blk, bar.conds.shape))
         rhs = -entropy.renyi_divergence(bar, ref, alpha) - m_const
         gap = abs(lhs - rhs)
-        slacks.append(tol - gap)
-        if gap > tol:
-            failures.append({"seed": _child(cfg.seed, 6, i),
-                             "check": "divergence-expr", "gap": gap})
+        rec.record(-gap, check="divergence-expr", gap=gap)
         undo = bar.marginal(["C", "A", "B"])
         dist = trace_distance(undo.to_density(), st.to_density())
-        if dist > 1e-12:
-            failures.append({"seed": _child(cfg.seed, 6, i),
-                             "check": "non-disturbance", "gap": dist})
-    return _report("read_and_prepare", slacks, tol, failures, t0, n)
+        rec.record(failed=dist > 1e-12, check="non-disturbance", gap=dist)
+    return rec.report()
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +564,12 @@ def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
     return ClassicalAttack(initial, kernels)
 
 
-def random_attack(rng, r_dim: int, e_dim: int, n_b: int, n_a: int,
-                  rounds: int = 2) -> ClassicalAttack:
+def random_attack(rng, r_dim: int, e_dim: int, n_b: int,
+                  n_a: int) -> ClassicalAttack:
+    """A random two-round attack: start distribution, then each kernel."""
     initial = random_distribution(r_dim * e_dim, rng).reshape(r_dim, e_dim)
     kernels = []
-    for _ in range(rounds):
+    for _ in range(2):
         k = np.zeros((r_dim, n_b, n_a, r_dim))
         for r in range(r_dim):
             for b in range(n_b):
@@ -728,15 +695,9 @@ def _random_protocol(rng, n_a: int, n_b: int, d: int = 1) -> SamplingProtocol:
 
 
 def check_two_round_accumulation(cfg: SuiteConfig) -> PropertyReport:
-    t0 = time.time()
-    tol = cfg.tol("two_round", 1e-9)
-    n = cfg.count("two_round", 40)
-    slacks, failures = [], []
-    done = 0
-    i = 0
-    while done < n:
-        rng = rng_from(_child(cfg.seed, 7, i))
-        i += 1
+    rec = _Recorder(cfg, "two_round", 7, 40, 1e-9,
+                    name="two_round_accumulation")
+    for rng in rec.stream():
         alpha = float(rng.choice(cfg.alphas))
         n_a = int(rng.integers(2, 5))
         n_b = int(rng.integers(2, 5))
@@ -763,14 +724,11 @@ def check_two_round_accumulation(cfg: SuiteConfig) -> PropertyReport:
         try:
             res = simulate_two_rounds(proto, attack, cset, alpha)
         except EmptyEventError:
+            rec.discard()
             continue
-        done += 1
-        slacks.append(res.slack + tol)
-        if res.slack < -tol:
-            failures.append({"seed": _child(cfg.seed, 7, i - 1),
-                             "alpha": alpha, "lhs": res.lhs_exact,
-                             "bound": res.bound, "p_omega": res.p_omega})
-    return _report("two_round_accumulation", slacks, tol, failures, t0, done)
+        rec.record(res.slack, alpha=alpha, lhs=res.lhs_exact,
+                   bound=res.bound, p_omega=res.p_omega)
+    return rec.report()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ be defined and still be unused, so the list stays exact.
 A second guard keeps numpy's Hermitian eigensolvers (``eigh``,
 ``eigvalsh``) to ``qcore/linalg.py``: every other module decomposes through
 its one spectral helper, which holds the PSD rule.
+
+A third guard finds settings nobody sets: a parameter with a default, of a
+public function or method other than ``__init__``, that no call in
+``src/``, ``tests/`` or ``bench/`` passes. Calls are matched by name: a
+bare-name call ``f(...)`` and an attribute call ``x.f(...)`` count for every
+definition named ``f``. A keyword passes its parameter, ``k`` positional
+arguments pass the first ``k`` parameters (after ``self`` or ``cls``), and a
+starred argument (``*args`` or ``**kwargs``) passes every parameter.
 """
 
 import ast
@@ -20,6 +28,7 @@ from pathlib import Path
 import renyiacc
 
 PACKAGE = Path(renyiacc.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 # public names that nothing in the package calls, kept on purpose
 ALLOWED = {
@@ -51,17 +60,18 @@ ALLOWED = {
 
 
 def public_definitions(tree):
-    """(qualified name, bare name) of each public definition of a module."""
+    """(qualified name, bare name, node) of each public definition of a
+    module."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 or node.name.startswith("_"):
             continue
-        yield node.name, node.name
+        yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) \
                         and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub.name
+                    yield f"{node.name}.{sub.name}", sub.name, sub
 
 
 def unused_public_names():
@@ -76,8 +86,8 @@ def unused_public_names():
                 uses[node.attr] += 1
             elif isinstance(node, ast.alias):
                 uses[node.name] += 1
-    return {qual for qual, name in defs if uses[name] == 0}, \
-        {qual for qual, _ in defs}
+    return {qual for qual, name, _ in defs if uses[name] == 0}, \
+        {qual for qual, _, _ in defs}
 
 
 def test_every_unused_public_name_is_allowed():
@@ -132,3 +142,84 @@ def test_eigensolver_guard_sees_each_spelling():
            "w = np.linalg.eigh(m)\n")
     assert sorted(eigensolver_uses(ast.parse(src))) == [2, 3]
     assert list(eigensolver_uses(ast.parse(SPECTRAL_HOME.read_text())))
+
+
+def defaulted_parameters(tree):
+    """(qualified name, bare name, {parameter: positional index or None})
+    of each public function or method with a defaulted parameter."""
+    for qual, name, fn in public_definitions(tree):
+        if isinstance(fn, ast.ClassDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if "." in qual and not any(isinstance(d, ast.Name)
+                                   and d.id == "staticmethod"
+                                   for d in fn.decorator_list):
+            positional = positional[1:]  # self or cls
+        out = {a.arg: j for j, a in enumerate(positional)
+               if j >= len(positional) - len(args.defaults)}
+        out.update({a.arg: None for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                    if d is not None})
+        if out:
+            yield qual, name, out
+
+
+def passed_arguments(tree, passed):
+    """Add to ``passed[name]`` what each call by that name passes: keyword
+    names, the positional count, or ``"*"`` for a starred argument."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name is None:
+            continue
+        got = passed.setdefault(name, {0})
+        got.update(k.arg or "*" for k in node.keywords)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            got.add("*")
+        got.add(len(node.args))
+
+
+def unset_settings(defs_src, call_srcs):
+    passed = {}
+    for src in call_srcs:
+        passed_arguments(ast.parse(src), passed)
+    unset = set()
+    for src in defs_src:
+        for qual, name, params in defaulted_parameters(ast.parse(src)):
+            got = passed.get(name, {0})
+            most = max(n for n in got if isinstance(n, int))
+            unset.update(
+                f"{qual}({p})" for p, j in params.items()
+                if "*" not in got and p not in got
+                and (j is None or most <= j))
+    return unset
+
+
+def _sources(*roots):
+    return [path.read_text(encoding="utf-8") for root in roots
+            for path in sorted(root.rglob("*.py"))]
+
+
+def test_every_setting_is_set_by_some_call():
+    unset = unset_settings(_sources(PACKAGE), _sources(
+        REPO / "src", REPO / "tests", REPO / "bench"))
+    assert not unset, (
+        f"defaulted parameters no call passes: {sorted(unset)}; make them "
+        "constants, or pass them where they matter")
+
+
+def test_setting_guard_sees_each_way_of_passing():
+    defs = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+            "def g(a=1):\n    pass\n"
+            "class K:\n    def __init__(self, z=0):\n        pass\n"
+            "    def m(self, a=1, b=2):\n        pass\n"
+            "    @staticmethod\n    def s(a=1):\n        pass\n"
+            "def _private(a=1):\n    pass\n")
+    assert unset_settings([defs], ["x"]) == {
+        "f(b)", "f(c)", "f(d)", "g(a)", "K.m(a)", "K.m(b)", "K.s(a)"}
+    calls = ["f(0, 1)", "mod.f(0, d=4)", "g(*xs)", "k.m(1)", "K.s(**kw)"]
+    assert unset_settings([defs], calls) == {"f(c)", "K.m(b)"}

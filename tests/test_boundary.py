@@ -3,7 +3,9 @@
 Every public entropy takes its states through one input check: a matrix
 that is not Hermitian (or not finite) raises NotHermitianError, and a state
 with a clearly negative eigenvalue raises NotPSDError where it is first
-decomposed. None of them may return a number for such an input.
+decomposed. An entropy of a state, like one of a vector, raises
+BadProbabilityError when its spectrum sums off 1 by more than TRACE_TOL.
+None of them may return a number for such an input.
 """
 
 import numpy as np
@@ -47,6 +49,14 @@ def cq(block):
                    {(0,): block, (1,): np.eye(2) / 2})
 
 
+def stack(block):
+    """One row of ``h_partial_stack``: classical A and B, quantum E; the
+    block of (a, b) = (0, 0) is ``block``."""
+    conds = np.tile(np.eye(2) / 2, (1, 2, 2, 1, 1)).astype(complex)
+    conds[0, 0, 0] = block
+    return ent.h_partial_stack(np.full((1, 2, 2), 0.25), conds, 2.0)
+
+
 def f_weighted_sigma(block):
     st = random_cq((3,), (2, 2), 40, names=["C"], qnames=["A", "B"])
     return ent.f_weighted(st, ["A"], "C", block, [0.1, -0.2, 0.3], 2.0)
@@ -78,6 +88,17 @@ def test_bad_state_is_rejected(name, error):
         CALLS[name](error)
 
 
+# A clearly negative block of a classical A is decomposed only inside the
+# marginal on E, so ``stack(BLOCK[NotPSDError])`` reads -inf; only the
+# Hermitian and finite check applies to the stack here.
+@pytest.mark.parametrize("block", [BLOCK[NotHermitianError],
+                                   np.full((2, 2), np.nan)],
+                         ids=["not-hermitian", "not-finite"])
+def test_stack_that_is_not_hermitian_is_rejected(block):
+    with pytest.raises(NotHermitianError):
+        stack(block)
+
+
 @pytest.mark.parametrize("fn", [lambda p: ent.renyi_entropy(p, 2.0),
                                 ent.von_neumann], ids=["renyi", "vn"])
 @pytest.mark.parametrize("p", [[1.2, -0.2], [0.5, 0.6], [0.5, 0.4]])
@@ -101,3 +122,21 @@ def test_distribution_within_tolerance_is_read():
 def test_qcore_matrix_functions_reject_non_hermitian(fn):
     with pytest.raises(NotHermitianError):
         fn(BLOCK[NotHermitianError])
+
+
+@pytest.mark.parametrize("fn", [
+    lambda m: ent.renyi_entropy(m, 2.0),
+    ent.von_neumann,
+    lambda m: ent.conditional_von_neumann(dense(m), ["A"]),
+], ids=["renyi", "vn", "conditional-vn"])
+@pytest.mark.parametrize("trace", [0.5, 2.0, 1.0 + 1e-9])
+def test_state_whose_trace_is_not_one_is_rejected(fn, trace):
+    with pytest.raises(BadProbabilityError):
+        fn(np.eye(4) / 4 * trace)
+
+
+def test_state_with_trace_within_tolerance_is_read():
+    m = np.eye(4) / 4 * (1.0 + 5e-11)
+    assert abs(ent.renyi_entropy(m, 2.0) - 2.0) < 1e-9
+    assert abs(ent.von_neumann(m) - 2.0) < 1e-9
+    assert abs(ent.conditional_von_neumann(dense(m), ["A"]) - 1.0) < 1e-9

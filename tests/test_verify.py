@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,90 @@ class TestMutationSanity:
         seed = tuple(rep.failures[0]["seed"])
         rng = rng_from(seed)
         assert rng is not None  # the child seed is reconstructible
+
+    @pytest.mark.parametrize("fn, shift", [("h_down_fn", 0.1),
+                                           ("h_up_fn", -0.1)])
+    def test_broken_bound_is_caught_and_replays(self, fn, shift):
+        base = ent.h_down if fn == "h_down_fn" else ent.h_up
+
+        def broken(state, a_names, alpha):
+            return base(state, a_names, alpha) + shift
+
+        rep = check_ordering(SMALL, **{fn: broken})
+        assert not rep.passed
+        assert rep.worst_slack < -0.09
+        first = rep.failures[0]
+        suite_seed, tag, index = first["seed"]
+        assert (suite_seed, tag) == (SMALL.seed, 1)
+        # the child seed alone rebuilds the failing instance
+        replay = check_ordering(
+            SuiteConfig(seed=suite_seed, counts={"ordering": index + 1}),
+            **{fn: broken})
+        assert first in replay.failures
+
+
+    def test_two_round_skips_empty_events(self, monkeypatch):
+        # every other attack has an empty non-abort event; the rest fail
+        import renyiacc.verify as verify
+        calls = []
+
+        def fake(proto, attack, cset, alpha):
+            calls.append(alpha)
+            if len(calls) % 2:
+                raise EmptyEventError("no mass")
+            return verify.TwoRoundResult(lhs_exact=0.0, bound=1.0,
+                                         h_alpha=0.5, p_omega=0.5)
+
+        monkeypatch.setattr(verify, "simulate_two_rounds", fake)
+        rep = check_two_round_accumulation(
+            SuiteConfig(seed=4, counts={"two_round": 3}))
+        assert rep.instances == 3 and len(calls) == 6
+        assert [f["seed"] for f in rep.failures] == [(4, 7, 1), (4, 7, 3),
+                                                     (4, 7, 5)]
+        assert rep.worst_slack == -1.0
+
+
+PINS = json.loads((Path(__file__).parent / "suite_pins.json").read_text())
+
+
+def _assert_pinned(got: dict, want: dict):
+    """``got`` (a ``PropertyReport.as_dict()``) against its pinned report.
+
+    The pins were taken when six of the seven checks reported the worst
+    slack plus their tolerance; only ``ordering`` reported the raw slack.
+    Every check now reports the raw slack, so the pinned value less the
+    tolerance is expected of the other six, to rounding.
+    """
+    got = json.loads(json.dumps(got))  # seed tuples as JSON lists
+    got.pop("elapsed")
+    g_slack, w_slack = got.pop("worst_slack"), want["worst_slack"]
+    assert got == {k: v for k, v in want.items() if k != "worst_slack"}
+    if got["name"] == "ordering":
+        assert g_slack == w_slack
+    else:
+        assert abs(g_slack - (w_slack - want["tolerance"])) <= 1e-15
+
+
+class TestPinnedSuite:
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_suite_report_is_pinned(self, seed):
+        cfg = SuiteConfig(seed=seed, counts={k: 4 for k in ALL_CHECKS})
+        doc = run_property_suite(cfg).as_dict()
+        want = PINS[f"suite-{seed}"]
+        assert (doc["seed"], doc["all_passed"]) == (want["seed"],
+                                                    want["all_passed"])
+        assert len(doc["results"]) == len(want["results"])
+        for got, pin in zip(doc["results"], want["results"]):
+            _assert_pinned(got, pin)
+
+    def test_mutation_report_is_pinned(self):
+        def broken_partial(state, a_names, up_name, alpha):
+            return ent.h_partial(state, a_names, up_name, alpha) - 0.1
+
+        rep = check_ordering(SuiteConfig(seed=3, counts={"ordering": 6}),
+                             h_partial_fn=broken_partial)
+        assert rep.instances == 6 and len(rep.failures) == 24
+        _assert_pinned(rep.as_dict(), PINS["mutation"])
 
 
 class TestChainRuleInstance:
