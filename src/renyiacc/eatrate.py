@@ -582,18 +582,11 @@ def compare_entropies(strategy: TwoQubitStrategy, p_b, alphas,
                            settings=settings, outputs=outputs)
     live = [b for b, p in zip(state.alphabet("B"), state.weights.sum(axis=0))
             if p > 0.0]
-    rows = []
-    for alpha in alphas:
-        alpha = check_alpha(alpha)
-        _, hb = entropy._per_b_down(state, ["A"], "B", alpha)
-        per_b = dict(zip(live, hb.tolist()))
-        hd = entropy.h_down(state, ["A"], alpha)
-        hp = entropy.h_partial(state, ["A"], "B", alpha)
-        vals = list(per_b.values())
-        rows.append(ComparisonRow(alpha=alpha, h_down=hd, h_partial=hp,
-                                  per_b=per_b, gap=hp - hd,
-                                  asymmetry=max(vals) - min(vals)))
-    return rows
+    return [ComparisonRow(alpha=float(alpha), h_down=hd, h_partial=hp,
+                          per_b=dict(zip(live, hb.tolist())), gap=hp - hd,
+                          asymmetry=float(hb.max() - hb.min()))
+            for alpha, (hd, hp, _, hb) in
+            zip(alphas, entropy._down_partial(state, ["A"], "B", alphas))]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ closed forms; a dense solver handles genuinely quantum conditioning.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,10 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _cq(x) -> CqState:
-    """``x`` as a CqState, blocks checked finite and Hermitian: this module's
-    one type and input check (PSD is judged where a block is decomposed)."""
+def _cq(x, psd: bool = True) -> CqState:
+    """``x`` as a CqState, blocks checked finite and Hermitian and, unless a
+    caller decomposes them with the floor anyway, those of positive weight
+    PSD (NotPSDError below -PSD_TOL): this module's one input check."""
     if not isinstance(x, CqState):
         if not isinstance(x, DensityOperator):
             x = DensityOperator(x, (len(x),))
@@ -60,6 +62,8 @@ def _cq(x) -> CqState:
                     x.matrix)
     if not is_hermitian(x.conds):
         raise NotHermitianError("state is not Hermitian within tolerance")
+    if psd:
+        _eigh(x.conds[x.weights > 0.0], vectors=False, floor=PSD_TOL)
     return x
 
 
@@ -87,35 +91,37 @@ def _log2sumexp2(x, axis=None):
     return np.squeeze(m, axis=axis) + np.log2(np.sum(2.0 ** (x - m), axis=axis))
 
 
-def _sandwich_eigs(rho, sigma, t: float):
-    """Ascending eigenvalues of sigma^t rho sigma^t, clipped at 0, and whether
-    rho leaks out of supp(sigma), per block; NotPSDError on a clearly negative
-    sigma, or sandwich (below -1e-6 max(tr rho, 1)) inside the support."""
+def _sandwich_eigs(rho, sigma, ts):
+    """Ascending eigenvalues of sigma^t rho sigma^t, clipped at 0, at each t
+    of ``ts``, and whether rho leaks out of supp(sigma), per block; sigma is
+    decomposed once. NotPSDError on a clearly negative sigma, or sandwich
+    (below -1e-6 max(tr rho, 1)) inside the support."""
     ws, vs = _eigh(sigma, floor=PSD_TOL)
     off, y, tr = _leaks(rho, ws, vs)  # y: rho in sigma's eigenbasis
-    wt = _power(ws, t)
-    w = _eigh(wt[..., :, None] * y * wt[..., None, :], vectors=False,
-              floor=np.where(off, INF, 1e-6 * np.maximum(tr, 1.0)))
-    return w, off
+    floor = np.where(off, INF, 1e-6 * np.maximum(tr, 1.0))
+    return [_eigh(wt[..., :, None] * y * wt[..., None, :], vectors=False,
+                  floor=floor) for wt in (_power(ws, t) for t in ts)], off
 
 
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
 
-def _divergence_dense(rho, sigma, alpha: float) -> np.ndarray:
-    """D_alpha(rho || sigma) per block of stacks ``(..., d, d)``; +inf off support."""
+def _divergence_dense(rho, sigma, alphas) -> list:
+    """D_alpha(rho || sigma) per block of stacks ``(..., d, d)`` at each order
+    of ``alphas``; +inf off support."""
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):
         raise NotPSDError("rho has nonpositive trace")
-    w, off = _sandwich_eigs(rho, sigma, (1.0 - alpha) / (2.0 * alpha))
-    q = (w ** alpha).sum(axis=-1)
-    return np.where(off | (q <= 0.0), INF,
-                    (_log2(q) - np.log2(tr)) / (alpha - 1.0))
+    w, off = _sandwich_eigs(rho, sigma, [(1.0 - a) / (2.0 * a) for a in alphas])
+    q = [(wa ** a).sum(axis=-1) for wa, a in zip(w, alphas)]
+    return [np.where(off | (qa <= 0.0), INF, (_log2(qa) - np.log2(tr)) / (a - 1.0))
+            for qa, a in zip(q, alphas)]
 
 
-def _block_terms(p, rho, q, sigma, alpha: float) -> np.ndarray:
-    """alpha log2 p + (1 - alpha) log2 q + (alpha - 1) D_alpha(rho || sigma).
+def _block_terms(p, rho, q, sigma, alphas) -> list:
+    """alpha log2 p + (1 - alpha) log2 q + (alpha - 1) D_alpha(rho || sigma)
+    at each order of ``alphas``.
 
     ``p`` and ``q`` weigh a grid of outcomes; ``rho`` and ``sigma`` hold their
     blocks (broadcast against the grid). A block enters exactly when its p is
@@ -127,10 +133,11 @@ def _block_terms(p, rho, q, sigma, alpha: float) -> np.ndarray:
     live = p > 0.0
     rho = np.broadcast_to(rho, p.shape + np.shape(rho)[-2:])[live]
     sigma = np.broadcast_to(sigma, p.shape + np.shape(sigma)[-2:])[live]
-    terms = np.full(p.shape, -INF)
-    terms[live] = (alpha * np.log2(p[live]) + (1.0 - alpha) * _log2(q[live])
-                   + (alpha - 1.0) * _divergence_dense(rho, sigma, alpha))
-    return terms
+    lp, lq = np.log2(p[live]), _log2(q[live])
+    out = [np.full(p.shape, -INF) for _ in alphas]
+    for t, a, d in zip(out, alphas, _divergence_dense(rho, sigma, alphas)):
+        t[live] = a * lp + (1.0 - a) * lq + (a - 1.0) * d
+    return out
 
 
 def _blocks_divergence(terms, alpha: float) -> float:
@@ -144,7 +151,7 @@ def _divergence_args(rho, sigma):
     A pair on the same classical registers is taken block by block; a pair
     of which one side has none is compared as one dense block of weight 1.
     """
-    rho, sigma = _cq(rho), _cq(sigma)
+    rho, sigma = _cq(rho), _cq(sigma, psd=False)
     if rho.cregs != sigma.cregs:
         if rho.cregs and sigma.cregs:
             raise AlphabetMismatchError(
@@ -160,8 +167,8 @@ def _divergence_args(rho, sigma):
 def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence; cq pairs use the block decomposition."""
     alpha = check_alpha(alpha)
-    return _blocks_divergence(_block_terms(*_divergence_args(rho, sigma), alpha),
-                              alpha)
+    return _blocks_divergence(
+        _block_terms(*_divergence_args(rho, sigma), (alpha,))[0], alpha)
 
 
 def max_divergence(rho, sigma) -> float:
@@ -170,7 +177,7 @@ def max_divergence(rho, sigma) -> float:
     live = p > 0.0
     if np.any(q[live] <= 0.0):
         return INF
-    w, off = _sandwich_eigs(rb[live], sb[live], -0.5)
+    (w,), off = _sandwich_eigs(rb[live], sb[live], (-0.5,))
     d = np.where(off, INF,
                  np.log2(p[live]) - np.log2(q[live]) + _log2(w[..., -1]))
     return float(np.max(d, initial=-INF))
@@ -221,8 +228,9 @@ def _given(state: CqState, names):
                                                 if r.name not in names]
 
 
-def _down_blocks(w, conds, a_axes, a_pos, qdims, alpha: float) -> np.ndarray:
-    """Block terms of H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest).
+def _down_blocks(w, conds, a_axes, a_pos, qdims, alphas) -> list:
+    """Block terms of H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest)
+    at each order of ``alphas``.
 
     ``w`` holds the weights of the classical outcomes, after any leading
     stack axes, and ``conds`` their blocks on quantum registers of dims
@@ -236,23 +244,24 @@ def _down_blocks(w, conds, a_axes, a_pos, qdims, alpha: float) -> np.ndarray:
     rest = _partial_trace(conds, qdims, cq_pos) if a_pos else conds
     sigma = (given[..., None, None] * rest).sum(axis=a_axes, keepdims=True)
     ref = embed(sigma, qdims, cq_pos) if a_pos else sigma
-    return _block_terms(w, conds, q, ref, alpha)
+    return _block_terms(w, conds, q, ref, alphas)
 
 
-def _down_terms(state: CqState, a_names, alpha: float) -> np.ndarray:
+def _down_terms(state: CqState, a_names, alphas) -> list:
     """``_down_blocks`` of a state, with A given by register names."""
     a_set = _split(state, a_names)
     return _down_blocks(
         state.weights, state.conds,
         tuple(i for i, r in enumerate(state.cregs) if r.name in a_set),
         tuple(i for i, r in enumerate(state.qregs) if r.name in a_set),
-        state.qdims, alpha)
+        state.qdims, alphas)
 
 
 def h_down(state, a_names, alpha: float) -> float:
     """H_down_alpha(A | rest) = -D_alpha(rho || I_A x rho_rest)."""
     alpha = check_alpha(alpha)
-    return -_blocks_divergence(_down_terms(_cq(state), a_names, alpha), alpha)
+    return -_blocks_divergence(_down_terms(_cq(state), a_names, (alpha,))[0],
+                               alpha)
 
 
 @dataclass
@@ -277,51 +286,70 @@ def _trace_a(x: np.ndarray, d_a: int) -> np.ndarray:
     return np.einsum("kaiaj->kij", x.reshape(k, d_a, r, d_a, r))
 
 
-def _x_eigs(rc, ws, vs, s: float, floor):
-    """Eigenpairs of X = S rho S (NotPSDError below ``-floor`` per row) and
-    sigma^s, where S = I x sigma^s, sigma = vs diag(ws) vs^dagger, rho as rc blocks."""
-    ss = _from_eig(_power(ws, s), vs)
+def _by_order(fn, x, e):
+    """fn(x, e) with the exponent e[i] on row i of ``x``: fn runs once per
+    distinct exponent, on its rows, with that exponent as a scalar (an array
+    exponent would move last bits: numpy has fast paths for scalar ones)."""
+    orders = dict.fromkeys(e.tolist())
+    if len(orders) == 1:
+        return fn(x, *orders)
+    out = np.empty(x.shape)
+    for ej in orders:
+        rows = e == ej
+        out[rows] = fn(x[rows], ej)
+    return out
+
+
+def _x_eigs(rc, ws, vs, s, floor):
+    """Eigenpairs of X = S rho S (NotPSDError below ``-floor``) and sigma^s per
+    row, S = I x sigma^s, sigma = vs diag(ws) vs^dagger, rho as rc blocks."""
+    ss = _from_eig(_by_order(_power, ws, s), vs)
     sb = ss[:, None, None]
     wx, vx = _eigh(_ab_matrix(sb @ rc @ sb), floor=floor, symmetrize=False)
     return wx, vx, ss
 
 
-def _q_grad(rc, ws, vs, alpha: float, floor):
+def _q_grad(rc, ws, vs, alpha, floor):
     """Q(sigma) = tr[(S rho S)^alpha], S = I x sigma^s, and its gradient in
-    sigma's eigenbasis U, at sigma = vs diag(ws) vs^dagger; ``floor`` as in _x_eigs.
+    sigma's eigenbasis U, at sigma = vs diag(ws) vs^dagger; ``alpha`` is one
+    order or one per row, ``floor`` as in _x_eigs.
 
     The gradient is U (Gamma o U^dagger M U) U^dagger with
     M = alpha tr_A[rho S X^(alpha-1) + h.c.] and Gamma the divided
     differences of lambda^s at sigma's eigenvalues; this returns
     Gamma o U^dagger M U.
     """
+    alpha = np.broadcast_to(alpha, len(rc))
     s = (1.0 - alpha) / (2.0 * alpha)
     wx, vx, ss = _x_eigs(rc, ws, vs, s, floor)
-    p = _ab_matrix(rc @ ss[:, None, None]) @ _from_eig(wx ** (alpha - 1.0), vx)
-    m = alpha * _trace_a(p + np.swapaxes(p.conj(), -1, -2), rc.shape[1])
+    p = _ab_matrix(rc @ ss[:, None, None]) @ _from_eig(
+        _by_order(operator.pow, wx, alpha - 1.0), vx)
+    m = alpha[:, None, None] * _trace_a(p + np.swapaxes(p.conj(), -1, -2),
+                                        rc.shape[1])
     # Gamma_ij = (l_i^s - l_j^s) / (l_i - l_j) = l_j^(s-1) expm1(s d) / expm1(d)
     # with d = log l_i - log l_j, which is s l^(s-1) on the diagonal
-    lw = np.log(ws)
+    lw, sk = np.log(ws), s[:, None, None]
     dl = lw[:, :, None] - lw[:, None, :]
     flat = dl == 0.0
-    phi = np.where(flat, s, np.expm1(s * dl) / np.where(flat, 1.0, np.expm1(dl)))
-    return (wx ** alpha).sum(axis=-1), ws[:, None, :] ** (s - 1.0) * phi * (
+    phi = np.where(flat, sk, np.expm1(sk * dl) / np.where(flat, 1.0, np.expm1(dl)))
+    return _by_order(operator.pow, wx, alpha).sum(axis=-1), _by_order(
+        operator.pow, ws, s - 1.0)[:, None, :] * phi * (
         np.swapaxes(vs.conj(), -1, -2) @ m @ vs)
 
 
-def _up_fixed_point(rc, w0, alpha: float, cfg: UpConfig):
+def _up_fixed_point(rc, w0, alpha, cfg: UpConfig):
     """The H_up fixed point of every row of ``rc`` at one support rank, in lockstep.
 
-    ``rc`` is rho compressed onto supp(rho_B) as ``(k, a, a', i, j)`` blocks
-    and ``w0`` the starting marginals' eigenvalues (eigenvectors: the
-    identity). A row leaves the loop once its own step is below ``cfg.tol``.
-    Returns (values, uppers, ticks, rows that did not converge).
+    ``rc`` is rho compressed onto supp(rho_B) as ``(k, a, a', i, j)`` blocks,
+    ``w0`` the starting marginals' eigenvalues (eigenvectors: the identity)
+    and ``alpha`` the order of each row. A row leaves the loop once its own
+    step is below ``cfg.tol``. Returns (values, uppers, ticks, stuck rows).
 
     The upper bound is Frank-Wolfe's: Q is convex in sigma for alpha > 1, so
     min Q >= Q - g with the gap g = <grad Q, sigma> - lambda_min(grad Q).
     """
     k, d_a, _, r, _ = rc.shape
-    s, theta = (1.0 - alpha) / (2.0 * alpha), 1.0 / alpha
+    s, theta = (1.0 - alpha) / (2.0 * alpha), (1.0 / alpha)[:, None, None]
     floor = 1e-6 * np.maximum(np.einsum("kaaii->k", rc).real, 1.0)  # as a sandwich
     ws = w0.copy()
     vs = np.broadcast_to(np.eye(r, dtype=complex), (k, r, r)).copy()
@@ -330,12 +358,13 @@ def _up_fixed_point(rc, w0, alpha: float, cfg: UpConfig):
     ticks = 0
     while live.size and ticks < cfg.max_iter:
         ticks += 1
-        wx, vx, _ = _x_eigs(rc[live], ws[live], vs[live], s, floor[live])
-        t_mat = _trace_a(_from_eig(wx ** alpha, vx), d_a)
+        wx, vx, _ = _x_eigs(rc[live], ws[live], vs[live], s[live], floor[live])
+        t_mat = _trace_a(_from_eig(_by_order(operator.pow, wx, alpha[live]), vx),
+                         d_a)
         wt, vt = _eigh(t_mat)
-        h = (theta * _from_eig(np.log(np.clip(wt, 1e-300, None)), vt)
-             + (1.0 - theta) * _from_eig(np.log(np.clip(ws[live], 1e-300, None)),
-                                         vs[live]))
+        h = (theta[live] * _from_eig(np.log(np.clip(wt, 1e-300, None)), vt)
+             + (1.0 - theta[live]) * _from_eig(
+                 np.log(np.clip(ws[live], 1e-300, None)), vs[live]))
         wh, vh = _eigh(h)
         e = np.exp(wh - wh[:, -1:])
         e /= e.sum(axis=-1, keepdims=True)
@@ -351,32 +380,39 @@ def _up_fixed_point(rc, w0, alpha: float, cfg: UpConfig):
     return -_log2(q) / (alpha - 1.0), upper, ticks, live
 
 
-def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
+def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha,
                cfg: UpConfig | None = None):
     """sup_sigma -D_alpha(rho_AB || I_A x sigma_B) by damped fixed-point iteration.
 
-    ``rho`` is one matrix ``(d, d)`` or a stack ``(k, d, d)``, d = d_a d_b.
-    The update is the matrix geometric mix
+    ``rho`` is one matrix ``(d, d)`` or a stack ``(k, d, d)``, d = d_a d_b,
+    checked Hermitian and PSD (NotPSDError below -PSD_TOL). ``alpha`` is one
+    order or a ``(k,)`` array of one per row, each in (1, inf) (ValueError,
+    before any decomposition). The update is the matrix geometric mix
     ``sigma <- exp((1/alpha) log T(sigma) + (1 - 1/alpha) log sigma)`` with
     ``T(sigma) = tr_A[(sigma^s rho sigma^s)^alpha]``, whose fixed points are
     the stationary marginals; the mix exponent makes the classical case
     converge in one step. Each row runs on the support of its rho_B, and the
-    rows of one support rank iterate in lockstep. The eigenpairs of the next
-    sigma come with its construction, so an iteration decomposes three
-    matrices: the sandwich, T and the exponent.
+    rows of one support rank iterate in lockstep, whatever their orders:
+    every power is taken once per distinct exponent, as a scalar, on that
+    exponent's rows, so each row is bit-identical to a lone call. An
+    iteration decomposes three matrices: the sandwich, T and the exponent
+    (the eigenpairs of the next sigma come with its construction).
 
     Returns (value, upper, iterations): ``upper`` is a Frank-Wolfe bound
     value <= H_up <= upper (+inf when the gap is too loose to bound), and
     ``iterations`` the lockstep ticks. For a stack, value and upper are
     arrays over its rows.
     """
-    alpha = check_alpha(alpha)
     cfg = cfg or UpConfig()
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
-        raise NotHermitianError("state is not Hermitian within tolerance")
     lone = rho.ndim == 2
     rho = rho.reshape(-1, d_a * d_b, d_a * d_b)
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), len(rho))
+    for a in set(alpha.tolist()):
+        check_alpha(a)
+    if not is_hermitian(rho):
+        raise NotHermitianError("state is not Hermitian within tolerance")
+    _eigh(rho, vectors=False, floor=PSD_TOL)
     wb, vb = _eigh(_trace_a(rho, d_a), floor=PSD_TOL)
     wb, vb = wb[:, ::-1], vb[:, :, ::-1]
     rank = _support(wb).sum(axis=1)
@@ -388,7 +424,8 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
         rc = np.einsum("kbi,kabcd,kdj->kacij", v.conj(),
                        rho[rows].reshape(-1, d_a, d_b, d_a, d_b), v)
         w0 = wb[rows, :r] / wb[rows, :r].sum(axis=1, keepdims=True)
-        value[rows], upper[rows], n, bad = _up_fixed_point(rc, w0, alpha, cfg)
+        value[rows], upper[rows], n, bad = _up_fixed_point(
+            rc, w0, alpha[rows], cfg)
         ticks = max(ticks, n)
         stuck.extend(rows[bad])
     if lone:
@@ -400,10 +437,12 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha: float,
     return value, upper, ticks
 
 
-def h_up(state, a_names, alpha: float) -> float:
-    """Fully optimized conditional Renyi entropy H_up_alpha(A | rest)."""
-    alpha = check_alpha(alpha)
-    state = _cq(state)
+def _h_up(state, a_names, alphas) -> list:
+    """H_up_alpha(A | rest) at each order of ``alphas``. The dense rows of a
+    quantum conditioning side are built once and, repeated once per order,
+    go through one h_up_dense call."""
+    alphas = [check_alpha(a) for a in alphas]
+    state = _cq(state, psd=False)  # its blocks are decomposed with the floor
     a_set = _split(state, a_names)
     ccl = [r.name for r in state.cregs if r.name not in a_set]
     cq_names = [r.name for r in state.qregs if r.name not in a_set]
@@ -414,25 +453,31 @@ def h_up(state, a_names, alpha: float) -> float:
         # the conditional state is block diagonal: its spectrum is p(a|c)
         # times that of each block
         lam = _eigh(conds, vectors=False, floor=PSD_TOL)
-        x = alpha * _log2(given[..., None] * lam)
-        inner = _log2sumexp2(x.reshape(len(pc), -1), axis=1) / alpha
+        x = _log2(given[..., None] * lam).reshape(len(pc), -1)
+        inner = [_log2sumexp2(a * x, axis=1) / a for a in alphas]
     else:
         order = [n for n in state.names if n in a_set] + cq_names
         d_a = int(np.prod([state.reg(n).size for n in order if n in a_set]))
         dense = _dense(rest, given, conds, order)
-        vals, _, _ = h_up_dense(dense, d_a, dense.shape[-1] // d_a, alpha)
-        inner = (1.0 - alpha) / alpha * vals
-    return alpha / (1.0 - alpha) * float(_log2sumexp2(np.log2(pc) + inner))
+        vals, _, _ = h_up_dense(np.tile(dense, (len(alphas), 1, 1)), d_a,
+                                dense.shape[-1] // d_a,
+                                np.repeat(alphas, len(dense)))
+        inner = [(1.0 - a) / a * v for a, v in
+                 zip(alphas, vals.reshape(len(alphas), len(dense)))]
+    return [a / (1.0 - a) * float(_log2sumexp2(np.log2(pc) + i))
+            for a, i in zip(alphas, inner)]
+
+
+def h_up(state, a_names, alpha: float) -> float:
+    """Fully optimized conditional Renyi entropy H_up_alpha(A | rest)."""
+    return _h_up(state, a_names, (alpha,))[0]
 
 
 def h_classical(p, alpha: float, variant: str) -> float:
     """Exact classical conditional entropies; axis 0 of p is A, axis 1 is B."""
     alpha = check_alpha(alpha)
     p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        p = p.reshape(-1, 1)
-    if p.ndim != 2:
-        p = p.reshape(p.shape[0], -1)
+    p = p.reshape(p.shape[0], -1)
     pb = p.sum(axis=0)
     live = pb > 0.0
     lp, lpb = _log2(p[:, live]), np.log2(pb[live])
@@ -452,20 +497,6 @@ def _per_b(terms, w, b_axis: int, n_stack: int, alpha: float):
     terms = terms.transpose([*range(n_stack), b_axis, *rest])
     pb = w.sum(axis=tuple(rest))
     return pb, _given_b(terms.reshape(pb.shape + (-1,)), pb, alpha)
-
-
-def _per_b_down(state: CqState, a_names, up_name: str, alpha: float):
-    """(p(b), H_down(A | rest)_{|b}) over the symbols b of ``up_name`` with
-    p(b) > 0."""
-    reg = state.reg(up_name)
-    if not reg.is_classical:
-        raise BNotClassicalError(f"register {up_name!r} must be classical")
-    if up_name in set(a_names):
-        raise BadPartitionError("optimized register cannot sit inside A")
-    pb, hb = _per_b(_down_terms(state, a_names, alpha), state.weights,
-                    state._cpos(up_name), 0, alpha)
-    live = pb > 0.0
-    return pb[live], hb[live]
 
 
 def _given_b(terms, pb, alpha: float) -> np.ndarray:
@@ -493,9 +524,25 @@ def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
     every other non-A register is side information with fixed per-symbol
     states.
     """
-    alpha = check_alpha(alpha)
-    return float(_partial_from_b(*_per_b_down(_cq(state), a_names, up_name,
-                                              alpha), alpha))
+    return _down_partial(state, a_names, up_name, (alpha,))[0][1]
+
+
+def _down_partial(state, a_names, up_name: str, alphas) -> list:
+    """(H_down, H_partial, p(b), h_b = H_down(A | rest)_{|b}) at each order of
+    ``alphas``, from one set of block terms per order; b with p(b) > 0."""
+    alphas = [check_alpha(a) for a in alphas]
+    state = _cq(state)
+    if not state.reg(up_name).is_classical:
+        raise BNotClassicalError(f"register {up_name!r} must be classical")
+    if up_name in set(a_names):
+        raise BadPartitionError("optimized register cannot sit inside A")
+    out = []
+    for a, terms in zip(alphas, _down_terms(state, a_names, alphas)):
+        pb, hb = _per_b(terms, state.weights, state._cpos(up_name), 0, a)
+        pb, hb = pb[pb > 0.0], hb[pb > 0.0]
+        out.append((-_blocks_divergence(terms, a),
+                    float(_partial_from_b(pb, hb, a)), pb, hb))
+    return out
 
 
 def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
@@ -510,7 +557,8 @@ def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
     w, conds = np.asarray(w, dtype=float), np.asarray(conds, dtype=complex)
     if not is_hermitian(conds):
         raise NotHermitianError("state is not Hermitian within tolerance")
-    terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], alpha)
+    _eigh(conds[w > 0.0], vectors=False, floor=PSD_TOL)
+    terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], (alpha,))[0]
     return _partial_from_b(*_per_b(terms, w, 2, 1, alpha), alpha)
 
 
@@ -533,7 +581,7 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
     optimizer), using the block decomposition with weights q.
     """
     alpha = check_alpha(alpha)
-    pb, hb = _per_b_down(_cq(state), a_names, up_name, alpha)
+    _, _, pb, hb = _down_partial(state, a_names, up_name, (alpha,))[0]
     # log2 r_b = alpha log2 p_b + (1 - alpha) h_b; the objective diverges to
     # -inf whenever some q_b vanishes, so the supremum sits in the interior
     # and boundary grid points can be dropped.
@@ -551,7 +599,8 @@ def _spectrum(x) -> np.ndarray:
     -WEIGHT_TOL or a sum off 1 by more than TRACE_TOL."""
     vector = np.ndim(x) == 1
     p = np.asarray(x, dtype=float) if vector else \
-        _eigh(_cq(x).to_density().matrix, vectors=False, floor=PSD_TOL)
+        _eigh(_cq(x, psd=False).to_density().matrix, vectors=False,
+              floor=PSD_TOL)
     if p.min(initial=0.0) < -WEIGHT_TOL or not abs(p.sum() - 1.0) <= TRACE_TOL:
         what = "" if vector else "the spectrum "
         raise BadProbabilityError(f"{what}{p.tolist()} is not a distribution")
@@ -578,7 +627,7 @@ def _shannon(w) -> float:
 
 def conditional_von_neumann(state, a_names) -> float:
     """H(A | rest) = H(full) - H(rest)."""
-    rho = _cq(state).to_density()
+    rho = _cq(state, psd=False).to_density()  # decomposed by _spectrum
     cond = [n for n in rho.labels if n not in set(a_names)]
     h_all = _shannon(_spectrum(rho.matrix))
     if not cond:
@@ -590,9 +639,7 @@ def conditional_von_neumann(state, a_names) -> float:
 def cond_mutual_info(rho: DensityOperator, a_names, b_names, c_names) -> float:
     """I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)."""
     a, b, c = list(a_names), list(b_names), list(c_names)
-    for group in (a, b, c):
-        for n in group:
-            rho.index_of(n)
+    rho.indices_of(a + b + c)
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise BadPartitionError("partition groups overlap")
     h_ac = von_neumann(rho.partial_trace_labels(a + c))
@@ -615,21 +662,6 @@ def _f_vector(f, alphabet) -> np.ndarray:
     return arr
 
 
-def _symbol_divergences(state: CqState, c_name: str, ref, ref_names,
-                        alpha: float):
-    """D_alpha(rho_{|c} || I x ref) for the symbols c of ``c_name`` with p(c) > 0.
-
-    ``ref`` acts densely on the registers ``ref_names``; each rho_{|c} is the
-    dense state of the other registers given c, all in one kernel call.
-    Returns (symbol indices, p(c), divergences).
-    """
-    live, p, given, conds, rest = _given(state, [c_name])
-    names = [r.name for r in rest]
-    ref = embed(ref, [r.size for r in rest], [names.index(n) for n in ref_names])
-    return live, p, _divergence_dense(_dense(rest, given, conds, names), ref,
-                                      alpha)
-
-
 def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
                alpha: float) -> float:
     """f-weighted Renyi entropy H^f_alpha(A C | B) against a fixed sigma_B.
@@ -643,11 +675,14 @@ def f_weighted(state: CqState, a_names, c_name: str, sigma, f,
     c_reg = state.reg(c_name)
     if not c_reg.is_classical:
         raise BNotClassicalError(f"register {c_name!r} must be classical")
-    a_set = set(a_names)
-    b_names = [n for n in state.names if n not in a_set and n != c_name]
     f_arr = _f_vector(f, c_reg.alphabet)
-    sig = _cq(sigma).to_density().matrix
-    idx, pc, d = _symbol_divergences(state, c_name, sig, b_names, alpha)
+    # D_alpha(rho_{|c} || I_A x sigma) for the symbols c with p(c) > 0, each
+    # rho_{|c} the dense state of the other registers given c, in one call
+    idx, pc, given, conds, rest = _given(state, [c_name])
+    names = [r.name for r in rest]
+    ref = embed(_cq(sigma, psd=False).to_density().matrix, [r.size for r in rest],
+                [i for i, n in enumerate(names) if n not in set(a_names)])
+    d = _divergence_dense(_dense(rest, given, conds, names), ref, (alpha,))[0]
     if np.any(d == INF):
         return INF
     terms = alpha * np.log2(pc) + (alpha - 1.0) * (f_arr[idx] + d)
@@ -670,7 +705,7 @@ def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
             raise BNotClassicalError(f"register {n!r} ({label}) must be classical")
     f_arr = _f_vector(f, state.alphabet(c_name))
     w, c_axis = state.weights, state._cpos(c_name)
-    terms = _down_terms(state, [*a_names, c_name], alpha) + (alpha - 1.0) \
+    terms = _down_terms(state, [*a_names, c_name], (alpha,))[0] + (alpha - 1.0) \
         * np.expand_dims(f_arr, tuple(range(1, w.ndim - c_axis)))
     return float(_partial_from_b(*_per_b(terms, w, state._cpos(b_name), 0, alpha),
                                  alpha))

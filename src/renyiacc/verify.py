@@ -161,12 +161,12 @@ def check_ordering(cfg: SuiteConfig, h_down_fn=None, h_partial_fn=None,
                    h_up_fn=None) -> PropertyReport:
     """H_down <= H_partial <= H_up on seeded random cq states.
 
-    The entropy callables are injectable so a broken implementation can be
-    shown to trip the check (mutation sanity).
+    Each state is scored at all orders in one call per entropy: H_down and
+    H_partial read from one set of block terms per order, H_up from one
+    stacked ``h_up_dense`` call. The entropy callables are injectable, each
+    mapped over the orders, so a broken implementation can be shown to trip
+    the check (mutation sanity).
     """
-    h_down_fn = h_down_fn or entropy.h_down
-    h_partial_fn = h_partial_fn or entropy.h_partial
-    h_up_fn = h_up_fn or entropy.h_up
     rec = _Recorder(cfg, "ordering", 1, 120, 1e-9)
     for i, rng in enumerate(rec.stream()):
         nb = int(rng.integers(2, 5))
@@ -179,10 +179,12 @@ def check_ordering(cfg: SuiteConfig, h_down_fn=None, h_partial_fn=None,
         else:
             st = random_cq((nb,), (da, dc), rng, names=["B"],
                            qnames=["A", "C"])
-        for alpha in cfg.alphas:
-            hd = h_down_fn(st, ["A"], alpha)
-            hp = h_partial_fn(st, ["A"], "B", alpha)
-            hu = h_up_fn(st, ["A"], alpha)
+        down = entropy._down_partial(st, ["A"], "B", cfg.alphas)
+        up = None if h_up_fn else entropy._h_up(st, ["A"], cfg.alphas)
+        for j, alpha in enumerate(cfg.alphas):
+            hd = h_down_fn(st, ["A"], alpha) if h_down_fn else down[j][0]
+            hp = h_partial_fn(st, ["A"], "B", alpha) if h_partial_fn else down[j][1]
+            hu = h_up_fn(st, ["A"], alpha) if h_up_fn else up[j]
             rec.record(hp - hd, hu - hp, alpha=alpha, h_down=hd,
                        h_partial=hp, h_up=hu)
     return rec.report()

@@ -2,8 +2,9 @@
 
 Every public entropy takes its states through one input check: a matrix
 that is not Hermitian (or not finite) raises NotHermitianError, and a state
-with a clearly negative eigenvalue raises NotPSDError where it is first
-decomposed. An entropy of a state, like one of a vector, raises
+with a clearly negative eigenvalue raises NotPSDError, where its blocks
+enter or where it is first decomposed. A block that no entropy decomposes,
+such as that of a classical A, is checked where it enters. An entropy of a state, like one of a vector, raises
 BadProbabilityError when its spectrum sums off 1 by more than TRACE_TOL.
 None of them may return a number for such an input.
 """
@@ -49,12 +50,24 @@ def cq(block):
                    {(0,): block, (1,): np.eye(2) / 2})
 
 
+def ab_conds(block):
+    """Blocks of classical A and B on a quantum E; the block of (a, b) =
+    (0, 0) is ``block``, the others are I/2."""
+    conds = np.tile(np.eye(2) / 2, (2, 2, 1, 1)).astype(complex)
+    conds[0, 0] = block
+    return conds
+
+
+def cq_ab(block):
+    """Classical A and B, quantum E, with the blocks of ``ab_conds``."""
+    return CqState([creg("A", (0, 1)), creg("B", (0, 1)), qreg("E", 2)],
+                   np.full((2, 2), 0.25), ab_conds(block))
+
+
 def stack(block):
-    """One row of ``h_partial_stack``: classical A and B, quantum E; the
-    block of (a, b) = (0, 0) is ``block``."""
-    conds = np.tile(np.eye(2) / 2, (1, 2, 2, 1, 1)).astype(complex)
-    conds[0, 0, 0] = block
-    return ent.h_partial_stack(np.full((1, 2, 2), 0.25), conds, 2.0)
+    """One row of ``h_partial_stack``: the state of ``cq_ab``."""
+    return ent.h_partial_stack(np.full((1, 2, 2), 0.25), ab_conds(block)[None],
+                               2.0)
 
 
 def f_weighted_sigma(block):
@@ -69,6 +82,14 @@ CALLS = {
     "h_up": lambda e: ent.h_up(dense(DENSE[e]), ["A"], 2.0),
     "h_up-cq": lambda e: ent.h_up(cq(BLOCK[e]), ["A"], 2.0),
     "h_up_dense": lambda e: ent.h_up_dense(DENSE[e], 2, 2, 2.0),
+    # the negative block of a classical A is never decomposed: before it
+    # was checked on entry, h_down, h_partial and the stack read -inf and
+    # h_up a plausible 0.8345 here
+    "h_down-classical-a": lambda e: ent.h_down(cq_ab(BLOCK[e]), ["A"], 2.0),
+    "h_partial-classical-a": lambda e: ent.h_partial(cq_ab(BLOCK[e]), ["A"],
+                                                     "B", 2.0),
+    "h_up-classical-a": lambda e: ent.h_up(cq_ab(BLOCK[e]), ["A"], 2.0),
+    "h_partial_stack": lambda e: stack(BLOCK[e]),
     "renyi_divergence-rho": lambda e: ent.renyi_divergence(
         DENSE[e], np.eye(4) / 4, 2.0),
     "renyi_divergence-sigma": lambda e: ent.renyi_divergence(
@@ -88,15 +109,37 @@ def test_bad_state_is_rejected(name, error):
         CALLS[name](error)
 
 
-# A clearly negative block of a classical A is decomposed only inside the
-# marginal on E, so ``stack(BLOCK[NotPSDError])`` reads -inf; only the
-# Hermitian and finite check applies to the stack here.
 @pytest.mark.parametrize("block", [BLOCK[NotHermitianError],
                                    np.full((2, 2), np.nan)],
                          ids=["not-hermitian", "not-finite"])
 def test_stack_that_is_not_hermitian_is_rejected(block):
     with pytest.raises(NotHermitianError):
         stack(block)
+
+
+def test_probe_state_is_rejected_by_validate_too():
+    with pytest.raises(NotPSDError):
+        cq_ab(BLOCK[NotPSDError]).validate()
+
+
+# per-row orders of h_up_dense: each must lie in (1, inf), and the orders
+# must broadcast against the rows; the check comes before any
+# decomposition, so a stack that is not PSD still raises ValueError
+@pytest.mark.parametrize("alpha", [[2.0, 1.0], [2.0, np.inf], [2.0, np.nan],
+                                   [0.5, 2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]]],
+                         ids=["one", "inf", "nan", "below-one", "too-many",
+                              "2d"])
+def test_h_up_dense_rejects_bad_per_row_orders(alpha):
+    rows = np.stack([np.eye(4) / 4, DENSE[NotPSDError]])
+    with pytest.raises(ValueError):
+        ent.h_up_dense(rows, 2, 2, np.array(alpha))
+
+
+def test_h_up_dense_reads_per_row_orders():
+    rows = np.stack([np.eye(4) / 4, np.diag([0.5, 0.0, 0.0, 0.5])])
+    val, up, _ = ent.h_up_dense(rows, 2, 2, np.array([2.0, 3.0]))
+    assert np.allclose(val, [1.0, 0.0], atol=1e-9)
+    assert np.all(val <= up)
 
 
 @pytest.mark.parametrize("fn", [lambda p: ent.renyi_entropy(p, 2.0),

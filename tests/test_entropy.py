@@ -225,7 +225,7 @@ class TestHDownUp:
             n_vecs = n_vecs[np.linalg.norm(n_vecs, axis=1) < 1.0 - 1e-9]
             sig = 0.5 * (np.eye(2) + np.einsum("mi,ijk->mjk", n_vecs, paulis))
             vals = -ent._divergence_dense(
-                rho.matrix, embed(sig, (2, 2), (1,)), alpha)
+                rho.matrix, embed(sig, (2, 2), (1,)), (alpha,))[0]
             i = int(np.argmax(vals))  # the first maximum, as a strict scan
             if vals[i] > best:
                 best, arg = vals[i], n_vecs[i]

@@ -339,7 +339,7 @@ def close(x, y):
 def test_down_partial_up_match_references(k, alpha):
     st, a = B_STATES[k]
     assert close(ent.h_down(st, a, alpha), ref_h_down(st, a, alpha))
-    pb, hb = ent._per_b_down(st, a, "B", alpha)
+    _, _, pb, hb = ent._down_partial(st, a, "B", (alpha,))[0]
     ref = ref_per_b_down(st, a, "B", alpha)
     assert len(pb) == len(ref)
     for p_new, h_new, (p_ref, h_ref) in zip(pb, hb, ref):
@@ -373,7 +373,7 @@ def test_support_violation_is_infinite_on_both_sides():
     st = support_violating_state()
     for alpha in ALPHAS:
         assert ent.h_down(st, ["X"], alpha) == ref_h_down(st, ["X"], alpha) == -INF
-        pb, hb = ent._per_b_down(st, ["X"], "B", alpha)
+        _, _, pb, hb = ent._down_partial(st, ["X"], "B", (alpha,))[0]
         ref = ref_per_b_down(st, ["X"], "B", alpha)
         assert hb[0] == ref[0][1] == -INF
         assert close(hb[1], ref[1][1])
