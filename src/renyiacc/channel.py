@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .entropy import check_alpha, renyi_divergence
+from .entropy import _f_vector, check_alpha, renyi_divergence
 from .errors import (
     AlphabetMismatchError,
     BadShapeError,
@@ -276,34 +276,12 @@ def family_round(family: CPMapFamily, proto: SamplingProtocol,
     return _round_state(proto, np.where(p_ab > 1e-15, p_ab, 0.0), blocks, "Rp")
 
 
-class SamplingChannel:
-    """One spot-checking round of a strategy bound to a protocol: the round
-    state, with Eve's purifier as E, and its score law p_C."""
-
-    def __init__(self, proto: SamplingProtocol, table: "ResponseTable"):
-        self.proto = proto
-        table = table.in_protocol_order(proto)
-        self._p = table.p
-        self._cond = table.cond
-
-    def output_state(self) -> CqState:
-        return _round_state(self.proto, self._p, self._cond, "E")
-
-    def p_c(self) -> np.ndarray:
-        """Marginal score distribution over the protocol's c alphabet."""
-        return self.proto.score_law(self._p)
-
-
-def build_sampling_channel(strategy, proto: SamplingProtocol,
-                           outputs: str = "alice"):
-    """Bind a device strategy to a sampling protocol as a SamplingChannel,
-    or a CP map family as its round ``omega -> family_round(...)``."""
-    if isinstance(strategy, TwoQubitStrategy):
-        return SamplingChannel(
-            proto, strategy.response_table(proto.settings, outputs=outputs))
-    if isinstance(strategy, CPMapFamily):
-        return lambda omega: family_round(strategy, proto, omega)
-    raise AlphabetMismatchError(f"unsupported strategy type {type(strategy)!r}")
+def build_sampling_channel(strategy: TwoQubitStrategy, proto: SamplingProtocol,
+                           outputs: str = "alice") -> CqState:
+    """One spot-checking round of a device strategy under a protocol: the
+    round state on (A, C, T, B), with Eve's purifier as E."""
+    table = _round_table(strategy, proto, outputs)
+    return _round_state(proto, table.p, table.cond, "E")
 
 
 def check_b_independence(round_channel, trials: int, seed, r_dim: int):
@@ -411,12 +389,7 @@ def build_read_and_prepare(f, m_const: float, alpha: float,
     """Read-and-prepare channel with exact per-symbol entropy targets M - f_c."""
     alpha = check_alpha(alpha)
     alphabet = tuple(alphabet)
-    if isinstance(f, dict):
-        f_arr = np.array([float(f[c]) for c in alphabet])
-    else:
-        f_arr = np.asarray(f, dtype=float)
-        if f_arr.shape != (len(alphabet),):
-            raise AlphabetMismatchError("tradeoff vector length mismatch")
+    f_arr = _f_vector(f, alphabet)
     if m_const <= 0.0:
         raise TargetOutOfRangeError("cap M must be positive")
     if np.any(m_const - f_arr <= m_const / 2.0):
@@ -690,6 +663,13 @@ class TwoQubitStrategy:
         return ResponseTable(t.outcomes, t.p[0], t.cond[0])
 
 
+def _round_table(strategy: TwoQubitStrategy, proto: SamplingProtocol,
+                 outputs: str) -> ResponseTable:
+    """The strategy's response table in the protocol's order."""
+    return strategy.response_table(proto.settings,
+                                   outputs=outputs).in_protocol_order(proto)
+
+
 def strategy_to_cq(strategy: TwoQubitStrategy, p_b, settings: str = "pairs",
                    outputs: str = "alice") -> CqState:
     """Classical (A, B) with Eve's purifier: sum_ab p(b) p(a|b) |ab><ab| x rho_E."""
@@ -772,17 +752,31 @@ def protocol_to_dict(proto: SamplingProtocol) -> dict:
     }
 
 
+def _check_schema(doc, schema: str, what: str) -> None:
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise BadShapeError(f"unrecognized {what} schema {found!r}")
+
+
 def protocol_from_dict(doc: dict) -> SamplingProtocol:
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != PROTOCOL_SCHEMA:
-        raise BadShapeError(f"unrecognized protocol schema {schema!r}")
+    """A protocol document; a setting missing from pGen or pTest has
+    probability 0, and every pGen, pTest and score key must name settings
+    (and outcomes) of the document."""
+    _check_schema(doc, PROTOCOL_SCHEMA, "protocol")
     outcomes = tuple(doc["outcomes"])
     settings = tuple(doc["settings"])
+    for name in ("pGen", "pTest"):
+        unknown = sorted(set(doc[name]) - {str(b) for b in settings})
+        if unknown:
+            raise AlphabetMismatchError(f"{name} keys {unknown} are not settings")
     p_gen = np.array([float(doc["pGen"].get(str(b), 0.0)) for b in settings])
     p_test = np.array([float(doc["pTest"].get(str(b), 0.0)) for b in settings])
     score = {}
     for key, v in doc["score"].items():
         a, b = key.split("|", 1)
+        if a not in outcomes or b not in settings:
+            raise AlphabetMismatchError(f"score key {key!r} is not an "
+                                        "outcome|setting pair")
         score[(a, b)] = v
     return SamplingProtocol(gamma=float(doc["gamma"]), outcomes=outcomes,
                             settings=settings, p_gen=p_gen, p_test=p_test,
@@ -796,6 +790,7 @@ def strategy_to_dict(s: TwoQubitStrategy) -> dict:
 
 
 def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
+    _check_schema(doc, STRATEGY_SCHEMA, "strategy")
     meas_a = tuple((float(t), float(p)) for t, p in doc["measA"])
     meas_b = tuple((float(t), float(p)) for t, p in doc["measB"])
     if "schmidt" in doc:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +31,12 @@ from .eatrate import (
     compare_entropies,
     optimize_strategy,
 )
-from .errors import AlphabetMismatchError, BadIndexError, RenyiaccError
+from .errors import (
+    AlphabetMismatchError,
+    BadIndexError,
+    BadShapeError,
+    RenyiaccError,
+)
 from .qcore import load_state
 from .qcore.states import CqState
 from .verify import (
@@ -207,16 +213,24 @@ def cmd_verify(args) -> int:
 
 
 def _bell_constraint(doc):
+    """The protocol's ``bell`` entry ``{name | correlators, min}`` as
+    (functional, min); None without the entry."""
     spec = doc.get("bell")
-    if not spec:
+    if spec is None:
         return None
-    if isinstance(spec, str):
-        return (BellFunctional.by_name(spec), None)
-    functional = (BellFunctional.by_name(spec["name"]) if "name" in spec
-                  else BellFunctional(np.asarray(spec["correlators"]),
-                                      "custom"))
-    threshold = spec.get("min")
-    return (functional, float(threshold)) if threshold is not None else None
+    if not isinstance(spec, dict) \
+            or set(spec) not in ({"name", "min"}, {"correlators", "min"}) \
+            or type(spec["min"]) not in (int, float) \
+            or not math.isfinite(spec["min"]):
+        raise BadShapeError(f"bell must be {{name | correlators, min}} with "
+                            f"a finite min, got {spec!r}")
+    if "name" in spec:
+        return BellFunctional.by_name(spec["name"]), float(spec["min"])
+    try:
+        corr = np.asarray(spec["correlators"], dtype=float)
+    except TypeError as exc:
+        raise BadShapeError(f"bell correlators: {exc}") from None
+    return BellFunctional(corr, "custom"), float(spec["min"])
 
 
 def cmd_rate(args) -> int:
@@ -273,11 +287,7 @@ def cmd_compare(args) -> int:
     _emit_json(args.json, {
         "schema": "renyiacc/compare-report/v1", "version": __version__,
         "alphas": list(args.alpha),
-        "rows": [{"alpha": r.alpha, "h_down": r.h_down,
-                  "h_partial": r.h_partial, "gap": r.gap,
-                  "asymmetry": r.asymmetry,
-                  "per_b": {str(k): v for k, v in r.per_b.items()}}
-                 for r in rows],
+        "rows": [asdict(r) for r in rows],
     })
     return EXIT_OK
 

@@ -35,17 +35,21 @@ def p_a2_given(a2: int, r1: int, b2: int) -> Fraction:
     return Fraction(1) if a2 == 0 else Fraction(0)
 
 
-def joint_distribution() -> np.ndarray:
-    """p(a1, b1, a2, b2) after both rounds, exact assembly."""
-    out = np.zeros((2, 2, 2, 2))
+def counterexample_channel_instance():
+    """The worked example as the chain-rule checker's (omega, p_b2, kernel):
+    ``omega[a1, b1, r]`` with the memory r = a1, ``kernel[a2, r, b2]``."""
+    omega = np.zeros((2, 2, 2))
     for a1 in range(2):
         for b1 in range(2):
-            base = P_B1[b1] * P_A1_GIVEN_B1[a1][b1]
-            for a2 in range(2):
-                for b2 in range(2):
-                    out[a1, b1, a2, b2] = float(
-                        base * P_B2[b2] * p_a2_given(a2, a1, b2))
-    return out
+            omega[a1, b1, a1] = float(P_B1[b1] * P_A1_GIVEN_B1[a1][b1])
+    kernel = np.array([[[float(p_a2_given(a2, r, b2)) for b2 in range(2)]
+                        for r in range(2)] for a2 in range(2)])
+    return omega, np.array([float(p) for p in P_B2]), kernel
+
+
+def joint_distribution() -> np.ndarray:
+    """p(a1, b1, a2, b2) after both rounds."""
+    return np.einsum("abr,s,zrs->abzs", *counterexample_channel_instance())
 
 
 def _round2_inner(e: int, alpha: float, power: float) -> float:
@@ -112,9 +116,8 @@ def _h_down_lhs(alpha: float) -> float:
 
 
 def _h_down_first(alpha: float) -> float:
-    p = np.array([[float(P_B1[b] * P_A1_GIVEN_B1[a][b]) for b in range(2)]
-                  for a in range(2)])
-    return h_classical(p, alpha, "down")
+    return h_classical(counterexample_channel_instance()[0].sum(axis=2), alpha,
+                       "down")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .channel import (
     ResponseTable,
     SamplingProtocol,
     TwoQubitStrategy,
+    _round_table,
     bell_values,
     params_stack,
     response_stack,
@@ -215,13 +216,12 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
     n, n_sym = p.shape[0], len(cset.alphabet)
     if p.shape != (n, n_sym) or h.shape != (n,):
         raise AlphabetMismatchError("p_C rows do not match the alphabet")
+    entropy._distribution(p, "p_C ")
     if (h < -1e-9).any():
         raise BadProbabilityError("generation entropy must be nonnegative")
     if BOT not in cset.alphabet:
         raise AlphabetMismatchError(f"alphabet lacks the symbol {BOT!r}")
     active = p > 0.0
-    if not active.any(axis=1).all():
-        raise BadProbabilityError("p_C row without positive mass")
     beta = alpha - 1.0
     g, t, k = cset.mat, cset.rhs, cset.k
     i_bot = cset.alphabet.index(BOT)
@@ -343,7 +343,7 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     result is independent of the dual-tilting path it checks.
     """
     alpha = check_alpha(alpha)
-    p = np.asarray(p_c, dtype=float)
+    p = entropy._distribution(p_c, "p_C ")
     beta = alpha - 1.0
     i_bot = cset.alphabet.index(BOT)
     supp = p > 0.0
@@ -417,13 +417,6 @@ def _check_score_alphabet(cset: ConstraintSet, proto: SamplingProtocol):
     if tuple(cset.alphabet) != tuple(proto.c_alphabet):
         raise AlphabetMismatchError("constraint alphabet differs from the "
                                     "protocol score alphabet")
-
-
-def _round_table(strategy: TwoQubitStrategy, proto: SamplingProtocol,
-                 outputs: str) -> ResponseTable:
-    """The strategy's response table in the protocol's order."""
-    return strategy.response_table(proto.settings,
-                                   outputs=outputs).in_protocol_order(proto)
 
 
 def single_round_h(strategy: TwoQubitStrategy, proto: SamplingProtocol,
@@ -506,15 +499,7 @@ class RateReport:
     note: str = "upper bound on h_alpha via best-found attack"
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "h_alpha": self.h_alpha,
-            "v_star": list(self.v_star), "p_c": list(self.p_c),
-            "strategy_params": list(self.strategy_params),
-            "kkt_residual": self.kkt_residual, "n": self.n,
-            "p_omega": self.p_omega, "total_bits": self.total_bits,
-            "key_bits": self.key_bits, "restarts": self.restarts,
-            "seed": self.seed, "note": self.note,
-        }
+        return asdict(self)
 
 
 def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,

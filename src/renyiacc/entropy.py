@@ -184,13 +184,15 @@ def max_divergence(rho, sigma) -> float:
 
 
 def kl_divergence(v, p) -> float:
-    """KL divergence in bits; +inf if v puts mass outside supp(p)."""
+    """KL divergence in bits of two distributions of one shape; +inf if v
+    puts mass outside supp(p)."""
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
     if v.shape != p.shape:
         raise AlphabetMismatchError(f"shape mismatch {v.shape} vs {p.shape}")
     tot = 0.0
-    for vi, pi in zip(v.reshape(-1), p.reshape(-1)):
+    for vi, pi in zip(_distribution(v.reshape(-1)),
+                      _distribution(p.reshape(-1))):
         if vi <= 0.0:
             continue
         if pi <= 0.0:
@@ -464,8 +466,7 @@ def _h_up(state, a_names, alphas) -> list:
                                 np.repeat(alphas, len(dense)))
         inner = [(1.0 - a) / a * v for a, v in
                  zip(alphas, vals.reshape(len(alphas), len(dense)))]
-    return [a / (1.0 - a) * float(_log2sumexp2(np.log2(pc) + i))
-            for a, i in zip(alphas, inner)]
+    return [float(_up_sum(np.log2(pc), i, a)) for a, i in zip(alphas, inner)]
 
 
 def h_up(state, a_names, alpha: float) -> float:
@@ -485,7 +486,7 @@ def h_classical(p, alpha: float, variant: str) -> float:
         return float(_log2sumexp2(alpha * lp + (1.0 - alpha) * lpb)) / (1.0 - alpha)
     if variant == "up":
         inner = _log2sumexp2(alpha * (lp - lpb), axis=0) / alpha
-        return (alpha / (1.0 - alpha)) * float(_log2sumexp2(lpb + inner))
+        return float(_up_sum(lpb, inner, alpha))
     raise BadPartitionError(f"variant must be 'up' or 'down', got {variant!r}")
 
 
@@ -509,12 +510,12 @@ def _given_b(terms, pb, alpha: float) -> np.ndarray:
     return np.where(live, -(per_b - lpb) / (alpha - 1.0), 0.0)
 
 
-def _partial_from_b(pb, hb, alpha: float):
-    """H_alpha(A | B^up rest^down) from p(b) and h_b over the last axis:
-    alpha/(1-alpha) log2 sum_b p(b) 2^{(1-alpha)/alpha h_b}; a b with
+def _up_sum(lpb, t, alpha: float):
+    """The optimized reduction over b, on the last axis: alpha/(1-alpha)
+    log2 sum_b p(b) 2^{t_b} from log2 p(b) and t_b. With t_b =
+    (1-alpha)/alpha h_b it is H_alpha(A | B^up rest^down); a b with
     p(b) = 0 drops out."""
-    k = (1.0 - alpha) / alpha
-    return (alpha / (1.0 - alpha)) * _log2sumexp2(_log2(pb) + k * hb, axis=-1)
+    return (alpha / (1.0 - alpha)) * _log2sumexp2(lpb + t, axis=-1)
 
 
 def h_partial(state: CqState, a_names, up_name: str, alpha: float) -> float:
@@ -541,7 +542,7 @@ def _down_partial(state, a_names, up_name: str, alphas) -> list:
         pb, hb = _per_b(terms, state.weights, state._cpos(up_name), 0, a)
         pb, hb = pb[pb > 0.0], hb[pb > 0.0]
         out.append((-_blocks_divergence(terms, a),
-                    float(_partial_from_b(pb, hb, a)), pb, hb))
+                    float(_up_sum(_log2(pb), (1.0 - a) / a * hb, a)), pb, hb))
     return out
 
 
@@ -559,7 +560,8 @@ def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
         raise NotHermitianError("state is not Hermitian within tolerance")
     _eigh(conds[w > 0.0], vectors=False, floor=PSD_TOL)
     terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], (alpha,))[0]
-    return _partial_from_b(*_per_b(terms, w, 2, 1, alpha), alpha)
+    pb, hb = _per_b(terms, w, 2, 1, alpha)
+    return _up_sum(_log2(pb), (1.0 - alpha) / alpha * hb, alpha)
 
 
 def optimal_q(r, alpha: float) -> np.ndarray:
@@ -593,18 +595,24 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
     return float(vals.max())
 
 
-def _spectrum(x) -> np.ndarray:
-    """A distribution, or the eigenvalues of a state clipped at 0. Either
-    must be a distribution: BadProbabilityError on an entry below
-    -WEIGHT_TOL or a sum off 1 by more than TRACE_TOL."""
-    vector = np.ndim(x) == 1
-    p = np.asarray(x, dtype=float) if vector else \
-        _eigh(_cq(x, psd=False).to_density().matrix, vectors=False,
-              floor=PSD_TOL)
-    if p.min(initial=0.0) < -WEIGHT_TOL or not abs(p.sum() - 1.0) <= TRACE_TOL:
-        what = "" if vector else "the spectrum "
+def _distribution(p, what: str = "") -> np.ndarray:
+    """``p`` as floats, each row along its last axis a distribution:
+    BadProbabilityError on a non-finite entry, an entry below -WEIGHT_TOL
+    or a row sum off 1 by more than TRACE_TOL."""
+    p = np.asarray(p, dtype=float)
+    if p.min(initial=0.0) < -WEIGHT_TOL or \
+            not (abs(p.sum(axis=-1) - 1.0) <= TRACE_TOL).all():
         raise BadProbabilityError(f"{what}{p.tolist()} is not a distribution")
     return p
+
+
+def _spectrum(x) -> np.ndarray:
+    """A distribution, or the eigenvalues of a state clipped at 0; either
+    must be a ``_distribution``."""
+    if np.ndim(x) == 1:
+        return _distribution(x)
+    return _distribution(_eigh(_cq(x, psd=False).to_density().matrix,
+                               vectors=False, floor=PSD_TOL), "the spectrum ")
 
 
 def renyi_entropy(x, alpha: float) -> float:
@@ -707,8 +715,8 @@ def f_weighted_sup_qb(state: CqState, a_names, c_name: str, b_name: str, f,
     w, c_axis = state.weights, state._cpos(c_name)
     terms = _down_terms(state, [*a_names, c_name], (alpha,))[0] + (alpha - 1.0) \
         * np.expand_dims(f_arr, tuple(range(1, w.ndim - c_axis)))
-    return float(_partial_from_b(*_per_b(terms, w, state._cpos(b_name), 0, alpha),
-                                 alpha))
+    pb, hb = _per_b(terms, w, state._cpos(b_name), 0, alpha)
+    return float(_up_sum(_log2(pb), (1.0 - alpha) / alpha * hb, alpha))
 
 
 def key_length(h_up_bits: float, epsilon: float, alpha: float) -> int:

@@ -89,15 +89,11 @@ def _nelder_mead_steps(x0, scale: float, tol: float, max_iter: int):
 
 def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
                 max_iter: int = 2000):
-    """Plain Nelder-Mead minimization; returns (x_best, f_best, evals)."""
-    steps = _nelder_mead_steps(x0, scale, tol, max_iter)
-    pts = next(steps)
-    while True:
-        try:
-            pts = steps.send([f(p) for p in pts])
-        except StopIteration as stop:
-            x, val, evals = stop.value
-            return x, float(val), evals
+    """Plain Nelder-Mead minimization: ``nelder_mead_batch`` from one start,
+    scoring each point with ``f``; returns (x_best, f_best, evals)."""
+    [(x, val, evals)] = nelder_mead_batch(lambda pts: [f(p) for p in pts],
+                                          [x0], scale, tol, max_iter)
+    return x, float(val), evals
 
 
 def nelder_mead_batch(fbatch, x0s, scale: float = 0.25, tol: float = 1e-10,

@@ -6,7 +6,7 @@ Dense state (schema ``renyiacc/state/v1``)::
      "matrix": [[re, im], ...]}        # row-major, len = (prod dims)^2
 
 Cq-state (schema ``renyiacc/cqstate/v1``) nests one dense block per classical
-outcome tuple, one entry per outcome::
+outcome tuple, one symbol per classical register, one entry per outcome::
 
     {"schema": "renyiacc/cqstate/v1",
      "registers": [{"kind": "classical", "name": "B", "alphabet": ["0", "1"]},
@@ -88,8 +88,13 @@ def cq_from_dict(doc: dict) -> CqState:
     w = np.zeros(tuple(len(r.alphabet) for r in cregs))
     conds = {}
     for e in doc["entries"]:
+        if len(e["outcome"]) != len(cregs):
+            raise BadShapeError(f"outcome {e['outcome']} does not name one "
+                                "symbol per classical register")
         idx = tuple(cregs[i].alphabet.index(o)
                     for i, o in enumerate(e["outcome"]))
+        if idx in conds:
+            raise BadShapeError(f"outcome {e['outcome']} appears twice")
         w[idx] = float(e["weight"])
         conds[idx] = matrix_from_json(e["matrix"], qdim)
     return CqState(regs, w, conds)

@@ -21,10 +21,11 @@ from . import entropy
 from .channel import (
     BOT,
     SamplingProtocol,
+    _check_schema,
     build_read_and_prepare,
     score_alphabet,
 )
-from .counterexample import P_A1_GIVEN_B1, P_B1, p_a2_given
+from .counterexample import counterexample_channel_instance
 from .eatrate import (
     ConstraintSet,
     _check_score_alphabet,
@@ -253,21 +254,6 @@ def _classical_h(joint: np.ndarray, a_axes, b_axes, alpha: float,
     p = joint.transpose(tuple(a_axes) + tuple(b_axes))
     na = int(np.prod(p.shape[:len(a_axes)], initial=1))
     return entropy.h_classical(p.reshape(na, -1), alpha, variant)
-
-
-def counterexample_channel_instance():
-    """The worked two-round counterexample in the chain-rule checker's format."""
-    omega = np.zeros((2, 2, 2))  # p(a1, b1, r) with r = a1
-    for a1 in range(2):
-        for b1 in range(2):
-            omega[a1, b1, a1] = float(P_B1[b1] * P_A1_GIVEN_B1[a1][b1])
-    p_b2 = np.array([0.5, 0.5])
-    kernel = np.zeros((2, 2, 2))  # k[a2, r, b2]
-    for a2 in range(2):
-        for r in range(2):
-            for b2 in range(2):
-                kernel[a2, r, b2] = float(p_a2_given(a2, r, b2))
-    return omega, p_b2, kernel
 
 
 def chain_rule_gap(omega: np.ndarray, p_b2: np.ndarray,
@@ -532,9 +518,7 @@ def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
     (r, n_b, n_a, r) whose (r, b) slices each sum to one over (a, r'), all
     sums within 1e-9.
     """
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != ATTACK_SCHEMA:
-        raise BadShapeError(f"unrecognized attack schema {schema!r}")
+    _check_schema(doc, ATTACK_SCHEMA, "attack")
     initial = np.asarray(doc["initial"], dtype=float)
     kernels = doc["kernels"]
     if initial.ndim != 2:

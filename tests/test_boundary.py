@@ -5,14 +5,24 @@ that is not Hermitian (or not finite) raises NotHermitianError, and a state
 with a clearly negative eigenvalue raises NotPSDError, where its blocks
 enter or where it is first decomposed. A block that no entropy decomposes,
 such as that of a classical A, is checked where it enters. An entropy of a state, like one of a vector, raises
-BadProbabilityError when its spectrum sums off 1 by more than TRACE_TOL.
-None of them may return a number for such an input.
+BadProbabilityError when its spectrum sums off 1 by more than TRACE_TOL,
+and so do the KL divergence and the inner rate solvers on a vector that is
+not a distribution. None of them may return a number for such an input.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from renyiacc import entropy as ent
+from renyiacc.channel import BOT
+from renyiacc.eatrate import (
+    ConstraintSet,
+    inner_inf_v,
+    inner_inf_v_batch,
+    inner_inf_v_grid,
+)
 from renyiacc.errors import BadProbabilityError, NotHermitianError, NotPSDError
 from renyiacc.qcore import (
     CqState,
@@ -148,6 +158,35 @@ def test_h_up_dense_reads_per_row_orders():
 def test_vector_that_is_not_a_distribution_is_rejected(fn, p):
     with pytest.raises(BadProbabilityError):
         fn(p)
+
+
+SOLVER_SET = ConstraintSet.full_simplex(("0", "1", BOT))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p: inner_inf_v(p, 0.5, SOLVER_SET, 2.0),
+    lambda p: inner_inf_v_batch([np.ones(3) / 3, p], [0.5, 0.5], SOLVER_SET,
+                                2.0),
+    lambda p: inner_inf_v_grid(p, 0.5, SOLVER_SET, 2.0, resolution=20),
+    lambda p: ent.kl_divergence(np.ones(3) / 3, p),
+    lambda p: ent.kl_divergence(p, np.ones(3) / 3),
+], ids=["inner_inf_v", "inner_inf_v_batch", "inner_inf_v_grid", "kl-p",
+        "kl-v"])
+@pytest.mark.parametrize("p", [
+    [2.0, 1.0, 0.0],                 # inner_inf_v read -1.585
+    [math.nan, 0.5, 0.5],            # read nan
+    [0.5, 0.5, math.inf],
+    [1.5, -0.5, 0.0],
+    [0.5, 0.5, 1e-9],
+], ids=["sum-3", "nan", "inf", "negative", "sum-off-1e-9"])
+def test_solver_vector_that_is_not_a_distribution_is_rejected(fn, p):
+    with pytest.raises(BadProbabilityError):
+        fn(np.array(p))
+
+
+def test_kl_of_a_vector_that_is_not_a_distribution_is_rejected():
+    with pytest.raises(BadProbabilityError):  # read -2.0
+        ent.kl_divergence([0.5, 0.5], [2.0, 2.0])
 
 
 def test_distribution_within_tolerance_is_read():

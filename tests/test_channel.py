@@ -127,7 +127,9 @@ def round_table(strategy, proto, outputs="alice"):
                                    outputs=outputs).in_protocol_order(proto)
 
 
-class TestSamplingChannel:
+class TestRoundLaw:
+    """The score index, the round state and p_C read one round law."""
+
     def test_gamma_zero_all_generation(self):
         proto = chsh_protocol(0.0)
         p_c = proto.score_law(round_table(TwoQubitStrategy.chsh_tsirelson(),
@@ -166,23 +168,17 @@ class TestSamplingChannel:
         assert st.classical_names == ("A", "C", "T", "B")
 
     def test_build_sampling_channel_is_round_law_and_state(self):
-        # the strategy binding adds nothing to the round law and round state
+        # the strategy binding is the round state, and its C marginal p_C
         proto = chsh_protocol(0.3, outputs="alice")
         s = TwoQubitStrategy.chsh_tsirelson()
-        ch = build_sampling_channel(s, proto, outputs="alice")
+        st = build_sampling_channel(s, proto, outputs="alice")
         table = round_table(s, proto, outputs="alice")
-        assert np.array_equal(ch.p_c(), proto.score_law(table.p))
-        st = ch.output_state()
         ref = _round_state(proto, table.p, table.cond, "E")
         assert st.names == ref.names
         assert np.array_equal(st.weights, ref.weights)
         assert np.array_equal(st.conds, ref.conds)
-        with pytest.raises(AlphabetMismatchError):
-            build_sampling_channel(object(), proto)
-
-
-class TestRoundLaw:
-    """The score index, the round state and p_C read one round law."""
+        assert np.abs(st.marginal(["C"]).weights
+                      - proto.score_law(table.p)).max() <= 1e-15
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("d", [1, 2])
@@ -233,11 +229,6 @@ class TestBIndependence:
             lambda omega: family_round(fam, proto, omega), trials=5, seed=3,
             r_dim=2)
         assert ok and dev < 1e-9
-        omega = random_density((2, 2), 4)
-        got = build_sampling_channel(fam, proto)(omega)
-        want = family_round(fam, proto, omega)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.conds, want.conds)
 
     def test_copying_channel_fails(self):
         def leaky(omega: DensityOperator):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from renyiacc import entropy as ent
 from renyiacc.channel import (
@@ -132,6 +133,71 @@ class TestRateCommand:
         doc = json.loads(out_json.read_text())
         assert doc["report"]["kkt_residual"] < 1e-9
         assert doc["report"]["n"] == 1000
+
+
+class TestBellEntry:
+    def rate(self, capsys, tmp_path, bell):
+        path = write_protocol(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["bell"] = bell
+        path.write_text(json.dumps(doc))
+        return run(["rate", "--proto", str(path), "--alpha", "2",
+                    "--restarts", "1", "--seed", "3"], capsys)
+
+    @pytest.mark.parametrize("bell", [
+        {"name": "chsh", "min": 2.2},
+        {"correlators": [[1, 1], [1, -1]], "min": 2.1},
+    ], ids=["name", "correlators"])
+    def test_accepted_forms_run(self, capsys, tmp_path, bell):
+        code, out, _ = self.rate(capsys, tmp_path, bell)
+        assert code == 0 and "upper bound" in out
+
+    @pytest.mark.parametrize("bell", [
+        "chsh",                                          # was a TypeError
+        [[1, 1], [1, -1]],                               # was a TypeError
+        {"name": "chsh"},                                # ran unconstrained
+        {"name": "chsh", "min": "2.2"},
+        {"name": "chsh", "min": 2.2, "max": 3.0},
+        {"name": "chsh", "correlators": [[1, 1], [1, -1]], "min": 2.2},
+        {"correlators": [[{}]], "min": 2.2},
+    ], ids=["name-only", "matrix-only", "no-min", "string-min", "extra-key",
+            "both-forms", "bad-correlators"])
+    def test_other_forms_exit_2(self, capsys, tmp_path, bell):
+        code, out, err = self.rate(capsys, tmp_path, bell)
+        assert (code, out) == (2, "")
+        assert "bell" in err
+
+
+class TestLoaders:
+    def test_pgen_key_that_is_not_a_setting_exits_2(self, capsys, tmp_path):
+        # {"00": 1.0, "0O": 0.7} read as p_gen = [1, 0, 0, 0]
+        path = write_protocol(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["pGen"] = {"00": 1.0, "0O": 0.7}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["rate", "--proto", str(path), "--restarts",
+                              "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "pGen keys ['0O'] are not settings" in err
+
+    def test_score_key_outside_the_alphabets_exits_2(self, capsys, tmp_path):
+        path = write_protocol(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["score"]["2|00"] = "1"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["rate", "--proto", str(path), "--restarts",
+                              "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "'2|00'" in err
+
+    def test_strategy_with_another_schema_exits_2(self, capsys, tmp_path):
+        doc = strategy_to_dict(TwoQubitStrategy.chsh_tsirelson())
+        doc["schema"] = "renyiacc/protocol/v1"
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["compare", "--strategy", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized strategy schema 'renyiacc/protocol/v1'" in err
 
 
 def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
@@ -325,6 +391,38 @@ class TestValidationAtLoad:
                               "--kind", "down"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    @staticmethod
+    def _classical_doc(entries):
+        """Classical registers B and C, one (outcome, weight) per entry."""
+        regs = [{"kind": "classical", "name": n, "alphabet": ["0", "1"]}
+                for n in ("B", "C")]
+        return {"schema": "renyiacc/cqstate/v1", "registers": regs,
+                "entries": [{"outcome": o, "weight": w,
+                             "matrix": [[1.0, 0.0]]} for o, w in entries]}
+
+    def test_short_outcome_exits_2(self, capsys, tmp_path):
+        # was broadcast over C: read 2.000000000000 with exit 0
+        doc = self._classical_doc([(["0"], 0.25), (["1"], 0.25)])
+        code, out, err = self._run_on(doc, "down", capsys, tmp_path)
+        assert (code, out) == (2, "")
+        assert "one symbol per classical register" in err
+
+    def test_repeated_outcome_exits_2(self, capsys, tmp_path):
+        # the later entry overwrote the earlier one: read 1.000000000000
+        doc = self._classical_doc([(["0", "0"], 0.5), (["0", "0"], 0.5),
+                                   (["1", "1"], 0.5)])
+        code, out, err = self._run_on(doc, "down", capsys, tmp_path)
+        assert (code, out) == (2, "")
+        assert "appears twice" in err
+
+    def test_long_outcome_exits_2(self, capsys, tmp_path):
+        # raised IndexError with a traceback
+        doc = self._classical_doc([(["0", "0", "0"], 0.5),
+                                   (["1", "1"], 0.5)])
+        code, out, err = self._run_on(doc, "down", capsys, tmp_path)
+        assert (code, out) == (2, "")
+        assert "one symbol per classical register" in err
 
 
 def test_verify_rejects_count_below_one(capsys):

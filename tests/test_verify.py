@@ -8,6 +8,7 @@ import pytest
 
 from renyiacc import entropy as ent
 from renyiacc.channel import BOT, SamplingProtocol
+from renyiacc.counterexample import counterexample_channel_instance
 from renyiacc.eatrate import ConstraintSet
 from renyiacc.errors import AlphabetMismatchError, EmptyEventError
 from renyiacc.qcore import rng_from
@@ -24,7 +25,6 @@ from renyiacc.verify import (
     check_read_and_prepare,
     check_two_round_accumulation,
     chain_rule_gap,
-    counterexample_channel_instance,
     random_attack,
     run_property_suite,
     simulate_two_rounds,
