@@ -789,10 +789,23 @@ def strategy_to_dict(s: TwoQubitStrategy) -> dict:
             "measB": [list(m) for m in s.meas_b]}
 
 
+def _angle_pairs(entries, key: str) -> tuple:
+    """A strategy document's Bloch angles, one (theta, phi) pair of finite
+    numbers per setting; BadShapeError otherwise."""
+    try:
+        m = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.ndim != 2 or m.shape[1] != 2 or not np.isfinite(m).all():
+        raise BadShapeError(f"{key} entries must be pairs of finite numbers "
+                            "(theta, phi)")
+    return tuple((float(t), float(p)) for t, p in m)
+
+
 def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
     _check_schema(doc, STRATEGY_SCHEMA, "strategy")
-    meas_a = tuple((float(t), float(p)) for t, p in doc["measA"])
-    meas_b = tuple((float(t), float(p)) for t, p in doc["measB"])
+    meas_a = _angle_pairs(doc["measA"], "measA")
+    meas_b = _angle_pairs(doc["measB"], "measB")
     if "schmidt" in doc:
         return TwoQubitStrategy.from_schmidt(float(doc["schmidt"]),
                                              meas_a, meas_b)

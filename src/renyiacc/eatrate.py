@@ -17,7 +17,7 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -184,6 +184,7 @@ _ARMIJO = 1e-4
 _RIDGE = 1e-13     # relative ridge on the Newton pivots (repeated rows)
 _FLAT = 1e-290     # a variance at or below this is zero
 _TILT_MAX = 1e4    # bits of tilt past which no double ratio changes
+_WARM_RES = 1e-9   # a warm-started row certified worse than this is redone
 
 
 def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
@@ -210,6 +211,17 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
     ``feasible``, and its value is +inf. The fields of the result carry the
     batch axis.
     """
+    return _inner_solve(p_c, h_gen, cset, alpha, None)
+
+
+def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
+                 lam0) -> InnerSolution:
+    """``inner_inf_v_batch`` with the multipliers started at ``lam0``, shape
+    (n, k), unchecked, or at zero when it is None. The optimum does not
+    depend on the start, but a warm result matches the cold one only to the
+    solver's tolerance. A start far from the optimum can stall the Newton
+    steps, so a warm row that ends infeasible or with a KKT residual above
+    1e-9 is solved again from zero."""
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     h = np.asarray(h_gen, dtype=float)
@@ -239,7 +251,7 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
         dual = lam_rows @ t - (m[:, 0] + np.log2(z)) / beta
         return v, dual, t - v @ g.T
 
-    lam = np.zeros((n, k))
+    lam = np.zeros((n, k)) if lam0 is None else np.array(lam0, dtype=float)
     v, dual, grad = tilt(p, expo0, lam)
     # working copies of the rows still iterating, compacted as rows finish
     rows, pw, ew = np.arange(n), p, expo0
@@ -314,9 +326,16 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
         feasible[np.concatenate(stuck_rows)] = False
     if not feasible.all():
         value[~feasible] = INF
-    return InnerSolution(value=value, v_star=v, lam=lam, dual_value=dual,
-                         kkt_residual=res, primal_violation=primal_violation,
-                         comp_slack=comp, feasible=feasible)
+    sol = InnerSolution(value=value, v_star=v, lam=lam, dual_value=dual,
+                        kkt_residual=res, primal_violation=primal_violation,
+                        comp_slack=comp, feasible=feasible)
+    if lam0 is not None:
+        redo = ~feasible | (res > _WARM_RES)
+        if redo.any():
+            cold = _inner_solve(p[redo], h[redo], cset, alpha, None)
+            for f in fields(InnerSolution):
+                getattr(sol, f.name)[redo] = getattr(cold, f.name)
+    return sol
 
 
 def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet,
@@ -344,6 +363,8 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     """
     alpha = check_alpha(alpha)
     p = entropy._distribution(p_c, "p_C ")
+    if p.shape != (len(cset.alphabet),):
+        raise AlphabetMismatchError("p_C length does not match the alphabet")
     beta = alpha - 1.0
     i_bot = cset.alphabet.index(BOT)
     supp = p > 0.0
@@ -401,16 +422,18 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
 # ---------------------------------------------------------------------------
 
 def _round_solutions(table: ResponseTable, proto: SamplingProtocol,
-                     cset: ConstraintSet, alpha: float) -> InnerSolution:
+                     cset: ConstraintSet, alpha: float,
+                     lam0=None) -> InnerSolution:
     """The certified single-round solve of a stack of response tables.
 
     ``table`` holds ``p[m, a, b]`` and Eve's blocks in the protocol's
     outcome and setting order. Each row's p_C is read off p through the
     score map, and its generation entropy H_alpha(A | B^up E^down) is taken
-    on the stacked Eve blocks at the generation law p_gen(b) p(a|b).
+    on the stacked Eve blocks at the generation law p_gen(b) p(a|b). The
+    dual solve starts at ``lam0`` (see ``_inner_solve``).
     """
     h_gen = entropy.h_partial_stack(proto.p_gen * table.p, table.cond, alpha)
-    return inner_inf_v_batch(proto.score_law(table.p), h_gen, cset, alpha)
+    return _inner_solve(proto.score_law(table.p), h_gen, cset, alpha, lam0)
 
 
 def _check_score_alphabet(cset: ConstraintSet, proto: SamplingProtocol):
@@ -439,20 +462,33 @@ def rate_objective(proto: SamplingProtocol, cset: ConstraintSet, alpha: float,
                    bell: tuple | None = None):
     """The strategy search's objective on stacks of parameter rows.
 
-    Returns ``f(params) -> values``, shape (m, 1 + n_a + n_b) -> (m,): the
-    single-round rate of ``TwoQubitStrategy.from_params`` of each row, 1e6
-    where its constraint set cannot be met, plus the quadratic Bell penalty
-    50 gap^2 + gap when ``bell = (functional, threshold)`` is given and the
-    row's Bell value falls short by gap > 0.
+    Returns ``f(params, starts=None) -> values``, shape (m, 1 + n_a + n_b)
+    -> (m,): the single-round rate of ``TwoQubitStrategy.from_params`` of
+    each row, 1e6 where its constraint set cannot be met, plus the quadratic
+    Bell penalty 50 gap^2 + gap when ``bell = (functional, threshold)`` is
+    given and the row's Bell value falls short by gap > 0.
+
+    Without ``starts`` every dual solve starts cold. With ``starts``, one
+    key per row as ``nelder_mead_batch(..., keyed=True)`` passes them, the
+    objective keeps per key the multipliers of the last feasible row of the
+    key's previous call and starts the key's next solves there: a value is
+    then exact only to the inner solver's tolerance, and it depends on its
+    own key's earlier calls alone.
     """
     alpha = check_alpha(alpha)
     _check_score_alphabet(cset, proto)
+    warm, cold = {}, np.zeros(cset.k)  # key -> its last feasible multipliers
 
-    def objective(params):
+    def objective(params, starts=None):
         x, meas_a, meas_b = params_stack(params, n_a, n_b)
         table = response_stack(x, meas_a, meas_b, proto.settings,
                                outputs=outputs).in_protocol_order(proto)
-        sol = _round_solutions(table, proto, cset, alpha)
+        lam0 = (None if starts is None
+                else np.array([warm.get(s, cold) for s in starts]))
+        sol = _round_solutions(table, proto, cset, alpha, lam0)
+        if starts is not None:
+            warm.update(zip(np.asarray(starts)[sol.feasible].tolist(),
+                            sol.lam[sol.feasible]))
         vals = np.where(sol.feasible, sol.value, 1e6)
         if bell is not None:
             functional, threshold = bell
@@ -513,8 +549,11 @@ def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,
     ``bell`` optionally pins the search to strategies with a Bell value at
     least the given (functional, threshold) via a quadratic penalty. All
     restarts descend in lockstep on ``rate_objective``, one stacked call per
-    tick. Deterministic under ``seed``; more restarts never increase the
-    value.
+    tick, each restart's dual solves starting at the multipliers of its own
+    previous call, so every restart takes the steps it would take alone.
+    The restarts' end points are scored again cold, and the value and
+    certificate of the best come from a cold ``single_round_h``.
+    Deterministic under ``seed``; more restarts never increase the value.
     """
     alpha = check_alpha(alpha)
     if restarts < 1:
@@ -528,11 +567,9 @@ def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,
         starts.append(np.concatenate(
             [[rng.uniform(0.0, math.pi / 4)],
              rng.uniform(-math.pi, math.pi, size=n_a + n_b)]))
-    best_params, best_val = None, INF
-    for x, val, _ in nelder_mead_batch(objective, starts, scale=0.3,
-                                       max_iter=max_iter):
-        if val < best_val:
-            best_val, best_params = val, x
+    ends = np.array([x for x, _, _ in nelder_mead_batch(
+        objective, starts, scale=0.3, max_iter=max_iter, keyed=True)])
+    best_params = ends[np.argmin(objective(ends))]
     best = TwoQubitStrategy.from_params(best_params, n_a, n_b)
     sol = single_round_h(best, proto, cset, alpha, outputs)
     total = finite_size_bound(n, sol.value, p_omega, alpha)

@@ -546,20 +546,41 @@ def _down_partial(state, a_names, up_name: str, alphas) -> list:
     return out
 
 
+def _scalar_down_terms(w, c, alpha: float) -> np.ndarray:
+    """``_down_blocks`` terms of weights ``w`` (m, n_a, n_b) with scalar
+    blocks ``c`` of the same shape, A on axis 1: the reference of (a, b) is
+    sigma_b = sum_a p(a|b) c_ab. A live block must be positive."""
+    live = w > 0.0
+    if (c[live] <= 0.0).any():
+        raise NotPSDError("rho has nonpositive trace")
+    q = w.sum(axis=1, keepdims=True)
+    sigma = (np.divide(w, q, out=np.zeros_like(w), where=q > 0.0) * c).sum(
+        axis=1, keepdims=True)
+    q, sigma = (np.broadcast_to(x, w.shape)[live] for x in (q, sigma))
+    terms = np.full(w.shape, -INF)
+    terms[live] = (alpha * np.log2(w[live]) + (1.0 - alpha) * np.log2(q)
+                   + (alpha - 1.0) * (np.log2(c[live]) - np.log2(sigma)))
+    return terms
+
+
 def h_partial_stack(w, conds, alpha: float) -> np.ndarray:
     """H_alpha(A | B^up E^down) of each state in a stack of cq states.
 
     Row i is the state sum_ab w[i, a, b] |ab><ab| x conds[i, a, b] with
     classical A and B and a quantum E; ``w`` has shape (m, n_a, n_b) and
     ``conds`` (m, n_a, n_b, d, d). This is ``h_partial(state, ["A"], "B",
-    alpha)`` for every row at once.
+    alpha)`` for every row at once. Scalar blocks (d = 1) are scored in
+    closed form: D_alpha(c_ab || sigma_b) = log2 c_ab - log2 sigma_b.
     """
     alpha = check_alpha(alpha)
     w, conds = np.asarray(w, dtype=float), np.asarray(conds, dtype=complex)
     if not is_hermitian(conds):
         raise NotHermitianError("state is not Hermitian within tolerance")
-    _eigh(conds[w > 0.0], vectors=False, floor=PSD_TOL)
-    terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], (alpha,))[0]
+    if conds.shape[-1] == 1:
+        terms = _scalar_down_terms(w, conds[..., 0, 0].real, alpha)
+    else:
+        _eigh(conds[w > 0.0], vectors=False, floor=PSD_TOL)
+        terms = _down_blocks(w, conds, (1,), (), conds.shape[-1:], (alpha,))[0]
     pb, hb = _per_b(terms, w, 2, 1, alpha)
     return _up_sum(_log2(pb), (1.0 - alpha) / alpha * hb, alpha)
 

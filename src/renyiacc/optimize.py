@@ -97,21 +97,26 @@ def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
 
 
 def nelder_mead_batch(fbatch, x0s, scale: float = 0.25, tol: float = 1e-10,
-                      max_iter: int = 2000) -> list:
+                      max_iter: int = 2000, keyed: bool = False) -> list:
     """Nelder-Mead from each start in ``x0s``, all simplices in lockstep.
 
     Every tick stacks the points the live simplices ask for and scores them
-    in one call ``fbatch(points) -> values``, shape (m, n) -> (m,). A simplex
-    takes the same decisions it would take alone, so a row-exact ``fbatch``
-    gives what ``nelder_mead`` gives per start. Returns one
-    (x_best, f_best, evals) per start, in order.
+    in one call ``fbatch(points) -> values``, shape (m, n) -> (m,). With
+    ``keyed`` the call is ``fbatch(points, starts)``, where ``starts[i]`` is
+    the index in ``x0s`` of the simplex that asked for row i, so ``fbatch``
+    can keep state per simplex. A simplex takes the same decisions it would
+    take alone, so an ``fbatch`` whose values for a simplex's rows depend on
+    that simplex alone gives what ``nelder_mead`` gives per start. Returns
+    one (x_best, f_best, evals) per start, in order.
     """
     runs = [_nelder_mead_steps(x0, scale, tol, max_iter) for x0 in x0s]
     asks = [next(run) for run in runs]
     out = [None] * len(runs)
     live = list(range(len(runs)))
     while live:
-        vals = fbatch(np.concatenate([asks[i] for i in live]))
+        points = np.concatenate([asks[i] for i in live])
+        vals = (fbatch(points, np.repeat(live, [len(asks[i]) for i in live]))
+                if keyed else fbatch(points))
         at = 0
         for i in live:
             m = len(asks[i])

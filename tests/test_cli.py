@@ -199,6 +199,18 @@ class TestLoaders:
         assert (code, out) == (2, "")
         assert "unrecognized strategy schema 'renyiacc/protocol/v1'" in err
 
+    @pytest.mark.parametrize("meas_a", ([0.0, 1.0], [[None, 1]]))
+    def test_strategy_angles_that_are_not_pairs_exit_2(self, capsys,
+                                                       tmp_path, meas_a):
+        # a flat list raised TypeError (cannot unpack a float), exit 1
+        doc = strategy_to_dict(TwoQubitStrategy.chsh_tsirelson())
+        doc["measA"] = meas_a
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["compare", "--strategy", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "measA entries must be pairs of finite numbers" in err
+
 
 def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
     path = write_protocol(tmp_path)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from renyiacc import eatrate
 from renyiacc import entropy as ent
 from renyiacc.channel import (
     BOT,
@@ -11,6 +12,7 @@ from renyiacc.channel import (
     SamplingProtocol,
     TwoQubitStrategy,
     bell_value,
+    protocol_from_dict,
     strategy_to_cq,
 )
 from renyiacc.eatrate import (
@@ -24,12 +26,14 @@ from renyiacc.eatrate import (
     optimize_strategy,
     rate_objective,
     single_round_h,
+    _inner_solve,
 )
 from renyiacc.errors import (
     AlphabetMismatchError,
     BadProbabilityError,
     InfeasibleError,
 )
+from renyiacc.optimize import nelder_mead_batch
 from renyiacc.qcore import random_distribution, rng_from
 
 ALPHABET = ("0", "1", BOT)
@@ -299,6 +303,123 @@ class TestNewtonDual:
         sol = inner_inf_v(np.array([0.5, 0.0, 0.5]), 0.6,
                           ConstraintSet.min_mass(ALPHABET, "1", 0.0), 2.0)
         assert np.all(sol.lam == 0.0)
+
+
+class TestWarmStart:
+    CS = ConstraintSet.stack(ConstraintSet.min_mass(ALPHABET, "1", 0.3),
+                             ConstraintSet.max_mass(ALPHABET, BOT, 0.6))
+    P = np.array([
+        [0.05, 0.05, 0.90],   # both bounds active
+        [0.20, 0.50, 0.30],   # inactive
+        [0.50, 0.00, 0.50],   # symbol 1 unsupported: cannot be met
+        [0.00, 0.20, 0.80],   # zero entry, active
+    ])
+    H = np.array([0.5, 0.2, 0.4, 0.7])
+
+    @pytest.mark.parametrize("alpha", (1.5, 2.0, 3.0))
+    def test_start_does_not_move_the_solution(self, alpha):
+        # from 100x the optimum the Newton steps stall on the last row, whose
+        # two constraints are collinear on its support: it is solved again
+        # cold, where a stalled row read a primal feasible, wrong value
+        cold = inner_inf_v_batch(self.P, self.H, self.CS, alpha)
+        assert cold.feasible.tolist() == [True, True, False, True]
+        assert (cold.lam[0] > 0).all() and (cold.lam[1] == 0).all()
+        best = cold.lam[cold.feasible]
+        for lam0 in (np.zeros(2), cold.lam, 100 * cold.lam, best[0],
+                     100 * best.max(axis=0)):
+            warm = _inner_solve(self.P, self.H, self.CS, alpha,
+                                np.broadcast_to(lam0, cold.lam.shape))
+            assert warm.feasible.tolist() == cold.feasible.tolist()
+            on = warm.feasible
+            assert np.abs(warm.value[on] - cold.value[on]).max() < 1e-12
+            assert warm.kkt_residual[on].max() <= 1e-9
+            assert np.isinf(warm.value[~on]).all()
+
+
+
+# ``renyiacc rate`` on the README protocol: h_alpha of
+# optimize_strategy(restarts=1, seed=j) at order (1.5, 2, 3)[j % 3], as the
+# search gave it with cold dual solves at every step
+README_PROTOCOL = {
+    "schema": "renyiacc/protocol/v1", "gamma": 0.05,
+    "outcomes": ["0", "1"], "settings": ["00", "01", "10", "11"],
+    "pGen": {"00": 1.0},
+    "pTest": {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}, "d": 1,
+    "score": {"0|00": "0", "1|00": "1", "0|01": "0", "1|01": "1",
+              "0|10": "0", "1|10": "1", "0|11": "1", "1|11": "0"}}
+COLD_SEARCH_H = (0.05601277511106681, 0.0001223267090003911,
+                 0.014003193777836417, 0.05601277511359655,
+                 0.0001223267090016473, 6.116335449986404e-05)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_started_search_keeps_the_cold_rates(seed):
+    proto = protocol_from_dict(README_PROTOCOL)
+    cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.04)
+    rep = optimize_strategy(proto, cset, (1.5, 2.0, 3.0)[seed % 3],
+                            restarts=1, seed=seed)
+    assert abs(rep.h_alpha - COLD_SEARCH_H[seed]) <= 1e-9
+    assert rep.kkt_residual <= 1e-9
+
+
+def test_keyed_objective_starts_each_key_at_its_own_multipliers(
+        monkeypatch):
+    calls = []
+
+    def spy(p, h, cset, alpha, lam0, solve=eatrate._inner_solve):
+        sol = solve(p, h, cset, alpha, lam0)
+        calls.append((lam0, sol))
+        return sol
+
+    monkeypatch.setattr(eatrate, "_inner_solve", spy)
+    proto = protocol_from_dict(README_PROTOCOL)
+    cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.04)
+    f = rate_objective(proto, cset, 1.5)
+    pts = rng_from(17).uniform(-1.0, 1.0, size=(7, 5))
+    cold = f(pts)
+    assert calls[-1][0] is None and (cold < 1e6).all()
+    f(pts[:4], np.array([0, 0, 1, 1]))  # unseen keys start at zero
+    first = calls[-1][1]
+    assert (calls[-1][0] == 0.0).all() and (first.lam > 0.0).all()
+    vals = f(pts[4:], np.array([1, 0, 2]))
+    # each key starts at the last row of its own previous call
+    assert calls[-1][0].tolist() == [first.lam[3].tolist(),
+                                     first.lam[1].tolist(), [0.0]]
+    assert np.abs(vals - cold[4:]).max() <= 1e-12
+
+
+def test_keyed_lockstep_runs_each_restart_as_alone():
+    # lockstep and lone runs differ only in the last bits that the stacked
+    # score-law product rounds differently at other batch sizes
+    proto = protocol_from_dict(README_PROTOCOL)
+    cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.04)
+    starts = [rng_from((16, i)).uniform(-1.0, 1.0, size=5) for i in range(3)]
+    together = nelder_mead_batch(rate_objective(proto, cset, 2.0), starts,
+                                 scale=0.3, max_iter=60, keyed=True)
+    for x0, (x, val, evals) in zip(starts, together):
+        [(xa, va, ea)] = nelder_mead_batch(rate_objective(proto, cset, 2.0),
+                                           [x0], scale=0.3, max_iter=60,
+                                           keyed=True)
+        assert ea == evals
+        assert np.abs(xa - x).max() <= 1e-12 and abs(va - val) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_more_restarts_never_raise_the_value_under_a_constraint(seed):
+    proto = protocol_from_dict(README_PROTOCOL)
+    cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.04)
+    r1 = optimize_strategy(proto, cset, 2.0, restarts=1, seed=seed,
+                           max_iter=60)
+    r3 = optimize_strategy(proto, cset, 2.0, restarts=3, seed=seed,
+                           max_iter=60)
+    assert r3.h_alpha <= r1.h_alpha + 1e-12
+    assert r3.kkt_residual <= 1e-9
+
+
+def test_grid_oracle_checks_the_alphabet():
+    cs = ConstraintSet.full_simplex(ALPHABET)
+    with pytest.raises(AlphabetMismatchError):
+        inner_inf_v_grid(np.full(4, 0.25), 0.3, cs, 2.0, resolution=10)
 
 
 class TestGenRound:

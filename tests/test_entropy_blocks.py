@@ -404,6 +404,39 @@ def test_h_partial_stack_rows_match_h_partial(rank, outputs):
             assert close(h, ent.h_partial(st, ["A"], "B", alpha))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_h_partial_stack_scalar_blocks_match_h_partial(seed):
+    # Eve's blocks 1x1 (the closed form), with scalars other than 1, a zero
+    # weight whose block is negative, and a setting b = 1 of zero weight
+    rng = rng_from((77, seed))
+    w = rng.dirichlet(np.ones(8), size=5).reshape(5, 2, 4)
+    w[:, :, 1] = 0.0
+    w[:, 0, 2] = 0.0
+    w /= w.sum(axis=(1, 2), keepdims=True)
+    c = rng.uniform(0.05, 3.0, size=(5, 2, 4)) + 0j
+    c[:, 0, 2] = -1.0
+    regs = [creg("A", (0, 1)), creg("B", (0, 1, 2, 3)), qreg("E", 1)]
+    for alpha in ALPHAS:
+        got = ent.h_partial_stack(w, c[..., None, None], alpha)
+        for wi, ci, h in zip(w, c, got):
+            st = CqState(regs, wi, ci[..., None, None])
+            assert abs(h - ent.h_partial(st, ["A"], "B", alpha)) <= 1e-14
+
+
+def test_h_partial_stack_scalar_blocks_are_checked():
+    w = np.full((1, 2, 2), 0.25)
+    c = np.ones((1, 2, 2, 1, 1), dtype=complex)
+    c[0, 1, 0] = 1.0 + 1.0j  # a 1x1 block with a large imaginary part
+    with pytest.raises(NotHermitianError):
+        ent.h_partial_stack(w, c, 2.0)
+    c[0, 1, 0] = -1e-6
+    with pytest.raises(NotPSDError):
+        ent.h_partial_stack(w, c, 2.0)
+    c[0, 1, 0] = 0.0  # PSD, but a block of positive weight with no trace
+    with pytest.raises(NotPSDError):
+        ent.h_partial_stack(w, c, 2.0)
+
+
 def cq_pair(seed, case="plain"):
     """rho with a zero and a tiny weight; sigma full, or with a rank-one
     block under rho's full-rank one, or with a zero weight under rho's."""

@@ -164,6 +164,27 @@ def test_nelder_mead_batch_one_call_per_tick():
     assert sum(sizes) == sum(e for _, _, e in runs)
 
 
+def test_nelder_mead_batch_keyed_names_each_rows_simplex():
+    ticks = []
+
+    def fbatch(xs, starts):
+        ticks.append((xs, starts))
+        return rosenbrock_rows(xs)
+
+    runs = nelder_mead_batch(fbatch, NM_STARTS, scale=0.3, max_iter=150,
+                             keyed=True)
+    plain = nelder_mead_batch(rosenbrock_rows, NM_STARTS, scale=0.3,
+                              max_iter=150)
+    assert [(x.tolist(), f, e) for x, f, e in runs] == \
+        [(x.tolist(), f, e) for x, f, e in plain]
+    assert ticks[0][1].tolist() == np.repeat(range(5), 4).tolist()
+    # every row a simplex asked for is one of the points it ran on
+    for i, (_, _, evals) in enumerate(runs):
+        rows = np.concatenate([xs[starts == i] for xs, starts in ticks])
+        assert len(rows) == evals
+    assert all(len(xs) == len(starts) for xs, starts in ticks)
+
+
 def test_nelder_mead_all_infinite_simplex_stops_after_first_tick():
     calls = []
 
