@@ -36,7 +36,6 @@ from .qcore import (
     qreg,
     random_density,
     rng_from,
-    tensor,
     trace_distance,
 )
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
@@ -74,16 +73,10 @@ class KrausChannel:
         object.__setattr__(self, "in_dims", tuple(int(d) for d in self.in_dims))
         object.__setattr__(self, "out_dims", tuple(int(d) for d in self.out_dims))
 
-    def completeness(self) -> np.ndarray:
-        din = int(np.prod(self.in_dims, initial=1))
-        s = np.zeros((din, din), dtype=complex)
-        for k in self.kraus:
-            s += k.conj().T @ k
-        return s
-
     def validate(self) -> "KrausChannel":
-        s = self.completeness()
-        eye = np.eye(s.shape[0])
+        din = int(np.prod(self.in_dims, initial=1))
+        s = sum((k.conj().T @ k for k in self.kraus), np.zeros((din, din)))
+        eye = np.eye(din)
         if self.cp_only:
             if eigvalsh_desc(eye - s)[-1] < -1e-9:
                 raise DimMismatchError("CP-only channel exceeds trace preservation")
@@ -99,28 +92,7 @@ class KrausChannel:
     def apply(self, rho: DensityOperator) -> DensityOperator:
         if rho.dims != self.in_dims:
             raise DimMismatchError(f"input dims {rho.dims} vs {self.in_dims}")
-        return DensityOperator(self.apply_matrix(rho.matrix), self.out_dims,
-                               normalized=not self.cp_only)
-
-    def compose(self, first: "KrausChannel") -> "KrausChannel":
-        """self after first: (self . first)(rho) = self(first(rho))."""
-        if first.out_dims != self.in_dims:
-            raise DimMismatchError("composition dims mismatch")
-        ks = tuple(a @ b for a in self.kraus for b in first.kraus)
-        return KrausChannel(ks, first.in_dims, self.out_dims,
-                            cp_only=self.cp_only or first.cp_only)
-
-    @staticmethod
-    def identity(dims) -> "KrausChannel":
-        dims = (dims,) if isinstance(dims, int) else tuple(dims)
-        d = int(np.prod(dims, initial=1))
-        return KrausChannel((np.eye(d, dtype=complex),), dims, dims)
-
-    @staticmethod
-    def dephasing(dim: int) -> "KrausChannel":
-        ks = tuple(np.outer(np.eye(dim)[i], np.eye(dim)[i]).astype(complex)
-                   for i in range(dim))
-        return KrausChannel(ks, (dim,), (dim,))
+        return DensityOperator(self.apply_matrix(rho.matrix), self.out_dims)
 
 
 @dataclass(frozen=True)
@@ -302,7 +274,7 @@ def check_b_independence(round_channel, trials: int, seed, r_dim: int):
         joint = out.marginal(keep + ["Rp"]).to_density()
         marg_b = out.marginal(keep).to_density()
         marg_rp = omega.partial_trace_labels(["Rp"])
-        dev = trace_distance(joint, tensor(marg_b, marg_rp))
+        dev = trace_distance(joint, marg_b.tensor(marg_rp))
         worst = max(worst, dev)
     return worst < 1e-8, worst
 
@@ -365,9 +337,6 @@ class ReadAndPrepareChannel:
     @property
     def dim_d(self) -> int:
         return len(self.taus[0])
-
-    def tau(self, symbol) -> np.ndarray:
-        return self.taus[self.alphabet.index(symbol)]
 
     def apply(self, state: CqState, c_name: str) -> CqState:
         """Append the register D, drawn from tau of the symbol on ``c_name``."""

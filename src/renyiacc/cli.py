@@ -94,18 +94,32 @@ def _emit_json(path, payload):
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
+def _finite_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def _constraint_set(doc, alphabet) -> ConstraintSet:
-    """``omega`` entries as rows ``row . omega >= rhs``; an entry may carry
-    both ``min`` and ``max``, and its coefficient keys must be symbols."""
+    """``omega``, a list of ``{coeffs, min and/or max}`` entries of finite
+    numbers, as rows ``row . omega >= rhs``; an entry may carry both
+    ``min`` and ``max``, and its coefficient keys must be symbols."""
     symbols = [str(c) for c in alphabet]
+    if doc is not None and not isinstance(doc, list):
+        raise BadShapeError(f"omega must be a list of constraints, got {doc!r}")
     rows, rhs = [], []
     for item in doc or []:
+        if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
+            raise BadShapeError(f"omega entries must be {{coeffs, min | max}} "
+                                f"objects, got {item!r}")
         unknown = sorted(set(item["coeffs"]) - set(symbols))
         if unknown:
             raise AlphabetMismatchError(f"omega coefficients for {unknown} "
                                         f"outside the score alphabet {symbols}")
         if "min" not in item and "max" not in item:
             raise ValueError("constraint needs a 'min' or 'max' bound")
+        bounds = [item[k] for k in ("min", "max") if k in item]
+        if not all(map(_finite_number, [*item["coeffs"].values(), *bounds])):
+            raise BadShapeError(f"omega coeffs, min and max must be finite "
+                                f"numbers, got {item!r}")
         row = [float(item["coeffs"].get(c, 0.0)) for c in symbols]
         for sign, key in ((1.0, "min"), (-1.0, "max")):
             if key in item:
@@ -220,8 +234,7 @@ def _bell_constraint(doc):
         return None
     if not isinstance(spec, dict) \
             or set(spec) not in ({"name", "min"}, {"correlators", "min"}) \
-            or type(spec["min"]) not in (int, float) \
-            or not math.isfinite(spec["min"]):
+            or not _finite_number(spec["min"]):
         raise BadShapeError(f"bell must be {{name | correlators, min}} with "
                             f"a finite min, got {spec!r}")
     if "name" in spec:
@@ -233,6 +246,22 @@ def _bell_constraint(doc):
     return BellFunctional(corr, "custom"), float(spec["min"])
 
 
+def _setting_counts(doc, settings, bob: bool) -> tuple[int, int]:
+    """The protocol's ``nA`` and ``nB`` (2 by default): whole numbers >= 1
+    that cover Alice's digit of every setting label "xy" (or "x"), and
+    Bob's digit too when ``bob``."""
+    counts = []
+    for key, pos in (("nA", 0), ("nB", 1)):
+        n = doc.get(key, 2)
+        least = 1 + max((int(str(b)[pos]) for b in settings
+                         if len(str(b)) > pos and (pos == 0 or bob)), default=0)
+        if not (_finite_number(n) and n == int(n) and n >= least):
+            raise BadShapeError(f"{key} must be a whole number >= {least} for "
+                                f"the settings {list(settings)}, got {n!r}")
+        counts.append(int(n))
+    return counts[0], counts[1]
+
+
 def cmd_rate(args) -> int:
     with open(args.proto) as fh:
         doc = json.load(fh)
@@ -240,10 +269,12 @@ def cmd_rate(args) -> int:
     cset = _constraint_set(doc.get("omega"), proto.c_alphabet)
     outputs = doc.get("outputs", "alice")
     bell = _bell_constraint(doc)
+    n_a, n_b = _setting_counts(doc, proto.settings,
+                               outputs == "pair" or bell is not None)
     report = optimize_strategy(
         proto, cset, args.alpha, restarts=args.restarts, seed=args.seed,
-        n_a=int(doc.get("nA", 2)), n_b=int(doc.get("nB", 2)),
-        outputs=outputs, n=args.n, p_omega=args.pomega, bell=bell)
+        n_a=n_a, n_b=n_b, outputs=outputs, n=args.n, p_omega=args.pomega,
+        bell=bell)
     print(f"single-round rate (upper bound via best-found attack): "
           f"{report.h_alpha:.6f} bits")
     print(f"finite size: n={report.n} p_omega={report.p_omega} -> "
@@ -264,8 +295,7 @@ def cmd_rate(args) -> int:
                       else [args.alpha]):
                 rep = optimize_strategy(
                     proto, cset, float(a), restarts=max(args.restarts // 4, 1),
-                    seed=args.seed, n_a=int(doc.get("nA", 2)),
-                    n_b=int(doc.get("nB", 2)), outputs=outputs,
+                    seed=args.seed, n_a=n_a, n_b=n_b, outputs=outputs,
                     n=args.n, p_omega=args.pomega, bell=bell)
                 w.writerow([a, rep.h_alpha, rep.total_bits])
     return EXIT_OK

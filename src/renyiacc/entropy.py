@@ -658,24 +658,11 @@ def conditional_von_neumann(state, a_names) -> float:
     """H(A | rest) = H(full) - H(rest)."""
     rho = _cq(state, psd=False).to_density()  # decomposed by _spectrum
     cond = [n for n in rho.labels if n not in set(a_names)]
-    h_all = _shannon(_spectrum(rho.matrix))
+    h_all = von_neumann(rho.matrix)
     if not cond:
         return h_all
     marginal = rho.partial_trace_labels(cond).matrix
     return h_all - _shannon(_eigh(marginal, vectors=False, floor=PSD_TOL))
-
-
-def cond_mutual_info(rho: DensityOperator, a_names, b_names, c_names) -> float:
-    """I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)."""
-    a, b, c = list(a_names), list(b_names), list(c_names)
-    rho.indices_of(a + b + c)
-    if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
-        raise BadPartitionError("partition groups overlap")
-    h_ac = von_neumann(rho.partial_trace_labels(a + c))
-    h_bc = von_neumann(rho.partial_trace_labels(b + c))
-    h_abc = von_neumann(rho.partial_trace_labels(a + b + c))
-    h_c = von_neumann(rho.partial_trace_labels(c)) if c else 0.0
-    return h_ac + h_bc - h_abc - h_c
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ from .linalg import (
     SUPPORT_CUTOFF,
     eigvalsh_desc,
     embed,
-    hermitian_eig,
     is_hermitian,
     matrix_power,
-    support_contained,
 )
 from .random import (
     random_cq,
@@ -21,10 +19,8 @@ from .random import (
 )
 from .serialize import (
     cq_from_dict,
-    cq_to_dict,
     density_from_dict,
     density_to_dict,
-    dump_state,
     load_state,
     state_from_dict,
 )
@@ -32,25 +28,19 @@ from .states import (
     CqState,
     DensityOperator,
     Register,
-    conditional_operator,
     cq_from_joint,
     creg,
-    partial_trace,
-    purify,
     qreg,
-    tensor,
     trace_distance,
 )
 
 __all__ = [
     "HERMITICITY_TOL", "PSD_TOL", "SUPPORT_CUTOFF",
-    "eigvalsh_desc", "embed", "hermitian_eig", "is_hermitian",
-    "matrix_power", "support_contained",
+    "eigvalsh_desc", "embed", "is_hermitian", "matrix_power",
     "random_cq", "random_density", "random_distribution",
     "random_isometry", "random_kraus_channel", "rng_from",
-    "cq_from_dict", "cq_to_dict", "density_from_dict", "density_to_dict",
-    "dump_state", "load_state", "state_from_dict",
-    "CqState", "DensityOperator", "Register", "conditional_operator",
-    "cq_from_joint", "creg", "partial_trace", "purify", "qreg", "tensor",
-    "trace_distance",
+    "cq_from_dict", "density_from_dict", "density_to_dict",
+    "load_state", "state_from_dict",
+    "CqState", "DensityOperator", "Register", "cq_from_joint", "creg",
+    "qreg", "trace_distance",
 ]

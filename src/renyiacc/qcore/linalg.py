@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 - matrices are numpy complex arrays;
 - every eigendecomposition runs through ``_eigh``, in numpy's ascending
-  order; the public ``hermitian_eig`` and ``eigvalsh_desc`` return it descending;
+  order; ``eigvalsh_desc`` returns it descending;
 - negative and fractional powers of PSD matrices are taken on the numerical
   support (pseudo-inverse convention) with a relative eigenvalue cutoff of
   ``SUPPORT_CUTOFF`` against the largest eigenvalue;
@@ -84,12 +84,6 @@ def _power(w, t: float) -> np.ndarray:
     return np.where(on, np.where(on, w, 1.0) ** t, 0.0)
 
 
-def hermitian_eig(m):
-    """``(w, v)`` with ``m = v diag(w) v^dagger``, ``w`` descending."""
-    w, v = _eigh(_hermitian(m))
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def eigvalsh_desc(m) -> np.ndarray:
     return _eigh(as_matrix(m), vectors=False)[::-1].copy()
 
@@ -107,12 +101,6 @@ def _leaks(rho, w, v):
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     kept = (np.diagonal(y, axis1=-2, axis2=-1).real * _support(w)).sum(axis=-1)
     return tr - kept > 1e-10 * np.maximum(tr, 1.0), y, tr
-
-
-def support_contained(rho, sigma) -> bool:
-    """supp(rho) subseteq supp(sigma), judged by trace leakage outside supp(sigma)."""
-    w, v = _eigh(_hermitian(sigma), floor=PSD_TOL)
-    return not _leaks(np.asarray(rho, dtype=complex), w, v)[0]
 
 
 def embed(op, dims, acting_on) -> np.ndarray:

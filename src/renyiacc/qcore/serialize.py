@@ -60,20 +60,6 @@ def density_from_dict(doc: dict) -> DensityOperator:
                            tuple(doc.get("labels") or ()))
 
 
-def cq_to_dict(state: CqState) -> dict:
-    regs = []
-    for r in state.regs:
-        if r.is_classical:
-            regs.append({"kind": "classical", "name": r.name,
-                         "alphabet": [str(a) for a in r.alphabet]})
-        else:
-            regs.append({"kind": "quantum", "name": r.name, "dim": r.dim})
-    entries = [{"outcome": [str(o) for o in out], "weight": p,
-                "matrix": matrix_to_json(c)}
-               for _, out, p, c in state.outcomes()]
-    return {"schema": CQSTATE_SCHEMA, "registers": regs, "entries": entries}
-
-
 def cq_from_dict(doc: dict) -> CqState:
     regs = []
     for r in doc["registers"]:
@@ -115,8 +101,3 @@ def state_from_dict(doc: dict):
         return cq_from_dict(doc).validate()
     raise BadShapeError(f"unrecognized state schema {schema!r}")
 
-
-def dump_state(state, path: str) -> None:
-    doc = cq_to_dict(state) if isinstance(state, CqState) else density_to_dict(state)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)

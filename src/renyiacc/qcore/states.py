@@ -20,7 +20,6 @@ import numpy as np
 from ..errors import (
     BadIndexError,
     BadPartitionError,
-    BadProbabilityError,
     DimMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -30,10 +29,8 @@ from .linalg import (
     _eigh,
     _hermitian,
     as_matrix,
-    embed,
     eigvalsh_desc,
     is_hermitian,
-    matrix_power,
 )
 
 TRACE_TOL = 1e-10
@@ -79,16 +76,14 @@ def _apply_kraus(x: np.ndarray, dims, pos: int, kraus):
     return out.reshape(lead + (d, d)), dims
 
 
-def _check_states(blocks, trace_tol: float, normalized: bool = True) -> None:
-    """Reject blocks ``(k, d, d)`` that are not states (unless ``normalized``,
-    trace at most 1)."""
+def _check_states(blocks, trace_tol: float) -> None:
+    """Reject blocks ``(k, d, d)`` that are not states."""
     if not is_hermitian(blocks):
         raise NotHermitianError("density operator is not Hermitian")
     _eigh(blocks, vectors=False, floor=PSD_TOL)
     tr = np.trace(blocks, axis1=-2, axis2=-1).real
-    if np.any(tr > 1.0 + trace_tol) or normalized and np.any(tr < 1.0 - trace_tol):
-        raise DimMismatchError(f"trace {tr} is not {'' if normalized else 'at most '}"
-                               f"1 within {trace_tol}")
+    if np.any(tr > 1.0 + trace_tol) or np.any(tr < 1.0 - trace_tol):
+        raise DimMismatchError(f"trace {tr} is not 1 within {trace_tol}")
 
 
 def _purification(m: np.ndarray) -> np.ndarray:
@@ -109,13 +104,11 @@ class DensityOperator:
     """Dense state with subsystem dimensions and names.
 
     ``dims`` multiply out to the matrix size; ``labels`` name the subsystems.
-    ``normalized=False`` marks a deliberately sub-normalized state (trace <= 1).
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...] = ()
-    normalized: bool = True
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -133,11 +126,8 @@ class DensityOperator:
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> "DensityOperator":
-        _check_states(self.matrix[None], TRACE_TOL, self.normalized)
+        _check_states(self.matrix[None], TRACE_TOL)
         return self
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -160,7 +150,6 @@ class DensityOperator:
             np.kron(self.matrix, other.matrix),
             self.dims + other.dims,
             labels,
-            normalized=self.normalized and other.normalized,
         )
 
     def partial_trace(self, keep) -> "DensityOperator":
@@ -176,80 +165,16 @@ class DensityOperator:
             _partial_trace(self.matrix, self.dims, keep),
             tuple(self.dims[i] for i in keep),
             tuple(self.labels[i] for i in keep),
-            normalized=self.normalized,
         )
 
     def partial_trace_labels(self, keep_labels) -> "DensityOperator":
         return self.partial_trace(self.indices_of(keep_labels))
 
-    def permute(self, order) -> "DensityOperator":
-        """Reorder subsystems; ``order`` lists current indices in new order."""
-        order = tuple(order)
-        k = len(self.dims)
-        if sorted(order) != list(range(k)):
-            raise BadIndexError(f"order {order} is not a permutation")
-        t = self.matrix.reshape(self.dims + self.dims)
-        t = t.transpose(list(order) + [k + i for i in order])
-        return DensityOperator(
-            t.reshape(self.dim(), self.dim()),
-            tuple(self.dims[i] for i in order),
-            tuple(self.labels[i] for i in order),
-            normalized=self.normalized,
-        )
-
-    def permute_labels(self, label_order) -> "DensityOperator":
-        return self.permute(self.indices_of(label_order))
-
-    def conditional_operator(self, cond) -> np.ndarray:
-        """rho_cond^{-1/2} rho rho_cond^{-1/2} with pseudo-inverse square roots.
-
-        ``cond`` are the conditioning subsystem indices; the result acts on the
-        full space with the embedded marginal inverse roots.
-        """
-        cond = tuple(cond)
-        sigma = self.partial_trace(cond).matrix
-        inv_sqrt = matrix_power(sigma, -0.5)
-        big = embed(inv_sqrt, self.dims, cond)
-        return big @ self.matrix @ big
-
     def apply_channel(self, kraus, on_label: str) -> "DensityOperator":
         """Apply a CP map (Kraus list, possibly dim-changing) to one subsystem."""
         pos = self.index_of(on_label)
         matrix, dims = _apply_kraus(self.matrix, self.dims, pos, kraus)
-        return DensityOperator(matrix, dims, self.labels,
-                               normalized=self.normalized)
-
-    def purify(self, copy_label: str = "ref") -> "DensityOperator":
-        """Rank-revealing purification onto a copy register of dim = rank."""
-        x = _purification(self.matrix)
-        vec = x.reshape(-1)
-        return DensityOperator(
-            np.outer(vec, vec.conj()), self.dims + (x.shape[1],),
-            self.labels + (copy_label,), normalized=self.normalized)
-
-    def is_pure(self, tol: float = 1e-10) -> bool:
-        w = eigvalsh_desc(self.matrix)
-        return bool(abs(w[0] - self.trace()) <= tol and
-                    np.all(np.abs(w[1:]) <= tol))
-
-
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    return a.tensor(b)
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    return rho.partial_trace(keep)
-
-
-def conditional_operator(rho: DensityOperator, cond=None) -> np.ndarray:
-    """Conditional operator of a state; the last subsystem conditions by default."""
-    if cond is None:
-        cond = (len(rho.dims) - 1,)
-    return rho.conditional_operator(cond)
-
-
-def purify(rho: DensityOperator, copy_label: str = "ref") -> DensityOperator:
-    return rho.purify(copy_label)
+        return DensityOperator(matrix, dims, self.labels)
 
 
 def trace_distance(rho, tau) -> float:
@@ -309,13 +234,6 @@ def _outcome_sum(x: np.ndarray) -> np.ndarray:
     depend on how many outcomes happen to be summed at once.
     """
     return np.add.accumulate(x, axis=0)[-1]
-
-
-def _normalized(acc: np.ndarray, w: np.ndarray, qdim: int) -> np.ndarray:
-    """Blocks ``acc / w``, with the placeholder where ``w <= WEIGHT_TOL``."""
-    live = (w > WEIGHT_TOL)[..., None, None]
-    return np.where(live, acc / np.where(live, w[..., None, None], 1.0),
-                    _placeholder(qdim))
 
 
 class CqState:
@@ -418,9 +336,6 @@ class CqState:
         _check_states(self.conds[w > WEIGHT_TOL], TRACE_TOL)
         return self
 
-    def _live_weights(self) -> np.ndarray:
-        return np.where(self.weights > WEIGHT_TOL, self.weights, 0.0)
-
     # -- structure manipulation ---------------------------------------------
     def _cpos(self, name: str) -> int:
         for i, r in enumerate(self.cregs):
@@ -449,12 +364,17 @@ class CqState:
         # the summed-out outcomes on one leading axis, in outcome order
         order = drop_c + keep_c
         shape = (-1,) + tuple(self.weights.shape[i] for i in keep_c)
-        w = self._live_weights().transpose(order).reshape(shape)
+        w = np.where(self.weights > WEIGHT_TOL, self.weights, 0.0)
+        w = w.transpose(order).reshape(shape)
         c = conds.transpose(order + [len(order), len(order) + 1])
         new_w = _outcome_sum(w)
         acc = _outcome_sum(w[..., None, None] * c.reshape(w.shape + (dq, dq)))
+        # blocks acc / new_w, with the placeholder where new_w <= WEIGHT_TOL
+        live = (new_w > WEIGHT_TOL)[..., None, None]
+        acc = np.where(live, acc / np.where(live, new_w[..., None, None], 1.0),
+                       _placeholder(dq))
         new_regs = [r for r in self.regs if r.name in keep_names]
-        return CqState(new_regs, new_w, _normalized(acc, new_w, dq))
+        return CqState(new_regs, new_w, acc)
 
     def condition(self, assignment: dict):
         """Condition on classical values; returns (probability, reduced CqState)."""
@@ -497,28 +417,6 @@ class CqState:
         regs = [r if r.is_classical else qreg(r.name, next(it))
                 for r in self.regs]
         return CqState(regs, self.weights, conds)
-
-    def apply_classical_map(self, name: str, kernel, new_alphabet) -> "CqState":
-        """Push one classical register through a stochastic map.
-
-        ``kernel[j, i]`` is the probability of new symbol j given old symbol i.
-        """
-        pos = self._cpos(name)
-        kernel = np.asarray(kernel, dtype=float)
-        new_alphabet = tuple(new_alphabet)
-        if kernel.shape != (len(new_alphabet), len(self.cregs[pos].alphabet)):
-            raise DimMismatchError("kernel shape mismatch")
-        if kernel.min() < 0.0:
-            raise BadProbabilityError("kernel has a negative entry")
-        # q[i, j, ...] = kernel[j, i] p(..., i, ...): the old symbol i leads
-        p = np.moveaxis(self._live_weights(), pos, 0)
-        q = kernel.T.reshape(kernel.T.shape + (1,) * (p.ndim - 1)) * p[:, None]
-        c = np.moveaxis(self.conds, pos, 0)[:, None]
-        w = np.moveaxis(_outcome_sum(q), 0, pos)
-        acc = np.moveaxis(_outcome_sum(q[..., None, None] * c), 0, pos)
-        regs = [creg(name, new_alphabet) if r.name == name else r
-                for r in self.regs]
-        return CqState(regs, w, _normalized(acc, w, self.qdim))
 
     def append_classical(self, name: str, alphabet, dist_for) -> "CqState":
         """Append a classical register distributed according to the existing outcome.

@@ -1,17 +1,24 @@
-"""Test-only helpers for the qcore self-tests: an independent eigensolver
-and a dispatcher over the seeded instance generators."""
+"""Test-only helpers: an independent eigensolver, a dispatcher over the
+seeded instance generators, and the dense-state operations that only the
+tests use as references (subsystem permutation, the conditional operator,
+purification and the cq-state writer)."""
 
 import numpy as np
 
-from renyiacc.errors import BadShapeError, NotHermitianError
+from renyiacc.errors import BadIndexError, BadShapeError, NotHermitianError
 from renyiacc.qcore import (
+    DensityOperator,
+    embed,
     is_hermitian,
+    matrix_power,
     random_cq,
     random_density,
     random_distribution,
     random_isometry,
 )
 from renyiacc.qcore.linalg import as_matrix
+from renyiacc.qcore.serialize import CQSTATE_SCHEMA, matrix_to_json
+from renyiacc.qcore.states import _purification
 
 
 def jacobi_hermitian_eig(m, tol: float = 1e-13, max_sweeps: int = 64):
@@ -21,7 +28,7 @@ def jacobi_hermitian_eig(m, tol: float = 1e-13, max_sweeps: int = 64):
     and diagonalized by sweeps of plane rotations. Eigenpairs of the embedding
     come in duplicates; one complex representative of each pair is kept by
     Gram-Schmidt over ``top + i*bottom`` halves. Serves as an independent
-    cross-check of :func:`hermitian_eig`; prefer the LAPACK path when speed
+    cross-check of ``qcore.linalg._eigh``; prefer the LAPACK path when speed
     matters.
     """
     a = as_matrix(m)
@@ -101,3 +108,56 @@ def random_instance(kind: str, shape, seed):
     if kind == "distribution":
         return random_distribution(int(shape), seed)
     raise BadShapeError(f"unknown instance kind {kind!r}")
+
+
+def permute(rho: DensityOperator, order) -> DensityOperator:
+    """Reorder subsystems; ``order`` lists current indices in new order."""
+    order = tuple(order)
+    k = len(rho.dims)
+    if sorted(order) != list(range(k)):
+        raise BadIndexError(f"order {order} is not a permutation")
+    t = rho.matrix.reshape(rho.dims + rho.dims)
+    t = t.transpose(list(order) + [k + i for i in order])
+    return DensityOperator(t.reshape(rho.dim(), rho.dim()),
+                           tuple(rho.dims[i] for i in order),
+                           tuple(rho.labels[i] for i in order))
+
+
+def permute_labels(rho: DensityOperator, label_order) -> DensityOperator:
+    return permute(rho, rho.indices_of(label_order))
+
+
+def conditional_operator(rho: DensityOperator, cond) -> np.ndarray:
+    """rho_cond^{-1/2} rho rho_cond^{-1/2} with pseudo-inverse square roots.
+
+    ``cond`` are the conditioning subsystem indices; the result acts on the
+    full space with the embedded marginal inverse roots.
+    """
+    cond = tuple(cond)
+    inv_sqrt = matrix_power(rho.partial_trace(cond).matrix, -0.5)
+    big = embed(inv_sqrt, rho.dims, cond)
+    return big @ rho.matrix @ big
+
+
+def purify(rho: DensityOperator, copy_label: str = "ref") -> DensityOperator:
+    """Rank-revealing purification onto a copy register of dim = rank."""
+    x = _purification(rho.matrix)
+    vec = x.reshape(-1)
+    return DensityOperator(np.outer(vec, vec.conj()), rho.dims + (x.shape[1],),
+                           rho.labels + (copy_label,))
+
+
+def cq_to_dict(state) -> dict:
+    """A cq state as a ``renyiacc/cqstate/v1`` document, one entry per
+    outcome."""
+    regs = []
+    for r in state.regs:
+        if r.is_classical:
+            regs.append({"kind": "classical", "name": r.name,
+                         "alphabet": [str(a) for a in r.alphabet]})
+        else:
+            regs.append({"kind": "quantum", "name": r.name, "dim": r.dim})
+    entries = [{"outcome": [str(o) for o in out], "weight": p,
+                "matrix": matrix_to_json(c)}
+               for _, out, p, c in state.outcomes()]
+    return {"schema": CQSTATE_SCHEMA, "registers": regs, "entries": entries}

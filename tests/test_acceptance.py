@@ -54,6 +54,7 @@ from renyiacc.verify import (
     check_read_and_prepare,
     check_two_round_accumulation,
 )
+from qcore_reference import conditional_operator, permute_labels, purify
 
 SEED = 2026
 
@@ -152,7 +153,7 @@ def test_c06_decomposition_and_reweighted_state():
         raw = random_density((2, 2), rng).matrix
         rho_ab = DensityOperator(0.8 * raw + 0.2 * np.eye(4) / 4, (2, 2),
                                  ("A1", "B1"))
-        pur = rho_ab.purify("P")
+        pur = purify(rho_ab, "P")
         p_b2 = random_distribution(2, rng)
         conds = {}
         for j in range(2):
@@ -164,11 +165,11 @@ def test_c06_decomposition_and_reweighted_state():
         sig = 0.8 * sig_raw + 0.2 * np.eye(2) / 2
         nu = reweighted_state(st, "A1", "B1", "A2", "B2", sig, alpha)
         order = ["A1", "B1", "A2", "B2"]
-        dn = nu.to_density().permute_labels(order)
-        dr = st.to_density().permute_labels(order)
+        dn = permute_labels(nu.to_density(), order)
+        dr = permute_labels(st.to_density(), order)
         worst_nu = max(worst_nu, float(np.abs(
-            dn.conditional_operator((0, 1))
-            - dr.conditional_operator((0, 1))).max()))
+            conditional_operator(dn, (0, 1))
+            - conditional_operator(dr, (0, 1))).max()))
     report(6, "two-term decomposition + reweighted-state equality",
            worst_gap < 1e-8 and worst_nu < 1e-9,
            f"worst_gap={worst_gap:.2e} worst_nu={worst_nu:.2e}")

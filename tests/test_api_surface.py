@@ -4,10 +4,11 @@ The guard parses ``src/renyiacc`` with ``ast``. A public name is a
 module-level function or class, or a method of a public class, whose name
 does not start with an underscore. It counts as used when its name appears
 anywhere in the package outside its own definition: as a name, an attribute
-or an imported name (a package re-export counts). An attribute of numpy,
-such as ``np.stack``, does not count. A public name with no use
-must be on ``ALLOWED`` with a one-word reason; a name kept there must still
-be defined and still be unused, so the list stays exact.
+or a name imported outside an ``__init__.py``. A package re-export does not
+count, and neither does an attribute of numpy, such as ``np.stack``. A
+public name with no use must be on ``ALLOWED`` with a one-word reason; a
+name kept there must still be defined and still be unused, so the list
+stays exact.
 
 A second guard keeps numpy's Hermitian eigensolvers (``eigh``,
 ``eigvalsh``) to ``qcore/linalg.py``: every other module decomposes through
@@ -33,14 +34,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 # public names that nothing in the package calls, kept on purpose
 ALLOWED = {
-    "KrausChannel.identity": "state-model",
-    "KrausChannel.compose": "state-model",
-    "KrausChannel.dephasing": "state-model",
-    "DensityOperator.is_pure": "state-model",
-    "DensityOperator.permute_labels": "state-model",
     "build_sampling_channel": "benchmark",
-    "CqState.apply_classical_map": "state-model",
-    "cond_mutual_info": "state-model",
     "check_b_independence": "paper-api",
     "family_round": "paper-api",
     "ConstraintSet.stack": "constructor",
@@ -96,21 +90,24 @@ def attribute_root(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
-def unused_public_names(sources):
-    """Public names defined in ``sources`` that no source uses; an
-    attribute of numpy (``np.stack``) is no use of a package name."""
+def unused_public_names(files):
+    """Public names defined in ``files``, a mapping of path to source, that
+    no file uses. An attribute of numpy (``np.stack``) is no use of a
+    package name, and an import in an ``__init__.py`` (a re-export) is no
+    use either."""
     defs, uses = [], Counter()
-    for src in sources:
+    for path, src in files.items():
         tree = ast.parse(src)
         defs.extend(public_definitions(tree))
         skip = numpy_names(tree)
+        reexport = Path(path).name == "__init__.py"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 if attribute_root(node) not in skip:
                     uses[node.attr] += 1
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and not reexport:
                 uses[node.name] += 1
     return {qual for qual, name, _ in defs if uses[name] == 0}, \
         {qual for qual, _, _ in defs}
@@ -125,8 +122,16 @@ def test_use_guard_does_not_count_numpy_attributes():
            "    def size(self):\n        pass\n"
            "x = np.stack([numpy.linalg.eigh(m), la.solve(m, m)])\n"
            "y = K().size\n")
-    unused, _ = unused_public_names([src])
+    unused, _ = unused_public_names({"mod.py": src})
     assert unused == {"K.stack", "K.eigh", "K.solve"}
+
+
+def test_use_guard_does_not_count_package_reexports():
+    files = {"pkg/__init__.py": "from .mod import f, g\n__all__ = ['f', 'g']\n",
+             "pkg/mod.py": "def f():\n    pass\ndef g():\n    pass\n",
+             "pkg/use.py": "from .mod import g\n"}
+    unused, _ = unused_public_names(files)
+    assert unused == {"f"}
 
 
 def test_every_unused_public_name_is_allowed():
@@ -239,13 +244,14 @@ def unset_settings(defs_src, call_srcs):
 
 
 def _sources(*roots):
-    return [path.read_text(encoding="utf-8") for root in roots
-            for path in sorted(root.rglob("*.py"))]
+    """The ``*.py`` files under ``roots``, by path."""
+    return {str(path): path.read_text(encoding="utf-8") for root in roots
+            for path in sorted(root.rglob("*.py"))}
 
 
 def test_every_setting_is_set_by_some_call():
-    unset = unset_settings(_sources(PACKAGE), _sources(
-        REPO / "src", REPO / "tests", REPO / "bench"))
+    unset = unset_settings(_sources(PACKAGE).values(), _sources(
+        REPO / "src", REPO / "tests", REPO / "bench").values())
     assert not unset, (
         f"defaulted parameters no call passes: {sorted(unset)}; make them "
         "constants, or pass them where they matter")

@@ -49,6 +49,7 @@ from renyiacc.qcore import (
     trace_distance,
 )
 from renyiacc.verify import _random_protocol
+from qcore_reference import conditional_operator, permute_labels, purify
 
 
 def chsh_protocol(gamma, outputs="pair", p_gen=None):
@@ -69,23 +70,17 @@ def chsh_protocol(gamma, outputs="pair", p_gen=None):
 class TestKraus:
     def test_identity(self):
         rho = random_density((3,), 0)
-        out = KrausChannel.identity(3).apply(rho)
+        out = KrausChannel((np.eye(3),), (3,), (3,)).apply(rho)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-14
 
     def test_dephasing(self):
         rho = random_density((3,), 1)
-        out = KrausChannel.dephasing(3).apply(rho)
+        out = KrausChannel(tuple(np.diag(e) for e in np.eye(3)), (3,),
+                           (3,)).apply(rho)
         assert np.abs(out.matrix - np.diag(np.diag(rho.matrix))).max() < 1e-14
 
-    def test_compose(self):
-        rho = random_density((2,), 2)
-        deph = KrausChannel.dephasing(2)
-        both = deph.compose(KrausChannel.identity(2))
-        assert np.abs(both.apply(rho).matrix
-                      - deph.apply(rho).matrix).max() < 1e-14
-
     def test_validate_and_errors(self):
-        KrausChannel.identity(2).validate()
+        KrausChannel((np.eye(2),), (2,), (2,)).validate()
         bad = KrausChannel((np.eye(2) * 0.5,), (2,), (2,))
         with pytest.raises(DimMismatchError):
             bad.validate()
@@ -243,7 +238,7 @@ class TestBIndependence:
                 proj[r, r] = 1.0
                 sub = omega.apply_channel([proj], "R")
                 blk = sub.partial_trace_labels(["Rp"])
-                p_r = blk.trace()
+                p_r = float(np.trace(blk.matrix).real)
                 if p_r <= 0:
                     continue
                 w[0, 1, 0, r] = p_r
@@ -341,7 +336,7 @@ def product_structure_state(rng, d_a1=2, d_b1=2, d_a2=2, n_b2=2):
     raw = random_density((d_a1, d_b1), rng).matrix
     rho_ab = DensityOperator(0.8 * raw + 0.2 * np.eye(d) / d,
                              (d_a1, d_b1), ("A1", "B1"))
-    pur = rho_ab.purify("P")
+    pur = purify(rho_ab, "P")
     d_p = pur.dims[2]
     conds = {}
     p_b2 = random_distribution(n_b2, rng)
@@ -384,10 +379,10 @@ class TestReweightedState:
         sig = random_density((2,), rng).matrix
         nu = reweighted_state(st, "A1", "B1", "A2", "B2", sig, alpha)
         order = ["A1", "B1", "A2", "B2"]
-        dense_nu = nu.to_density().permute_labels(order)
-        dense_rho = st.to_density().permute_labels(order)
-        gap = np.abs(dense_nu.conditional_operator((0, 1))
-                     - dense_rho.conditional_operator((0, 1))).max()
+        dense_nu = permute_labels(nu.to_density(), order)
+        dense_rho = permute_labels(st.to_density(), order)
+        gap = np.abs(conditional_operator(dense_nu, (0, 1))
+                     - conditional_operator(dense_rho, (0, 1))).max()
         assert gap < 1e-9
 
     def test_support_violation(self):
@@ -412,7 +407,7 @@ class TestDFRGap:
         r2 = random_density((2,), rng)    # A2
         joint = DensityOperator(
             np.kron(r1.matrix, r2.matrix), (2, 2, 2), ("A1", "B", "A2"))
-        joint = joint.permute_labels(["A1", "A2", "B"])
+        joint = permute_labels(joint, ["A1", "A2", "B"])
         sig = random_density((2,), rng).matrix
         for alpha in (1.5, 2.0, 3.0):
             assert decomposition_gap(joint, ["A1"], ["A2"], ["B"], sig,
@@ -512,7 +507,7 @@ class TestStrategy:
 def reference_response_table(s, setting_labels, outputs):
     """The embed / partial-trace loop per (setting, outcome) that the
     response kernel replaced, kept as an independent reference."""
-    pur = s.state.purify(copy_label="E")
+    pur = purify(s.state, copy_label="E")
     d_e = pur.dims[2]
     mat, dims = pur.matrix, pur.dims
     p, cond, outcome_set = {}, {}, []
@@ -529,8 +524,7 @@ def reference_response_table(s, setting_labels, outputs):
                 big = embed(np.kron(pa[a], pb[b]), dims, (0, 1))
             else:
                 big = embed(pa[a], dims, (0,))
-            sub = DensityOperator(big @ mat @ big.conj().T, dims, pur.labels,
-                                  normalized=False)
+            sub = DensityOperator(big @ mat @ big.conj().T, dims, pur.labels)
             blk = sub.partial_trace_labels(["E"]).matrix
             prob = float(np.trace(blk).real)
             p[(sym, lab)] = prob

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from renyiacc.channel import (
 from renyiacc.cli import _constraint_set, main
 from renyiacc.qcore import (
     DensityOperator,
-    cq_to_dict,
     density_to_dict,
+    load_state,
     random_cq,
     random_density,
 )
+from qcore_reference import cq_to_dict
 
 
 def run(args, capsys):
@@ -342,9 +344,8 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 def test_roundtrip_precision(tmp_path):
     # serialized then parsed states compare to 1e-12
     st = random_cq((2, 2), (3,), 11, names=["B", "C"], qnames=["E"])
-    from renyiacc.qcore import cq_from_dict, dump_state, load_state
     path = tmp_path / "state.json"
-    dump_state(st, str(path))
+    path.write_text(json.dumps(cq_to_dict(st)))
     back = load_state(str(path))
     assert np.abs(back.to_density().matrix
                   - st.to_density().matrix).max() < 1e-12
@@ -556,6 +557,82 @@ class TestOmegaEntries:
                              capsys)
         assert (code, out) == (2, "")
         assert "'x'" in err
+
+
+    @staticmethod
+    def _rate_and_simulate(capsys, tmp_path, omega):
+        path = tmp_path / "proto.json"
+        doc = json.loads(write_protocol(tmp_path).read_text())
+        doc["omega"] = omega
+        path.write_text(json.dumps(doc))
+        attack = tmp_path / "attack.json"
+        attack.write_text(json.dumps(attack_doc()))
+        return [run(["rate", "--proto", str(path), "--restarts", "1"], capsys),
+                run(["simulate", "--proto", str(path), "--attack",
+                     str(attack)], capsys)]
+
+    @pytest.mark.parametrize("omega", [
+        {"coeffs": {"1": 1.0}, "min": 0.04}, ["x"], [["1", 0.04]],
+        [{"coeffs": ["1"], "min": 0.04}], [{"min": 0.04}], "omega",
+    ], ids=["dict", "string-entry", "list-entry", "list-coeffs",
+            "no-coeffs", "string"])
+    def test_malformed_omega_exits_2(self, capsys, tmp_path, omega):
+        # a dict or a non-object entry raised TypeError, exit 1
+        for code, out, err in self._rate_and_simulate(capsys, tmp_path, omega):
+            assert (code, out) == (2, "")
+            assert "omega" in err
+
+    @pytest.mark.parametrize("entry", [
+        {"coeffs": {"1": float("nan")}, "min": 0.04},
+        {"coeffs": {"1": 1.0}, "min": float("nan")},
+        {"coeffs": {"1": 1.0}, "max": float("inf")},
+        {"coeffs": {"1": 1.0}, "min": "0.04"},
+        {"coeffs": {"1": True}, "min": 0.04},
+    ], ids=["nan-coeff", "nan-min", "inf-max", "string-min", "bool-coeff"])
+    def test_non_finite_bound_exits_2(self, capsys, tmp_path, entry):
+        # a NaN bound was reported as an empty constraint set
+        for code, out, err in self._rate_and_simulate(capsys, tmp_path,
+                                                      [entry]):
+            assert (code, out) == (2, "")
+            assert "finite numbers" in err and "feasible" not in err
+
+
+class TestSettingCounts:
+    """``nA`` / ``nB`` of the README protocol, whose settings are 00-11."""
+
+    @staticmethod
+    def _rate(capsys, tmp_path, **extra):
+        doc = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                          / "protocol.json").read_text())
+        doc.update(extra)
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps(doc))
+        return run(["rate", "--proto", str(path), "--restarts", "1",
+                    "--n", "1000"], capsys)
+
+    @pytest.mark.parametrize("key,value", [
+        ("nA", 1), ("nA", 0), ("nA", 2.5), ("nA", -1), ("nA", "2"),
+        ("nA", True), ("nB", 0), ("nB", 1.5), ("nB", float("inf")),
+    ])
+    def test_bad_count_exits_2(self, capsys, tmp_path, key, value):
+        # nA 1 or 0 raised IndexError (exit 1); nA 2.5 ran as 2 (exit 0)
+        code, out, err = self._rate(capsys, tmp_path, **{key: value})
+        assert (code, out) == (2, "")
+        assert key in err
+
+    def test_bob_digit_is_needed_for_pair_outputs_and_bell(self, capsys,
+                                                           tmp_path):
+        for extra in ({"outputs": "pair"}, {"bell": {"name": "chsh",
+                                                     "min": 2.0}}):
+            code, out, err = self._rate(capsys, tmp_path, nB=1, **extra)
+            assert (code, out) == (2, ""), extra
+            assert "nB" in err and ">= 2" in err
+
+    def test_counts_that_cover_the_labels_run(self, capsys, tmp_path):
+        # Alice's outputs alone read no Bob digit, so one Bob setting will do
+        code, out, _ = self._rate(capsys, tmp_path, nA=3, nB=1)
+        assert code == 0
+        assert "upper bound" in out
 
 
 class TestParseTimeChecks:

@@ -26,13 +26,14 @@ from renyiacc.qcore import (
     creg,
     eigvalsh_desc,
     embed,
-    hermitian_eig,
     qreg,
     random_cq,
     random_density,
     random_distribution,
     rng_from,
 )
+from renyiacc.qcore.linalg import _eigh
+from qcore_reference import permute_labels
 
 TOL = 1e-12
 ALPHAS = (1.1, 1.5, 2.0, 3.0)
@@ -45,7 +46,8 @@ INF = math.inf
 
 def ref_support_power(rho, sigma, t):
     """sigma^t on supp(sigma), or None when rho leaks out of that support."""
-    ws, vs = hermitian_eig(sigma)
+    ws, vs = _eigh(sigma)
+    ws, vs = ws[::-1], vs[:, ::-1]  # descending
     if ws[-1] < -1e-8:
         raise NotPSDError("negative reference")
     ws = np.clip(ws, 0.0, None)
@@ -156,7 +158,7 @@ def ref_h_up(state, a_names, alpha):
     if not cq_names:
         return ent.renyi_entropy(dense, alpha)
     order = [n for n in state.names if n in a_names] + cq_names
-    perm = dense.permute_labels(order)
+    perm = permute_labels(dense, order)
     d_a = int(np.prod([state.reg(n).size for n in state.names if n in a_names]))
     return ref_h_up_dense(perm.matrix, d_a, perm.dim() // d_a, alpha)[0]
 
@@ -164,8 +166,9 @@ def ref_h_up(state, a_names, alpha):
 def ref_h_up_dense(rho, d_a, d_b, alpha, tol=1e-10, max_iter=10000):
     """(value, iterations) of the H_up fixed point on one dense state, with
     Kronecker embeddings and a fresh eigendecomposition of every matrix."""
-    w_b, v_b = hermitian_eig(np.trace(rho.reshape(d_a, d_b, d_a, d_b),
-                                      axis1=0, axis2=2))
+    w_b, v_b = _eigh(np.trace(rho.reshape(d_a, d_b, d_a, d_b),
+                              axis1=0, axis2=2))
+    w_b, v_b = w_b[::-1], v_b[:, ::-1]  # descending
     w_b = np.clip(w_b, 0.0, None)
     on = w_b > 1e-12 * max(w_b[0], 1e-300)
     r = int(on.sum())

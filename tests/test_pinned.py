@@ -27,8 +27,8 @@ from renyiacc.qcore import (
     random_cq,
     random_density,
     rng_from,
-    support_contained,
 )
+from renyiacc.qcore.linalg import PSD_TOL, _eigh, _leaks
 
 from test_channel import product_structure_state
 
@@ -51,7 +51,7 @@ def _matrix_power(seed, t, rank=None):
 
 
 def _support(rho, sigma):
-    return (float(support_contained(rho, sigma)),)
+    return (float(not _leaks(rho, *_eigh(sigma, floor=PSD_TOL))[0]),)
 
 
 def _leaky(eps):
