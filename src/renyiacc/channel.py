@@ -39,8 +39,8 @@ from .qcore import (
     trace_distance,
 )
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
-from .qcore.serialize import matrix_to_json
-from .qcore.states import _apply_kraus, _purification
+from .qcore.serialize import _whole_number, matrix_from_json, matrix_to_json
+from .qcore.states import _purification
 
 BOT = "⊥"
 
@@ -84,16 +84,6 @@ class KrausChannel:
             raise DimMismatchError("channel is not trace preserving")
         return self
 
-    def apply_matrix(self, rho) -> np.ndarray:
-        din = int(np.prod(self.in_dims, initial=1))
-        return _apply_kraus(np.asarray(rho, dtype=complex), (din,), 0,
-                            self.kraus)[0]
-
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        if rho.dims != self.in_dims:
-            raise DimMismatchError(f"input dims {rho.dims} vs {self.in_dims}")
-        return DensityOperator(self.apply_matrix(rho.matrix), self.out_dims)
-
 
 @dataclass(frozen=True)
 class CPMapFamily:
@@ -115,9 +105,10 @@ class CPMapFamily:
         any_map = next(iter(self.maps.values()))
         din = int(np.prod(any_map.in_dims, initial=1))
         for _ in range(3):
-            omega = random_density((din,), rng).matrix
+            omega = random_density((din,), rng)
             for b in self.settings:
-                tot = sum(np.trace(self.maps[(a, b)].apply_matrix(omega)).real
+                tot = sum(np.trace(omega.apply_quantum_channel(
+                    self.maps[(a, b)].kraus, "Q0").conds).real
                           for a in self.outcomes)
                 if abs(tot - 1.0) > 1e-9:
                     raise DimMismatchError(
@@ -158,8 +149,8 @@ class SamplingProtocol:
         object.__setattr__(self, "settings", tuple(self.settings))
         for name in ("p_gen", "p_test"):
             p = np.asarray(getattr(self, name), dtype=float)
-            if p.shape != (len(self.settings),) or abs(p.sum() - 1) > 1e-9 \
-                    or p.min() < -1e-12:
+            if p.shape != (len(self.settings),) or not np.isfinite(p).all() \
+                    or abs(p.sum() - 1) > 1e-9 or p.min() < -1e-12:
                 raise AlphabetMismatchError(f"{name} is not a distribution on B")
             object.__setattr__(self, name, p)
         bits = score_alphabet(self.d)[:-1]
@@ -234,14 +225,14 @@ def family_round(family: CPMapFamily, proto: SamplingProtocol,
         raise AlphabetMismatchError("family alphabets do not match protocol")
     any_map = next(iter(family.maps.values()))
     din = int(np.prod(any_map.in_dims, initial=1))
-    d_rp = omega.dim() // din
+    d_rp = omega.qdim // din
     pair = DensityOperator(omega.matrix, (din, d_rp))
     p_ab = np.zeros((len(proto.outcomes), len(proto.settings)))
     blocks = np.empty(p_ab.shape + (d_rp, d_rp), dtype=complex)
     for ia, a in enumerate(proto.outcomes):
         for ib, b in enumerate(proto.settings):
-            left = pair.apply_channel(family.maps[(a, b)].kraus,
-                                      "Q0").partial_trace([1]).matrix
+            left = pair.apply_quantum_channel(family.maps[(a, b)].kraus,
+                                              "Q0").marginal(["Q1"]).conds
             p_ab[ia, ib] = float(np.trace(left).real)
             blocks[ia, ib] = (left / p_ab[ia, ib] if p_ab[ia, ib] > 1e-15
                               else np.eye(d_rp) / d_rp)
@@ -698,14 +689,15 @@ def kraus_to_dict(ch: KrausChannel) -> dict:
 
 
 def kraus_from_dict(doc: dict) -> KrausChannel:
-    din = int(np.prod(doc["in"], initial=1))
-    dout = int(np.prod(doc["out"], initial=1))
-    ks = []
-    for payload in doc["kraus"]:
-        arr = np.asarray(payload, dtype=float)
-        ks.append((arr[:, 0] + 1j * arr[:, 1]).reshape(dout, din))
-    return KrausChannel(tuple(ks), tuple(doc["in"]), tuple(doc["out"]),
-                        cp_only=bool(doc.get("cp_only", False)))
+    """A channel document: one ``(prod out, prod in)`` payload per operator,
+    and the list trace preserving (trace non-increasing with ``cp_only``)."""
+    _check_schema(doc, CHANNEL_SCHEMA, "channel")
+    din, dout = (tuple(_whole_number(x, f"{key} entry") for x in doc[key])
+                 for key in ("in", "out"))
+    ks = tuple(matrix_from_json(p, math.prod(dout), math.prod(din))
+               for p in doc["kraus"])
+    return KrausChannel(ks, din, dout,
+                        cp_only=bool(doc.get("cp_only", False))).validate()
 
 
 def protocol_to_dict(proto: SamplingProtocol) -> dict:
@@ -749,7 +741,7 @@ def protocol_from_dict(doc: dict) -> SamplingProtocol:
         score[(a, b)] = v
     return SamplingProtocol(gamma=float(doc["gamma"]), outcomes=outcomes,
                             settings=settings, p_gen=p_gen, p_test=p_test,
-                            score=score, d=int(doc.get("d", 1)))
+                            score=score, d=_whole_number(doc.get("d", 1), "d"))
 
 
 def strategy_to_dict(s: TwoQubitStrategy) -> dict:

@@ -38,7 +38,7 @@ from .errors import (
     RenyiaccError,
 )
 from .qcore import load_state
-from .qcore.states import CqState
+from .qcore.serialize import _whole_number
 from .verify import (
     ALL_CHECKS,
     SuiteConfig,
@@ -171,7 +171,7 @@ def cmd_counterexample(args) -> int:
 def cmd_entropy(args) -> int:
     state = load_state(args.state)
     cond = [x for x in args.cond.split(",") if x] if args.cond else []
-    names = state.names if isinstance(state, CqState) else state.labels
+    names = state.names
     unknown = [n for n in cond if n not in names]
     if unknown:
         raise BadIndexError(f"--cond names {unknown} are not registers of "
@@ -182,7 +182,7 @@ def cmd_entropy(args) -> int:
     elif args.kind == "up":
         val = entropy.h_up(state, a_names, args.alpha)
     elif args.kind == "partial":
-        if not isinstance(state, CqState):
+        if not state.cregs:
             raise RenyiaccError("partial entropy needs a cq-state input")
         up = args.up_label
         if not up:
@@ -195,8 +195,7 @@ def cmd_entropy(args) -> int:
     elif args.kind == "vn":
         val = entropy.conditional_von_neumann(state, a_names)
     elif args.kind == "renyi":
-        dense = state.to_density() if isinstance(state, CqState) else state
-        val = entropy.renyi_entropy(dense, args.alpha)
+        val = entropy.renyi_entropy(state, args.alpha)
     else:  # unreachable through argparse choices
         raise RenyiaccError(f"unknown kind {args.kind}")
     print(f"{val:.12f}")
@@ -255,10 +254,8 @@ def _setting_counts(doc, settings, bob: bool) -> tuple[int, int]:
         n = doc.get(key, 2)
         least = 1 + max((int(str(b)[pos]) for b in settings
                          if len(str(b)) > pos and (pos == 0 or bob)), default=0)
-        if not (_finite_number(n) and n == int(n) and n >= least):
-            raise BadShapeError(f"{key} must be a whole number >= {least} for "
-                                f"the settings {list(settings)}, got {n!r}")
-        counts.append(int(n))
+        counts.append(_whole_number(
+            n, f"{key} for the settings {list(settings)}", least))
     return counts[0], counts[1]
 
 
@@ -291,13 +288,16 @@ def cmd_rate(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["alpha", "h_alpha", "total_bits"])
-            for a in (np.linspace(*args.alpha_grid) if args.alpha_grid
-                      else [args.alpha]):
-                rep = optimize_strategy(
-                    proto, cset, float(a), restarts=max(args.restarts // 4, 1),
-                    seed=args.seed, n_a=n_a, n_b=n_b, outputs=outputs,
-                    n=args.n, p_omega=args.pomega, bell=bell)
-                w.writerow([a, rep.h_alpha, rep.total_bits])
+            if not args.alpha_grid:  # the row reported above
+                w.writerow([args.alpha, report.h_alpha, report.total_bits])
+            else:
+                for a in np.linspace(*args.alpha_grid):
+                    rep = optimize_strategy(
+                        proto, cset, float(a),
+                        restarts=max(args.restarts // 4, 1), seed=args.seed,
+                        n_a=n_a, n_b=n_b, outputs=outputs, n=args.n,
+                        p_omega=args.pomega, bell=bell)
+                    w.writerow([a, rep.h_alpha, rep.total_bits])
     return EXIT_OK
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NotPSDError,
 )
 from .optimize import simplex_grid
-from .qcore import CqState, DensityOperator, embed, is_hermitian, qreg
+from .qcore import CqState, DensityOperator, embed, is_hermitian
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _leaks, _power, _support
 from .qcore.states import TRACE_TOL, WEIGHT_TOL, _dense, _partial_trace
 
@@ -56,10 +56,7 @@ def _cq(x, psd: bool = True) -> CqState:
     caller decomposes them with the floor anyway, those of positive weight
     PSD (NotPSDError below -PSD_TOL): this module's one input check."""
     if not isinstance(x, CqState):
-        if not isinstance(x, DensityOperator):
-            x = DensityOperator(x, (len(x),))
-        x = CqState([qreg(n, d) for n, d in zip(x.labels, x.dims)], 1.0,
-                    x.matrix)
+        x = DensityOperator(x, (len(x),))
     if not is_hermitian(x.conds):
         raise NotHermitianError("state is not Hermitian within tolerance")
     if psd:

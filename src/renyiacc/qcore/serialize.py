@@ -16,12 +16,14 @@ outcome tuple, one symbol per classical register, one entry per outcome::
 
 Files written by older versions leave out outcomes of zero weight; a missing
 entry is read as weight 0 with the maximally mixed placeholder block. Both
-schemas are validated at load (Hermitian, PSD, normalized).
+schemas are validated at load (Hermitian, PSD, normalized), and so are their
+whole-number fields (``dims``, ``dim``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -32,16 +34,29 @@ STATE_SCHEMA = "renyiacc/state/v1"
 CQSTATE_SCHEMA = "renyiacc/cqstate/v1"
 
 
+def _whole_number(x, what: str, least: int = 1) -> int:
+    """A JSON field the schemas declare an integer >= ``least``: an int, or
+    a float of whole value (not a bool); BadShapeError otherwise."""
+    if type(x) not in (int, float) or not math.isfinite(x) or x != int(x) \
+            or x < least:
+        raise BadShapeError(f"{what} must be a whole number >= {least}, "
+                            f"got {x!r}")
+    return int(x)
+
+
 def matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(x.real), float(x.imag)] for x in a]
 
 
-def matrix_from_json(pairs, d: int) -> np.ndarray:
+def matrix_from_json(pairs, d: int, cols: int | None = None) -> np.ndarray:
+    """A ``(d, cols)`` matrix (square by default) from row-major pairs."""
+    cols = d if cols is None else cols
     a = np.asarray(pairs, dtype=float)
-    if a.shape != (d * d, 2):
-        raise BadShapeError(f"matrix payload has shape {a.shape}, want ({d*d}, 2)")
-    return (a[:, 0] + 1j * a[:, 1]).reshape(d, d)
+    if a.shape != (d * cols, 2):
+        raise BadShapeError(f"matrix payload has shape {a.shape}, "
+                            f"want ({d * cols}, 2)")
+    return (a[:, 0] + 1j * a[:, 1]).reshape(d, cols)
 
 
 def density_to_dict(rho: DensityOperator) -> dict:
@@ -54,7 +69,7 @@ def density_to_dict(rho: DensityOperator) -> dict:
 
 
 def density_from_dict(doc: dict) -> DensityOperator:
-    dims = tuple(int(x) for x in doc["dims"])
+    dims = tuple(_whole_number(x, "dims entry") for x in doc["dims"])
     d = int(np.prod(dims, initial=1))
     return DensityOperator(matrix_from_json(doc["matrix"], d), dims,
                            tuple(doc.get("labels") or ()))
@@ -66,7 +81,7 @@ def cq_from_dict(doc: dict) -> CqState:
         if r["kind"] == "classical":
             regs.append(creg(r["name"], tuple(r["alphabet"])))
         elif r["kind"] == "quantum":
-            regs.append(qreg(r["name"], int(r["dim"])))
+            regs.append(qreg(r["name"], _whole_number(r["dim"], "register dim")))
         else:
             raise BadShapeError(f"unknown register kind {r['kind']!r}")
     cregs = [r for r in regs if r.is_classical]
@@ -87,7 +102,8 @@ def cq_from_dict(doc: dict) -> CqState:
 
 
 def load_state(path: str):
-    """Load either schema; returns DensityOperator or CqState."""
+    """Load either schema as a CqState: a dense state document gives the
+    all-quantum ``DensityOperator``."""
     with open(path) as fh:
         doc = json.load(fh)
     return state_from_dict(doc)

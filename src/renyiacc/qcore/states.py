@@ -1,9 +1,10 @@
-"""Density operators with subsystem labels, and classical-quantum states.
+"""Classical-quantum states, and dense states as their all-quantum case.
 
-A :class:`DensityOperator` is a dense PSD matrix over an ordered list of
-subsystems (Kronecker order, index 0 leftmost). A :class:`CqState` is a state
-that is block diagonal over one or more classical registers: a probability
-weight and a conditional density operator per classical outcome tuple.
+A :class:`CqState` is a state that is block diagonal over its classical
+registers: a probability weight and a conditional density operator per
+classical outcome tuple. A :class:`DensityOperator` is the ``CqState`` with no
+classical register, built from one dense PSD matrix over an ordered list of
+subsystems (Kronecker order, index 0 leftmost).
 
 Registers of a ``CqState`` keep a fixed order that also fixes the subsystem
 order of the dense embedding produced by :meth:`CqState.to_density`.
@@ -99,84 +100,6 @@ def _purification(m: np.ndarray) -> np.ndarray:
     return v[:, on] * np.sqrt(w[on])
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Dense state with subsystem dimensions and names.
-
-    ``dims`` multiply out to the matrix size; ``labels`` name the subsystems.
-    """
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        labels = tuple(self.labels) if self.labels else tuple(
-            f"Q{i}" for i in range(len(dims)))
-        if len(labels) != len(dims):
-            raise DimMismatchError("labels and dims length mismatch")
-        if int(np.prod(dims, initial=1)) != m.shape[0]:
-            raise DimMismatchError(
-                f"prod(dims)={np.prod(dims)} != matrix size {m.shape[0]}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
-
-    # -- validation ---------------------------------------------------------
-    def validate(self) -> "DensityOperator":
-        _check_states(self.matrix[None], TRACE_TOL)
-        return self
-
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise BadIndexError(f"no subsystem named {label!r}") from None
-
-    def indices_of(self, names) -> tuple[int, ...]:
-        return tuple(self.index_of(n) for n in names)
-
-    # -- algebra ------------------------------------------------------------
-    def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        labels = self.labels + other.labels
-        if len(set(labels)) != len(labels):
-            labels = tuple(self.labels) + tuple(f"{x}'" for x in other.labels)
-        return DensityOperator(
-            np.kron(self.matrix, other.matrix),
-            self.dims + other.dims,
-            labels,
-        )
-
-    def partial_trace(self, keep) -> "DensityOperator":
-        """Trace out everything except the subsystem indices in ``keep``."""
-        keep = tuple(keep)
-        k = len(self.dims)
-        for i in keep:
-            if i < 0 or i >= k:
-                raise BadIndexError(f"subsystem index {i} out of range")
-        if len(set(keep)) != len(keep):
-            raise BadIndexError("duplicate subsystem index")
-        return DensityOperator(
-            _partial_trace(self.matrix, self.dims, keep),
-            tuple(self.dims[i] for i in keep),
-            tuple(self.labels[i] for i in keep),
-        )
-
-    def partial_trace_labels(self, keep_labels) -> "DensityOperator":
-        return self.partial_trace(self.indices_of(keep_labels))
-
-    def apply_channel(self, kraus, on_label: str) -> "DensityOperator":
-        """Apply a CP map (Kraus list, possibly dim-changing) to one subsystem."""
-        pos = self.index_of(on_label)
-        matrix, dims = _apply_kraus(self.matrix, self.dims, pos, kraus)
-        return DensityOperator(matrix, dims, self.labels)
-
-
 def trace_distance(rho, tau) -> float:
     """(1/2)||rho - tau||_1 for equal-shape Hermitian matrices or states."""
     a = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
@@ -264,7 +187,7 @@ class CqState:
             raise BadPartitionError("duplicate register names")
         self.cregs = tuple(r for r in self.regs if r.is_classical)
         self.qregs = tuple(r for r in self.regs if not r.is_classical)
-        self.qdim = int(np.prod([r.dim for r in self.qregs], initial=1))
+        self.qdim = math.prod(r.dim for r in self.qregs)
         shape = tuple(len(r.alphabet) for r in self.cregs)
         self.weights = np.asarray(weights, dtype=float).reshape(shape)
         full = shape + (self.qdim, self.qdim)
@@ -441,6 +364,56 @@ class CqState:
         """Dense embedding with classical registers as diagonal subsystems."""
         return DensityOperator(_dense(self.regs, self.weights, self.conds,
                                       self.names), self.register_dims(), self.names)
+
+
+class DensityOperator(CqState):
+    """The CqState whose registers are all quantum: one dense matrix.
+
+    ``dims`` multiply out to the matrix size; ``labels`` name the subsystems
+    (``Q0``, ``Q1``, ... by default). ``matrix``, ``dims`` and ``labels`` are
+    the ``conds``, ``qdims`` and ``names`` of the state.
+    """
+
+    def __init__(self, matrix, dims, labels=()):
+        m = as_matrix(matrix)
+        dims = tuple(int(d) for d in dims)
+        labels = tuple(labels) or tuple(f"Q{i}" for i in range(len(dims)))
+        if len(labels) != len(dims):
+            raise DimMismatchError("labels and dims length mismatch")
+        if math.prod(dims) != m.shape[0]:
+            raise DimMismatchError(
+                f"prod(dims)={np.prod(dims)} != matrix size {m.shape[0]}")
+        super().__init__([qreg(n, d) for n, d in zip(labels, dims)], 1.0, m)
+
+    matrix = property(lambda self: self.conds)
+    dims = property(lambda self: self.qdims)
+    labels = property(lambda self: self.names)
+
+    def indices_of(self, names) -> tuple[int, ...]:
+        return tuple(self._qpos(n) for n in names)
+
+    def tensor(self, other: "DensityOperator") -> "DensityOperator":
+        labels = self.labels + other.labels
+        if len(set(labels)) != len(labels):
+            labels = self.labels + tuple(f"{x}'" for x in other.labels)
+        return DensityOperator(np.kron(self.matrix, other.matrix),
+                               self.dims + other.dims, labels)
+
+    def partial_trace(self, keep) -> "DensityOperator":
+        """Trace out everything except the subsystem indices in ``keep``."""
+        keep = tuple(keep)
+        k = len(self.dims)
+        for i in keep:
+            if i < 0 or i >= k:
+                raise BadIndexError(f"subsystem index {i} out of range")
+        if len(set(keep)) != len(keep):
+            raise BadIndexError("duplicate subsystem index")
+        return DensityOperator(_partial_trace(self.matrix, self.dims, keep),
+                               tuple(self.dims[i] for i in keep),
+                               tuple(self.labels[i] for i in keep))
+
+    def partial_trace_labels(self, keep_labels) -> "DensityOperator":
+        return self.partial_trace(self.indices_of(keep_labels))
 
 
 def _dense(regs, weights, conds, order) -> np.ndarray:

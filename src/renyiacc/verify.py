@@ -353,7 +353,7 @@ def _measured_state(psi: DensityOperator, p_b, povms, n_a: int, n_c: int,
                     side_names) -> CqState:
     """Apply the measurement round to a pure input on (R, side...)."""
     d_r = psi.dims[0]
-    d_side = psi.dim() // d_r
+    d_side = psi.qdim // d_r
     regs = [creg("A", tuple(range(n_a))), creg("C", tuple(range(n_c))),
             creg("B", tuple(range(len(p_b))))]
     regs += [qreg(nm, psi.dims[1 + k]) for k, nm in enumerate(side_names)]

@@ -118,7 +118,7 @@ def permute(rho: DensityOperator, order) -> DensityOperator:
         raise BadIndexError(f"order {order} is not a permutation")
     t = rho.matrix.reshape(rho.dims + rho.dims)
     t = t.transpose(list(order) + [k + i for i in order])
-    return DensityOperator(t.reshape(rho.dim(), rho.dim()),
+    return DensityOperator(t.reshape(rho.qdim, rho.qdim),
                            tuple(rho.dims[i] for i in order),
                            tuple(rho.labels[i] for i in order))
 

@@ -158,7 +158,7 @@ def test_c06_decomposition_and_reweighted_state():
         conds = {}
         for j in range(2):
             ks = random_kraus_channel(pur.dims[2], 2, 2, rng)
-            conds[(j,)] = pur.apply_channel(ks, "P").matrix
+            conds[(j,)] = pur.apply_quantum_channel(ks, "P").conds
         st = CqState([creg("B2", (0, 1)), qreg("A1", 2), qreg("B1", 2),
                       qreg("A2", 2)], p_b2, conds)
         sig_raw = random_density((2,), rng).matrix

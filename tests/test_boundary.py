@@ -8,31 +8,54 @@ such as that of a classical A, is checked where it enters. An entropy of a state
 BadProbabilityError when its spectrum sums off 1 by more than TRACE_TOL,
 and so do the KL divergence and the inner rate solvers on a vector that is
 not a distribution. None of them may return a number for such an input.
+
+The input files are checked where they are read: every field that a schema
+in ``schemas/`` declares a whole number >= 1 is rejected by its loader with
+BadShapeError when it is fractional, 0 or a boolean.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from renyiacc import entropy as ent
-from renyiacc.channel import BOT
+from renyiacc.channel import (
+    BOT,
+    KrausChannel,
+    SamplingProtocol,
+    kraus_from_dict,
+    kraus_to_dict,
+    protocol_from_dict,
+    protocol_to_dict,
+)
+from renyiacc.cli import _setting_counts
 from renyiacc.eatrate import (
     ConstraintSet,
     inner_inf_v,
     inner_inf_v_batch,
     inner_inf_v_grid,
 )
-from renyiacc.errors import BadProbabilityError, NotHermitianError, NotPSDError
+from renyiacc.errors import (
+    BadProbabilityError,
+    BadShapeError,
+    NotHermitianError,
+    NotPSDError,
+)
 from renyiacc.qcore import (
     CqState,
     DensityOperator,
     creg,
+    density_to_dict,
     matrix_power,
     qreg,
     random_cq,
+    state_from_dict,
 )
 from renyiacc.qcore.states import _purification
+from qcore_reference import cq_to_dict
 
 PAULI_Z = np.diag([1.0, -1.0])
 
@@ -218,3 +241,95 @@ def test_state_with_trace_within_tolerance_is_read():
     assert abs(ent.renyi_entropy(m, 2.0) - 2.0) < 1e-9
     assert abs(ent.von_neumann(m) - 2.0) < 1e-9
     assert abs(ent.conditional_von_neumann(dense(m), ["A"]) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# whole-number fields of the input files, found in the schemas
+# ---------------------------------------------------------------------------
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def _whole_number_fields(node, field=None):
+    """Names of the ``{"type": "integer", "minimum": 1}`` nodes of a schema;
+    an array's items go by the array's name."""
+    if isinstance(node, list):
+        for sub in node:
+            yield from _whole_number_fields(sub, field)
+    elif isinstance(node, dict):
+        if node.get("type") == "integer" and node.get("minimum") == 1:
+            yield field
+        for key, sub in node.items():
+            if key == "properties":
+                for name, spec in sub.items():
+                    yield from _whole_number_fields(spec, name)
+            else:
+                yield from _whole_number_fields(sub, field)
+
+
+WHOLE_NUMBER_FIELDS = sorted(
+    (doc["$id"], field)
+    for doc in (json.loads(p.read_text())
+                for p in SCHEMAS.glob("*.schema.json"))
+    for field in _whole_number_fields(doc))
+
+
+def _load_state_dims(value):
+    doc = density_to_dict(DensityOperator(np.eye(4) / 4, (2, 2)))
+    if value is not None:
+        doc["dims"][0] = value
+    state_from_dict(doc)
+
+
+def _load_cq_dim(value):
+    doc = cq_to_dict(CqState([creg("B", ("0", "1")), qreg("E", 2)],
+                             [0.5, 0.5], None))
+    if value is not None:
+        doc["registers"][1]["dim"] = value
+    state_from_dict(doc)
+
+
+def _load_protocol_d(value):
+    proto = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
+                             {("0", "00"): "0", ("1", "00"): "1"})
+    doc = protocol_to_dict(proto)
+    if value is not None:
+        doc["d"] = value
+    protocol_from_dict(doc)
+
+
+def _load_setting_count(key):
+    def load(value):
+        doc = {} if value is None else {key: value}
+        _setting_counts(doc, ("00", "11"), bob=True)
+    return load
+
+
+def _load_channel_dims(key):
+    def load(value):
+        doc = kraus_to_dict(KrausChannel((np.eye(2),), (2,), (2,)))
+        if value is not None:
+            doc[key][0] = value
+        kraus_from_dict(doc)
+    return load
+
+
+LOADERS = {
+    ("renyiacc/state/v1", "dims"): _load_state_dims,
+    ("renyiacc/cqstate/v1", "dim"): _load_cq_dim,
+    ("renyiacc/protocol/v1", "d"): _load_protocol_d,
+    ("renyiacc/protocol/v1", "nA"): _load_setting_count("nA"),
+    ("renyiacc/protocol/v1", "nB"): _load_setting_count("nB"),
+    ("renyiacc/channel/v1", "in"): _load_channel_dims("in"),
+    ("renyiacc/channel/v1", "out"): _load_channel_dims("out"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 0, True])
+@pytest.mark.parametrize("schema,field", WHOLE_NUMBER_FIELDS)
+def test_whole_number_field_rejects_other_values(schema, field, value):
+    assert (schema, field) in LOADERS, \
+        f"no loader check is listed for {field!r} of {schema}"
+    LOADERS[schema, field](None)  # the document loads as written
+    with pytest.raises(BadShapeError, match="whole number"):
+        LOADERS[schema, field](value)

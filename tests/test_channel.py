@@ -31,6 +31,7 @@ from renyiacc.channel import (
 )
 from renyiacc.errors import (
     AlphabetMismatchError,
+    BadShapeError,
     DimMismatchError,
     SupportViolationError,
     TargetOutOfRangeError,
@@ -70,14 +71,15 @@ def chsh_protocol(gamma, outputs="pair", p_gen=None):
 class TestKraus:
     def test_identity(self):
         rho = random_density((3,), 0)
-        out = KrausChannel((np.eye(3),), (3,), (3,)).apply(rho)
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-14
+        ch = KrausChannel((np.eye(3),), (3,), (3,))
+        out = rho.apply_quantum_channel(ch.kraus, "Q0")
+        assert np.abs(out.conds - rho.matrix).max() < 1e-14
 
     def test_dephasing(self):
         rho = random_density((3,), 1)
-        out = KrausChannel(tuple(np.diag(e) for e in np.eye(3)), (3,),
-                           (3,)).apply(rho)
-        assert np.abs(out.matrix - np.diag(np.diag(rho.matrix))).max() < 1e-14
+        ch = KrausChannel(tuple(np.diag(e) for e in np.eye(3)), (3,), (3,))
+        out = rho.apply_quantum_channel(ch.kraus, "Q0")
+        assert np.abs(out.conds - np.diag(np.diag(rho.matrix))).max() < 1e-14
 
     def test_validate_and_errors(self):
         KrausChannel((np.eye(2),), (2,), (2,)).validate()
@@ -98,6 +100,38 @@ class TestKraus:
         back = kraus_from_dict(kraus_to_dict(ch))
         for k1, k2 in zip(ch.kraus, back.kraus):
             assert np.abs(k1 - k2).max() < 1e-15
+
+    def test_loader_keeps_out_by_in_shape(self):
+        ch = KrausChannel(tuple(random_kraus_channel(3, 2, 2, 5)), (3,), (2,))
+        back = kraus_from_dict(kraus_to_dict(ch))
+        assert (back.in_dims, back.out_dims) == ((3,), (2,))
+        assert all(np.array_equal(k1, k2) for k1, k2 in zip(ch.kraus, back.kraus))
+        half = KrausChannel((np.eye(2) / 2,), (2,), (2,), cp_only=True)
+        assert kraus_from_dict(kraus_to_dict(half)).cp_only
+
+    def test_loader_rejects_other_schema(self):
+        # was read as a channel whatever its tag
+        doc = kraus_to_dict(KrausChannel((np.eye(2),), (2,), (2,)))
+        for tag in ("renyiacc/state/v1", None):
+            doc["schema"] = tag
+            with pytest.raises(BadShapeError, match="channel schema"):
+                kraus_from_dict(doc)
+
+    def test_loader_rejects_short_payload(self):
+        # raised numpy's ValueError: cannot reshape
+        doc = kraus_to_dict(KrausChannel((np.eye(2),), (2,), (2,)))
+        doc["kraus"][0] = doc["kraus"][0][:3]
+        with pytest.raises(BadShapeError, match="payload"):
+            kraus_from_dict(doc)
+
+    def test_loader_rejects_a_list_that_is_not_trace_preserving(self):
+        # 2 I was loaded as it was
+        doc = kraus_to_dict(KrausChannel((2 * np.eye(2),), (2,), (2,)))
+        with pytest.raises(DimMismatchError, match="trace preserving"):
+            kraus_from_dict(doc)
+        doc["cp_only"] = True
+        with pytest.raises(DimMismatchError, match="exceeds"):
+            kraus_from_dict(doc)
 
 
 class TestCPMapFamily:
@@ -147,6 +181,19 @@ class TestRoundLaw:
                                           proto, outputs="pair").p)
         win = p_c[proto.c_alphabet.index("1")]
         assert abs(win - math.cos(math.pi / 8) ** 2) < 1e-9
+
+    @pytest.mark.parametrize("key", ["p_gen", "p_test"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_setting_law_is_rejected(self, key, bad):
+        # NaN passed the sum and sign checks and reached the kernels
+        law = {"p_gen": [0.5, 0.5, 0.0, 0.0], "p_test": [0.25] * 4}
+        law[key][1] = bad
+        score = {(a, b): a for a in ("0", "1") for b in ("00", "01", "10", "11")}
+        with pytest.raises(AlphabetMismatchError,
+                           match=f"{key} is not a distribution on B"):
+            SamplingProtocol(gamma=0.5, outcomes=("0", "1"),
+                             settings=("00", "01", "10", "11"), score=score,
+                             d=1, **law)
 
     def test_alphabet_mismatch(self):
         proto = chsh_protocol(0.5)  # pair outcomes
@@ -236,13 +283,13 @@ class TestBIndependence:
             for r in range(2):
                 proj = np.zeros((2, 2))
                 proj[r, r] = 1.0
-                sub = omega.apply_channel([proj], "R")
-                blk = sub.partial_trace_labels(["Rp"])
-                p_r = float(np.trace(blk.matrix).real)
+                sub = omega.apply_quantum_channel([proj], "R")
+                blk = sub.marginal(["Rp"]).conds
+                p_r = float(np.trace(blk).real)
                 if p_r <= 0:
                     continue
                 w[0, 1, 0, r] = p_r
-                conds[(0, 1, 0, r)] = blk.matrix / p_r
+                conds[(0, 1, 0, r)] = blk / p_r
             return CqState(regs, w, conds)
 
         ok, dev = check_b_independence(leaky, trials=5, seed=4, r_dim=2)
@@ -342,8 +389,8 @@ def product_structure_state(rng, d_a1=2, d_b1=2, d_a2=2, n_b2=2):
     p_b2 = random_distribution(n_b2, rng)
     for j in range(n_b2):
         ks = random_kraus_channel(d_p, d_a2, 2, rng)
-        out = pur.apply_channel(ks, "P")
-        conds[(j,)] = out.matrix
+        out = pur.apply_quantum_channel(ks, "P")
+        conds[(j,)] = out.conds
     regs = [creg("B2", tuple(range(n_b2))), qreg("A1", d_a1),
             qreg("B1", d_b1), qreg("A2", d_a2)]
     return CqState(regs, p_b2, conds), rho_ab

@@ -137,6 +137,21 @@ class TestRateCommand:
         assert doc["report"]["n"] == 1000
 
 
+    def test_csv_without_grid_is_the_reported_row(self, capsys, tmp_path):
+        # a second search with restarts // 4 wrote 0.028006 beside 0.000122
+        proto = Path(__file__).resolve().parent.parent / "bench" / "protocol.json"
+        out_json, out_csv = tmp_path / "rate.json", tmp_path / "rate.csv"
+        code, _, _ = run(["rate", "--proto", str(proto), "--restarts", "8",
+                          "--seed", "3", "--json", str(out_json),
+                          "--csv", str(out_csv)], capsys)
+        assert code == 0
+        report = json.loads(out_json.read_text())["report"]
+        header, row = out_csv.read_text().strip().splitlines()
+        assert header == "alpha,h_alpha,total_bits"
+        assert [float(x) for x in row.split(",")] == [
+            2.0, report["h_alpha"], report["total_bits"]]
+
+
 class TestBellEntry:
     def rate(self, capsys, tmp_path, bell):
         path = write_protocol(tmp_path)
@@ -213,6 +228,37 @@ class TestLoaders:
         assert (code, out) == (2, "")
         assert "measA entries must be pairs of finite numbers" in err
 
+    @pytest.mark.parametrize("key", ["pGen", "pTest"])
+    def test_nan_setting_law_exits_2(self, capsys, tmp_path, key):
+        # exited 2 only later, with "state has no mass" or a p_C message
+        law = {"00": 0.25, "01": float("nan"), "10": 0.25, "11": 0.25}
+        name = {"pGen": "p_gen", "pTest": "p_test"}[key]
+        for code, out, err in rate_and_simulate(capsys, tmp_path,
+                                                **{key: law}):
+            assert (code, out) == (2, "")
+            assert f"{name} is not a distribution on B" in err
+
+
+class TestWholeNumberFields:
+    """Schema integers are not truncated: each ran as int(x) with exit 0."""
+
+    def test_fractional_dims_exit_2(self, capsys, tmp_path):
+        doc = density_to_dict(random_density((2, 2), 3))
+        doc["dims"] = [2.5, 2]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["entropy", "--state", str(path), "--cond", "Q1"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert "dims entry must be a whole number >= 1, got 2.5" in err
+
+    @pytest.mark.parametrize("d", [1.5, True])
+    def test_protocol_d_must_be_whole_for_rate_and_simulate(self, capsys,
+                                                            tmp_path, d):
+        for code, out, err in rate_and_simulate(capsys, tmp_path, d=d):
+            assert (code, out) == (2, "")
+            assert f"d must be a whole number >= 1, got {d!r}" in err
+
 
 def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
     path = write_protocol(tmp_path)
@@ -259,6 +305,20 @@ def attack_doc(n_b=4, n_a=2, r_dim=2):
     return {"schema": "renyiacc/attack/v1",
             "initial": (np.ones((r_dim, 1)) / r_dim).tolist(),
             "kernels": [k.tolist(), k.tolist()]}
+
+
+def rate_and_simulate(capsys, tmp_path, **edits):
+    """``rate`` and ``simulate`` on ``write_protocol``'s protocol with the
+    top-level keys ``edits`` replaced; one (code, out, err) each."""
+    path = tmp_path / "proto.json"
+    doc = json.loads(write_protocol(tmp_path).read_text())
+    doc.update(edits)
+    path.write_text(json.dumps(doc))
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps(attack_doc()))
+    return [run(["rate", "--proto", str(path), "--restarts", "1"], capsys),
+            run(["simulate", "--proto", str(path), "--attack", str(attack)],
+                capsys)]
 
 
 class TestSimulateCommand:
@@ -559,18 +619,6 @@ class TestOmegaEntries:
         assert "'x'" in err
 
 
-    @staticmethod
-    def _rate_and_simulate(capsys, tmp_path, omega):
-        path = tmp_path / "proto.json"
-        doc = json.loads(write_protocol(tmp_path).read_text())
-        doc["omega"] = omega
-        path.write_text(json.dumps(doc))
-        attack = tmp_path / "attack.json"
-        attack.write_text(json.dumps(attack_doc()))
-        return [run(["rate", "--proto", str(path), "--restarts", "1"], capsys),
-                run(["simulate", "--proto", str(path), "--attack",
-                     str(attack)], capsys)]
-
     @pytest.mark.parametrize("omega", [
         {"coeffs": {"1": 1.0}, "min": 0.04}, ["x"], [["1", 0.04]],
         [{"coeffs": ["1"], "min": 0.04}], [{"min": 0.04}], "omega",
@@ -578,7 +626,7 @@ class TestOmegaEntries:
             "no-coeffs", "string"])
     def test_malformed_omega_exits_2(self, capsys, tmp_path, omega):
         # a dict or a non-object entry raised TypeError, exit 1
-        for code, out, err in self._rate_and_simulate(capsys, tmp_path, omega):
+        for code, out, err in rate_and_simulate(capsys, tmp_path, omega=omega):
             assert (code, out) == (2, "")
             assert "omega" in err
 
@@ -591,8 +639,8 @@ class TestOmegaEntries:
     ], ids=["nan-coeff", "nan-min", "inf-max", "string-min", "bool-coeff"])
     def test_non_finite_bound_exits_2(self, capsys, tmp_path, entry):
         # a NaN bound was reported as an empty constraint set
-        for code, out, err in self._rate_and_simulate(capsys, tmp_path,
-                                                      [entry]):
+        for code, out, err in rate_and_simulate(capsys, tmp_path,
+                                                omega=[entry]):
             assert (code, out) == (2, "")
             assert "finite numbers" in err and "feasible" not in err
 

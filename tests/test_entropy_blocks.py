@@ -160,7 +160,7 @@ def ref_h_up(state, a_names, alpha):
     order = [n for n in state.names if n in a_names] + cq_names
     perm = permute_labels(dense, order)
     d_a = int(np.prod([state.reg(n).size for n in state.names if n in a_names]))
-    return ref_h_up_dense(perm.matrix, d_a, perm.dim() // d_a, alpha)[0]
+    return ref_h_up_dense(perm.matrix, d_a, perm.qdim // d_a, alpha)[0]
 
 
 def ref_h_up_dense(rho, d_a, d_b, alpha, tol=1e-10, max_iter=10000):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from renyiacc.errors import (
     BadIndexError,
+    BadPartitionError,
     DimMismatchError,
     NotPSDError,
 )
@@ -108,6 +109,16 @@ class TestMatrixPower:
 
 
 class TestStates:
+    def test_dense_state_is_the_all_quantum_cq_state(self):
+        rho = random_density((2, 3), 3)
+        assert isinstance(rho, CqState) and rho.cregs == ()
+        assert rho.matrix is rho.conds and rho.weights == 1.0
+        assert (rho.dims, rho.labels, rho.qdim) == ((2, 3), ("Q0", "Q1"), 6)
+        assert rho.validate() is rho
+        # a repeated label would name two registers
+        with pytest.raises(BadPartitionError, match="duplicate"):
+            DensityOperator(np.eye(4) / 4, (2, 2), ("A", "A"))
+
     def test_tensor_trace_multiplies(self):
         a = random_density((2,), 1)
         b = random_density((3,), 2)
@@ -202,11 +213,11 @@ class TestStates:
     def test_apply_channel_dephasing(self):
         rho = random_density((2, 2), 61)
         ks = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        out = rho.apply_channel(ks, rho.labels[0])
+        out = rho.apply_quantum_channel(ks, rho.labels[0])
         t = rho.matrix.reshape(2, 2, 2, 2).copy()
         t[0, :, 1, :] = 0
         t[1, :, 0, :] = 0
-        assert np.abs(out.matrix - t.reshape(4, 4)).max() < 1e-12
+        assert np.abs(out.conds - t.reshape(4, 4)).max() < 1e-12
 
 
 class TestEmbed:
