@@ -39,7 +39,7 @@ from .qcore import (
     trace_distance,
 )
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
-from .qcore.serialize import _whole_number, matrix_from_json, matrix_to_json
+from .qcore.serialize import _whole_number
 from .qcore.states import _purification
 
 BOT = "⊥"
@@ -99,20 +99,14 @@ class CPMapFamily:
                 if (a, b) not in self.maps:
                     raise AlphabetMismatchError(f"missing map for ({a!r}, {b!r})")
 
-    def validate(self, seed=0) -> "CPMapFamily":
-        """Check the normalization per setting on three random inputs."""
-        rng = rng_from(seed)
+    def validate(self) -> "CPMapFamily":
+        """Check that the maps of each setting sum to a channel: the union
+        of their Kraus lists is trace preserving (KrausChannel.validate)."""
         any_map = next(iter(self.maps.values()))
-        din = int(np.prod(any_map.in_dims, initial=1))
-        for _ in range(3):
-            omega = random_density((din,), rng)
-            for b in self.settings:
-                tot = sum(np.trace(omega.apply_quantum_channel(
-                    self.maps[(a, b)].kraus, "Q0").conds).real
-                          for a in self.outcomes)
-                if abs(tot - 1.0) > 1e-9:
-                    raise DimMismatchError(
-                        f"family not normalized at setting {b!r}: {tot}")
+        for b in self.settings:
+            KrausChannel(tuple(k for a in self.outcomes
+                               for k in self.maps[(a, b)].kraus),
+                         any_map.in_dims, any_map.out_dims).validate()
         return self
 
 
@@ -223,6 +217,7 @@ def family_round(family: CPMapFamily, proto: SamplingProtocol,
     if tuple(family.outcomes) != tuple(proto.outcomes) or \
             tuple(family.settings) != tuple(proto.settings):
         raise AlphabetMismatchError("family alphabets do not match protocol")
+    family.validate()
     any_map = next(iter(family.maps.values()))
     din = int(np.prod(any_map.in_dims, initial=1))
     d_rp = omega.qdim // din
@@ -677,27 +672,8 @@ class BellFunctional:
         raise AlphabetMismatchError(f"unknown Bell functional {name!r}")
 
 
-CHANNEL_SCHEMA = "renyiacc/channel/v1"
 PROTOCOL_SCHEMA = "renyiacc/protocol/v1"
 STRATEGY_SCHEMA = "renyiacc/strategy/v1"
-
-
-def kraus_to_dict(ch: KrausChannel) -> dict:
-    return {"schema": CHANNEL_SCHEMA, "in": list(ch.in_dims),
-            "out": list(ch.out_dims), "cp_only": ch.cp_only,
-            "kraus": [matrix_to_json(k) for k in ch.kraus]}
-
-
-def kraus_from_dict(doc: dict) -> KrausChannel:
-    """A channel document: one ``(prod out, prod in)`` payload per operator,
-    and the list trace preserving (trace non-increasing with ``cp_only``)."""
-    _check_schema(doc, CHANNEL_SCHEMA, "channel")
-    din, dout = (tuple(_whole_number(x, f"{key} entry") for x in doc[key])
-                 for key in ("in", "out"))
-    ks = tuple(matrix_from_json(p, math.prod(dout), math.prod(din))
-               for p in doc["kraus"])
-    return KrausChannel(ks, din, dout,
-                        cp_only=bool(doc.get("cp_only", False))).validate()
 
 
 def protocol_to_dict(proto: SamplingProtocol) -> dict:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,12 +262,8 @@ def h_down(state, a_names, alpha: float) -> float:
                                alpha)
 
 
-@dataclass
-class UpConfig:
-    """Settings for the iterative fully-quantum H_up solver."""
-
-    tol: float = 1e-10
-    max_iter: int = 10000
+_UP_TOL = 1e-10       # the H_up fixed point stops a row below this step
+_UP_MAX_ITER = 10000
 
 
 def _ab_matrix(x: np.ndarray) -> np.ndarray:
@@ -336,13 +331,13 @@ def _q_grad(rc, ws, vs, alpha, floor):
         np.swapaxes(vs.conj(), -1, -2) @ m @ vs)
 
 
-def _up_fixed_point(rc, w0, alpha, cfg: UpConfig):
+def _up_fixed_point(rc, w0, alpha):
     """The H_up fixed point of every row of ``rc`` at one support rank, in lockstep.
 
     ``rc`` is rho compressed onto supp(rho_B) as ``(k, a, a', i, j)`` blocks,
     ``w0`` the starting marginals' eigenvalues (eigenvectors: the identity)
     and ``alpha`` the order of each row. A row leaves the loop once its own
-    step is below ``cfg.tol``. Returns (values, uppers, ticks, stuck rows).
+    step is below ``_UP_TOL``. Returns (values, uppers, ticks, stuck rows).
 
     The upper bound is Frank-Wolfe's: Q is convex in sigma for alpha > 1, so
     min Q >= Q - g with the gap g = <grad Q, sigma> - lambda_min(grad Q).
@@ -355,7 +350,7 @@ def _up_fixed_point(rc, w0, alpha, cfg: UpConfig):
     sig = _from_eig(ws, vs)
     live = np.arange(k)
     ticks = 0
-    while live.size and ticks < cfg.max_iter:
+    while live.size and ticks < _UP_MAX_ITER:
         ticks += 1
         wx, vx, _ = _x_eigs(rc[live], ws[live], vs[live], s[live], floor[live])
         t_mat = _trace_a(_from_eig(_by_order(operator.pow, wx, alpha[live]), vx),
@@ -370,7 +365,7 @@ def _up_fixed_point(rc, w0, alpha, cfg: UpConfig):
         new = _from_eig(e, vh)
         delta = np.abs(new - sig[live]).max(axis=(-2, -1))
         ws[live], vs[live], sig[live] = e, vh, new
-        live = live[~(delta < cfg.tol)]
+        live = live[~(delta < _UP_TOL)]
     q, grad = _q_grad(rc, ws, vs, alpha, floor)
     # <grad Q, sigma> is the diagonal of grad weighed by sigma's eigenvalues
     low = q - (np.einsum("ki,kii->k", ws, grad).real
@@ -379,8 +374,7 @@ def _up_fixed_point(rc, w0, alpha, cfg: UpConfig):
     return -_log2(q) / (alpha - 1.0), upper, ticks, live
 
 
-def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha,
-               cfg: UpConfig | None = None):
+def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha):
     """sup_sigma -D_alpha(rho_AB || I_A x sigma_B) by damped fixed-point iteration.
 
     ``rho`` is one matrix ``(d, d)`` or a stack ``(k, d, d)``, d = d_a d_b,
@@ -402,7 +396,6 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha,
     ``iterations`` the lockstep ticks. For a stack, value and upper are
     arrays over its rows.
     """
-    cfg = cfg or UpConfig()
     rho = np.asarray(rho, dtype=complex)
     lone = rho.ndim == 2
     rho = rho.reshape(-1, d_a * d_b, d_a * d_b)
@@ -424,14 +417,14 @@ def h_up_dense(rho: np.ndarray, d_a: int, d_b: int, alpha,
                        rho[rows].reshape(-1, d_a, d_b, d_a, d_b), v)
         w0 = wb[rows, :r] / wb[rows, :r].sum(axis=1, keepdims=True)
         value[rows], upper[rows], n, bad = _up_fixed_point(
-            rc, w0, alpha[rows], cfg)
+            rc, w0, alpha[rows])
         ticks = max(ticks, n)
         stuck.extend(rows[bad])
     if lone:
         value, upper = float(value[0]), float(upper[0])
     if stuck:
         raise NoConvergenceError(
-            f"H_up solver did not reach {cfg.tol} in {cfg.max_iter} iterations",
+            f"H_up solver did not reach {_UP_TOL} in {_UP_MAX_ITER} iterations",
             best_value=value, gap=upper - value)
     return value, upper, ticks
 

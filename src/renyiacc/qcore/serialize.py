@@ -49,14 +49,13 @@ def matrix_to_json(m) -> list:
     return [[float(x.real), float(x.imag)] for x in a]
 
 
-def matrix_from_json(pairs, d: int, cols: int | None = None) -> np.ndarray:
-    """A ``(d, cols)`` matrix (square by default) from row-major pairs."""
-    cols = d if cols is None else cols
+def matrix_from_json(pairs, d: int) -> np.ndarray:
+    """A ``(d, d)`` matrix from row-major pairs."""
     a = np.asarray(pairs, dtype=float)
-    if a.shape != (d * cols, 2):
+    if a.shape != (d * d, 2):
         raise BadShapeError(f"matrix payload has shape {a.shape}, "
-                            f"want ({d * cols}, 2)")
-    return (a[:, 0] + 1j * a[:, 1]).reshape(d, cols)
+                            f"want ({d * d}, 2)")
+    return (a[:, 0] + 1j * a[:, 1]).reshape(d, d)
 
 
 def density_to_dict(rho: DensityOperator) -> dict:

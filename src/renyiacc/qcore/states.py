@@ -322,16 +322,6 @@ class CqState:
             p, rest = self.condition(dict(zip(names, combo)))
             yield combo, p, rest
 
-    def tensor(self, other: "CqState") -> "CqState":
-        n1, n2 = self.weights.ndim, other.weights.ndim
-        q1, q2 = self.qdim, other.qdim
-        w = np.multiply.outer(self.weights, other.weights)
-        # blockwise Kronecker product: (i, k) x (j, l) -> (i k, j l)
-        a = self.conds.reshape(self.weights.shape + (1,) * n2 + (q1, 1, q1, 1))
-        b = other.conds.reshape((1,) * n1 + other.weights.shape + (1, q2, 1, q2))
-        conds = (a * b).reshape(w.shape + (q1 * q2, q1 * q2))
-        return CqState(self.regs + other.regs, w, conds)
-
     def apply_quantum_channel(self, kraus, on_name: str) -> "CqState":
         """Apply a CP map (Kraus list) to one named quantum register of every block."""
         conds, qdims = _apply_kraus(self.conds, self.qdims,

@@ -48,8 +48,6 @@ ALLOWED = {
     "inner_inf_v_grid": "oracle",
     "h_partial_variational": "oracle",
     "asymptotic_check": "diagnostic",
-    "kraus_to_dict": "serializer",
-    "kraus_from_dict": "serializer",
     "protocol_to_dict": "serializer",
     "strategy_to_dict": "serializer",
 }

@@ -24,10 +24,7 @@ import pytest
 from renyiacc import entropy as ent
 from renyiacc.channel import (
     BOT,
-    KrausChannel,
     SamplingProtocol,
-    kraus_from_dict,
-    kraus_to_dict,
     protocol_from_dict,
     protocol_to_dict,
 )
@@ -305,23 +302,12 @@ def _load_setting_count(key):
     return load
 
 
-def _load_channel_dims(key):
-    def load(value):
-        doc = kraus_to_dict(KrausChannel((np.eye(2),), (2,), (2,)))
-        if value is not None:
-            doc[key][0] = value
-        kraus_from_dict(doc)
-    return load
-
-
 LOADERS = {
     ("renyiacc/state/v1", "dims"): _load_state_dims,
     ("renyiacc/cqstate/v1", "dim"): _load_cq_dim,
     ("renyiacc/protocol/v1", "d"): _load_protocol_d,
     ("renyiacc/protocol/v1", "nA"): _load_setting_count("nA"),
     ("renyiacc/protocol/v1", "nB"): _load_setting_count("nB"),
-    ("renyiacc/channel/v1", "in"): _load_channel_dims("in"),
-    ("renyiacc/channel/v1", "out"): _load_channel_dims("out"),
 }
 
 

@@ -20,8 +20,6 @@ from renyiacc.channel import (
     decomposition_gap,
     family_round,
     flat_spike_distribution,
-    kraus_from_dict,
-    kraus_to_dict,
     reweighted_state,
     protocol_from_dict,
     protocol_to_dict,
@@ -31,7 +29,6 @@ from renyiacc.channel import (
 )
 from renyiacc.errors import (
     AlphabetMismatchError,
-    BadShapeError,
     DimMismatchError,
     SupportViolationError,
     TargetOutOfRangeError,
@@ -94,45 +91,6 @@ class TestKraus:
         ch = KrausChannel(tuple(ks), (3,), (2,))
         ch.validate()
 
-    def test_serialization_roundtrip(self):
-        ks = random_kraus_channel(2, 2, 2, 6)
-        ch = KrausChannel(tuple(ks), (2,), (2,))
-        back = kraus_from_dict(kraus_to_dict(ch))
-        for k1, k2 in zip(ch.kraus, back.kraus):
-            assert np.abs(k1 - k2).max() < 1e-15
-
-    def test_loader_keeps_out_by_in_shape(self):
-        ch = KrausChannel(tuple(random_kraus_channel(3, 2, 2, 5)), (3,), (2,))
-        back = kraus_from_dict(kraus_to_dict(ch))
-        assert (back.in_dims, back.out_dims) == ((3,), (2,))
-        assert all(np.array_equal(k1, k2) for k1, k2 in zip(ch.kraus, back.kraus))
-        half = KrausChannel((np.eye(2) / 2,), (2,), (2,), cp_only=True)
-        assert kraus_from_dict(kraus_to_dict(half)).cp_only
-
-    def test_loader_rejects_other_schema(self):
-        # was read as a channel whatever its tag
-        doc = kraus_to_dict(KrausChannel((np.eye(2),), (2,), (2,)))
-        for tag in ("renyiacc/state/v1", None):
-            doc["schema"] = tag
-            with pytest.raises(BadShapeError, match="channel schema"):
-                kraus_from_dict(doc)
-
-    def test_loader_rejects_short_payload(self):
-        # raised numpy's ValueError: cannot reshape
-        doc = kraus_to_dict(KrausChannel((np.eye(2),), (2,), (2,)))
-        doc["kraus"][0] = doc["kraus"][0][:3]
-        with pytest.raises(BadShapeError, match="payload"):
-            kraus_from_dict(doc)
-
-    def test_loader_rejects_a_list_that_is_not_trace_preserving(self):
-        # 2 I was loaded as it was
-        doc = kraus_to_dict(KrausChannel((2 * np.eye(2),), (2,), (2,)))
-        with pytest.raises(DimMismatchError, match="trace preserving"):
-            kraus_from_dict(doc)
-        doc["cp_only"] = True
-        with pytest.raises(DimMismatchError, match="exceeds"):
-            kraus_from_dict(doc)
-
 
 class TestCPMapFamily:
     def test_normalization_check(self):
@@ -143,7 +101,16 @@ class TestCPMapFamily:
             maps[("0", b)] = KrausChannel((ks[0],), (2,), (2,), cp_only=True)
             maps[("1", b)] = KrausChannel((ks[1],), (2,), (2,), cp_only=True)
         fam = CPMapFamily(maps, ("0", "1"), ("0", "1"))
-        fam.validate(seed=1)
+        assert fam.validate() is fam
+        maps[("1", "1")] = KrausChannel((ks[1] / 2,), (2,), (2,), cp_only=True)
+        with pytest.raises(DimMismatchError, match="trace preserving"):
+            fam.validate()
+        proto = SamplingProtocol(gamma=0.4, outcomes=("0", "1"),
+                                 settings=("0", "1"), p_gen=[0.5, 0.5],
+                                 p_test=[0.5, 0.5],
+                                 score={(a, b): a for a, b in maps}, d=1)
+        with pytest.raises(DimMismatchError, match="trace preserving"):
+            family_round(fam, proto, random_density((2, 2), 0))
 
     def test_missing_map_rejected(self):
         with pytest.raises(AlphabetMismatchError):

@@ -138,22 +138,6 @@ class TestAgainstReferenceLoops:
         st = interleaved(0, masked=True)
         assert st.condition({"B": "b1", "D": "d0"}) == (0.0, None)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_tensor(self, seed):
-        a = interleaved(seed, masked=True)
-        b = random_cq((2,), (2,), (32, seed), names=["X"], qnames=["Y"])
-        ab = a.tensor(b)
-        assert ab.names == a.names + b.names
-        w, blocks = {}, {}
-        for i, p, c in live(a):
-            for j, q, e in live(b):
-                w[i + j] = p * q
-                blocks[i + j] = np.kron(c, e)
-        for idx, _, p, c in ab.outcomes():
-            assert abs(p - w.get(idx, 0.0)) < TOL
-            if idx in blocks:
-                assert np.abs(c - blocks[idx]).max() < TOL
-
     @pytest.mark.parametrize("st", states())
     @pytest.mark.parametrize("on", ["A", "C"])
     def test_apply_quantum_channel(self, st, on):
@@ -212,7 +196,6 @@ class TestLayout:
         st.condition({"B": "b0"})
         st.append_classical("E", (0, 1), lambda out: [0.5, 0.5])
         st.apply_quantum_channel([np.eye(3)], "C")
-        st.tensor(random_cq((2,), (), 4, names=["X"], qnames=[]))
 
 
 def test_tiny_weight_outcome_keeps_entropies_finite():

@@ -233,11 +233,12 @@ class TestHDownUp:
         assert solver >= best - 1e-9
         assert abs(solver - best) < 1e-5
 
-    def test_up_solver_no_convergence_raises(self):
+    def test_up_solver_no_convergence_raises(self, monkeypatch):
         rho = random_density((2, 2), 3)
+        monkeypatch.setattr(ent, "_UP_TOL", 1e-16)
+        monkeypatch.setattr(ent, "_UP_MAX_ITER", 2)
         with pytest.raises(NoConvergenceError) as err:
-            ent.h_up_dense(rho.matrix, 2, 2, 3.0,
-                           cfg=ent.UpConfig(tol=1e-16, max_iter=2))
+            ent.h_up_dense(rho.matrix, 2, 2, 3.0)
         assert err.value.best_value is not None
 
     @pytest.mark.parametrize("seed", range(6))

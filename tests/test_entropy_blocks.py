@@ -554,13 +554,13 @@ def up_stack(seed, rank=None, n=5):
 @pytest.mark.parametrize("tol", (1e-10, 1e-7))
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("seed", range(2))
-def test_stacked_rows_match_lone_calls(seed, alpha, tol):
+def test_stacked_rows_match_lone_calls(seed, alpha, tol, monkeypatch):
     # the rows converge after different counts; one that kept iterating
     # after its own convergence would move its bound by far more than 1e-13
-    cfg = ent.UpConfig(tol=tol)
+    monkeypatch.setattr(ent, "_UP_TOL", tol)
     stack = up_stack(seed, n=10)
-    val, up, ticks = ent.h_up_dense(stack, 2, 3, alpha, cfg)
-    lone = [ent.h_up_dense(m, 2, 3, alpha, cfg) for m in stack]
+    val, up, ticks = ent.h_up_dense(stack, 2, 3, alpha)
+    lone = [ent.h_up_dense(m, 2, 3, alpha) for m in stack]
     assert isinstance(ticks, int)
     assert ticks == max(n for _, _, n in lone)
     assert len({n for _, _, n in lone}) > 1
@@ -608,12 +608,14 @@ def test_certificate_brackets_value_on_full_rank_states(seed, alpha):
 
 @pytest.mark.parametrize("max_iter", (1, 2, 3))
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_certificate_holds_when_the_loop_stops_early(alpha, max_iter):
+def test_certificate_holds_when_the_loop_stops_early(alpha, max_iter,
+                                                     monkeypatch):
     rho = random_density((2, 3), rng_from((80, 0))).matrix
     best, _, _ = ent.h_up_dense(rho, 2, 3, alpha)
+    monkeypatch.setattr(ent, "_UP_TOL", 1e-16)
+    monkeypatch.setattr(ent, "_UP_MAX_ITER", max_iter)
     with pytest.raises(NoConvergenceError) as err:
-        ent.h_up_dense(rho, 2, 3, alpha, ent.UpConfig(tol=1e-16,
-                                                      max_iter=max_iter))
+        ent.h_up_dense(rho, 2, 3, alpha)
     early, gap = err.value.best_value, err.value.gap
     assert early <= best + 1e-12
     assert early + gap >= best - 1e-12

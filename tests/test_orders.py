@@ -69,12 +69,13 @@ def test_q_grad_matches_central_differences_per_row_on_mixed_orders():
     assert np.all(np.abs(hom - (1.0 - alphas) * q) <= 1e-12 * q)
 
 
-def test_mixed_order_stack_raises_when_one_row_is_capped():
+def test_mixed_order_stack_raises_when_one_row_is_capped(monkeypatch):
     rows, alphas = mixed_stack(0)
     lone = [ent.h_up_dense(m, 2, 3, a) for m, a in zip(rows, alphas)]
     ticks = [n for _, _, n in lone]
+    monkeypatch.setattr(ent, "_UP_MAX_ITER", max(ticks) - 1)
     with pytest.raises(NoConvergenceError) as err:
-        ent.h_up_dense(rows, 2, 3, alphas, ent.UpConfig(max_iter=max(ticks) - 1))
+        ent.h_up_dense(rows, 2, 3, alphas)
     done = np.array(ticks) < max(ticks)
     assert done.any() and not done.all()
     # the rows that converged in time carry their lone values

@@ -286,13 +286,6 @@ class TestCqState:
                 assert abs(sub.weights.sum() - 1.0) < 1e-12
         assert abs(total - 1.0) < 1e-12
 
-    def test_tensor(self):
-        a = random_cq((2,), (2,), 23, names=["B"], qnames=["E"])
-        b = random_cq((3,), (), 29, names=["D"], qnames=[])
-        ab = a.tensor(b)
-        assert ab.classical_names == ("B", "D")
-        assert abs(ab.weights.sum() - 1.0) < 1e-12
-
     def test_validate_rejects_bad_weights(self):
         st_ = random_cq((2,), (2,), 3, names=["B"], qnames=["E"])
         st_.weights[(0,)] += 0.5
