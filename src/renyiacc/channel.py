@@ -31,7 +31,6 @@ from .qcore import (
     creg,
     density_from_dict,
     density_to_dict,
-    eigvalsh_desc,
     embed,
     qreg,
     random_density,
@@ -39,7 +38,7 @@ from .qcore import (
     trace_distance,
 )
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
-from .qcore.serialize import _whole_number
+from .qcore.serialize import _array, _whole_number
 from .qcore.states import _purification
 
 BOT = "⊥"
@@ -60,7 +59,6 @@ class KrausChannel:
     kraus: tuple
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
-    cp_only: bool = False
 
     def __post_init__(self):
         ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -76,11 +74,7 @@ class KrausChannel:
     def validate(self) -> "KrausChannel":
         din = int(np.prod(self.in_dims, initial=1))
         s = sum((k.conj().T @ k for k in self.kraus), np.zeros((din, din)))
-        eye = np.eye(din)
-        if self.cp_only:
-            if eigvalsh_desc(eye - s)[-1] < -1e-9:
-                raise DimMismatchError("CP-only channel exceeds trace preservation")
-        elif np.abs(s - eye).max() > 1e-9:
+        if np.abs(s - np.eye(din)).max() > 1e-9:
             raise DimMismatchError("channel is not trace preserving")
         return self
 
@@ -700,8 +694,8 @@ def protocol_from_dict(doc: dict) -> SamplingProtocol:
     probability 0, and every pGen, pTest and score key must name settings
     (and outcomes) of the document."""
     _check_schema(doc, PROTOCOL_SCHEMA, "protocol")
-    outcomes = tuple(doc["outcomes"])
-    settings = tuple(doc["settings"])
+    outcomes = tuple(_array(doc["outcomes"], "outcomes"))
+    settings = tuple(_array(doc["settings"], "settings"))
     for name in ("pGen", "pTest"):
         unknown = sorted(set(doc[name]) - {str(b) for b in settings})
         if unknown:

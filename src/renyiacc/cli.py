@@ -38,7 +38,7 @@ from .errors import (
     RenyiaccError,
 )
 from .qcore import load_state
-from .qcore.serialize import _whole_number
+from .qcore.serialize import _array, _whole_number
 from .verify import (
     ALL_CHECKS,
     SuiteConfig,
@@ -103,10 +103,8 @@ def _constraint_set(doc, alphabet) -> ConstraintSet:
     numbers, as rows ``row . omega >= rhs``; an entry may carry both
     ``min`` and ``max``, and its coefficient keys must be symbols."""
     symbols = [str(c) for c in alphabet]
-    if doc is not None and not isinstance(doc, list):
-        raise BadShapeError(f"omega must be a list of constraints, got {doc!r}")
     rows, rhs = [], []
-    for item in doc or []:
+    for item in [] if doc is None else _array(doc, "omega"):
         if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
             raise BadShapeError(f"omega entries must be {{coeffs, min | max}} "
                                 f"objects, got {item!r}")
@@ -239,7 +237,8 @@ def _bell_constraint(doc):
     if "name" in spec:
         return BellFunctional.by_name(spec["name"]), float(spec["min"])
     try:
-        corr = np.asarray(spec["correlators"], dtype=float)
+        corr = np.asarray(_array(spec["correlators"], "bell correlators"),
+                          dtype=float)
     except TypeError as exc:
         raise BadShapeError(f"bell correlators: {exc}") from None
     return BellFunctional(corr, "custom"), float(spec["min"])

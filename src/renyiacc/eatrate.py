@@ -185,6 +185,7 @@ _RIDGE = 1e-13     # relative ridge on the Newton pivots (repeated rows)
 _FLAT = 1e-290     # a variance at or below this is zero
 _TILT_MAX = 1e4    # bits of tilt past which no double ratio changes
 _WARM_RES = 1e-9   # a warm-started row certified worse than this is redone
+_KKT_GATE = 1e-9   # a row whose complementarity breaks this may not end
 
 
 def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
@@ -208,8 +209,11 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
     under v_lam and a positive gradient can never be met, nor can one whose
     multiplier grows past any representable tilt, nor one still violated by
     more than 1e-7 at the end: such a row leaves the batch and is marked in
-    ``feasible``, and its value is +inf. The fields of the result carry the
-    batch axis.
+    ``feasible``, and its value is +inf. A positive multiplier with zero
+    variance and a negative gradient has no Newton step; when its
+    complementarity exceeds 1e-9 and the row has no other step left, it
+    moves toward 0 instead of ending the row. The fields of the result
+    carry the batch axis.
     """
     return _inner_solve(p_c, h_gen, cset, alpha, None)
 
@@ -219,9 +223,10 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     """``inner_inf_v_batch`` with the multipliers started at ``lam0``, shape
     (n, k), unchecked, or at zero when it is None. The optimum does not
     depend on the start, but a warm result matches the cold one only to the
-    solver's tolerance. A start far from the optimum can stall the Newton
-    steps, so a warm row that ends infeasible or with a KKT residual above
-    1e-9 is solved again from zero."""
+    solver's tolerance. A start far from the optimum can leave a multiplier
+    with zero variance, which the step above moves; a warm row that still
+    ends infeasible or with a KKT residual above 1e-9 is solved again from
+    zero."""
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     h = np.asarray(h_gen, dtype=float)
@@ -287,6 +292,14 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
         # projected Armijo backtracking: the rows still searching share one
         # step length; a step at rounding level is taken whole and ends the row
         tiny = np.abs(step).max(axis=1) <= 1e-13 * (1.0 + lw.max(axis=1))
+        if flat.any():
+            # a multiplier with no curvature has no Newton step; where the
+            # row has none left either and the multiplier's complementarity
+            # alone breaks the KKT gate, lowering it still raises the dual:
+            # it heads for 0, and the Armijo search below cuts the move
+            slide = flat & (lw * gw < -_KKT_GATE) & tiny[:, None]
+            step = np.where(slide, -lw, step)
+            tiny &= ~slide.any(axis=1)
         noise = 1e-15 * (1.0 + np.abs(dw) + np.abs(lw @ t))
         length, todo = 1.0, True
         for _ in range(_BACKTRACKS):

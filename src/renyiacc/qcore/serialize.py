@@ -17,7 +17,8 @@ outcome tuple, one symbol per classical register, one entry per outcome::
 Files written by older versions leave out outcomes of zero weight; a missing
 entry is read as weight 0 with the maximally mixed placeholder block. Both
 schemas are validated at load (Hermitian, PSD, normalized), and so are their
-whole-number fields (``dims``, ``dim``).
+whole-number fields (``dims``, ``dim``) and their array fields, which may not
+be a string or a number.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def _whole_number(x, what: str, least: int = 1) -> int:
     return int(x)
 
 
+def _array(x, what: str):
+    """A JSON field the schemas declare an array: a list (or tuple), never
+    a string read as its characters; BadShapeError otherwise."""
+    if not isinstance(x, (list, tuple)):
+        raise BadShapeError(f"{what} must be an array, got {x!r}")
+    return x
+
+
 def matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(x.real), float(x.imag)] for x in a]
@@ -51,7 +60,7 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(pairs, d: int) -> np.ndarray:
     """A ``(d, d)`` matrix from row-major pairs."""
-    a = np.asarray(pairs, dtype=float)
+    a = np.asarray(_array(pairs, "matrix"), dtype=float)
     if a.shape != (d * d, 2):
         raise BadShapeError(f"matrix payload has shape {a.shape}, "
                             f"want ({d * d}, 2)")
@@ -68,17 +77,18 @@ def density_to_dict(rho: DensityOperator) -> dict:
 
 
 def density_from_dict(doc: dict) -> DensityOperator:
-    dims = tuple(_whole_number(x, "dims entry") for x in doc["dims"])
+    dims = tuple(_whole_number(x, "dims entry")
+                 for x in _array(doc["dims"], "dims"))
     d = int(np.prod(dims, initial=1))
     return DensityOperator(matrix_from_json(doc["matrix"], d), dims,
-                           tuple(doc.get("labels") or ()))
+                           tuple(_array(doc.get("labels", ()), "labels")))
 
 
 def cq_from_dict(doc: dict) -> CqState:
     regs = []
-    for r in doc["registers"]:
+    for r in _array(doc["registers"], "registers"):
         if r["kind"] == "classical":
-            regs.append(creg(r["name"], tuple(r["alphabet"])))
+            regs.append(creg(r["name"], tuple(_array(r["alphabet"], "alphabet"))))
         elif r["kind"] == "quantum":
             regs.append(qreg(r["name"], _whole_number(r["dim"], "register dim")))
         else:
@@ -87,8 +97,8 @@ def cq_from_dict(doc: dict) -> CqState:
     qdim = int(np.prod([r.dim for r in regs if not r.is_classical], initial=1))
     w = np.zeros(tuple(len(r.alphabet) for r in cregs))
     conds = {}
-    for e in doc["entries"]:
-        if len(e["outcome"]) != len(cregs):
+    for e in _array(doc["entries"], "entries"):
+        if len(_array(e["outcome"], "outcome")) != len(cregs):
             raise BadShapeError(f"outcome {e['outcome']} does not name one "
                                 "symbol per classical register")
         idx = tuple(cregs[i].alphabet.index(o)

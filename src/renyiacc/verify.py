@@ -57,6 +57,7 @@ from .qcore import (
     rng_from,
     trace_distance,
 )
+from .qcore.serialize import _array
 from .qcore.states import _purification
 
 DEFAULT_ALPHAS = (1.1, 1.5, 2.0, 3.0)
@@ -519,11 +520,11 @@ def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
     sums within 1e-9.
     """
     _check_schema(doc, ATTACK_SCHEMA, "attack")
-    initial = np.asarray(doc["initial"], dtype=float)
-    kernels = doc["kernels"]
+    initial = np.asarray(_array(doc["initial"], "initial"), dtype=float)
+    kernels = _array(doc["kernels"], "kernels")
     if initial.ndim != 2:
         raise BadShapeError(f"initial has shape {initial.shape}, want (r, e)")
-    if not isinstance(kernels, list) or len(kernels) != 2:
+    if len(kernels) != 2:
         raise BadShapeError("an attack has exactly two kernels")
     r_dim = initial.shape[0]
     want = (r_dim, len(proto.settings), len(proto.outcomes), r_dim)

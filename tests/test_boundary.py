@@ -11,7 +11,8 @@ not a distribution. None of them may return a number for such an input.
 
 The input files are checked where they are read: every field that a schema
 in ``schemas/`` declares a whole number >= 1 is rejected by its loader with
-BadShapeError when it is fractional, 0 or a boolean.
+BadShapeError when it is fractional, 0 or a boolean, and every field that it
+declares an array is rejected when it is a string or a number.
 """
 
 import json
@@ -25,10 +26,13 @@ from renyiacc import entropy as ent
 from renyiacc.channel import (
     BOT,
     SamplingProtocol,
+    TwoQubitStrategy,
     protocol_from_dict,
     protocol_to_dict,
+    strategy_from_dict,
+    strategy_to_dict,
 )
-from renyiacc.cli import _setting_counts
+from renyiacc.cli import _bell_constraint, _constraint_set, _setting_counts
 from renyiacc.eatrate import (
     ConstraintSet,
     inner_inf_v,
@@ -52,6 +56,7 @@ from renyiacc.qcore import (
     state_from_dict,
 )
 from renyiacc.qcore.states import _purification
+from renyiacc.verify import attack_from_dict
 from qcore_reference import cq_to_dict
 
 PAULI_Z = np.diag([1.0, -1.0])
@@ -241,34 +246,41 @@ def test_state_with_trace_within_tolerance_is_read():
 
 
 # ---------------------------------------------------------------------------
-# whole-number fields of the input files, found in the schemas
+# whole-number and array fields of the input files, found in the schemas
 # ---------------------------------------------------------------------------
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
-def _whole_number_fields(node, field=None):
-    """Names of the ``{"type": "integer", "minimum": 1}`` nodes of a schema;
-    an array's items go by the array's name."""
+def _fields(node, want, field=None):
+    """Names of the nodes of a schema that ``want`` accepts; an array's
+    items go by the array's name."""
     if isinstance(node, list):
         for sub in node:
-            yield from _whole_number_fields(sub, field)
+            yield from _fields(sub, want, field)
     elif isinstance(node, dict):
-        if node.get("type") == "integer" and node.get("minimum") == 1:
+        if want(node):
             yield field
         for key, sub in node.items():
             if key == "properties":
                 for name, spec in sub.items():
-                    yield from _whole_number_fields(spec, name)
+                    yield from _fields(spec, want, name)
             else:
-                yield from _whole_number_fields(sub, field)
+                yield from _fields(sub, want, field)
 
 
-WHOLE_NUMBER_FIELDS = sorted(
-    (doc["$id"], field)
-    for doc in (json.loads(p.read_text())
-                for p in SCHEMAS.glob("*.schema.json"))
-    for field in _whole_number_fields(doc))
+def schema_fields(want):
+    """Sorted (schema id, field name) pairs of every schema file."""
+    return sorted({
+        (doc["$id"], field)
+        for doc in (json.loads(p.read_text())
+                    for p in SCHEMAS.glob("*.schema.json"))
+        for field in _fields(doc, want)})
+
+
+WHOLE_NUMBER_FIELDS = schema_fields(
+    lambda n: n.get("type") == "integer" and n.get("minimum") == 1)
+ARRAY_FIELDS = schema_fields(lambda n: n.get("type") == "array")
 
 
 def _load_state_dims(value):
@@ -319,3 +331,101 @@ def test_whole_number_field_rejects_other_values(schema, field, value):
     LOADERS[schema, field](None)  # the document loads as written
     with pytest.raises(BadShapeError, match="whole number"):
         LOADERS[schema, field](value)
+
+
+def _load_state_field(field):
+    def load(value):
+        doc = density_to_dict(DensityOperator(np.eye(4) / 4, (2, 2)))
+        if value is not None:
+            doc[field] = value
+        state_from_dict(doc)
+    return load
+
+
+def _load_cq_field(*path):
+    """Replace ``doc[path[0]][path[1]]...``: a register's alphabet and an
+    entry's outcome and matrix sit under the first register or entry."""
+    def load(value):
+        doc = cq_to_dict(CqState([creg("B", ("0", "1")), qreg("E", 2)],
+                                 [0.5, 0.5], None))
+        if value is not None:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        state_from_dict(doc)
+    return load
+
+
+def _load_protocol_field(field):
+    def load(value):
+        proto = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
+                                 {("0", "00"): "0", ("1", "00"): "1"})
+        doc = protocol_to_dict(proto)
+        if value is not None:
+            doc[field] = value
+        protocol_from_dict(doc)
+    return load
+
+
+def _load_omega(value):
+    rows = [{"coeffs": {"0": 1.0}, "min": 0.1}] if value is None else value
+    _constraint_set(rows, ("0", "1", BOT))
+
+
+def _load_correlators(value):
+    corr = [[1.0, 1.0], [1.0, -1.0]] if value is None else value
+    _bell_constraint({"bell": {"correlators": corr, "min": 2.0}})
+
+
+def _load_strategy_field(field):
+    def load(value):
+        doc = strategy_to_dict(TwoQubitStrategy.chsh_tsirelson())
+        if value is not None:
+            doc[field] = value
+        strategy_from_dict(doc)
+    return load
+
+
+def _load_attack_field(field):
+    def load(value):
+        proto = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
+                                 {("0", "00"): "0", ("1", "00"): "1"})
+        kernel = [[[[0.5], [0.5]]]]  # (memory, setting, outcome, memory)
+        doc = {"schema": "renyiacc/attack/v1", "initial": [[1.0]],
+               "kernels": [kernel, kernel]}
+        if value is not None:
+            doc[field] = value
+        attack_from_dict(doc, proto)
+    return load
+
+
+ARRAY_LOADERS = {
+    ("renyiacc/attack/v1", "initial"): _load_attack_field("initial"),
+    ("renyiacc/attack/v1", "kernels"): _load_attack_field("kernels"),
+    ("renyiacc/cqstate/v1", "registers"): _load_cq_field("registers"),
+    ("renyiacc/cqstate/v1", "alphabet"):
+        _load_cq_field("registers", 0, "alphabet"),
+    ("renyiacc/cqstate/v1", "entries"): _load_cq_field("entries"),
+    ("renyiacc/cqstate/v1", "outcome"): _load_cq_field("entries", 0, "outcome"),
+    ("renyiacc/cqstate/v1", "matrix"): _load_cq_field("entries", 0, "matrix"),
+    ("renyiacc/protocol/v1", "outcomes"): _load_protocol_field("outcomes"),
+    ("renyiacc/protocol/v1", "settings"): _load_protocol_field("settings"),
+    ("renyiacc/protocol/v1", "omega"): _load_omega,
+    ("renyiacc/protocol/v1", "correlators"): _load_correlators,
+    ("renyiacc/state/v1", "dims"): _load_state_field("dims"),
+    ("renyiacc/state/v1", "labels"): _load_state_field("labels"),
+    ("renyiacc/state/v1", "matrix"): _load_state_field("matrix"),
+    ("renyiacc/strategy/v1", "measA"): _load_strategy_field("measA"),
+    ("renyiacc/strategy/v1", "measB"): _load_strategy_field("measB"),
+}
+
+
+@pytest.mark.parametrize("value", ["AB", 4])
+@pytest.mark.parametrize("schema,field", ARRAY_FIELDS)
+def test_array_field_rejects_a_string_or_a_number(schema, field, value):
+    assert (schema, field) in ARRAY_LOADERS, \
+        f"no loader check is listed for {field!r} of {schema}"
+    ARRAY_LOADERS[schema, field](None)  # the document loads as written
+    with pytest.raises(BadShapeError):
+        ARRAY_LOADERS[schema, field](value)

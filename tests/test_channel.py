@@ -98,11 +98,11 @@ class TestCPMapFamily:
         maps = {}
         for b in ("0", "1"):
             ks = random_kraus_channel(2, 2, 2, rng)
-            maps[("0", b)] = KrausChannel((ks[0],), (2,), (2,), cp_only=True)
-            maps[("1", b)] = KrausChannel((ks[1],), (2,), (2,), cp_only=True)
+            maps[("0", b)] = KrausChannel((ks[0],), (2,), (2,))
+            maps[("1", b)] = KrausChannel((ks[1],), (2,), (2,))
         fam = CPMapFamily(maps, ("0", "1"), ("0", "1"))
         assert fam.validate() is fam
-        maps[("1", "1")] = KrausChannel((ks[1] / 2,), (2,), (2,), cp_only=True)
+        maps[("1", "1")] = KrausChannel((ks[1] / 2,), (2,), (2,))
         with pytest.raises(DimMismatchError, match="trace preserving"):
             fam.validate()
         proto = SamplingProtocol(gamma=0.4, outcomes=("0", "1"),
@@ -222,8 +222,7 @@ class TestBIndependence:
         for b in range(n_b):
             ks = random_kraus_channel(d_r, d_r, n_a, rng)
             for a in range(n_a):
-                maps[(str(a), str(b))] = KrausChannel((ks[a],), (d_r,), (d_r,),
-                                                      cp_only=True)
+                maps[(str(a), str(b))] = KrausChannel((ks[a],), (d_r,), (d_r,))
         return CPMapFamily(maps, tuple(str(a) for a in range(n_a)),
                            tuple(str(b) for b in range(n_b)))
 

@@ -260,6 +260,63 @@ class TestWholeNumberFields:
             assert f"d must be a whole number >= 1, got {d!r}" in err
 
 
+class TestArrayFields:
+    """A string or a number where a schema declares an array exits 2."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_dims_that_is_a_number_exits_2(self, capsys, tmp_path):
+        # TypeError: 'int' object is not iterable, exit 1
+        doc = density_to_dict(random_density((2, 2), 3))
+        doc["dims"] = 4
+        code, out, err = run(["entropy", "--state", self.write(tmp_path, doc),
+                              "--cond", "Q1"], capsys)
+        assert (code, out) == (2, "")
+        assert "dims must be an array, got 4" in err
+
+    def test_labels_that_are_a_string_exit_2(self, capsys, tmp_path):
+        # read as ("A", "B"): --cond B printed a number with exit 0
+        doc = density_to_dict(random_density((2, 2), 3))
+        doc["labels"] = "AB"
+        code, out, err = run(["entropy", "--state", self.write(tmp_path, doc),
+                              "--cond", "B"], capsys)
+        assert (code, out) == (2, "")
+        assert "labels must be an array, got 'AB'" in err
+
+    def test_cq_alphabet_that_is_a_string_exits_2(self, capsys, tmp_path):
+        # read as the alphabet ("0", "1")
+        doc = cq_to_dict(random_cq((2,), (2,), 5, names=["B"],
+                                   qnames=["E"]))
+        doc["registers"][0]["alphabet"] = "01"
+        code, out, err = run(["entropy", "--state", self.write(tmp_path, doc),
+                              "--cond", "B"], capsys)
+        assert (code, out) == (2, "")
+        assert "alphabet must be an array, got '01'" in err
+
+    def test_protocol_outcomes_that_are_a_string_exit_2(self, capsys,
+                                                        tmp_path):
+        # read as ("0", "1"): rate and simulate ran with exit 0
+        for code, out, err in rate_and_simulate(capsys, tmp_path,
+                                                outcomes="01"):
+            assert (code, out) == (2, "")
+            assert "outcomes must be an array, got '01'" in err
+
+    def test_protocol_settings_that_are_a_string_exit_2(self, capsys,
+                                                        tmp_path):
+        # read as ("0",): rate ran with exit 0
+        proto = SamplingProtocol(0.2, ("0", "1"), ("0",), [1.0], [1.0],
+                                 {("0", "0"): "0", ("1", "0"): "1"})
+        doc = protocol_to_dict(proto)
+        doc["settings"] = "0"
+        code, out, err = run(["rate", "--proto", self.write(tmp_path, doc),
+                              "--restarts", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "settings must be an array, got '0'" in err
+
+
 def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
     path = write_protocol(tmp_path)
     doc = json.loads(path.read_text())

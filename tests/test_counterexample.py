@@ -11,9 +11,11 @@ from renyiacc.counterexample import (
     ce_inf_term_analytic,
     ce_lhs,
     ce_report,
+    counterexample_channel_instance,
     joint_cq_state,
     joint_distribution,
 )
+from renyiacc.qcore import CqState, creg, qreg, random_density, rng_from
 
 ALPHA_SET = (1.1, 1.5, 2.0, 3.0, 5.0)
 
@@ -109,3 +111,65 @@ class TestReport:
             ce_report(1.0)
         with pytest.raises(ValueError):
             ce_lhs(0.5)
+
+
+def round_two_output(rho_re, d_e) -> CqState:
+    """Round two of the worked example on an input rho_RE, R a qubit: the
+    output on classical A2, B2 and quantum E, whose block at (a2, b2) is
+    p(b2) sum_r p(a2|r,b2) <r|rho_RE|r>."""
+    _, p_b2, kernel = counterexample_channel_instance()  # kernel[a2, r, b2]
+    t = np.asarray(rho_re).reshape(2, d_e, 2, d_e)
+    mem = np.stack([t[r, :, r, :] for r in range(2)])
+    blocks = np.einsum("b,arb,rij->abij", p_b2, kernel, mem)
+    w = np.einsum("abii->ab", blocks).real
+    conds = blocks / np.where(w > 0.0, w, 1.0)[:, :, None, None]
+    return CqState([creg("A2", (0, 1)), creg("B2", (0, 1)), qreg("E", d_e)],
+                   w, conds)
+
+
+def classical_copy(r, d_e):
+    """The input |r r><r r|: the memory r, and E holding a copy of it."""
+    v = np.zeros(2 * d_e)
+    v[r * d_e + r] = 1.0
+    return np.outer(v, v)
+
+
+class TestInfimumOracle:
+    """ce_inf_term takes round two's infimum over all inputs rho_RE from two
+    classical vertices. Seeded quantum inputs, pushed through the channel
+    and scored with the package's H_up, must never fall below it."""
+
+    ORDERS = (1.1, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def inputs():
+        rng = rng_from(2026)
+        for i in range(60):
+            d_e = 2 + i % 3
+            rank = None if i % 2 else 1  # pure (entangled) or full rank
+            yield d_e, random_density((2, d_e), rng, rank=rank).matrix
+
+    def scores(self, alpha):
+        return np.array([ent.h_up(round_two_output(rho, d_e), ["A2"], alpha)
+                         for d_e, rho in self.inputs()])
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_no_input_falls_below_the_vertex_infimum(self, alpha):
+        inf = ce_inf_term(alpha)
+        assert self.scores(alpha).min() >= inf - 1e-9
+        for r in (0, 1):
+            for d_e in (2, 3):
+                vertex = round_two_output(classical_copy(r, d_e), d_e)
+                assert abs(ent.h_up(vertex, ["A2"], alpha) - inf) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_oracle_rejects_a_wrong_reduction(self, alpha):
+        # the uniformly mixed memory scored without side information: the
+        # vertex input and the seeded inputs undercut it, so the check above
+        # fails on it
+        mixed = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
+        wrong = ent.h_up(round_two_output(mixed, 2), ["A2"], alpha)
+        vertex = ent.h_up(round_two_output(classical_copy(0, 2), 2), ["A2"],
+                          alpha)
+        assert vertex < wrong - 1e-9
+        assert self.scores(alpha).min() < wrong - 1e-9

@@ -335,6 +335,23 @@ class TestWarmStart:
             assert warm.kkt_residual[on].max() <= 1e-9
             assert np.isinf(warm.value[~on]).all()
 
+    @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0, 3.0))
+    def test_far_start_does_not_end_uncertified(self, alpha, monkeypatch):
+        # at alpha = 1.1 and h = 0, from 1000x the optimum v_lam put all its
+        # mass on symbol 1: the max-mass multiplier had zero variance and
+        # left the free set, so its step was 0 and the row ended "feasible"
+        # at 23.219 (cold: 1.5098) with a KKT residual of 8.5e3
+        monkeypatch.setattr(eatrate, "_WARM_RES", math.inf)  # no cold redo
+        h = np.linspace(0.0, 1.5, 16)
+        p = np.tile([0.0, 0.2, 0.8], (len(h), 1))
+        cold = inner_inf_v_batch(p, h, self.CS, alpha)
+        assert cold.feasible.all() and cold.kkt_residual.max() <= 1e-9
+        for scale in (10, 100, 1000):
+            warm = _inner_solve(p, h, self.CS, alpha, scale * cold.lam)
+            assert warm.feasible.all()
+            assert np.abs(warm.value - cold.value).max() <= 1e-12
+            assert warm.kkt_residual.max() <= 1e-9
+
 
 
 # ``renyiacc rate`` on the README protocol: h_alpha of
