@@ -185,7 +185,7 @@ _RIDGE = 1e-13     # relative ridge on the Newton pivots (repeated rows)
 _FLAT = 1e-290     # a variance at or below this is zero
 _TILT_MAX = 1e4    # bits of tilt past which no double ratio changes
 _WARM_RES = 1e-9   # a warm-started row certified worse than this is redone
-_KKT_GATE = 1e-9   # a row whose complementarity breaks this may not end
+_KKT_GATE = 1e-9   # complementarity above this keeps a row from ending
 
 
 def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
@@ -209,11 +209,10 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
     under v_lam and a positive gradient can never be met, nor can one whose
     multiplier grows past any representable tilt, nor one still violated by
     more than 1e-7 at the end: such a row leaves the batch and is marked in
-    ``feasible``, and its value is +inf. A positive multiplier with zero
-    variance and a negative gradient has no Newton step; when its
-    complementarity exceeds 1e-9 and the row has no other step left, it
-    moves toward 0 instead of ending the row. The fields of the result
-    carry the batch axis.
+    ``feasible``, and its value is +inf. A row that would end while a
+    multiplier's complementarity exceeds 1e-9 first moves each such
+    multiplier toward 0 under one more search, and ends only if that finds
+    no ascent. The fields of the result carry the batch axis.
     """
     return _inner_solve(p_c, h_gen, cset, alpha, None)
 
@@ -223,10 +222,9 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     """``inner_inf_v_batch`` with the multipliers started at ``lam0``, shape
     (n, k), unchecked, or at zero when it is None. The optimum does not
     depend on the start, but a warm result matches the cold one only to the
-    solver's tolerance. A start far from the optimum can leave a multiplier
-    with zero variance, which the step above moves; a warm row that still
-    ends infeasible or with a KKT residual above 1e-9 is solved again from
-    zero."""
+    solver's tolerance. A start far from the optimum is what needs that
+    step toward 0; a warm row that still ends infeasible or with a KKT
+    residual above 1e-9 is solved again from zero."""
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     h = np.asarray(h_gen, dtype=float)
@@ -255,6 +253,29 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
         v = w / z[:, None]
         dual = lam_rows @ t - (m[:, 0] + np.log2(z)) / beta
         return v, dual, t - v @ g.T
+
+    def search(pw, ew, lw, vw, dw, gw, step, tiny, noise):
+        """Projected Armijo backtracking from the rows (lw, vw, dw, gw)
+        along ``step``: the rows still searching share one step length, and
+        a ``tiny`` row takes its step whole. Returns the new rows and the
+        mask of rows that found no ascent."""
+        length, todo = 1.0, True
+        for _ in range(_BACKTRACKS):
+            trial = np.maximum(lw + length * step, 0.0)
+            v_t, d_t, g_t = tilt(pw, ew, trial)
+            rise = _ARMIJO * (gw * (trial - lw)).sum(axis=1)
+            ok = todo & (tiny | (d_t - dw >= rise - noise))
+            if ok.all():  # every row takes its step
+                return trial, v_t, d_t, g_t, ~ok
+            lw = np.where(ok[:, None], trial, lw)
+            vw = np.where(ok[:, None], v_t, vw)
+            dw = np.where(ok, d_t, dw)
+            gw = np.where(ok[:, None], g_t, gw)
+            todo &= ~ok
+            if not todo.any():
+                break
+            length *= 0.5
+        return lw, vw, dw, gw, todo
 
     lam = np.zeros((n, k)) if lam0 is None else np.array(lam0, dtype=float)
     v, dual, grad = tilt(p, expo0, lam)
@@ -289,42 +310,27 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
         pg = np.where(free, pg, 0.0)
         step = (pg / hess[:, 0] if k == 1
                 else np.linalg.solve(hess, pg[:, :, None])[:, :, 0])
-        # projected Armijo backtracking: the rows still searching share one
-        # step length; a step at rounding level is taken whole and ends the row
         tiny = np.abs(step).max(axis=1) <= 1e-13 * (1.0 + lw.max(axis=1))
-        if flat.any():
-            # a multiplier with no curvature has no Newton step; where the
-            # row has none left either and the multiplier's complementarity
-            # alone breaks the KKT gate, lowering it still raises the dual:
-            # it heads for 0, and the Armijo search below cuts the move
-            slide = flat & (lw * gw < -_KKT_GATE) & tiny[:, None]
-            step = np.where(slide, -lw, step)
-            tiny &= ~slide.any(axis=1)
         noise = 1e-15 * (1.0 + np.abs(dw) + np.abs(lw @ t))
-        length, todo = 1.0, True
-        for _ in range(_BACKTRACKS):
-            trial = np.maximum(lw + length * step, 0.0)
-            v_t, d_t, g_t = tilt(pw, ew, trial)
-            rise = _ARMIJO * (gw * (trial - lw)).sum(axis=1)
-            ok = todo & (tiny | (d_t - dw >= rise - noise))
-            if ok.all():  # every row takes its step
-                lw, vw, dw, gw, todo = trial, v_t, d_t, g_t, ~ok
-                break
-            lw = np.where(ok[:, None], trial, lw)
-            vw = np.where(ok[:, None], v_t, vw)
-            dw = np.where(ok, d_t, dw)
-            gw = np.where(ok[:, None], g_t, gw)
-            todo &= ~ok
-            if not todo.any():
-                break
-            length *= 0.5
+        lw, vw, dw, gw, todo = search(pw, ew, lw, vw, dw, gw, step, tiny,
+                                      noise)
+        # a step at rounding level, or one that found no ascent, ends the row
+        done = tiny | todo
+        if done.any():
+            # unless a multiplier's complementarity alone breaks the KKT gate
+            # (zero variance gives it no Newton step, a near-singular Hessian
+            # one that no halving can use): lowering it still raises the
+            # dual, so it heads for 0 under one more search
+            slip = np.where(done[:, None] & (lw * gw < -_KKT_GATE), -lw, 0.0)
+            on = slip.any(axis=1)
+            if on.any():
+                lw, vw, dw, gw, todo = search(pw, ew, lw, vw, dw, gw, slip,
+                                              ~on, noise)
+                done = np.where(on, todo, done)
         if lw.max(initial=0.0) > lam_max:
             unbounded = lw.max(axis=1) > lam_max
             stuck = unbounded if stuck is None else stuck | unbounded
-        # a step at rounding level, or one that found no ascent, ends the row,
-        # as does a row that cannot be met
-        done = tiny | todo
-        if stuck is not None:
+        if stuck is not None:  # a row that cannot be met ends too
             stuck_rows.append(rows[stuck])
             done |= stuck
     lam[rows], v[rows], dual[rows], grad[rows] = lw, vw, dw, gw

@@ -319,8 +319,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("alpha", (1.5, 2.0, 3.0))
     def test_start_does_not_move_the_solution(self, alpha):
         # from 100x the optimum the Newton steps stall on the last row, whose
-        # two constraints are collinear on its support: it is solved again
-        # cold, where a stalled row read a primal feasible, wrong value
+        # two constraints are collinear on its support: a stalled row read a
+        # primal feasible, wrong value (see the test below)
         cold = inner_inf_v_batch(self.P, self.H, self.CS, alpha)
         assert cold.feasible.tolist() == [True, True, False, True]
         assert (cold.lam[0] > 0).all() and (cold.lam[1] == 0).all()
@@ -351,6 +351,17 @@ class TestWarmStart:
             assert warm.feasible.all()
             assert np.abs(warm.value - cold.value).max() <= 1e-12
             assert warm.kkt_residual.max() <= 1e-9
+        # the last row of P from 100x the largest optimum: its Hessian is
+        # near singular, every halving of the step projected to one trial
+        # point, and the row ended at KKT residual 73-382 (alpha 3-1.5)
+        cold = inner_inf_v_batch(self.P, self.H, self.CS, alpha)
+        lam0 = np.broadcast_to(100 * cold.lam[cold.feasible].max(axis=0),
+                               cold.lam.shape)
+        warm = _inner_solve(self.P, self.H, self.CS, alpha, lam0)
+        on = cold.feasible
+        assert warm.feasible.tolist() == on.tolist()
+        assert np.abs(warm.value[on] - cold.value[on]).max() <= 1e-12
+        assert warm.kkt_residual[on].max() <= 1e-9
 
 
 
