@@ -283,43 +283,71 @@ WHOLE_NUMBER_FIELDS = schema_fields(
 ARRAY_FIELDS = schema_fields(lambda n: n.get("type") == "array")
 
 
-def _load_state_dims(value):
-    doc = density_to_dict(DensityOperator(np.eye(4) / 4, (2, 2)))
-    if value is not None:
-        doc["dims"][0] = value
-    state_from_dict(doc)
+ONE_SETTING = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
+                               {("0", "00"): "0", ("1", "00"): "1"})
 
 
-def _load_cq_dim(value):
-    doc = cq_to_dict(CqState([creg("B", ("0", "1")), qreg("E", 2)],
-                             [0.5, 0.5], None))
-    if value is not None:
-        doc["registers"][1]["dim"] = value
-    state_from_dict(doc)
+def _attack_doc():
+    kernel = [[[[0.5], [0.5]]]]  # (memory, setting, outcome, memory)
+    return {"schema": "renyiacc/attack/v1", "initial": [[1.0]],
+            "kernels": [kernel, kernel]}
 
 
-def _load_protocol_d(value):
-    proto = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
-                             {("0", "00"): "0", ("1", "00"): "1"})
-    doc = protocol_to_dict(proto)
-    if value is not None:
-        doc["d"] = value
-    protocol_from_dict(doc)
+def _check(make_doc, load, *path):
+    """A loader check of one field: ``value`` replaces the node of
+    ``make_doc()`` at ``path`` (None keeps the document as written), and
+    ``load`` reads the result."""
+    def check(value):
+        doc = make_doc()
+        if value is not None:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        load(doc)
+    return check
 
 
-def _load_setting_count(key):
-    def load(value):
-        doc = {} if value is None else {key: value}
-        _setting_counts(doc, ("00", "11"), bob=True)
-    return load
+def _state(*path):
+    return _check(lambda: density_to_dict(
+        DensityOperator(np.eye(4) / 4, (2, 2))), state_from_dict, *path)
+
+
+def _cq(*path):
+    # a register's and an entry's fields sit under the first one, the
+    # quantum register's dim under the second
+    return _check(lambda: cq_to_dict(
+        CqState([creg("B", ("0", "1")), qreg("E", 2)], [0.5, 0.5], None)),
+        state_from_dict, *path)
+
+
+def _protocol(*path):
+    return _check(lambda: protocol_to_dict(ONE_SETTING), protocol_from_dict,
+                  *path)
+
+
+def _setting_count(key):
+    # an empty protocol document reads nA = nB = 2
+    return _check(dict, lambda doc: _setting_counts(doc, ("00", "11"),
+                                                    bob=True), key)
+
+
+def _strategy(*path):
+    return _check(lambda: strategy_to_dict(TwoQubitStrategy.chsh_tsirelson()),
+                  strategy_from_dict, *path)
+
+
+def _attack(*path):
+    return _check(_attack_doc, lambda doc: attack_from_dict(doc, ONE_SETTING),
+                  *path)
 
 
 LOADERS = {
-    ("renyiacc/state/v1", "dims"): _load_state_dims,
-    ("renyiacc/cqstate/v1", "dim"): _load_cq_dim,
-    ("renyiacc/protocol/v1", "d"): _load_protocol_d,
-    ("renyiacc/protocol/v1", "nA"): _load_setting_count("nA"),
-    ("renyiacc/protocol/v1", "nB"): _load_setting_count("nB"),
+    ("renyiacc/state/v1", "dims"): _state("dims", 0),
+    ("renyiacc/cqstate/v1", "dim"): _cq("registers", 1, "dim"),
+    ("renyiacc/protocol/v1", "d"): _protocol("d"),
+    ("renyiacc/protocol/v1", "nA"): _setting_count("nA"),
+    ("renyiacc/protocol/v1", "nB"): _setting_count("nB"),
 }
 
 
@@ -333,91 +361,29 @@ def test_whole_number_field_rejects_other_values(schema, field, value):
         LOADERS[schema, field](value)
 
 
-def _load_state_field(field):
-    def load(value):
-        doc = density_to_dict(DensityOperator(np.eye(4) / 4, (2, 2)))
-        if value is not None:
-            doc[field] = value
-        state_from_dict(doc)
-    return load
-
-
-def _load_cq_field(*path):
-    """Replace ``doc[path[0]][path[1]]...``: a register's alphabet and an
-    entry's outcome and matrix sit under the first register or entry."""
-    def load(value):
-        doc = cq_to_dict(CqState([creg("B", ("0", "1")), qreg("E", 2)],
-                                 [0.5, 0.5], None))
-        if value is not None:
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-        state_from_dict(doc)
-    return load
-
-
-def _load_protocol_field(field):
-    def load(value):
-        proto = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
-                                 {("0", "00"): "0", ("1", "00"): "1"})
-        doc = protocol_to_dict(proto)
-        if value is not None:
-            doc[field] = value
-        protocol_from_dict(doc)
-    return load
-
-
-def _load_omega(value):
-    rows = [{"coeffs": {"0": 1.0}, "min": 0.1}] if value is None else value
-    _constraint_set(rows, ("0", "1", BOT))
-
-
-def _load_correlators(value):
-    corr = [[1.0, 1.0], [1.0, -1.0]] if value is None else value
-    _bell_constraint({"bell": {"correlators": corr, "min": 2.0}})
-
-
-def _load_strategy_field(field):
-    def load(value):
-        doc = strategy_to_dict(TwoQubitStrategy.chsh_tsirelson())
-        if value is not None:
-            doc[field] = value
-        strategy_from_dict(doc)
-    return load
-
-
-def _load_attack_field(field):
-    def load(value):
-        proto = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
-                                 {("0", "00"): "0", ("1", "00"): "1"})
-        kernel = [[[[0.5], [0.5]]]]  # (memory, setting, outcome, memory)
-        doc = {"schema": "renyiacc/attack/v1", "initial": [[1.0]],
-               "kernels": [kernel, kernel]}
-        if value is not None:
-            doc[field] = value
-        attack_from_dict(doc, proto)
-    return load
-
-
 ARRAY_LOADERS = {
-    ("renyiacc/attack/v1", "initial"): _load_attack_field("initial"),
-    ("renyiacc/attack/v1", "kernels"): _load_attack_field("kernels"),
-    ("renyiacc/cqstate/v1", "registers"): _load_cq_field("registers"),
-    ("renyiacc/cqstate/v1", "alphabet"):
-        _load_cq_field("registers", 0, "alphabet"),
-    ("renyiacc/cqstate/v1", "entries"): _load_cq_field("entries"),
-    ("renyiacc/cqstate/v1", "outcome"): _load_cq_field("entries", 0, "outcome"),
-    ("renyiacc/cqstate/v1", "matrix"): _load_cq_field("entries", 0, "matrix"),
-    ("renyiacc/protocol/v1", "outcomes"): _load_protocol_field("outcomes"),
-    ("renyiacc/protocol/v1", "settings"): _load_protocol_field("settings"),
-    ("renyiacc/protocol/v1", "omega"): _load_omega,
-    ("renyiacc/protocol/v1", "correlators"): _load_correlators,
-    ("renyiacc/state/v1", "dims"): _load_state_field("dims"),
-    ("renyiacc/state/v1", "labels"): _load_state_field("labels"),
-    ("renyiacc/state/v1", "matrix"): _load_state_field("matrix"),
-    ("renyiacc/strategy/v1", "measA"): _load_strategy_field("measA"),
-    ("renyiacc/strategy/v1", "measB"): _load_strategy_field("measB"),
+    ("renyiacc/attack/v1", "initial"): _attack("initial"),
+    ("renyiacc/attack/v1", "kernels"): _attack("kernels"),
+    ("renyiacc/cqstate/v1", "registers"): _cq("registers"),
+    ("renyiacc/cqstate/v1", "alphabet"): _cq("registers", 0, "alphabet"),
+    ("renyiacc/cqstate/v1", "entries"): _cq("entries"),
+    ("renyiacc/cqstate/v1", "outcome"): _cq("entries", 0, "outcome"),
+    ("renyiacc/cqstate/v1", "matrix"): _cq("entries", 0, "matrix"),
+    ("renyiacc/protocol/v1", "outcomes"): _protocol("outcomes"),
+    ("renyiacc/protocol/v1", "settings"): _protocol("settings"),
+    ("renyiacc/protocol/v1", "omega"): _check(
+        lambda: {"omega": [{"coeffs": {"0": 1.0}, "min": 0.1}]},
+        lambda doc: _constraint_set(doc["omega"], ONE_SETTING.c_alphabet),
+        "omega"),
+    ("renyiacc/protocol/v1", "correlators"): _check(
+        lambda: {"bell": {"correlators": [[1.0, 1.0], [1.0, -1.0]],
+                          "min": 2.0}},
+        _bell_constraint, "bell", "correlators"),
+    ("renyiacc/state/v1", "dims"): _state("dims"),
+    ("renyiacc/state/v1", "labels"): _state("labels"),
+    ("renyiacc/state/v1", "matrix"): _state("matrix"),
+    ("renyiacc/strategy/v1", "measA"): _strategy("measA"),
+    ("renyiacc/strategy/v1", "measB"): _strategy("measB"),
 }
 
 
