@@ -38,7 +38,13 @@ from .qcore import (
     trace_distance,
 )
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
-from .qcore.serialize import _array, _whole_number
+from .qcore.serialize import (
+    _array,
+    _number,
+    _numbers,
+    _object,
+    _whole_number,
+)
 from .qcore.states import _purification
 
 BOT = "⊥"
@@ -696,21 +702,24 @@ def protocol_from_dict(doc: dict) -> SamplingProtocol:
     _check_schema(doc, PROTOCOL_SCHEMA, "protocol")
     outcomes = tuple(_array(doc["outcomes"], "outcomes"))
     settings = tuple(_array(doc["settings"], "settings"))
+    laws = {}
     for name in ("pGen", "pTest"):
-        unknown = sorted(set(doc[name]) - {str(b) for b in settings})
+        law = _object(doc[name], name)
+        unknown = sorted(set(law) - {str(b) for b in settings})
         if unknown:
             raise AlphabetMismatchError(f"{name} keys {unknown} are not settings")
-    p_gen = np.array([float(doc["pGen"].get(str(b), 0.0)) for b in settings])
-    p_test = np.array([float(doc["pTest"].get(str(b), 0.0)) for b in settings])
+        laws[name] = np.array([_number(law.get(str(b), 0.0), f"{name} value")
+                               for b in settings])
     score = {}
-    for key, v in doc["score"].items():
+    for key, v in _object(doc["score"], "score").items():
         a, b = key.split("|", 1)
         if a not in outcomes or b not in settings:
             raise AlphabetMismatchError(f"score key {key!r} is not an "
                                         "outcome|setting pair")
         score[(a, b)] = v
-    return SamplingProtocol(gamma=float(doc["gamma"]), outcomes=outcomes,
-                            settings=settings, p_gen=p_gen, p_test=p_test,
+    return SamplingProtocol(gamma=_number(doc["gamma"], "gamma"),
+                            outcomes=outcomes, settings=settings,
+                            p_gen=laws["pGen"], p_test=laws["pTest"],
                             score=score, d=_whole_number(doc.get("d", 1), "d"))
 
 
@@ -724,8 +733,8 @@ def _angle_pairs(entries, key: str) -> tuple:
     """A strategy document's Bloch angles, one (theta, phi) pair of finite
     numbers per setting; BadShapeError otherwise."""
     try:
-        m = np.array(entries, dtype=float)
-    except (TypeError, ValueError):
+        m = _numbers(entries, key)
+    except BadShapeError:
         m = None
     if m is None or m.ndim != 2 or m.shape[1] != 2 or not np.isfinite(m).all():
         raise BadShapeError(f"{key} entries must be pairs of finite numbers "
@@ -738,7 +747,8 @@ def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
     meas_a = _angle_pairs(doc["measA"], "measA")
     meas_b = _angle_pairs(doc["measB"], "measB")
     if "schmidt" in doc:
-        return TwoQubitStrategy.from_schmidt(float(doc["schmidt"]),
+        return TwoQubitStrategy.from_schmidt(_number(doc["schmidt"],
+                                                     "schmidt"),
                                              meas_a, meas_b)
     return TwoQubitStrategy(density_from_dict(doc["state"]).validate(), meas_a,
                             meas_b)

@@ -38,7 +38,7 @@ from .errors import (
     RenyiaccError,
 )
 from .qcore import load_state
-from .qcore.serialize import _array, _whole_number
+from .qcore.serialize import _array, _numbers, _whole_number
 from .verify import (
     ALL_CHECKS,
     SuiteConfig,
@@ -236,11 +236,7 @@ def _bell_constraint(doc):
                             f"a finite min, got {spec!r}")
     if "name" in spec:
         return BellFunctional.by_name(spec["name"]), float(spec["min"])
-    try:
-        corr = np.asarray(_array(spec["correlators"], "bell correlators"),
-                          dtype=float)
-    except TypeError as exc:
-        raise BadShapeError(f"bell correlators: {exc}") from None
+    corr = _numbers(spec["correlators"], "bell correlators")
     return BellFunctional(corr, "custom"), float(spec["min"])
 
 

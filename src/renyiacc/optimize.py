@@ -87,12 +87,12 @@ def _nelder_mead_steps(x0, scale: float, tol: float, max_iter: int):
     return pts[best], vals[best], evals
 
 
-def nelder_mead(f, x0, scale: float = 0.25, tol: float = 1e-10,
-                max_iter: int = 2000):
+def nelder_mead(f, x0, scale: float = 0.25, max_iter: int = 2000):
     """Plain Nelder-Mead minimization: ``nelder_mead_batch`` from one start,
-    scoring each point with ``f``; returns (x_best, f_best, evals)."""
+    scoring each point with ``f``, at tolerance 1e-10; returns (x_best,
+    f_best, evals)."""
     [(x, val, evals)] = nelder_mead_batch(lambda pts: [f(p) for p in pts],
-                                          [x0], scale, tol, max_iter)
+                                          [x0], scale, 1e-10, max_iter)
     return x, float(val), evals
 
 

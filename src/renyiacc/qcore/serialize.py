@@ -17,8 +17,10 @@ outcome tuple, one symbol per classical register, one entry per outcome::
 Files written by older versions leave out outcomes of zero weight; a missing
 entry is read as weight 0 with the maximally mixed placeholder block. Both
 schemas are validated at load (Hermitian, PSD, normalized), and so are their
-whole-number fields (``dims``, ``dim``) and their array fields, which may not
-be a string or a number.
+whole-number fields (``dims``, ``dim``), their number fields (``weight`` and
+the matrix entries), which may not be a string or a boolean, their array
+fields, which may not be a string or a number, and the registers and entries,
+which must be objects.
 """
 
 from __future__ import annotations
@@ -53,6 +55,39 @@ def _array(x, what: str):
     return x
 
 
+def _object(x, what: str) -> dict:
+    """A JSON field the schemas declare an object: a dict; BadShapeError
+    otherwise."""
+    if not isinstance(x, dict):
+        raise BadShapeError(f"{what} must be an object, got {x!r}")
+    return x
+
+
+def _number(x, what: str) -> float:
+    """A JSON field the schemas declare a number: an int or a float, never
+    a string read as its value or a boolean; BadShapeError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise BadShapeError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def _numbers(x, what: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array: each
+    item must pass ``_number`` and the nesting must be rectangular;
+    BadShapeError otherwise."""
+    def walk(node):
+        if isinstance(node, (list, tuple)):
+            for sub in node:
+                walk(sub)
+        else:
+            _number(node, f"{what} item")
+    walk(_array(x, what))
+    try:
+        return np.asarray(x, dtype=float)
+    except ValueError:
+        raise BadShapeError(f"{what} is not a rectangular array") from None
+
+
 def matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(x.real), float(x.imag)] for x in a]
@@ -60,7 +95,7 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(pairs, d: int) -> np.ndarray:
     """A ``(d, d)`` matrix from row-major pairs."""
-    a = np.asarray(_array(pairs, "matrix"), dtype=float)
+    a = _numbers(pairs, "matrix")
     if a.shape != (d * d, 2):
         raise BadShapeError(f"matrix payload has shape {a.shape}, "
                             f"want ({d * d}, 2)")
@@ -87,6 +122,7 @@ def density_from_dict(doc: dict) -> DensityOperator:
 def cq_from_dict(doc: dict) -> CqState:
     regs = []
     for r in _array(doc["registers"], "registers"):
+        r = _object(r, "register")
         if r["kind"] == "classical":
             regs.append(creg(r["name"], tuple(_array(r["alphabet"], "alphabet"))))
         elif r["kind"] == "quantum":
@@ -98,6 +134,7 @@ def cq_from_dict(doc: dict) -> CqState:
     w = np.zeros(tuple(len(r.alphabet) for r in cregs))
     conds = {}
     for e in _array(doc["entries"], "entries"):
+        e = _object(e, "entry")
         if len(_array(e["outcome"], "outcome")) != len(cregs):
             raise BadShapeError(f"outcome {e['outcome']} does not name one "
                                 "symbol per classical register")
@@ -105,7 +142,7 @@ def cq_from_dict(doc: dict) -> CqState:
                     for i, o in enumerate(e["outcome"]))
         if idx in conds:
             raise BadShapeError(f"outcome {e['outcome']} appears twice")
-        w[idx] = float(e["weight"])
+        w[idx] = _number(e["weight"], "weight")
         conds[idx] = matrix_from_json(e["matrix"], qdim)
     return CqState(regs, w, conds)
 

@@ -31,7 +31,7 @@ from .eatrate import (
     _check_score_alphabet,
     _softmax,
     finite_size_bound,
-    inner_inf_v,
+    inner_inf_v,  # not called here; bench/test_bench.py checks this binding
     inner_inf_v_batch,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     EmptyEventError,
     InfeasibleError,
 )
-from .optimize import concave_simplex_max, nelder_mead, simplex_grid
+from .optimize import concave_simplex_max, nelder_mead_batch, simplex_grid
 from .qcore import (
     CqState,
     DensityOperator,
@@ -57,7 +57,7 @@ from .qcore import (
     rng_from,
     trace_distance,
 )
-from .qcore.serialize import _array
+from .qcore.serialize import _array, _numbers
 from .qcore.states import _purification
 
 DEFAULT_ALPHAS = (1.1, 1.5, 2.0, 3.0)
@@ -520,7 +520,7 @@ def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
     sums within 1e-9.
     """
     _check_schema(doc, ATTACK_SCHEMA, "attack")
-    initial = np.asarray(_array(doc["initial"], "initial"), dtype=float)
+    initial = _numbers(doc["initial"], "initial")
     kernels = _array(doc["kernels"], "kernels")
     if initial.ndim != 2:
         raise BadShapeError(f"initial has shape {initial.shape}, want (r, e)")
@@ -528,7 +528,7 @@ def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
         raise BadShapeError("an attack has exactly two kernels")
     r_dim = initial.shape[0]
     want = (r_dim, len(proto.settings), len(proto.outcomes), r_dim)
-    kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
+    kernels = tuple(_numbers(k, f"kernel {i}") for i, k in enumerate(kernels))
     for i, k in enumerate(kernels):
         if k.shape != want:
             raise BadShapeError(f"kernel {i} has shape {k.shape}, want "
@@ -578,48 +578,56 @@ class TwoRoundResult:
         return self.lhs_exact - self.bound
 
 
-def _round_rate_min(proto: SamplingProtocol, k_marg: np.ndarray,
+def _round_rate_min(proto: SamplingProtocol, kernels,
                     cset: ConstraintSet, alpha: float) -> float:
-    """min over memory distributions q of the certified single-round objective.
+    """min over the kernels k[r, b, a] and memory distributions q of the
+    certified single-round objective.
 
     The channel pinches its classical memory and data processing lets the
     side-information copy be classical, so the infimum over input states
-    reduces to distributions q on the memory alphabet; a grid plus simplex
-    polish finds the minimum of the resulting smooth low-dimensional
-    function.
+    reduces to distributions q on the memory alphabet, which every kernel
+    shares. One grid over q, then one simplex polish per kernel from its
+    best grid point, finds the minimum of each resulting smooth
+    low-dimensional function. The grid is one batched dual solve and so is
+    each tick of the polishes, which run in lockstep; the rows of a batch
+    are solved independently, so each simplex takes the steps it would take
+    alone.
     """
-    r_dim = k_marg.shape[0]
+    r_dim = kernels[0].shape[0]
     # p_C is affine in q: the score law of each memory state, mixed by q
-    p_c_mem = proto.score_law(np.swapaxes(k_marg, 1, 2))
-    s_tab = (k_marg ** alpha).sum(axis=2)  # s[r, b]
+    p_c_mem = [proto.score_law(np.swapaxes(k, 1, 2)) for k in kernels]
+    s_tab = [(k ** alpha).sum(axis=2) for k in kernels]  # s[r, b]
     gen_on = proto.p_gen > 0.0
 
-    def score_law(qs):
-        """p_C and the clamped generation entropy for each row of qs."""
-        inner = qs @ s_tab  # per-b sum_a p(a|q,b)^alpha
+    def values(qs, key):
+        """The objective at each row of qs, under kernel ``key[i]``."""
+        inner = np.empty((len(qs), len(proto.p_gen)))
+        p_c = np.empty((len(qs), len(proto.c_alphabet)))
+        for k in np.unique(key):
+            on = key == k
+            inner[on] = qs[on] @ s_tab[k]  # per-b sum_a p(a|q,b)^alpha
+            p_c[on] = qs[on] @ p_c_mem[k]
         mix = (proto.p_gen[gen_on]
                * inner[:, gen_on] ** (1.0 / alpha)).sum(axis=1)
         h_gen = (alpha / (1.0 - alpha)) * np.log2(mix)
-        return qs @ p_c_mem, np.maximum(h_gen, 0.0)
-
-    def value(q):
-        p_c, h_gen = score_law(q[None, :])
-        return inner_inf_v(p_c[0], h_gen[0], cset, alpha).value
+        sol = inner_inf_v_batch(p_c, np.maximum(h_gen, 0.0), cset, alpha)
+        if not sol.feasible.all():
+            raise InfeasibleError("constraint set unreachable for some memory "
+                                  "state of the attack")
+        return sol.value
 
     res = {2: 48, 3: 20, 4: 12}.get(r_dim, 10)
     grid = simplex_grid(r_dim, res)
-    sol = inner_inf_v_batch(*score_law(grid), cset, alpha)
-    if not sol.feasible.all():
-        raise InfeasibleError("constraint set unreachable for some memory "
-                              "state of the attack")
-    vals = sol.value
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
+    vals = values(np.tile(grid, (len(kernels), 1)),
+                  np.repeat(np.arange(len(kernels)), len(grid))
+                  ).reshape(len(kernels), -1)
+    best_val = float(vals.min())
     if r_dim > 1:
-        x0 = np.log(np.maximum(grid[best], 1e-6))
-        x, val, _ = nelder_mead(lambda x: value(_softmax(x)), x0,
-                                scale=0.25, tol=1e-13, max_iter=600)
-        best_val = min(best_val, val)
+        x0s = np.log(np.maximum(grid[vals.argmin(axis=1)], 1e-6))
+        runs = nelder_mead_batch(lambda xs, key: values(_softmax(xs), key),
+                                 x0s, scale=0.25, tol=1e-13, max_iter=600,
+                                 keyed=True)
+        best_val = min(best_val, *(float(val) for _, val, _ in runs))
     return best_val
 
 
@@ -660,8 +668,7 @@ def simulate_two_rounds(proto: SamplingProtocol, attack: ClassicalAttack,
     # H_up(A^2 C^2 | B^2 E): condition on (e, t1, b1, t2, b2); c is a
     # function of (t, b, a), so A is (a1, a2)
     lhs = _classical_h(cond, (3, 6), (0, 1, 2, 4, 5), alpha, "up")
-    h_alpha = min(_round_rate_min(proto, km, cset, alpha)
-                  for km in attack.marginal_kernels())
+    h_alpha = _round_rate_min(proto, attack.marginal_kernels(), cset, alpha)
     bound = finite_size_bound(2, h_alpha, p_omega, alpha)
     return TwoRoundResult(lhs_exact=lhs, bound=bound, h_alpha=h_alpha,
                           p_omega=p_omega)

@@ -11,8 +11,10 @@ not a distribution. None of them may return a number for such an input.
 
 The input files are checked where they are read: every field that a schema
 in ``schemas/`` declares a whole number >= 1 is rejected by its loader with
-BadShapeError when it is fractional, 0 or a boolean, and every field that it
-declares an array is rejected when it is a string or a number.
+BadShapeError when it is fractional, 0 or a boolean, every field that it
+declares a number when it is a string or a boolean, every field that it
+declares an array when it is a string or a number, and every field or item
+that it declares an object when it is a string or a number.
 """
 
 import json
@@ -270,17 +272,20 @@ def _fields(node, want, field=None):
 
 
 def schema_fields(want):
-    """Sorted (schema id, field name) pairs of every schema file."""
+    """Sorted (schema id, field name) pairs of every schema file; the
+    document itself has no field name and is left out."""
     return sorted({
         (doc["$id"], field)
         for doc in (json.loads(p.read_text())
                     for p in SCHEMAS.glob("*.schema.json"))
-        for field in _fields(doc, want)})
+        for field in _fields(doc, want) if field is not None})
 
 
 WHOLE_NUMBER_FIELDS = schema_fields(
     lambda n: n.get("type") == "integer" and n.get("minimum") == 1)
+NUMBER_FIELDS = schema_fields(lambda n: n.get("type") == "number")
 ARRAY_FIELDS = schema_fields(lambda n: n.get("type") == "array")
+OBJECT_FIELDS = schema_fields(lambda n: n.get("type") == "object")
 
 
 ONE_SETTING = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
@@ -337,9 +342,30 @@ def _strategy(*path):
                   strategy_from_dict, *path)
 
 
+def _schmidt_strategy(*path):
+    def doc():
+        return {**strategy_to_dict(TwoQubitStrategy.chsh_tsirelson()),
+                "schmidt": 0.5}
+    return _check(doc, strategy_from_dict, *path)
+
+
 def _attack(*path):
     return _check(_attack_doc, lambda doc: attack_from_dict(doc, ONE_SETTING),
                   *path)
+
+
+def _omega(*path):
+    return _check(
+        lambda: {"omega": [{"coeffs": {"0": 1.0}, "min": 0.1, "max": 0.9}]},
+        lambda doc: _constraint_set(doc["omega"], ONE_SETTING.c_alphabet),
+        *path)
+
+
+def _bell(*path):
+    return _check(
+        lambda: {"bell": {"correlators": [[1.0, 1.0], [1.0, -1.0]],
+                          "min": 2.0}},
+        _bell_constraint, *path)
 
 
 LOADERS = {
@@ -371,14 +397,8 @@ ARRAY_LOADERS = {
     ("renyiacc/cqstate/v1", "matrix"): _cq("entries", 0, "matrix"),
     ("renyiacc/protocol/v1", "outcomes"): _protocol("outcomes"),
     ("renyiacc/protocol/v1", "settings"): _protocol("settings"),
-    ("renyiacc/protocol/v1", "omega"): _check(
-        lambda: {"omega": [{"coeffs": {"0": 1.0}, "min": 0.1}]},
-        lambda doc: _constraint_set(doc["omega"], ONE_SETTING.c_alphabet),
-        "omega"),
-    ("renyiacc/protocol/v1", "correlators"): _check(
-        lambda: {"bell": {"correlators": [[1.0, 1.0], [1.0, -1.0]],
-                          "min": 2.0}},
-        _bell_constraint, "bell", "correlators"),
+    ("renyiacc/protocol/v1", "omega"): _omega("omega"),
+    ("renyiacc/protocol/v1", "correlators"): _bell("bell", "correlators"),
     ("renyiacc/state/v1", "dims"): _state("dims"),
     ("renyiacc/state/v1", "labels"): _state("labels"),
     ("renyiacc/state/v1", "matrix"): _state("matrix"),
@@ -395,3 +415,55 @@ def test_array_field_rejects_a_string_or_a_number(schema, field, value):
     ARRAY_LOADERS[schema, field](None)  # the document loads as written
     with pytest.raises(BadShapeError):
         ARRAY_LOADERS[schema, field](value)
+
+
+# a field name may stand for several nodes of a schema (omega's and bell's
+# "min"): each is checked
+NUMBER_LOADERS = {
+    ("renyiacc/attack/v1", "initial"): [_attack("initial", 0, 0)],
+    ("renyiacc/cqstate/v1", "weight"): [_cq("entries", 0, "weight")],
+    ("renyiacc/protocol/v1", "coeffs"): [_omega("omega", 0, "coeffs", "0")],
+    ("renyiacc/protocol/v1", "correlators"): [
+        _bell("bell", "correlators", 0, 0)],
+    ("renyiacc/protocol/v1", "gamma"): [_protocol("gamma")],
+    ("renyiacc/protocol/v1", "max"): [_omega("omega", 0, "max")],
+    ("renyiacc/protocol/v1", "min"): [_omega("omega", 0, "min"),
+                                      _bell("bell", "min")],
+    ("renyiacc/protocol/v1", "pGen"): [_protocol("pGen", "00")],
+    ("renyiacc/protocol/v1", "pTest"): [_protocol("pTest", "00")],
+    ("renyiacc/state/v1", "matrix"): [_state("matrix", 0, 0)],
+    ("renyiacc/strategy/v1", "schmidt"): [_schmidt_strategy("schmidt")],
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+@pytest.mark.parametrize("schema,field", NUMBER_FIELDS)
+def test_number_field_rejects_a_string_or_a_boolean(schema, field, value):
+    assert (schema, field) in NUMBER_LOADERS, \
+        f"no loader check is listed for {field!r} of {schema}"
+    for check in NUMBER_LOADERS[schema, field]:
+        check(None)  # the document loads as written
+        with pytest.raises(BadShapeError):
+            check(value)
+
+
+OBJECT_LOADERS = {
+    ("renyiacc/cqstate/v1", "entries"): _cq("entries", 0),
+    ("renyiacc/cqstate/v1", "registers"): _cq("registers", 0),
+    ("renyiacc/protocol/v1", "bell"): _bell("bell"),
+    ("renyiacc/protocol/v1", "coeffs"): _omega("omega", 0, "coeffs"),
+    ("renyiacc/protocol/v1", "omega"): _omega("omega", 0),
+    ("renyiacc/protocol/v1", "pGen"): _protocol("pGen"),
+    ("renyiacc/protocol/v1", "pTest"): _protocol("pTest"),
+    ("renyiacc/protocol/v1", "score"): _protocol("score"),
+}
+
+
+@pytest.mark.parametrize("value", ["B", 4])
+@pytest.mark.parametrize("schema,field", OBJECT_FIELDS)
+def test_object_field_rejects_a_string_or_a_number(schema, field, value):
+    assert (schema, field) in OBJECT_LOADERS, \
+        f"no loader check is listed for {field!r} of {schema}"
+    OBJECT_LOADERS[schema, field](None)  # the document loads as written
+    with pytest.raises(BadShapeError):
+        OBJECT_LOADERS[schema, field](value)

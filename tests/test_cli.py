@@ -317,6 +317,36 @@ class TestArrayFields:
         assert "settings must be an array, got '0'" in err
 
 
+class TestNumberAndObjectFields:
+    """A string where a schema declares a number, or a string where it
+    declares an object, exits 2."""
+
+    def test_string_gamma_exits_2(self, capsys, tmp_path):
+        # read with float(): simulate printed an entropy with exit 0
+        for code, out, err in rate_and_simulate(capsys, tmp_path,
+                                                gamma="0.4"):
+            assert (code, out) == (2, "")
+            assert "gamma must be a number, got '0.4'" in err
+
+    def test_string_setting_law_exits_2(self, capsys, tmp_path):
+        law = {b: "0.25" for b in ("00", "01", "10", "11")}
+        for code, out, err in rate_and_simulate(capsys, tmp_path, pGen=law):
+            assert (code, out) == (2, "")
+            assert "pGen value must be a number, got '0.25'" in err
+
+    def test_register_that_is_a_string_exits_2(self, capsys, tmp_path):
+        # TypeError: string indices must be integers, exit 1
+        doc = cq_to_dict(random_cq((2,), (2,), 5, names=["B"],
+                                   qnames=["E"]))
+        doc["registers"][0] = "B"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["entropy", "--state", str(path), "--cond", "B"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert "register must be an object, got 'B'" in err
+
+
 def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
     path = write_protocol(tmp_path)
     doc = json.loads(path.read_text())

@@ -559,3 +559,59 @@ def test_fweighted_reduction_via_cq_divergence():
             st.to_density().matrix,
             embed(sigma, st.to_density().dims, (2,)), alpha)
         assert abs(v1 - v2) < 1e-9
+
+
+class TestClassicalUpBruteforce:
+    """H_alpha(A|B^up) of a classical table p[a, b] against the plain sum
+    alpha/(1-alpha) log2 sum_b p(b) ||p(.|b)||_alpha."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_h_classical_up(self, seed):
+        rng = rng_from((41, seed))
+        n_a, n_b = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p = random_distribution(n_a * n_b, rng).reshape(n_a, n_b)
+        if seed % 2:  # a setting with no mass drops out of the sum
+            p[:, int(rng.integers(0, n_b))] = 0.0
+            p /= p.sum()
+        for alpha in ALPHAS:
+            assert ent.h_classical(p, alpha, "up") == pytest.approx(
+                classical_up_bruteforce(p, alpha), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_rate_generation_entropy_at_a_vertex(self, monkeypatch,
+                                                       seed):
+        # at q = e_r the two-round oracle's generation entropy is H_up of
+        # p_gen(b) k[r, b, a], clamped at 0; an odd seed gives one setting
+        # no generation mass
+        import dataclasses
+
+        import renyiacc.verify as verify
+        from renyiacc.eatrate import ConstraintSet
+        from renyiacc.optimize import simplex_grid
+        rng = rng_from((42, seed))
+        proto = verify._random_protocol(rng, 3, 3)
+        if seed % 2:
+            p_gen = proto.p_gen.copy()
+            p_gen[int(rng.integers(0, 3))] = 0.0
+            proto = dataclasses.replace(proto, p_gen=p_gen / p_gen.sum())
+        kernels = verify.random_attack(rng, 3, 1, 3, 3).marginal_kernels()
+        alpha = float(rng.choice(ALPHAS))
+        seen = []
+        real = verify.inner_inf_v_batch
+
+        def spy(p_c, h_gen, cset, a):
+            seen.append(np.array(h_gen))
+            return real(p_c, h_gen, cset, a)
+
+        monkeypatch.setattr(verify, "inner_inf_v_batch", spy)
+        verify._round_rate_min(proto, kernels,
+                               ConstraintSet.full_simplex(proto.c_alphabet),
+                               alpha)
+        grid = simplex_grid(3, 20)
+        h_grid = seen[0].reshape(len(kernels), len(grid))
+        for k, kernel in enumerate(kernels):
+            for r in range(3):
+                [row] = np.flatnonzero((grid == np.eye(3)[r]).all(axis=1))
+                table = (proto.p_gen[:, None] * kernel[r]).T  # [a, b]
+                want = max(0.0, classical_up_bruteforce(table, alpha))
+                assert h_grid[k, row] == pytest.approx(want, abs=1e-12)

@@ -9,8 +9,9 @@ import pytest
 from renyiacc import entropy as ent
 from renyiacc.channel import BOT, SamplingProtocol
 from renyiacc.counterexample import counterexample_channel_instance
-from renyiacc.eatrate import ConstraintSet
+from renyiacc.eatrate import ConstraintSet, inner_inf_v
 from renyiacc.errors import AlphabetMismatchError, EmptyEventError
+from renyiacc.optimize import nelder_mead_batch, simplex_grid
 from renyiacc.qcore import rng_from
 from renyiacc.verify import (
     ALL_CHECKS,
@@ -294,3 +295,116 @@ class TestTwoRounds:
         cset = ConstraintSet.full_simplex(proto.c_alphabet)
         res = simulate_two_rounds(proto, attack, cset, 2.0)
         assert res.slack >= -1e-9
+
+
+def lone_round_rate_min(proto, kernels, cset, alpha):
+    """h_alpha as one lone search per kernel would find it: its grid, then
+    a simplex from its best grid point, each point scored with a lone
+    ``inner_inf_v``. Returns the minimum and each polish's tick count."""
+    r_dim = kernels[0].shape[0]
+    grid = simplex_grid(r_dim, {2: 48, 3: 20, 4: 12}[r_dim])
+    gen_on = proto.p_gen > 0.0
+    best, ticks = math.inf, []
+    for k in kernels:
+        p_c_mem = proto.score_law(np.swapaxes(k, 1, 2))
+        s_tab = (k ** alpha).sum(axis=2)
+
+        def value(qs):
+            inner = qs @ s_tab
+            mix = (proto.p_gen[gen_on]
+                   * inner[:, gen_on] ** (1.0 / alpha)).sum(axis=1)
+            h_gen = np.maximum((alpha / (1.0 - alpha)) * np.log2(mix), 0.0)
+            return [inner_inf_v(p, h, cset, alpha).value
+                    for p, h in zip(qs @ p_c_mem, h_gen)]
+
+        def polish(xs):
+            ticks[-1] += 1
+            qs = [np.exp(x - x.max()) for x in xs]
+            return [value((e / e.sum())[None, :])[0] for e in qs]
+
+        vals = value(grid)
+        x0 = np.log(np.maximum(grid[int(np.argmin(vals))], 1e-6))
+        ticks.append(0)
+        [(_, val, _)] = nelder_mead_batch(polish, [x0], scale=0.25, tol=1e-13,
+                                          max_iter=600)
+        best = min(best, *vals, val)
+    return best, ticks
+
+
+def two_round_case(r_dim, kind, seed):
+    """A seeded protocol, attack and non-abort set of ``r_dim`` memory
+    symbols, the set drawn as the two-round check draws it: ``kind`` 0 is
+    the full simplex, 1 a lower and 2 an upper bound on one symbol."""
+    rng = rng_from((31, r_dim, kind, seed))
+    proto = _random_protocol(rng, int(rng.integers(2, 4)),
+                             int(rng.integers(2, 4)))
+    attack = random_attack(rng, r_dim, int(rng.integers(1, 3)),
+                           len(proto.settings), len(proto.outcomes))
+    q0 = attack.initial.sum(axis=1)
+    p_c = proto.score_law(np.einsum("r,rba->ab", q0,
+                                    attack.marginal_kernels()[0]))
+    alphabet, j = proto.c_alphabet, int(rng.integers(0, 3))
+    cset = [ConstraintSet.full_simplex(alphabet),
+            ConstraintSet.min_mass(alphabet, alphabet[j],
+                                   max(0.0, p_c[j] - 0.1)),
+            ConstraintSet.max_mass(alphabet, alphabet[j],
+                                   min(1.0, p_c[j] + 0.1))][kind]
+    return proto, attack, cset, float(rng.choice([1.1, 1.5, 2.0, 3.0]))
+
+
+class TestLockstepPolish:
+    """Both rounds' kernels share one grid solve, and their simplices run in
+    lockstep with one batched dual solve per tick; h_alpha equals, bit for
+    bit, what one lone search per kernel finds."""
+
+    def _solve_counted(self, monkeypatch, case):
+        import renyiacc.verify as verify
+        calls = []
+        real = verify.inner_inf_v_batch
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(verify, "inner_inf_v_batch", counted)
+        return simulate_two_rounds(*case), calls
+
+    @pytest.mark.parametrize("kind", range(3), ids=["full", "min", "max"])
+    @pytest.mark.parametrize("r_dim", [2, 3, 4])
+    def test_equals_lone_searches(self, monkeypatch, r_dim, kind):
+        proto, attack, cset, alpha = case = two_round_case(r_dim, kind, 0)
+        want, ticks = lone_round_rate_min(proto, attack.marginal_kernels(),
+                                          cset, alpha)
+        res, calls = self._solve_counted(monkeypatch, case)
+        assert res.h_alpha == want
+        # the grid of both kernels, then one call per tick of the longer run
+        assert len(calls) <= 1 + max(ticks)
+        assert calls[0] == 2 * len(simplex_grid(r_dim, {2: 48, 3: 20,
+                                                        4: 12}[r_dim]))
+
+    def test_simplices_stop_at_different_ticks(self, monkeypatch):
+        proto, attack, cset, alpha = case = two_round_case(3, 1, 1)
+        want, ticks = lone_round_rate_min(proto, attack.marginal_kernels(),
+                                          cset, alpha)
+        assert ticks[0] != ticks[1]
+        res, calls = self._solve_counted(monkeypatch, case)
+        assert res.h_alpha == want
+        assert len(calls) <= 1 + max(ticks)
+
+    def test_infeasible_polish_row_raises(self, monkeypatch):
+        import renyiacc.verify as verify
+        from renyiacc.errors import InfeasibleError
+        real = verify.inner_inf_v_batch
+        calls = []
+
+        def second_call_infeasible(*args):
+            sol = real(*args)
+            calls.append(len(args[0]))
+            if len(calls) == 2:  # the first polish tick
+                sol.feasible[0] = False
+            return sol
+
+        monkeypatch.setattr(verify, "inner_inf_v_batch",
+                            second_call_infeasible)
+        with pytest.raises(InfeasibleError):
+            simulate_two_rounds(*two_round_case(2, 0, 0))
