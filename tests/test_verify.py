@@ -297,12 +297,15 @@ class TestTwoRounds:
         assert res.slack >= -1e-9
 
 
+POLISH_GRID = {2: 48, 3: 20, 4: 12}  # grid resolution per memory size
+
+
 def lone_round_rate_min(proto, kernels, cset, alpha):
     """h_alpha as one lone search per kernel would find it: its grid, then
     a simplex from its best grid point, each point scored with a lone
     ``inner_inf_v``. Returns the minimum and each polish's tick count."""
     r_dim = kernels[0].shape[0]
-    grid = simplex_grid(r_dim, {2: 48, 3: 20, 4: 12}[r_dim])
+    grid = simplex_grid(r_dim, POLISH_GRID[r_dim])
     gen_on = proto.p_gen > 0.0
     best, ticks = math.inf, []
     for k in kernels:
@@ -379,11 +382,12 @@ class TestLockstepPolish:
         assert res.h_alpha == want
         # the grid of both kernels, then one call per tick of the longer run
         assert len(calls) <= 1 + max(ticks)
-        assert calls[0] == 2 * len(simplex_grid(r_dim, {2: 48, 3: 20,
-                                                        4: 12}[r_dim]))
+        assert calls[0] == 2 * len(simplex_grid(r_dim, POLISH_GRID[r_dim]))
 
-    def test_simplices_stop_at_different_ticks(self, monkeypatch):
-        proto, attack, cset, alpha = case = two_round_case(3, 1, 1)
+    # in the second case the second kernel's polish sets h_alpha
+    @pytest.mark.parametrize("draw", [(3, 1, 1), (2, 0, 1)])
+    def test_simplices_stop_at_different_ticks(self, monkeypatch, draw):
+        proto, attack, cset, alpha = case = two_round_case(*draw)
         want, ticks = lone_round_rate_min(proto, attack.marginal_kernels(),
                                           cset, alpha)
         assert ticks[0] != ticks[1]
