@@ -38,13 +38,7 @@ from .qcore import (
     trace_distance,
 )
 from .qcore.linalg import PSD_TOL, _eigh, _from_eig, _hermitian, _leaks, _power
-from .qcore.serialize import (
-    _array,
-    _number,
-    _numbers,
-    _object,
-    _whole_number,
-)
+from .qcore.serialize import validate
 from .qcore.states import _purification
 
 BOT = "⊥"
@@ -689,38 +683,30 @@ def protocol_to_dict(proto: SamplingProtocol) -> dict:
     }
 
 
-def _check_schema(doc, schema: str, what: str) -> None:
-    found = doc.get("schema") if isinstance(doc, dict) else None
-    if found != schema:
-        raise BadShapeError(f"unrecognized {what} schema {found!r}")
-
-
 def protocol_from_dict(doc: dict) -> SamplingProtocol:
     """A protocol document; a setting missing from pGen or pTest has
     probability 0, and every pGen, pTest and score key must name settings
     (and outcomes) of the document."""
-    _check_schema(doc, PROTOCOL_SCHEMA, "protocol")
-    outcomes = tuple(_array(doc["outcomes"], "outcomes"))
-    settings = tuple(_array(doc["settings"], "settings"))
+    validate(doc, PROTOCOL_SCHEMA)
+    outcomes, settings = tuple(doc["outcomes"]), tuple(doc["settings"])
     laws = {}
     for name in ("pGen", "pTest"):
-        law = _object(doc[name], name)
-        unknown = sorted(set(law) - {str(b) for b in settings})
+        unknown = sorted(set(doc[name]) - {str(b) for b in settings})
         if unknown:
             raise AlphabetMismatchError(f"{name} keys {unknown} are not settings")
-        laws[name] = np.array([_number(law.get(str(b), 0.0), f"{name} value")
+        laws[name] = np.array([float(doc[name].get(str(b), 0.0))
                                for b in settings])
     score = {}
-    for key, v in _object(doc["score"], "score").items():
+    for key, v in doc["score"].items():
         a, b = key.split("|", 1)
         if a not in outcomes or b not in settings:
             raise AlphabetMismatchError(f"score key {key!r} is not an "
                                         "outcome|setting pair")
         score[(a, b)] = v
-    return SamplingProtocol(gamma=_number(doc["gamma"], "gamma"),
+    return SamplingProtocol(gamma=float(doc["gamma"]),
                             outcomes=outcomes, settings=settings,
                             p_gen=laws["pGen"], p_test=laws["pTest"],
-                            score=score, d=_whole_number(doc.get("d", 1), "d"))
+                            score=score, d=int(doc.get("d", 1)))
 
 
 def strategy_to_dict(s: TwoQubitStrategy) -> dict:
@@ -730,26 +716,22 @@ def strategy_to_dict(s: TwoQubitStrategy) -> dict:
 
 
 def _angle_pairs(entries, key: str) -> tuple:
-    """A strategy document's Bloch angles, one (theta, phi) pair of finite
-    numbers per setting; BadShapeError otherwise."""
-    try:
-        m = _numbers(entries, key)
-    except BadShapeError:
-        m = None
-    if m is None or m.ndim != 2 or m.shape[1] != 2 or not np.isfinite(m).all():
+    """A strategy document's Bloch angles, one (theta, phi) pair per
+    setting; BadShapeError unless there is a setting and every angle is
+    finite."""
+    if not (entries and np.isfinite(entries).all()):
         raise BadShapeError(f"{key} entries must be pairs of finite numbers "
-                            "(theta, phi)")
-    return tuple((float(t), float(p)) for t, p in m)
+                            f"(theta, phi), got {entries!r}")
+    return tuple((float(t), float(p)) for t, p in entries)
 
 
 def strategy_from_dict(doc: dict) -> TwoQubitStrategy:
-    _check_schema(doc, STRATEGY_SCHEMA, "strategy")
+    validate(doc, STRATEGY_SCHEMA)
     meas_a = _angle_pairs(doc["measA"], "measA")
     meas_b = _angle_pairs(doc["measB"], "measB")
     if "schmidt" in doc:
-        return TwoQubitStrategy.from_schmidt(_number(doc["schmidt"],
-                                                     "schmidt"),
-                                             meas_a, meas_b)
+        return TwoQubitStrategy.from_schmidt(float(doc["schmidt"]), meas_a,
+                                             meas_b)
     return TwoQubitStrategy(density_from_dict(doc["state"]).validate(), meas_a,
                             meas_b)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, entropy
 from .channel import (
+    PROTOCOL_SCHEMA,
     BellFunctional,
     protocol_from_dict,
     strategy_from_dict,
@@ -38,7 +39,7 @@ from .errors import (
     RenyiaccError,
 )
 from .qcore import load_state
-from .qcore.serialize import _array, _numbers, _whole_number
+from .qcore.serialize import _numbers, validate
 from .verify import (
     ALL_CHECKS,
     SuiteConfig,
@@ -94,20 +95,13 @@ def _emit_json(path, payload):
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _finite_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
 def _constraint_set(doc, alphabet) -> ConstraintSet:
     """``omega``, a list of ``{coeffs, min and/or max}`` entries of finite
     numbers, as rows ``row . omega >= rhs``; an entry may carry both
     ``min`` and ``max``, and its coefficient keys must be symbols."""
     symbols = [str(c) for c in alphabet]
     rows, rhs = [], []
-    for item in [] if doc is None else _array(doc, "omega"):
-        if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
-            raise BadShapeError(f"omega entries must be {{coeffs, min | max}} "
-                                f"objects, got {item!r}")
+    for item in () if doc is None else validate(doc, PROTOCOL_SCHEMA, "omega"):
         unknown = sorted(set(item["coeffs"]) - set(symbols))
         if unknown:
             raise AlphabetMismatchError(f"omega coefficients for {unknown} "
@@ -115,7 +109,7 @@ def _constraint_set(doc, alphabet) -> ConstraintSet:
         if "min" not in item and "max" not in item:
             raise ValueError("constraint needs a 'min' or 'max' bound")
         bounds = [item[k] for k in ("min", "max") if k in item]
-        if not all(map(_finite_number, [*item["coeffs"].values(), *bounds])):
+        if not all(map(math.isfinite, [*item["coeffs"].values(), *bounds])):
             raise BadShapeError(f"omega coeffs, min and max must be finite "
                                 f"numbers, got {item!r}")
         row = [float(item["coeffs"].get(c, 0.0)) for c in symbols]
@@ -229,11 +223,8 @@ def _bell_constraint(doc):
     spec = doc.get("bell")
     if spec is None:
         return None
-    if not isinstance(spec, dict) \
-            or set(spec) not in ({"name", "min"}, {"correlators", "min"}) \
-            or not _finite_number(spec["min"]):
-        raise BadShapeError(f"bell must be {{name | correlators, min}} with "
-                            f"a finite min, got {spec!r}")
+    if not math.isfinite(validate(spec, PROTOCOL_SCHEMA, "bell")["min"]):
+        raise BadShapeError(f"bell min must be finite, got {spec!r}")
     if "name" in spec:
         return BellFunctional.by_name(spec["name"]), float(spec["min"])
     corr = _numbers(spec["correlators"], "bell correlators")
@@ -246,11 +237,13 @@ def _setting_counts(doc, settings, bob: bool) -> tuple[int, int]:
     Bob's digit too when ``bob``."""
     counts = []
     for key, pos in (("nA", 0), ("nB", 1)):
-        n = doc.get(key, 2)
+        n = validate(doc.get(key, 2), PROTOCOL_SCHEMA, key)
         least = 1 + max((int(str(b)[pos]) for b in settings
                          if len(str(b)) > pos and (pos == 0 or bob)), default=0)
-        counts.append(_whole_number(
-            n, f"{key} for the settings {list(settings)}", least))
+        if n < least:
+            raise BadShapeError(f"{key} for the settings {list(settings)} must "
+                                f"be a whole number >= {least}, got {n!r}")
+        counts.append(int(n))
     return counts[0], counts[1]
 
 

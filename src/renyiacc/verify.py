@@ -21,7 +21,6 @@ from . import entropy
 from .channel import (
     BOT,
     SamplingProtocol,
-    _check_schema,
     build_read_and_prepare,
     score_alphabet,
 )
@@ -57,7 +56,7 @@ from .qcore import (
     rng_from,
     trace_distance,
 )
-from .qcore.serialize import _array, _numbers
+from .qcore.serialize import _numbers, validate
 from .qcore.states import _purification
 
 DEFAULT_ALPHAS = (1.1, 1.5, 2.0, 3.0)
@@ -519,16 +518,14 @@ def attack_from_dict(doc: dict, proto: SamplingProtocol) -> ClassicalAttack:
     (r, n_b, n_a, r) whose (r, b) slices each sum to one over (a, r'), all
     sums within 1e-9.
     """
-    _check_schema(doc, ATTACK_SCHEMA, "attack")
+    validate(doc, ATTACK_SCHEMA)
     initial = _numbers(doc["initial"], "initial")
-    kernels = _array(doc["kernels"], "kernels")
     if initial.ndim != 2:
         raise BadShapeError(f"initial has shape {initial.shape}, want (r, e)")
-    if len(kernels) != 2:
-        raise BadShapeError("an attack has exactly two kernels")
     r_dim = initial.shape[0]
     want = (r_dim, len(proto.settings), len(proto.outcomes), r_dim)
-    kernels = tuple(_numbers(k, f"kernel {i}") for i, k in enumerate(kernels))
+    kernels = tuple(_numbers(k, f"kernel {i}")
+                    for i, k in enumerate(doc["kernels"]))
     for i, k in enumerate(kernels):
         if k.shape != want:
             raise BadShapeError(f"kernel {i} has shape {k.shape}, want "

@@ -10,11 +10,12 @@ and so do the KL divergence and the inner rate solvers on a vector that is
 not a distribution. None of them may return a number for such an input.
 
 The input files are checked where they are read: every field that a schema
-in ``schemas/`` declares a whole number >= 1 is rejected by its loader with
-BadShapeError when it is fractional, 0 or a boolean, every field that it
-declares a number when it is a string or a boolean, every field that it
-declares an array when it is a string or a number, and every field or item
-that it declares an object when it is a string or a number.
+in ``src/renyiacc/schemas/`` declares a whole number >= 1 is rejected by its
+loader with BadShapeError when it is fractional, 0 or a boolean, every field
+that it declares a number when it is a string or a boolean, every field that
+it declares a string when it is a number, every field that it declares an
+array when it is a string or a number, and every field or item that it
+declares an object when it is a string or a number.
 """
 
 import json
@@ -27,6 +28,8 @@ import pytest
 from renyiacc import entropy as ent
 from renyiacc.channel import (
     BOT,
+    PROTOCOL_SCHEMA,
+    STRATEGY_SCHEMA,
     SamplingProtocol,
     TwoQubitStrategy,
     protocol_from_dict,
@@ -57,8 +60,9 @@ from renyiacc.qcore import (
     random_cq,
     state_from_dict,
 )
+from renyiacc.qcore.serialize import CQSTATE_SCHEMA, STATE_SCHEMA
 from renyiacc.qcore.states import _purification
-from renyiacc.verify import attack_from_dict
+from renyiacc.verify import ATTACK_SCHEMA, attack_from_dict
 from qcore_reference import cq_to_dict
 
 PAULI_Z = np.diag([1.0, -1.0])
@@ -251,7 +255,8 @@ def test_state_with_trace_within_tolerance_is_read():
 # whole-number and array fields of the input files, found in the schemas
 # ---------------------------------------------------------------------------
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+SCHEMAS = (Path(__file__).resolve().parent.parent / "src" / "renyiacc"
+           / "schemas")
 
 
 def _fields(node, want, field=None):
@@ -286,6 +291,7 @@ WHOLE_NUMBER_FIELDS = schema_fields(
 NUMBER_FIELDS = schema_fields(lambda n: n.get("type") == "number")
 ARRAY_FIELDS = schema_fields(lambda n: n.get("type") == "array")
 OBJECT_FIELDS = schema_fields(lambda n: n.get("type") == "object")
+STRING_FIELDS = schema_fields(lambda n: n.get("type") == "string")
 
 
 ONE_SETTING = SamplingProtocol(0.5, ("0", "1"), ("00",), [1.0], [1.0],
@@ -421,6 +427,8 @@ def test_array_field_rejects_a_string_or_a_number(schema, field, value):
 # "min"): each is checked
 NUMBER_LOADERS = {
     ("renyiacc/attack/v1", "initial"): [_attack("initial", 0, 0)],
+    ("renyiacc/attack/v1", "kernels"): [_attack("kernels", 0, 0, 0, 0, 0)],
+    ("renyiacc/cqstate/v1", "matrix"): [_cq("entries", 0, "matrix", 0, 0)],
     ("renyiacc/cqstate/v1", "weight"): [_cq("entries", 0, "weight")],
     ("renyiacc/protocol/v1", "coeffs"): [_omega("omega", 0, "coeffs", "0")],
     ("renyiacc/protocol/v1", "correlators"): [
@@ -432,6 +440,8 @@ NUMBER_LOADERS = {
     ("renyiacc/protocol/v1", "pGen"): [_protocol("pGen", "00")],
     ("renyiacc/protocol/v1", "pTest"): [_protocol("pTest", "00")],
     ("renyiacc/state/v1", "matrix"): [_state("matrix", 0, 0)],
+    ("renyiacc/strategy/v1", "measA"): [_strategy("measA", 0, 0)],
+    ("renyiacc/strategy/v1", "measB"): [_strategy("measB", 0, 0)],
     ("renyiacc/strategy/v1", "schmidt"): [_schmidt_strategy("schmidt")],
 }
 
@@ -467,3 +477,85 @@ def test_object_field_rejects_a_string_or_a_number(schema, field, value):
     OBJECT_LOADERS[schema, field](None)  # the document loads as written
     with pytest.raises(BadShapeError):
         OBJECT_LOADERS[schema, field](value)
+
+
+# a cq register's name sits under both register forms: each is checked
+STRING_LOADERS = {
+    ("renyiacc/cqstate/v1", "alphabet"): [_cq("registers", 0, "alphabet", 0)],
+    ("renyiacc/cqstate/v1", "name"): [_cq("registers", 0, "name"),
+                                      _cq("registers", 1, "name")],
+    ("renyiacc/cqstate/v1", "outcome"): [_cq("entries", 0, "outcome", 0)],
+    ("renyiacc/protocol/v1", "outcomes"): [_protocol("outcomes", 0)],
+    ("renyiacc/protocol/v1", "score"): [_protocol("score", "0|00")],
+    ("renyiacc/protocol/v1", "settings"): [_protocol("settings", 0)],
+    ("renyiacc/state/v1", "labels"): [_state("labels", 0)],
+}
+
+
+@pytest.mark.parametrize("value", [0, 1.5])
+@pytest.mark.parametrize("schema,field", STRING_FIELDS)
+def test_string_field_rejects_a_number(schema, field, value):
+    # a cq alphabet [0, 1] with outcomes [0] and [1] was read as written
+    assert (schema, field) in STRING_LOADERS, \
+        f"no loader check is listed for {field!r} of {schema}"
+    for check in STRING_LOADERS[schema, field]:
+        check(None)  # the document loads as written
+        with pytest.raises(BadShapeError, match="must be a string"):
+            check(value)
+
+
+# ---------------------------------------------------------------------------
+# the schema files themselves
+# ---------------------------------------------------------------------------
+
+ANNOTATIONS = {"$schema", "$id", "title", "description"}
+# the draft-07 keywords that qcore.serialize.validate implements
+KEYWORDS = {"type", "const", "enum", "minimum", "maximum", "required",
+            "properties", "additionalProperties", "items", "minItems",
+            "maxItems", "oneOf", "$ref"}
+
+
+def _keywords(node):
+    """Every key of a schema node and of the nodes under it, except the
+    field names that ``properties`` maps."""
+    if isinstance(node, list):
+        for sub in node:
+            yield from _keywords(sub)
+    elif isinstance(node, dict):
+        for key, sub in node.items():
+            yield key
+            yield from _keywords(list(sub.values()) if key == "properties"
+                                 else sub)
+
+
+def test_schema_files_use_only_the_keywords_the_walk_implements():
+    assert "pattern" in set(_keywords({"properties": {"x": {"pattern": "y"}}}))
+    for path in SCHEMAS.glob("*.json"):
+        unknown = set(_keywords(json.loads(path.read_text()))) \
+            - ANNOTATIONS - KEYWORDS
+        assert not unknown, f"{path.name} uses {sorted(unknown)}"
+
+
+@pytest.mark.parametrize("schema_id", [STATE_SCHEMA, CQSTATE_SCHEMA,
+                                       PROTOCOL_SCHEMA, STRATEGY_SCHEMA,
+                                       ATTACK_SCHEMA])
+def test_loader_schema_names_one_packaged_file(schema_id):
+    ids = [json.loads(p.read_text())["$id"] for p in SCHEMAS.glob("*.json")]
+    assert ids.count(schema_id) == 1
+
+
+def test_schema_files_are_package_data():
+    # read as text: tomllib needs Python 3.11, and the project supports 3.10
+    text = (SCHEMAS.parents[2] / "pyproject.toml").read_text()
+    section = text.split("[tool.setuptools.package-data]", 1)[1]
+    section = section.split("\n[", 1)[0]
+    assert '"schemas/*.json"' in section and '"presets/*.json"' in section
+    assert sorted(SCHEMAS.glob("*.json")) == sorted(SCHEMAS.iterdir())
+
+
+def test_every_bell_name_of_the_schema_loads():
+    schema = json.loads((SCHEMAS / "protocol.schema.json").read_text())
+    names = schema["properties"]["bell"]["properties"]["name"]["enum"]
+    for name in names:
+        _, least = _bell_constraint({"bell": {"name": name, "min": 2.0}})
+        assert least == 2.0

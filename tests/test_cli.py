@@ -86,6 +86,16 @@ class TestEntropyCommand:
         code, _, err = run(["entropy", "--state", "/nonexistent.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x"], ids=["array", "string"])
+    def test_state_file_that_is_not_an_object_exits_2(self, capsys, tmp_path,
+                                                      doc):
+        # AttributeError: 'list' object has no attribute 'get', exit 1
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["entropy", "--state", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"document must be an object, got {doc!r}" in err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys, tmp_path):
@@ -214,11 +224,16 @@ class TestLoaders:
         path.write_text(json.dumps(doc))
         code, out, err = run(["compare", "--strategy", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert "unrecognized strategy schema 'renyiacc/protocol/v1'" in err
+        assert ("schema must be 'renyiacc/strategy/v1', got "
+                "'renyiacc/protocol/v1'") in err
 
-    @pytest.mark.parametrize("meas_a", ([0.0, 1.0], [[None, 1]]))
+    @pytest.mark.parametrize("meas_a,message", [
+        ([0.0, 1.0], "measA[0] must be an array, got 0.0"),
+        ([[None, 1]], "measA[0][0] must be a number, got None"),
+    ], ids=["meas_a0", "meas_a1"])
     def test_strategy_angles_that_are_not_pairs_exit_2(self, capsys,
-                                                       tmp_path, meas_a):
+                                                       tmp_path, meas_a,
+                                                       message):
         # a flat list raised TypeError (cannot unpack a float), exit 1
         doc = strategy_to_dict(TwoQubitStrategy.chsh_tsirelson())
         doc["measA"] = meas_a
@@ -226,7 +241,7 @@ class TestLoaders:
         path.write_text(json.dumps(doc))
         code, out, err = run(["compare", "--strategy", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert "measA entries must be pairs of finite numbers" in err
+        assert message in err
 
     @pytest.mark.parametrize("key", ["pGen", "pTest"])
     def test_nan_setting_law_exits_2(self, capsys, tmp_path, key):
@@ -250,7 +265,7 @@ class TestWholeNumberFields:
         code, out, err = run(["entropy", "--state", str(path), "--cond", "Q1"],
                              capsys)
         assert (code, out) == (2, "")
-        assert "dims entry must be a whole number >= 1, got 2.5" in err
+        assert "dims[0] must be a whole number >= 1, got 2.5" in err
 
     @pytest.mark.parametrize("d", [1.5, True])
     def test_protocol_d_must_be_whole_for_rate_and_simulate(self, capsys,
@@ -326,13 +341,13 @@ class TestNumberAndObjectFields:
         for code, out, err in rate_and_simulate(capsys, tmp_path,
                                                 gamma="0.4"):
             assert (code, out) == (2, "")
-            assert "gamma must be a number, got '0.4'" in err
+            assert "gamma must be a number in [0, 1], got '0.4'" in err
 
     def test_string_setting_law_exits_2(self, capsys, tmp_path):
         law = {b: "0.25" for b in ("00", "01", "10", "11")}
         for code, out, err in rate_and_simulate(capsys, tmp_path, pGen=law):
             assert (code, out) == (2, "")
-            assert "pGen value must be a number, got '0.25'" in err
+            assert "pGen.00 must be a number, got '0.25'" in err
 
     def test_register_that_is_a_string_exits_2(self, capsys, tmp_path):
         # TypeError: string indices must be integers, exit 1
@@ -344,7 +359,7 @@ class TestNumberAndObjectFields:
         code, out, err = run(["entropy", "--state", str(path), "--cond", "B"],
                              capsys)
         assert (code, out) == (2, "")
-        assert "register must be an object, got 'B'" in err
+        assert "registers[0] must be an object, got 'B'" in err
 
 
 def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
@@ -355,7 +370,8 @@ def test_rate_rejects_wrong_protocol_schema(capsys, tmp_path):
     code, out, err = run(["rate", "--proto", str(path), "--restarts", "1"],
                          capsys)
     assert code == 2
-    assert "unrecognized protocol schema 'renyiacc/protocol/v0'" in err
+    assert ("schema must be 'renyiacc/protocol/v1', got "
+            "'renyiacc/protocol/v0'") in err
     assert "upper bound" not in out
 
 
@@ -717,19 +733,21 @@ class TestOmegaEntries:
             assert (code, out) == (2, "")
             assert "omega" in err
 
-    @pytest.mark.parametrize("entry", [
-        {"coeffs": {"1": float("nan")}, "min": 0.04},
-        {"coeffs": {"1": 1.0}, "min": float("nan")},
-        {"coeffs": {"1": 1.0}, "max": float("inf")},
-        {"coeffs": {"1": 1.0}, "min": "0.04"},
-        {"coeffs": {"1": True}, "min": 0.04},
+    @pytest.mark.parametrize("entry,message", [
+        ({"coeffs": {"1": float("nan")}, "min": 0.04}, "finite numbers"),
+        ({"coeffs": {"1": 1.0}, "min": float("nan")}, "finite numbers"),
+        ({"coeffs": {"1": 1.0}, "max": float("inf")}, "finite numbers"),
+        ({"coeffs": {"1": 1.0}, "min": "0.04"},
+         "omega[0].min must be a number, got '0.04'"),
+        ({"coeffs": {"1": True}, "min": 0.04},
+         "omega[0].coeffs.1 must be a number, got True"),
     ], ids=["nan-coeff", "nan-min", "inf-max", "string-min", "bool-coeff"])
-    def test_non_finite_bound_exits_2(self, capsys, tmp_path, entry):
+    def test_non_finite_bound_exits_2(self, capsys, tmp_path, entry, message):
         # a NaN bound was reported as an empty constraint set
         for code, out, err in rate_and_simulate(capsys, tmp_path,
                                                 omega=[entry]):
             assert (code, out) == (2, "")
-            assert "finite numbers" in err and "feasible" not in err
+            assert message in err and "feasible" not in err
 
 
 class TestSettingCounts:
