@@ -6,16 +6,17 @@ The rate of one round is the constrained convex program
         (1/(alpha-1)) * KL(v || p_C)  +  v(bot) * H_alpha(A | B^up E^down),
 
 solved exactly in its exponential-family dual, by projected Newton steps on
-the multipliers of the constraints, with a KKT certificate.
-``inner_inf_v_batch`` solves a whole stack of score laws at once and
-``inner_inf_v`` is its batch of one. The outer minimization over device
-strategies is a heuristic search (simplex descent with random restarts); its
-value is an upper bound on the true rate infimum and is labeled as such in
-reports.
+the multipliers of the constraints, with a KKT certificate; whether the set
+can be met is decided exactly by ``ConstraintSet.vertices``. A batch solve,
+``inner_inf_v_batch``, takes a stack of score laws, and ``inner_inf_v`` is
+its batch of one. The outer minimization over device strategies is a
+heuristic search (simplex descent with random restarts); its value is an
+upper bound on the true rate infimum and is labeled as such in reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -39,7 +40,7 @@ from .errors import (
     BadProbabilityError,
     InfeasibleError,
 )
-from .optimize import nelder_mead, nelder_mead_batch, simplex_grid
+from .optimize import nelder_mead_batch, simplex_grid
 from .qcore import rng_from
 
 INF = math.inf
@@ -66,6 +67,7 @@ class ConstraintSet:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_faces", {})  # support mask -> vertices
 
     @property
     def k(self) -> int:
@@ -82,24 +84,32 @@ class ConstraintSet:
         viol = self.violations(v)
         return bool(viol.size == 0 or viol.max() <= tol)
 
+    def vertices(self, support) -> np.ndarray:
+        """Every vertex of the face where v is 0 off the boolean mask
+        ``support``, once per m - 1 of v >= 0, G v >= t tight on its m entries
+        with sum(v) = 1 and the rest met within 1e-9; read-only, cached."""
+        support = np.asarray(support, dtype=bool)
+        if support.tobytes() not in self._faces:
+            m = int(support.sum())  # rows @ v >= bound, sum(v) = 1 first
+            rows = np.vstack([np.ones(m), np.eye(m), self.mat[:, support]])
+            bound = np.concatenate([[1.0], np.zeros(m), self.rhs])
+            a, b = (x[[(0, *c) for c in itertools.combinations(
+                range(1, len(rows)), m - 1)]] for x in (rows, bound))
+            ok = np.abs(np.linalg.det(a)) > 1e-12 * np.abs(a).sum(2).prod(1)
+            x = np.linalg.solve(a[ok], b[ok, :, None])[:, :, 0]
+            x = x[(x @ rows.T >= bound - 1e-9).all(axis=1)]
+            verts = np.zeros((len(x), len(self.alphabet)))
+            verts[:, support] = x
+            verts.flags.writeable = False
+            self._faces[support.tobytes()] = verts
+        return self._faces[support.tobytes()]
+
     def check_nonempty(self) -> np.ndarray:
-        """Probe the simplex for a feasible point; raises when none is found."""
-        if self.k == 0:
-            v = np.zeros(len(self.alphabet))
-            v[0] = 1.0
-            return v
-        grid = simplex_grid(len(self.alphabet), 40)
-        viol = np.maximum(self.rhs[None, :] - grid @ self.mat.T, 0.0).max(axis=1)
-        best = int(np.argmin(viol))
-        if viol[best] > 1e-9:
-            point, val, _ = nelder_mead(
-                lambda x: float(np.maximum(self.violations(_softmax(x)), 0.0).max()),
-                np.zeros(len(self.alphabet)), scale=1.0)
-            if val > 1e-9:
-                raise InfeasibleError("constraint set has no feasible "
-                                      "distribution (probe)")
-            return _softmax(point)
-        return grid[best].copy()
+        """A vertex of the set as a new array; InfeasibleError if none."""
+        verts = self.vertices(np.ones(len(self.alphabet), dtype=bool))
+        if not len(verts):
+            raise InfeasibleError("constraint set has no feasible distribution")
+        return verts[0].copy()
 
     @staticmethod
     def full_simplex(alphabet) -> "ConstraintSet":
@@ -110,6 +120,8 @@ class ConstraintSet:
     def min_mass(alphabet, symbol, bound: float) -> "ConstraintSet":
         """v(symbol) >= bound."""
         alphabet = tuple(alphabet)
+        if symbol not in alphabet:
+            raise AlphabetMismatchError(f"symbol {symbol!r} not in {alphabet}")
         row = np.zeros((1, len(alphabet)))
         row[0, alphabet.index(symbol)] = 1.0
         return ConstraintSet(alphabet, row, np.array([bound]))
@@ -117,10 +129,8 @@ class ConstraintSet:
     @staticmethod
     def max_mass(alphabet, symbol, bound: float) -> "ConstraintSet":
         """v(symbol) <= bound."""
-        alphabet = tuple(alphabet)
-        row = np.zeros((1, len(alphabet)))
-        row[0, alphabet.index(symbol)] = -1.0
-        return ConstraintSet(alphabet, row, np.array([-bound]))
+        cs = ConstraintSet.min_mass(alphabet, symbol, -bound)
+        return ConstraintSet(cs.alphabet, -cs.mat, cs.rhs)
 
     @staticmethod
     def stack(*sets: "ConstraintSet") -> "ConstraintSet":
@@ -147,9 +157,9 @@ def _softmax(x):
 class InnerSolution:
     """Minimizer and KKT certificate; a batch solve stacks every field by row.
 
-    ``feasible`` is False on the rows of a batch whose constraint set cannot
-    be met under their p_C; their value is +inf and the other fields carry
-    no meaning. A lone solve raises on such a row instead.
+    ``feasible`` is False on the rows of a batch whose set has no vertex on
+    supp(p_C) or whose solve ended violated by more than 1e-7: their value
+    is +inf, the other fields mean nothing, and a lone solve raises instead.
     """
 
     value: float
@@ -165,10 +175,9 @@ class InnerSolution:
         """Row ``i`` of a batch solve as a lone solution; raises
         ``InfeasibleError`` on an infeasible row."""
         if not self.feasible[i]:
-            raise InfeasibleError("constraint unreachable by tilting (zero "
-                                  "variance, unbounded multiplier or residual "
-                                  "violation); the set is infeasible for this "
-                                  "p_C")
+            raise InfeasibleError("the set is infeasible for this p_C: its "
+                                  "face on supp(p_C) is empty, or the solve "
+                                  "ended violated by more than 1e-7")
         return InnerSolution(
             value=float(self.value[i]), v_star=self.v_star[i],
             lam=self.lam[i], dual_value=float(self.dual_value[i]),
@@ -183,7 +192,6 @@ _BACKTRACKS = 60
 _ARMIJO = 1e-4
 _RIDGE = 1e-13     # relative ridge on the Newton pivots (repeated rows)
 _FLAT = 1e-290     # a variance at or below this is zero
-_TILT_MAX = 1e4    # bits of tilt past which no double ratio changes
 _WARM_RES = 1e-9   # a warm-started row certified worse than this is redone
 _KKT_GATE = 1e-9   # complementarity above this keeps a row from ending
 
@@ -205,11 +213,10 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
     Armijo share of the projected move, and projects onto lam >= 0. A row
     leaves the batch once its projected gradient, times 1 + sum(lam), is
     below 1e-15, or once its Newton step is at rounding level; rows with
-    k = 0 constraints are closed form. A free constraint with zero variance
-    under v_lam and a positive gradient can never be met, nor can one whose
-    multiplier grows past any representable tilt, nor one still violated by
-    more than 1e-7 at the end: such a row leaves the batch and is marked in
-    ``feasible``, and its value is +inf. A row that would end while a
+    k = 0 constraints are closed form. Every v_lam vanishes off supp(p), so
+    a row whose face there has no vertex can never be met and is never
+    iterated: it is marked in ``feasible``, as is one violated by more than
+    1e-7 at the end, and its value is +inf. A row that would end while a
     multiplier's complementarity exceeds 1e-9 first moves each such
     multiplier toward 0 under one more search, and ends only if that finds
     no ascent. The fields of the result carry the batch axis.
@@ -242,7 +249,10 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     i_bot = cset.alphabet.index(BOT)
     expo0 = np.where(active, 0.0, -np.inf)
     expo0[:, i_bot] -= beta * h
-    lam_max = _TILT_MAX / (beta * max(np.abs(g).max(initial=0.0), 1e-300))
+    faces, face = ((active[:1], np.zeros(n, int)) if active.all()
+                   else np.unique(active, axis=0, return_inverse=True))
+    feasible = np.array([len(cset.vertices(f)) > 0 for f in faces],
+                        dtype=bool)[face.reshape(-1)]
 
     def tilt(p_rows, expo_rows, lam_rows):
         """v_lam, D(lam) and the gradient t - G v_lam for each row."""
@@ -282,8 +292,7 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     # working copies of the rows still iterating, compacted as rows finish
     rows, pw, ew = np.arange(n), p, expo0
     lw, vw, dw, gw = lam, v, dual, grad
-    done = np.zeros(n, dtype=bool)
-    stuck_rows = []  # rows found unable to meet their constraints
+    done = ~feasible
     diag = np.arange(k)
     for _ in range(_NEWTON_ITERS if k else 0):
         free = (lw > 0.0) | (gw > 0.0)
@@ -300,11 +309,7 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
         cov = ((dev * vw[:, None, :]) @ dev.transpose(0, 2, 1)) \
             * (beta * math.log(2))
         var = cov[:, diag, diag]
-        flat = var <= _FLAT
-        stuck = None
-        if (flat & (gw > _TOL)).any():
-            stuck = (flat & (gw > _TOL)).any(axis=1)
-        free &= ~flat
+        free &= var > _FLAT
         hess = np.where(free[:, :, None] & free[:, None, :], cov, 0.0)
         hess[:, diag, diag] = np.where(free, var * (1.0 + _RIDGE), 1.0)
         pg = np.where(free, pg, 0.0)
@@ -327,12 +332,6 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
                 lw, vw, dw, gw, todo = search(pw, ew, lw, vw, dw, gw, slip,
                                               ~on, noise)
                 done = np.where(on, todo, done)
-        if lw.max(initial=0.0) > lam_max:
-            unbounded = lw.max(axis=1) > lam_max
-            stuck = unbounded if stuck is None else stuck | unbounded
-        if stuck is not None:  # a row that cannot be met ends too
-            stuck_rows.append(rows[stuck])
-            done |= stuck
     lam[rows], v[rows], dual[rows], grad[rows] = lw, vw, dw, gw
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.where(v > 0.0, v * np.log2(v / p), 0.0).sum(axis=1)
@@ -340,9 +339,7 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     primal_violation = grad.max(axis=1) if k else np.zeros(n)
     comp = np.abs(lam * grad).sum(axis=1)
     res = np.maximum(primal_violation, np.maximum(comp, np.abs(value - dual)))
-    feasible = primal_violation <= 1e-7
-    if stuck_rows:
-        feasible[np.concatenate(stuck_rows)] = False
+    feasible &= primal_violation <= 1e-7
     if not feasible.all():
         value[~feasible] = INF
     sol = InnerSolution(value=value, v_star=v, lam=lam, dual_value=dual,

@@ -32,7 +32,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..errors import BadShapeError
+from ..errors import AlphabetMismatchError, BadShapeError
 from .states import CqState, DensityOperator, creg, qreg
 
 STATE_SCHEMA = "renyiacc/state/v1"
@@ -167,8 +167,11 @@ def cq_from_dict(doc: dict) -> CqState:
         if len(e["outcome"]) != len(cregs):
             raise BadShapeError(f"outcome {e['outcome']} does not name one "
                                 "symbol per classical register")
-        idx = tuple(cregs[i].alphabet.index(o)
-                    for i, o in enumerate(e["outcome"]))
+        for r, o in zip(cregs, e["outcome"]):
+            if o not in r.alphabet:
+                raise AlphabetMismatchError(f"outcome {o!r} is not in register "
+                                            f"{r.name!r}: {list(r.alphabet)}")
+        idx = tuple(r.alphabet.index(o) for r, o in zip(cregs, e["outcome"]))
         if idx in conds:
             raise BadShapeError(f"outcome {e['outcome']} appears twice")
         w[idx] = e["weight"]

@@ -35,6 +35,7 @@ REPO = Path(__file__).resolve().parent.parent
 # public names that nothing in the package calls, kept on purpose
 ALLOWED = {
     "build_sampling_channel": "benchmark",
+    "nelder_mead": "benchmark",
     "check_b_independence": "paper-api",
     "family_round": "paper-api",
     "ConstraintSet.stack": "constructor",

@@ -96,6 +96,18 @@ class TestEntropyCommand:
         assert (code, out) == (2, "")
         assert f"document must be an object, got {doc!r}" in err
 
+    def test_outcome_outside_the_alphabet_names_it(self, capsys, tmp_path):
+        # was "tuple.index(x): x not in tuple"
+        doc = cq_to_dict(random_cq((2, 3), (2,), 5, names=["A", "B"],
+                                   qnames=["Q"]))
+        doc["entries"][0]["outcome"][1] = "9"
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["entropy", "--state", str(path), "--cond", "B"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert "'9'" in err and "register 'B'" in err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys, tmp_path):
@@ -712,6 +724,21 @@ class TestOmegaEntries:
                               "--restarts", "1"], capsys)
         assert (code, out) == (2, "")
         assert "feasible" in err
+
+    def test_pinned_entries_met_between_grid_points_run(self, capsys,
+                                                        tmp_path):
+        # the two entries meet only at v = (0.802, 0.193, 0.005), within 1e-9
+        # of no point of a 40-grid: a grid probe exited 2 on "no feasible
+        # distribution"
+        omega = [{"coeffs": {"0": -0.2, "1": 0.8, "⊥": 0.9},
+                  "min": -0.0015, "max": -0.0015},
+                 {"coeffs": {"0": 2.0, "1": 1.1, "⊥": -1.7},
+                  "min": 1.8078, "max": 1.8078}]
+        code, out, err = TestSettingCounts._rate(capsys, tmp_path,
+                                                 omega=omega)
+        assert (code, err) == (0, "")
+        kkt = out.split("KKT residual of the certified inner solution:")[1]
+        assert float(kkt.split()[0]) <= 1e-9
 
     def test_unknown_symbol_exits_2(self, capsys, tmp_path):
         path = write_protocol(tmp_path, omega=[{"coeffs": {"1": 1, "x": 5},

@@ -73,13 +73,129 @@ class TestConstraintSet:
         point = cs.check_nonempty()
         assert cs.contains(point, tol=1e-8)
         before = point.copy()
-        point[:] = -1.0  # the probe hands back its own copy of the grid row
+        point[:] = -1.0  # check_nonempty hands back its own copy
         assert np.array_equal(cs.check_nonempty(), before)
         empty = ConstraintSet.stack(
             ConstraintSet.min_mass(ALPHABET, "1", 0.8),
             ConstraintSet.min_mass(ALPHABET, "0", 0.8))
         with pytest.raises(InfeasibleError):
             empty.check_nonempty()
+
+    def test_unknown_symbol_is_named(self):
+        # was "tuple.index(x): x not in tuple"
+        for make in (ConstraintSet.min_mass, ConstraintSet.max_mass):
+            with pytest.raises(AlphabetMismatchError,
+                               match=r"'9' not in \('0', '1', '⊥'\)"):
+                make(ALPHABET, "9", 0.1)
+
+    def test_pinned_rows_met_between_grid_points(self):
+        # two min = max pairs that meet only at (0.802, 0.193, 0.005), within
+        # 1e-9 of no point of a 40-grid: a grid probe raised here
+        g = np.array([[-0.2, 0.8, 0.9], [2.0, 1.1, -1.7]])
+        t = np.array([-0.0015, 1.8078])
+        cs = ConstraintSet(ALPHABET, np.vstack([g, -g]), np.concatenate([t, -t]))
+        point = cs.check_nonempty()
+        assert cs.contains(point)
+        assert np.abs(point - [0.802, 0.193, 0.005]).max() < 1e-12
+
+
+ALPHABET5 = ("0", "1", "2", "3", BOT)
+
+
+def known_set(rng, alphabet, face, feasible):
+    """1-3 random entries G_i v >= t_i whose face on the mask ``face`` is
+    nonempty or empty by construction. A nonempty one has t = G v0 - s, with
+    v0 > 0 on the face and s >= 0; about half its entries are min = max
+    pairs (s = 0, two rows each). An empty one has y >= 0 with y.t above max
+    over the face of (y^T G)_j, which bounds y.(G v) for every v there."""
+    n, k = len(alphabet), int(rng.integers(1, 4))
+    g = rng.normal(size=(k, n))
+    if feasible:
+        v0 = np.where(face, rng.exponential(size=n), 0.0)
+        v0 /= v0.sum()
+        pinned = rng.random(k) < 0.5
+        t = g @ v0 - np.where(pinned, 0.0, rng.exponential(0.2, size=k))
+        return ConstraintSet(alphabet, np.vstack([g, -g[pinned]]),
+                             np.concatenate([t, -t[pinned]]))
+    y = rng.exponential(size=k)
+    t = rng.normal(size=k)
+    t += y * ((y @ g)[face].max() + 0.05 - y @ t) / (y @ y)
+    return ConstraintSet(alphabet, g, t)
+
+
+class TestExactFeasibility:
+    """Feasibility against sets whose answer is known by construction."""
+
+    @pytest.mark.parametrize("alphabet", (ALPHABET, ALPHABET5),
+                             ids=("3-symbol", "5-symbol"))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_the_construction(self, alphabet, seed):
+        rng = rng_from((47, len(alphabet), seed))
+        n = len(alphabet)
+        for trial in range(16):
+            face = rng.random(n) < 0.6
+            face[rng.integers(n)] = True
+            if trial % 4 == 0:
+                face[:] = True
+            feasible = trial % 2 == 0
+            cs = known_set(rng, alphabet, face, feasible)
+            verts = cs.vertices(face)
+            assert (len(verts) > 0) == feasible
+            assert (verts[:, ~face] == 0.0).all()
+            assert all(cs.contains(v) for v in verts)
+            if feasible or face.all():
+                try:
+                    point = cs.check_nonempty()
+                except InfeasibleError:
+                    point = None
+                assert (point is not None) == feasible
+                if feasible:
+                    assert cs.contains(point)
+                    assert abs(point.sum() - 1.0) < 1e-12
+                    assert point.min() >= -1e-12
+            p = np.where(face, rng.exponential(size=(2, n)), 0.0)
+            p /= p.sum(axis=1, keepdims=True)
+            h = rng.uniform(0.0, 1.2, size=2)
+            # a face that the rows fix to one point is left out of the
+            # solver's checks: see test_point_face_far_from_p_is_solved
+            one_point = feasible and np.ptp(verts, axis=0).max() <= 1e-9
+            for alpha in (1.1, 1.5, 2.0, 3.0):
+                sol = inner_inf_v_batch(p, h, cs, alpha)
+                if not feasible:
+                    assert not sol.feasible.any()
+                    assert np.isinf(sol.value).all()
+                elif not one_point:
+                    assert sol.feasible.all()
+                    assert sol.kkt_residual.max() <= 1e-9
+
+    # two min = max pairs fix v to one point, far from p
+    G = np.array([[-0.82, -1.29, 0.37], [0.33, 1.18, -2.12],
+                  [-2.13, -0.14, 2.06]])
+    T = G @ [0.044, 0.42, 0.536] - [0.0, 0.0, 0.1]
+    POINT = ConstraintSet(ALPHABET, np.vstack([G, -G[:2]]),
+                          np.concatenate([T, -T[:2]]))
+
+    def test_point_face_has_one_vertex(self):
+        verts = self.POINT.vertices([True, True, True])
+        assert np.abs(verts - [0.044, 0.42, 0.536]).max() < 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the damped Newton steps end violated by about 0.93 at every order "
+        "after 100 iterations, so the row reads infeasible"))
+    @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0, 3.0))
+    def test_point_face_far_from_p_is_solved(self, alpha):
+        p = np.array([[0.895, 0.0266, 0.0785]])
+        sol = inner_inf_v_batch(p / p.sum(), [0.6], self.POINT, alpha)
+        assert sol.feasible.all()
+
+    def test_faces_are_cached_per_mask(self):
+        cs = ConstraintSet.min_mass(ALPHABET, "1", 0.3)
+        full = cs.vertices([True, True, True])
+        assert cs.vertices(np.ones(3, dtype=bool)) is full
+        assert sorted(map(tuple, full.round(12))) == [
+            (0.0, 0.3, 0.7), (0.0, 1.0, 0.0), (0.7, 0.3, 0.0)]
+        assert not full.flags.writeable
+        assert len(cs.vertices([True, False, True])) == 0
 
 
 class TestInnerInfV:
