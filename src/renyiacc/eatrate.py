@@ -371,6 +371,9 @@ def inner_inf_v(p_c, h_gen: float, cset: ConstraintSet,
                              alpha).row(0)
 
 
+_GRID_BLOCK = 1 << 16  # grid rows the oracle scores at a time
+
+
 def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
                      resolution: int = 200) -> float:
     """Brute-force oracle: the best feasible simplex-grid point, polished by
@@ -393,13 +396,21 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
         return kl / beta + batch[:, i_bot] * h_gen
 
     grid = simplex_grid(len(cset.alphabet), resolution)
-    if cset.k:
-        feas = (grid @ cset.mat.T >= cset.rhs[None, :] - 1e-12).all(axis=1)
-        grid = grid[feas]
-    if grid.size == 0:
+    feas = np.flatnonzero(
+        (grid @ cset.mat.T >= cset.rhs[None, :] - 1e-12).all(axis=1))
+    if feas.size == 0:
         raise InfeasibleError("no feasible grid point at this resolution")
-    vals = batch_vals(grid)
-    vals[(grid[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
+
+    def grid_vals(rows):
+        g = grid[rows]
+        vals = batch_vals(g)
+        vals[(g[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
+        return vals
+
+    # a row's value is computed from that row alone, so scoring the feasible
+    # rows in blocks gives the values of one pass without grid-sized copies
+    vals = np.concatenate([grid_vals(feas[i:i + _GRID_BLOCK])
+                           for i in range(0, feas.size, _GRID_BLOCK)])
     top = np.argpartition(vals, min(2, vals.size - 1))[:3]
     top = top[np.argsort(vals[top])]
     best_val = float(vals[top[0]])
@@ -420,7 +431,7 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
         pen = np.maximum(cset.violations(v), 0.0).sum(axis=1)
         return batch_vals(v) + mu * pen
 
-    starts = [np.log(np.maximum(grid[int(j)][supp], 1e-7)) for j in top]
+    starts = [np.log(np.maximum(grid[feas[j]][supp], 1e-7)) for j in top]
     starts.append(np.log(np.maximum(p[supp], 1e-7)))
     runs = nelder_mead_batch(penalized, starts, scale=1.0, tol=1e-13,
                              max_iter=2500)
@@ -489,7 +500,9 @@ def rate_objective(proto: SamplingProtocol, cset: ConstraintSet, alpha: float,
     objective keeps per key the multipliers of the last feasible row of the
     key's previous call and starts the key's next solves there: a value is
     then exact only to the inner solver's tolerance, and it depends on its
-    own key's earlier calls alone.
+    own key's earlier calls alone. Under ``speculate=True`` a key's call
+    holds its reflection, expansion and contraction, in that order, so the
+    multipliers kept are those of the last feasible of the three.
     """
     alpha = check_alpha(alpha)
     _check_score_alphabet(cset, proto)
@@ -565,9 +578,11 @@ def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,
     ``bell`` optionally pins the search to strategies with a Bell value at
     least the given (functional, threshold) via a quadratic penalty. All
     restarts descend in lockstep on ``rate_objective``, one stacked call per
-    tick, each restart's dual solves starting at the multipliers of its own
-    previous call, so every restart takes the steps it would take alone.
-    The restarts' end points are scored again cold, and the value and
+    tick that scores each restart's reflection, expansion and contraction
+    together, each restart's dual solves starting at the multipliers of the
+    last feasible of its rows in its own previous call, so every restart
+    takes the steps it would take alone. The restarts' end points are
+    scored again cold, and the value and
     certificate of the best come from a cold ``single_round_h``.
     Deterministic under ``seed``; more restarts never increase the value.
     """
@@ -584,7 +599,8 @@ def optimize_strategy(proto: SamplingProtocol, cset: ConstraintSet,
             [[rng.uniform(0.0, math.pi / 4)],
              rng.uniform(-math.pi, math.pi, size=n_a + n_b)]))
     ends = np.array([x for x, _, _ in nelder_mead_batch(
-        objective, starts, scale=0.3, max_iter=max_iter, keyed=True)])
+        objective, starts, scale=0.3, max_iter=max_iter, keyed=True,
+        speculate=True)])
     best_params = ends[np.argmin(objective(ends))]
     best = TwoQubitStrategy.from_params(best_params, n_a, n_b)
     sol = single_round_h(best, proto, cset, alpha, outputs)

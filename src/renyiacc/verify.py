@@ -586,24 +586,24 @@ def _round_rate_min(proto: SamplingProtocol, kernels,
     shares. One grid over q, then one simplex polish per kernel from its
     best grid point, finds the minimum of each resulting smooth
     low-dimensional function. The grid is one batched dual solve and so is
-    each tick of the polishes, which run in lockstep; the rows of a batch
+    each tick of the polishes, which run in lockstep and score their
+    reflection, expansion and contraction in one tick; the rows of a batch
     are solved independently, so each simplex takes the steps it would take
     alone.
     """
     r_dim = kernels[0].shape[0]
     # p_C is affine in q: the score law of each memory state, mixed by q
-    p_c_mem = [proto.score_law(np.swapaxes(k, 1, 2)) for k in kernels]
-    s_tab = [(k ** alpha).sum(axis=2) for k in kernels]  # s[r, b]
+    p_c_mem = np.stack([proto.score_law(np.swapaxes(k, 1, 2))
+                        for k in kernels])
+    s_tab = np.stack([(k ** alpha).sum(axis=2) for k in kernels])  # s[k, r, b]
     gen_on = proto.p_gen > 0.0
 
     def values(qs, key):
-        """The objective at each row of qs, under kernel ``key[i]``."""
-        inner = np.empty((len(qs), len(proto.p_gen)))
-        p_c = np.empty((len(qs), len(proto.c_alphabet)))
-        for k in np.unique(key):
-            on = key == k
-            inner[on] = qs[on] @ s_tab[k]  # per-b sum_a p(a|q,b)^alpha
-            p_c[on] = qs[on] @ p_c_mem[k]
+        """The objective at each row of qs, under kernel ``key[i]``. Each
+        row is its own (1, r) @ (r, .) product, so its value does not depend
+        on the rows stacked with it."""
+        inner = (qs[:, None] @ s_tab[key])[:, 0]  # per-b sum_a p(a|q,b)^alpha
+        p_c = (qs[:, None] @ p_c_mem[key])[:, 0]
         mix = (proto.p_gen[gen_on]
                * inner[:, gen_on] ** (1.0 / alpha)).sum(axis=1)
         h_gen = (alpha / (1.0 - alpha)) * np.log2(mix)
@@ -623,7 +623,7 @@ def _round_rate_min(proto: SamplingProtocol, kernels,
         x0s = np.log(np.maximum(grid[vals.argmin(axis=1)], 1e-6))
         runs = nelder_mead_batch(lambda xs, key: values(_softmax(xs), key),
                                  x0s, scale=0.25, tol=1e-13, max_iter=600,
-                                 keyed=True)
+                                 keyed=True, speculate=True)
         best_val = min(best_val, *(float(val) for _, val, _ in runs))
     return best_val
 

@@ -2,10 +2,16 @@
 
 The guard parses ``src/renyiacc`` with ``ast``. A public name is a
 module-level function or class, or a method of a public class, whose name
-does not start with an underscore. It counts as used when its name appears
-anywhere in the package outside its own definition: as a name, an attribute
-or a name imported outside an ``__init__.py``. A package re-export does not
-count, and neither does an attribute of numpy, such as ``np.stack``. A
+does not start with an underscore. A module-level name counts as used when
+it appears anywhere in the package outside its own definition: as a name,
+an attribute or a name imported outside an ``__init__.py``. A method counts
+as used by an attribute of its name whose receiver is of its class, or of a
+package ancestor or descendant of it, or whose receiver's class the source
+does not show. The class is known for a class name, ``self`` and ``cls``, a
+call of a class or of a function annotated to return one, a parameter
+annotated with one, and a local assigned one of these. A package re-export
+does not count, and neither does an attribute of numpy, such as
+``np.stack``. A
 public name with no use must be on ``ALLOWED`` with a one-word reason; a
 name kept there must still be defined and still be unused, so the list
 stays exact.
@@ -89,26 +95,128 @@ def attribute_root(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
+def class_table(trees):
+    """Each class defined at the top of a module, mapped to itself and its
+    package ancestors and descendants: a call on a receiver of one of them
+    may run a method defined on any."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for tree in trees for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+
+    def ancestors(name):
+        return {name}.union(*(ancestors(b) for b in bases.get(name, ())
+                              if b in bases))
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {other for other in bases
+                   if other in up[name] or name in up[other]}
+            for name in bases}
+
+
+def annotated_class(node, classes):
+    """The package class an annotation names, as a name or a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value if node.value in classes else None
+    return node.id if isinstance(node, ast.Name) and node.id in classes \
+        else None
+
+
+def return_classes(trees, classes):
+    """Function or method name -> the package class every definition of
+    that name is annotated to return; left out when they disagree."""
+    found = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                found.setdefault(node.name, set()).add(
+                    annotated_class(node.returns, classes)
+                    if node.returns is not None else None)
+    return {name: next(iter(got)) for name, got in found.items()
+            if len(got) == 1 and None not in got}
+
+
+def receiver_class(node, scope, classes, returns):
+    """The package class of the receiver ``node`` where the source shows
+    it: a class name, a call of a class or of a function annotated to
+    return one, or a name that ``scope`` types (``self``, ``cls``, an
+    annotated parameter, a local assigned one of these). None otherwise."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        return name if name in classes else returns.get(name)
+    if isinstance(node, ast.Name):
+        return node.id if node.id in classes else scope.get(node.id)
+    return None
+
+
+def function_scope(fn, owner, scope, classes, returns):
+    """``scope`` extended by the parameters and locals of ``fn`` whose
+    package class the source shows; ``owner`` is the class ``fn`` is a
+    method of, or None."""
+    scope = dict(scope)
+    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in getattr(fn, "decorator_list", ()))
+    for j, a in enumerate(args):
+        scope.pop(a.arg, None)
+        if j == 0 and owner and not static:
+            scope[a.arg] = owner
+        elif a.annotation is not None \
+                and annotated_class(a.annotation, classes):
+            scope[a.arg] = annotated_class(a.annotation, classes)
+    assigned = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            assigned.setdefault(node.targets[0].id, set()).add(
+                receiver_class(node.value, scope, classes, returns))
+    scope.update({name: next(iter(got)) for name, got in assigned.items()
+                  if len(got) == 1 and None not in got})
+    return scope
+
+
 def unused_public_names(files):
     """Public names defined in ``files``, a mapping of path to source, that
-    no file uses. An attribute of numpy (``np.stack``) is no use of a
+    no file uses. A module-level function or class is used by its name, an
+    import of it, or an attribute of that name. A method is used by an
+    attribute of its name whose receiver is of its class (or a package
+    ancestor or descendant of it), or whose receiver's class the source
+    does not show. An attribute of numpy (``np.stack``) is no use of a
     package name, and an import in an ``__init__.py`` (a re-export) is no
     use either."""
-    defs, uses = [], Counter()
-    for path, src in files.items():
-        tree = ast.parse(src)
+    trees = {path: ast.parse(src) for path, src in files.items()}
+    classes = class_table(trees.values())
+    returns = return_classes(trees.values(), classes)
+    defs, names, attrs, methods = [], Counter(), Counter(), set()
+
+    def visit(node, owner, scope, skip, reexport):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            scope = function_scope(node, owner if isinstance(
+                node, ast.FunctionDef) else None, scope, classes, returns)
+            owner = None
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias) and not reexport:
+            names[node.name] += 1
+        elif isinstance(node, ast.Attribute) \
+                and attribute_root(node) not in skip:
+            cls = receiver_class(node.value, scope, classes, returns)
+            if cls is None:
+                attrs[node.attr] += 1
+            else:
+                methods.update(f"{c}.{node.attr}" for c in classes[cls])
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, scope, skip, reexport)
+
+    for path, tree in trees.items():
         defs.extend(public_definitions(tree))
-        skip = numpy_names(tree)
-        reexport = Path(path).name == "__init__.py"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                if attribute_root(node) not in skip:
-                    uses[node.attr] += 1
-            elif isinstance(node, ast.alias) and not reexport:
-                uses[node.name] += 1
-    return {qual for qual, name, _ in defs if uses[name] == 0}, \
+        visit(tree, None, {}, numpy_names(tree),
+              Path(path).name == "__init__.py")
+    return {qual for qual, name, _ in defs if not attrs[name] and (
+        qual not in methods if "." in qual else not names[name])}, \
         {qual for qual, _, _ in defs}
 
 
@@ -131,6 +239,27 @@ def test_use_guard_does_not_count_package_reexports():
              "pkg/use.py": "from .mod import g\n"}
     unused, _ = unused_public_names(files)
     assert unused == {"f"}
+
+
+def test_use_guard_matches_methods_by_receiver_class():
+    src = ("class A:\n    def check(self):\n        pass\n"
+           "    def run(self):\n        return self.check()\n"
+           "    def load(self) -> 'B':\n        pass\n"
+           "class B:\n    def check(self):\n        pass\n"
+           "    def size(self):\n        pass\n"
+           "    def shape(self):\n        pass\n"
+           "class C(B):\n    def check(self):\n        pass\n"
+           "class D:\n    def check(self):\n        pass\n"
+           "    def size(self):\n        pass\n"
+           "    def shape(self):\n        pass\n"
+           "def f(a: A, d: 'D'):\n    a.run()\n    d.size()\n"
+           "    b = a.load()\n    b.check()\n    A().load().shape()\n")
+    unused, _ = unused_public_names({"mod.py": src})
+    # B.check is called on a B, so C.check may run; D.check, D.shape and
+    # B.size are named only on receivers of other classes
+    assert unused == {"f", "C", "D", "D.check", "D.shape", "B.size"}
+    unused, _ = unused_public_names({"mod.py": src + "x.size(); y.check()\n"})
+    assert unused == {"f", "C", "D", "D.shape"}  # x, y: any class
 
 
 def test_every_unused_public_name_is_allowed():

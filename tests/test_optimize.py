@@ -12,8 +12,9 @@ from renyiacc.optimize import (
     simplex_grid,
 )
 
+# the last two need 16- and 32-bit numerators
 GRID_CASES = [(k, r) for k in range(1, 6) for r in (1, 2, 5, 8, 12)] + [
-    (2, 48), (3, 20), (3, 64), (4, 40), (5, 10)]
+    (2, 48), (3, 20), (3, 64), (4, 40), (5, 10), (3, 130), (2, 40000)]
 
 
 def reference_grid(k, resolution):
@@ -183,6 +184,48 @@ def test_nelder_mead_batch_keyed_names_each_rows_simplex():
         rows = np.concatenate([xs[starts == i] for xs, starts in ticks])
         assert len(rows) == evals
     assert all(len(xs) == len(starts) for xs, starts in ticks)
+
+
+@pytest.mark.parametrize("max_iter", [150, 2000])
+def test_speculative_steps_equal_plain_steps_in_fewer_ticks(max_iter):
+    sizes, runs = {}, {}
+    for speculate in (False, True):
+        sizes[speculate] = []
+
+        def fbatch(xs, seen=sizes[speculate]):
+            seen.append(len(xs))
+            return rosenbrock_rows(xs)
+
+        runs[speculate] = nelder_mead_batch(fbatch, NM_STARTS, scale=0.3,
+                                            max_iter=max_iter,
+                                            speculate=speculate)
+    for (x, f, _), (x_spec, f_spec, _) in zip(runs[False], runs[True]):
+        assert np.array_equal(x, x_spec)
+        assert f == f_spec
+    assert len(sizes[True]) < len(sizes[False])
+    assert sum(sizes[True]) == sum(e for _, _, e in runs[True])
+    assert runs[True][2][2] == 4  # the all-infinite simplex asks for no step
+
+
+def test_speculative_keyed_rows_name_their_simplex():
+    ticks = []
+
+    def fbatch(xs, starts):
+        ticks.append((xs, starts))
+        return rosenbrock_rows(xs)
+
+    runs = nelder_mead_batch(fbatch, NM_STARTS, scale=0.3, max_iter=150,
+                             keyed=True, speculate=True)
+    for i, start in enumerate(NM_STARTS):
+        lone = []
+        [(x, f, evals)] = nelder_mead_batch(
+            lambda xs: lone.append(xs) or rosenbrock_rows(xs), [start],
+            scale=0.3, max_iter=150, speculate=True)
+        rows = np.concatenate([xs[starts == i] for xs, starts in ticks])
+        # the rows keyed i are, in order, the rows simplex i asks for alone
+        assert np.array_equal(rows, np.concatenate(lone))
+        assert len(rows) == evals == runs[i][2]
+        assert np.array_equal(x, runs[i][0]) and f == runs[i][1]
 
 
 def test_nelder_mead_all_infinite_simplex_stops_after_first_tick():

@@ -395,6 +395,27 @@ class TestLockstepPolish:
         assert res.h_alpha == want
         assert len(calls) <= 1 + max(ticks)
 
+    @pytest.mark.parametrize("r_dim", [2, 3, 4])
+    def test_row_value_does_not_depend_on_its_stack(self, monkeypatch, r_dim):
+        # a speculative tick stacks 3 rows of one kernel, where a plain tick
+        # has 1: each row's value must not depend on the rows around it
+        import renyiacc.verify as verify
+        objectives = []
+        real = verify.nelder_mead_batch
+
+        def recorded(fbatch, *args, **kwargs):
+            objectives.append(fbatch)
+            return real(fbatch, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "nelder_mead_batch", recorded)
+        simulate_two_rounds(*two_round_case(r_dim, 0, 0))
+        [objective] = objectives
+        xs = rng_from((47, r_dim)).normal(size=(40, r_dim))
+        key = np.arange(40) % 3 % 2  # runs of 1 and 2 rows of each kernel
+        stacked = objective(xs, key)
+        for i in range(len(xs)):
+            assert objective(xs[i:i + 1], key[i:i + 1])[0] == stacked[i]
+
     def test_infeasible_polish_row_raises(self, monkeypatch):
         import renyiacc.verify as verify
         from renyiacc.errors import InfeasibleError
