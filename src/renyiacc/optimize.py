@@ -37,7 +37,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
 
 
 def _nelder_mead_steps(x0, scale: float, tol: float, max_iter: int,
-                       speculate: bool = False):
+                       speculate: bool):
     """Nelder-Mead as a step generator: yields an array of points, is sent
     their values, and returns (x_best, f_best, evals).
 
