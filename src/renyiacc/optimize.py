@@ -168,12 +168,13 @@ def simplex_grid(k: int, resolution: int) -> np.ndarray:
     if grid is None:
         # stars and bars: k - 1 bar positions among resolution + k - 1 slots;
         # the gaps between consecutive bars are the numerators. They are
-        # built in the narrowest signed type that holds -slots, so the
-        # float grid is the only grid-sized float64 array of the build
+        # built in the narrowest signed type that holds -slots - 1 (so both
+        # edges, -1 and slots, fit), and the float grid is the only
+        # grid-sized float64 array of the build
         slots = resolution + k - 1
         count = math.comb(slots, k - 1)
         combos = itertools.combinations(range(slots), k - 1)
-        edges = np.array([-1, slots], dtype=np.min_scalar_type(-slots))
+        edges = np.array([-1, slots], dtype=np.min_scalar_type(-slots - 1))
         bars = np.fromiter(itertools.chain.from_iterable(combos),
                            dtype=edges.dtype,
                            count=count * (k - 1)).reshape(count, k - 1)

@@ -12,9 +12,11 @@ from renyiacc.optimize import (
     simplex_grid,
 )
 
-# the last two need 16- and 32-bit numerators
+# (3, 130) and (2, 40000) need 16- and 32-bit numerators; the last four put
+# the right edge, slots, one past the top of int8 or int16
 GRID_CASES = [(k, r) for k in range(1, 6) for r in (1, 2, 5, 8, 12)] + [
-    (2, 48), (3, 20), (3, 64), (4, 40), (5, 10), (3, 130), (2, 40000)]
+    (2, 48), (3, 20), (3, 64), (4, 40), (5, 10), (3, 130), (2, 40000),
+    (1, 128), (2, 127), (3, 126), (2, 32767)]
 
 
 def reference_grid(k, resolution):
