@@ -228,11 +228,12 @@ def family_round(family: CPMapFamily, proto: SamplingProtocol,
     return _round_state(proto, np.where(p_ab > 1e-15, p_ab, 0.0), blocks, "Rp")
 
 
-def build_sampling_channel(strategy: TwoQubitStrategy, proto: SamplingProtocol,
-                           outputs: str = "alice") -> CqState:
+def build_sampling_channel(strategy: TwoQubitStrategy,
+                           proto: SamplingProtocol) -> CqState:
     """One spot-checking round of a device strategy under a protocol: the
-    round state on (A, C, T, B), with Eve's purifier as E."""
-    table = _round_table(strategy, proto, outputs)
+    round state on (A, C, T, B), with Alice's outputs as A and Eve's
+    purifier as E."""
+    table = _round_table(strategy, proto, "alice")
     return _round_state(proto, table.p, table.cond, "E")
 
 

@@ -296,8 +296,7 @@ def cmd_compare(args) -> int:
     n_set = (len(strategy.meas_a) * len(strategy.meas_b)
              if settings == "pairs" else len(strategy.meas_a))
     p_b = np.ones(n_set) / n_set
-    rows = compare_entropies(strategy, p_b, args.alpha,
-                             settings=settings, outputs="alice")
+    rows = compare_entropies(strategy, p_b, args.alpha, settings=settings)
     print("alpha   h_down     h_partial  gap         per-setting spread")
     for r in rows:
         print(f"{r.alpha:5.2f}  {r.h_down:9.6f}  {r.h_partial:9.6f}  "

@@ -34,7 +34,7 @@ from .channel import (
     response_stack,
     strategy_to_cq,
 )
-from .entropy import check_alpha
+from .entropy import _softmax, check_alpha
 from .errors import (
     AlphabetMismatchError,
     BadProbabilityError,
@@ -143,12 +143,6 @@ class ConstraintSet:
                              np.concatenate([s.rhs for s in sets]))
 
 
-def _softmax(x):
-    """Softmax over the last axis."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # exact inner minimization over v
 # ---------------------------------------------------------------------------
@@ -193,7 +187,6 @@ _ARMIJO = 1e-4
 _RIDGE = 1e-13     # relative ridge on the Newton pivots (repeated rows)
 _FLAT = 1e-290     # a variance at or below this is zero
 _WARM_RES = 1e-9   # a warm-started row certified worse than this is redone
-_KKT_GATE = 1e-9   # complementarity above this keeps a row from ending
 
 
 def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
@@ -216,10 +209,10 @@ def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
     k = 0 constraints are closed form. Every v_lam vanishes off supp(p), so
     a row whose face there has no vertex can never be met and is never
     iterated: it is marked in ``feasible``, as is one violated by more than
-    1e-7 at the end, and its value is +inf. A row that would end while a
-    multiplier's complementarity exceeds 1e-9 first moves each such
-    multiplier toward 0 under one more search, and ends only if that finds
-    no ascent. The fields of the result carry the batch axis.
+    1e-7 at the end, and its value is +inf. The multipliers start at 0;
+    a warm-started row (``_inner_solve``) is kept only when it ends feasible
+    with a KKT residual of at most 1e-9, and is otherwise solved again from
+    0. The fields of the result carry the batch axis.
     """
     return _inner_solve(p_c, h_gen, cset, alpha, None)
 
@@ -229,9 +222,10 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     """``inner_inf_v_batch`` with the multipliers started at ``lam0``, shape
     (n, k), unchecked, or at zero when it is None. The optimum does not
     depend on the start, but a warm result matches the cold one only to the
-    solver's tolerance. A start far from the optimum is what needs that
-    step toward 0; a warm row that still ends infeasible or with a KKT
-    residual above 1e-9 is solved again from zero."""
+    solver's tolerance. One rule covers every warm row: it is kept when it
+    ends feasible with a KKT residual of at most 1e-9, and any other warm
+    row, such as one started far from the optimum, is solved again from
+    zero."""
     alpha = check_alpha(alpha)
     p = np.asarray(p_c, dtype=float)
     h = np.asarray(h_gen, dtype=float)
@@ -264,29 +258,6 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
         dual = lam_rows @ t - (m[:, 0] + np.log2(z)) / beta
         return v, dual, t - v @ g.T
 
-    def search(pw, ew, lw, vw, dw, gw, step, tiny, noise):
-        """Projected Armijo backtracking from the rows (lw, vw, dw, gw)
-        along ``step``: the rows still searching share one step length, and
-        a ``tiny`` row takes its step whole. Returns the new rows and the
-        mask of rows that found no ascent."""
-        length, todo = 1.0, True
-        for _ in range(_BACKTRACKS):
-            trial = np.maximum(lw + length * step, 0.0)
-            v_t, d_t, g_t = tilt(pw, ew, trial)
-            rise = _ARMIJO * (gw * (trial - lw)).sum(axis=1)
-            ok = todo & (tiny | (d_t - dw >= rise - noise))
-            if ok.all():  # every row takes its step
-                return trial, v_t, d_t, g_t, ~ok
-            lw = np.where(ok[:, None], trial, lw)
-            vw = np.where(ok[:, None], v_t, vw)
-            dw = np.where(ok, d_t, dw)
-            gw = np.where(ok[:, None], g_t, gw)
-            todo &= ~ok
-            if not todo.any():
-                break
-            length *= 0.5
-        return lw, vw, dw, gw, todo
-
     lam = np.zeros((n, k)) if lam0 is None else np.array(lam0, dtype=float)
     v, dual, grad = tilt(p, expo0, lam)
     # working copies of the rows still iterating, compacted as rows finish
@@ -317,21 +288,27 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
                 else np.linalg.solve(hess, pg[:, :, None])[:, :, 0])
         tiny = np.abs(step).max(axis=1) <= 1e-13 * (1.0 + lw.max(axis=1))
         noise = 1e-15 * (1.0 + np.abs(dw) + np.abs(lw @ t))
-        lw, vw, dw, gw, todo = search(pw, ew, lw, vw, dw, gw, step, tiny,
-                                      noise)
+        # projected Armijo backtracking: the rows still searching share one
+        # step length, and a tiny row takes its step whole
+        length, todo = 1.0, True
+        for _ in range(_BACKTRACKS):
+            trial = np.maximum(lw + length * step, 0.0)
+            v_t, d_t, g_t = tilt(pw, ew, trial)
+            rise = _ARMIJO * (gw * (trial - lw)).sum(axis=1)
+            ok = todo & (tiny | (d_t - dw >= rise - noise))
+            if ok.all():  # every row takes its step
+                lw, vw, dw, gw, todo = trial, v_t, d_t, g_t, ~ok
+                break
+            lw = np.where(ok[:, None], trial, lw)
+            vw = np.where(ok[:, None], v_t, vw)
+            dw = np.where(ok, d_t, dw)
+            gw = np.where(ok[:, None], g_t, gw)
+            todo &= ~ok
+            if not todo.any():
+                break
+            length *= 0.5
         # a step at rounding level, or one that found no ascent, ends the row
         done = tiny | todo
-        if done.any():
-            # unless a multiplier's complementarity alone breaks the KKT gate
-            # (zero variance gives it no Newton step, a near-singular Hessian
-            # one that no halving can use): lowering it still raises the
-            # dual, so it heads for 0 under one more search
-            slip = np.where(done[:, None] & (lw * gw < -_KKT_GATE), -lw, 0.0)
-            on = slip.any(axis=1)
-            if on.any():
-                lw, vw, dw, gw, todo = search(pw, ew, lw, vw, dw, gw, slip,
-                                              ~on, noise)
-                done = np.where(on, todo, done)
     lam[rows], v[rows], dual[rows], grad[rows] = lw, vw, dw, gw
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.where(v > 0.0, v * np.log2(v / p), 0.0).sum(axis=1)
@@ -395,22 +372,26 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
         kl = (batch * np.log2(ratio)).sum(axis=1)
         return kl / beta + batch[:, i_bot] * h_gen
 
-    grid = simplex_grid(len(cset.alphabet), resolution)
-    feas = np.flatnonzero(
-        (grid @ cset.mat.T >= cset.rhs[None, :] - 1e-12).all(axis=1))
-    if feas.size == 0:
-        raise InfeasibleError("no feasible grid point at this resolution")
-
     def grid_vals(rows):
         g = grid[rows]
         vals = batch_vals(g)
         vals[(g[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
         return vals
 
-    # a row's value is computed from that row alone, so scoring the feasible
-    # rows in blocks gives the values of one pass without grid-sized copies
-    vals = np.concatenate([grid_vals(feas[i:i + _GRID_BLOCK])
-                           for i in range(0, feas.size, _GRID_BLOCK)])
+    # a row's feasibility and value are computed from that row alone, so
+    # filling them in by blocks gives the results of one pass without
+    # grid-sized temporaries
+    grid = simplex_grid(len(cset.alphabet), resolution)
+    ok = np.empty(len(grid), dtype=bool)
+    for i in range(0, len(grid), _GRID_BLOCK):
+        ok[i:i + _GRID_BLOCK] = (grid[i:i + _GRID_BLOCK] @ cset.mat.T
+                                 >= cset.rhs[None, :] - 1e-12).all(axis=1)
+    feas = np.flatnonzero(ok)
+    if feas.size == 0:
+        raise InfeasibleError("no feasible grid point at this resolution")
+    vals = np.empty(feas.size)
+    for i in range(0, feas.size, _GRID_BLOCK):
+        vals[i:i + _GRID_BLOCK] = grid_vals(feas[i:i + _GRID_BLOCK])
     top = np.argpartition(vals, min(2, vals.size - 1))[:3]
     top = top[np.argsort(vals[top])]
     best_val = float(vals[top[0]])
@@ -629,11 +610,11 @@ class ComparisonRow:
 
 
 def compare_entropies(strategy: TwoQubitStrategy, p_b, alphas,
-                      settings: str = "pairs",
-                      outputs: str = "alice") -> list[ComparisonRow]:
-    """Partial-vs-down comparison with the per-setting entropy spread."""
+                      settings: str = "pairs") -> list[ComparisonRow]:
+    """Partial-vs-down comparison, on Alice's outputs, with the per-setting
+    entropy spread."""
     state = strategy_to_cq(strategy, np.asarray(p_b, dtype=float),
-                           settings=settings, outputs=outputs)
+                           settings=settings, outputs="alice")
     live = [b for b, p in zip(state.alphabet("B"), state.weights.sum(axis=0))
             if p > 0.0]
     return [ComparisonRow(alpha=float(alpha), h_down=hd, h_partial=hp,

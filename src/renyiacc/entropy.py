@@ -87,6 +87,12 @@ def _log2sumexp2(x, axis=None):
     return np.squeeze(m, axis=axis) + np.log2(np.sum(2.0 ** (x - m), axis=axis))
 
 
+def _softmax(x):
+    """Softmax over the last axis."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _sandwich_eigs(rho, sigma, ts):
     """Ascending eigenvalues of sigma^t rho sigma^t, clipped at 0, at each t
     of ``ts``, and whether rho leaks out of supp(sigma), per block; sigma is
@@ -360,8 +366,7 @@ def _up_fixed_point(rc, w0, alpha):
              + (1.0 - theta[live]) * _from_eig(
                  np.log(np.clip(ws[live], 1e-300, None)), vs[live]))
         wh, vh = _eigh(h)
-        e = np.exp(wh - wh[:, -1:])
-        e /= e.sum(axis=-1, keepdims=True)
+        e = _softmax(wh)
         new = _from_eig(e, vh)
         delta = np.abs(new - sig[live]).max(axis=(-2, -1))
         ws[live], vs[live], sig[live] = e, vh, new
@@ -585,13 +590,13 @@ def optimal_q(r, alpha: float) -> np.ndarray:
     return q / q.sum()
 
 
-def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
-                          resolution: int = 200) -> float:
+def h_partial_variational(state: CqState, a_names, up_name: str,
+                          alpha: float) -> float:
     """Grid/analytic supremum of -D_alpha(rho || I_A x sigma) over q_B.
 
     Independent oracle for :func:`h_partial`: evaluates the divergence at
-    every grid distribution on the optimized register (plus the analytic
-    optimizer), using the block decomposition with weights q.
+    every distribution of denominator 200 on the optimized register (plus
+    the analytic optimizer), using the block decomposition with weights q.
     """
     alpha = check_alpha(alpha)
     _, _, pb, hb = _down_partial(state, a_names, up_name, (alpha,))[0]
@@ -599,7 +604,7 @@ def h_partial_variational(state: CqState, a_names, up_name: str, alpha: float,
     # -inf whenever some q_b vanishes, so the supremum sits in the interior
     # and boundary grid points can be dropped.
     log_r = alpha * np.log2(pb) + (1.0 - alpha) * hb
-    grid = simplex_grid(len(pb), resolution)
+    grid = simplex_grid(len(pb), 200)
     q_star = optimal_q(2.0 ** (log_r - log_r.max()), alpha)
     qs = np.vstack([grid[(grid > 0).all(axis=1)], q_star])
     vals = _log2sumexp2((1.0 - alpha) * np.log2(qs) + log_r, axis=1) / (1.0 - alpha)

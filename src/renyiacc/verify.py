@@ -28,11 +28,11 @@ from .counterexample import counterexample_channel_instance
 from .eatrate import (
     ConstraintSet,
     _check_score_alphabet,
-    _softmax,
     finite_size_bound,
     inner_inf_v,  # not called here; bench/test_bench.py checks this binding
     inner_inf_v_batch,
 )
+from .entropy import _softmax
 from .errors import (
     BadProbabilityError,
     BadShapeError,

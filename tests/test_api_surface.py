@@ -316,9 +316,21 @@ def test_eigensolver_guard_sees_each_spelling():
     assert list(eigensolver_uses(ast.parse(SPECTRAL_HOME.read_text())))
 
 
+UNKNOWN = object()  # a value the source does not fix as a literal
+
+
+def literal(node):
+    """The value of a literal expression, or ``UNKNOWN``."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return UNKNOWN
+
+
 def defaulted_parameters(tree):
-    """(qualified name, bare name, {parameter: positional index or None})
-    of each public function or method with a defaulted parameter."""
+    """(qualified name, bare name, {parameter: (positional index or None,
+    default)}) of each public function or method with a defaulted
+    parameter; a default that is not a literal reads ``UNKNOWN``."""
     for qual, name, fn in public_definitions(tree):
         if isinstance(fn, ast.ClassDef):
             continue
@@ -328,18 +340,20 @@ def defaulted_parameters(tree):
                                    and d.id == "staticmethod"
                                    for d in fn.decorator_list):
             positional = positional[1:]  # self or cls
-        out = {a.arg: j for j, a in enumerate(positional)
-               if j >= len(positional) - len(args.defaults)}
-        out.update({a.arg: None for a, d in zip(args.kwonlyargs,
-                                                args.kw_defaults)
-                    if d is not None})
+        first = len(positional) - len(args.defaults)
+        out = {a.arg: (j, literal(args.defaults[j - first]))
+               for j, a in enumerate(positional) if j >= first}
+        out.update({a.arg: (None, literal(d)) for a, d in zip(
+            args.kwonlyargs, args.kw_defaults) if d is not None})
         if out:
             yield qual, name, out
 
 
 def passed_arguments(tree, passed):
-    """Add to ``passed[name]`` what each call by that name passes: keyword
-    names, the positional count, or ``"*"`` for a starred argument."""
+    """Append to ``passed[name]`` what each call by that name passes: its
+    positional values, its keyword values by name, and whether it has a
+    ``*`` or ``**`` argument. A value that is not a literal reads
+    ``UNKNOWN``."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -348,27 +362,37 @@ def passed_arguments(tree, passed):
             func.attr if isinstance(func, ast.Attribute) else None
         if name is None:
             continue
-        got = passed.setdefault(name, {0})
-        got.update(k.arg or "*" for k in node.keywords)
-        if any(isinstance(a, ast.Starred) for a in node.args):
-            got.add("*")
-        got.add(len(node.args))
+        starred = any(isinstance(a, ast.Starred) for a in node.args) \
+            or any(k.arg is None for k in node.keywords)
+        passed.setdefault(name, []).append((
+            [literal(a) for a in node.args],
+            {k.arg: literal(k.value) for k in node.keywords if k.arg},
+            starred))
+
+
+def sets(call, param, j, default):
+    """Whether ``call`` may give ``param`` (at positional index ``j``, None
+    if keyword-only) a value other than its ``default``."""
+    args, kwargs, starred = call
+    if starred:
+        return True
+    if param in kwargs:
+        value = kwargs[param]
+    elif j is not None and j < len(args):
+        value = args[j]
+    else:
+        return False
+    return value is UNKNOWN or default is UNKNOWN or value != default
 
 
 def unset_settings(defs_src, call_srcs):
     passed = {}
     for src in call_srcs:
         passed_arguments(ast.parse(src), passed)
-    unset = set()
-    for src in defs_src:
-        for qual, name, params in defaulted_parameters(ast.parse(src)):
-            got = passed.get(name, {0})
-            most = max(n for n in got if isinstance(n, int))
-            unset.update(
-                f"{qual}({p})" for p, j in params.items()
-                if "*" not in got and p not in got
-                and (j is None or most <= j))
-    return unset
+    return {f"{qual}({p})" for src in defs_src
+            for qual, name, params in defaulted_parameters(ast.parse(src))
+            for p, (j, default) in params.items()
+            if not any(sets(c, p, j, default) for c in passed.get(name, ()))}
 
 
 def _sources(*roots):
@@ -394,5 +418,10 @@ def test_setting_guard_sees_each_way_of_passing():
             "def _private(a=1):\n    pass\n")
     assert unset_settings([defs], ["x"]) == {
         "f(b)", "f(c)", "f(d)", "g(a)", "K.m(a)", "K.m(b)", "K.s(a)"}
-    calls = ["f(0, 1)", "mod.f(0, d=4)", "g(*xs)", "k.m(1)", "K.s(**kw)"]
+    calls = ["f(0, 5)", "mod.f(0, d=4)", "g(*xs)", "k.m(0)", "K.s(**kw)"]
     assert unset_settings([defs], calls) == {"f(c)", "K.m(b)"}
+    # a literal equal to the default sets nothing; any other value does
+    calls = ["f(0, 1, c=2.0)", "mod.f(0, d=n)", "g(a=1)", "k.m(1, -2)",
+             "K.s(a=(1,))"]
+    assert unset_settings([defs], calls) == {"f(b)", "f(c)", "g(a)",
+                                             "K.m(a)"}

@@ -180,7 +180,7 @@ class TestRoundLaw:
         # the strategy binding is the round state, and its C marginal p_C
         proto = chsh_protocol(0.3, outputs="alice")
         s = TwoQubitStrategy.chsh_tsirelson()
-        st = build_sampling_channel(s, proto, outputs="alice")
+        st = build_sampling_channel(s, proto)
         table = round_table(s, proto, outputs="alice")
         ref = _round_state(proto, table.p, table.cond, "E")
         assert st.names == ref.names

@@ -82,6 +82,18 @@ class TestEntropyCommand:
         assert code == 0
         assert abs(float(out.strip()) - ent.h_down(rho, ["A"], 2.0)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["vn", "renyi"])
+    def test_vn_and_renyi_kinds(self, capsys, tmp_path, kind):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(cq_to_dict(
+            random_cq((2, 3), (2,), 5, names=["A", "B"], qnames=["Q"]))))
+        code, out, _ = run(["entropy", "--state", str(path), "--cond", "B,Q",
+                            "--alpha", "2", "--kind", kind], capsys)
+        st = load_state(str(path))
+        expect = (ent.conditional_von_neumann(st, ["A"]) if kind == "vn"
+                  else ent.renyi_entropy(st, 2.0))
+        assert (code, out) == (0, f"{expect:.12f}\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(["entropy", "--state", "/nonexistent.json"], capsys)
         assert code == 2

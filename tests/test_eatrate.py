@@ -452,12 +452,12 @@ class TestWarmStart:
             assert np.isinf(warm.value[~on]).all()
 
     @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0, 3.0))
-    def test_far_start_does_not_end_uncertified(self, alpha, monkeypatch):
-        # at alpha = 1.1 and h = 0, from 1000x the optimum v_lam put all its
-        # mass on symbol 1: the max-mass multiplier had zero variance and
-        # left the free set, so its step was 0 and the row ended "feasible"
-        # at 23.219 (cold: 1.5098) with a KKT residual of 8.5e3
-        monkeypatch.setattr(eatrate, "_WARM_RES", math.inf)  # no cold redo
+    def test_far_start_does_not_end_uncertified(self, alpha):
+        # at alpha = 1.1 and h = 0, from 1000x the optimum v_lam puts all its
+        # mass on symbol 1: the max-mass multiplier has zero variance and
+        # leaves the free set, so its step is 0 and the warm row ends
+        # "feasible" at 23.219 (cold: 1.5098) with a KKT residual of 8.5e3;
+        # such a row is now solved again cold
         h = np.linspace(0.0, 1.5, 16)
         p = np.tile([0.0, 0.2, 0.8], (len(h), 1))
         cold = inner_inf_v_batch(p, h, self.CS, alpha)
@@ -468,8 +468,9 @@ class TestWarmStart:
             assert np.abs(warm.value - cold.value).max() <= 1e-12
             assert warm.kkt_residual.max() <= 1e-9
         # the last row of P from 100x the largest optimum: its Hessian is
-        # near singular, every halving of the step projected to one trial
-        # point, and the row ended at KKT residual 73-382 (alpha 3-1.5)
+        # near singular, every halving of the step projects to one trial
+        # point, and the warm row ends at KKT residual 73-382 (alpha 3-1.5),
+        # so it too is solved again cold
         cold = inner_inf_v_batch(self.P, self.H, self.CS, alpha)
         lam0 = np.broadcast_to(100 * cold.lam[cold.feasible].max(axis=0),
                                cold.lam.shape)
@@ -530,6 +531,32 @@ def test_keyed_objective_starts_each_key_at_its_own_multipliers(
     assert calls[-1][0].tolist() == [first.lam[3].tolist(),
                                      first.lam[1].tolist(), [0.0]]
     assert np.abs(vals - cold[4:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0, 3.0))
+def test_keyed_warm_search_solves_no_row_again_cold(alpha, monkeypatch):
+    # the cold re-solve of a warm row is a safety net, not a hot path: a
+    # warm search on the README protocol certifies every warm row
+    depth, warm, redone = [0], [], []
+
+    def spy(p, h, cset, alpha, lam0, solve=eatrate._inner_solve):
+        if depth[0] == 0 and lam0 is not None:
+            warm.append(len(p))
+        elif depth[0] and lam0 is None:  # nested: a warm row solved again
+            redone.append(len(p))
+        depth[0] += 1
+        try:
+            return solve(p, h, cset, alpha, lam0)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(eatrate, "_inner_solve", spy)
+    proto = protocol_from_dict(README_PROTOCOL)
+    cset = ConstraintSet.min_mass(proto.c_alphabet, "1", 0.04)
+    rep = optimize_strategy(proto, cset, alpha, restarts=3, seed=5,
+                            max_iter=60)
+    assert sum(warm) > 100 and redone == []
+    assert rep.kkt_residual <= 1e-9
 
 
 def test_keyed_lockstep_runs_each_restart_as_alone():

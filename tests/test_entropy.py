@@ -128,6 +128,27 @@ class TestDivergence:
                                        sig.to_density().matrix, alpha)
         assert abs(d_cq - d_dense) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cq_against_dense_is_the_dense_pair(self, seed):
+        # one side without classical registers: both are compared as one
+        # dense block
+        rng = rng_from((8, seed))
+        rho = random_cq((3,), (2,), rng, names=["C"], qnames=["Q"])
+        sig = random_density((6,), rng).matrix
+        dense = rho.to_density().matrix
+        for a in ALPHAS:
+            assert ent.renyi_divergence(rho, sig, a) \
+                == ent.renyi_divergence(dense, sig, a)
+            assert ent.renyi_divergence(sig, rho, a) \
+                == ent.renyi_divergence(sig, dense, a)
+
+    @pytest.mark.parametrize("dims,names", [((2,), ["C"]), ((3,), ["D"])])
+    def test_cq_pair_on_other_registers_raises(self, dims, names):
+        rho = random_cq((3,), (2,), 0, names=["C"], qnames=["Q"])
+        sig = random_cq(dims, (2,), 1, names=names, qnames=["Q"])
+        with pytest.raises(AlphabetMismatchError):
+            ent.renyi_divergence(rho, sig, 2.0)
+
     def test_max_divergence(self):
         rho = random_density((3,), 7).matrix
         assert abs(ent.max_divergence(rho, rho)) < 1e-10
@@ -338,7 +359,7 @@ class TestPartial:
         nb = int(rng.integers(2, 4))
         st = random_cq((nb,), (2, 2), rng, names=["B"], qnames=["A", "C"])
         hp = ent.h_partial(st, ["A"], "B", alpha)
-        hv = ent.h_partial_variational(st, ["A"], "B", alpha, resolution=200)
+        hv = ent.h_partial_variational(st, ["A"], "B", alpha)
         assert hv <= hp + 1e-12  # grid evaluates feasible points only
         assert abs(hv - hp) < 1e-6
 
