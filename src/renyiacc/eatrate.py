@@ -356,6 +356,11 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     """Brute-force oracle: the best feasible simplex-grid point, polished by
     a penalised simplex descent. It stays a pure primal search, so the
     result is independent of the dual-tilting path it checks.
+
+    One pass over the grid's numerators, ``_GRID_BLOCK`` rows at a time,
+    divides each block to points, keeps its feasible rows and merges their
+    values into the best three so far; among equal values the lower grid
+    index wins. Those three rows and p_C start the polish.
     """
     alpha = check_alpha(alpha)
     p = entropy._distribution(p_c, "p_C ")
@@ -368,33 +373,32 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
 
     def batch_vals(batch):
         # a zero entry reads 0 * log2(1) = 0
-        ratio = np.where(batch > 0, batch / p_safe, 1.0)
-        kl = (batch * np.log2(ratio)).sum(axis=1)
-        return kl / beta + batch[:, i_bot] * h_gen
-
-    def grid_vals(rows):
-        g = grid[rows]
-        vals = batch_vals(g)
-        vals[(g[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
-        return vals
+        terms = np.divide(batch, p_safe, out=np.ones_like(batch),
+                          where=batch > 0)
+        np.log2(terms, out=terms)
+        terms *= batch
+        return terms.sum(axis=1) / beta + batch[:, i_bot] * h_gen
 
     # a row's feasibility and value are computed from that row alone, so
-    # filling them in by blocks gives the results of one pass without
-    # grid-sized temporaries
-    grid = simplex_grid(len(cset.alphabet), resolution)
-    ok = np.empty(len(grid), dtype=bool)
-    for i in range(0, len(grid), _GRID_BLOCK):
-        ok[i:i + _GRID_BLOCK] = (grid[i:i + _GRID_BLOCK] @ cset.mat.T
-                                 >= cset.rhs[None, :] - 1e-12).all(axis=1)
-    feas = np.flatnonzero(ok)
-    if feas.size == 0:
+    # scoring block by block gives the results of one pass over the grid
+    nums = simplex_grid(len(cset.alphabet), resolution)
+    top, top_vals = np.empty(0, dtype=np.intp), np.empty(0)
+    for i in range(0, len(nums), _GRID_BLOCK):
+        block = nums[i:i + _GRID_BLOCK] / resolution
+        ok = (block @ cset.mat.T >= cset.rhs[None, :] - 1e-12).all(axis=1)
+        block = block[ok]
+        vals = batch_vals(block)
+        vals[(block[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
+        idx = np.concatenate([top, i + np.flatnonzero(ok)])
+        vals = np.concatenate([top_vals, vals])
+        if vals.size > 3:  # only the three least values and their ties stay
+            keep = vals <= np.partition(vals, 2)[2]
+            idx, vals = idx[keep], vals[keep]
+        order = np.lexsort((idx, vals))[:3]  # equal values: lower index
+        top, top_vals = idx[order], vals[order]
+    if top.size == 0:
         raise InfeasibleError("no feasible grid point at this resolution")
-    vals = np.empty(feas.size)
-    for i in range(0, feas.size, _GRID_BLOCK):
-        vals[i:i + _GRID_BLOCK] = grid_vals(feas[i:i + _GRID_BLOCK])
-    top = np.argpartition(vals, min(2, vals.size - 1))[:3]
-    top = top[np.argsort(vals[top])]
-    best_val = float(vals[top[0]])
+    best_val = float(top_vals[0])
     # polish with an exact-penalty simplex descent; the L1 penalty weight only
     # needs to exceed the active multipliers, and feasible iterates are scored
     # without it, so the result can only move down toward the constrained
@@ -403,16 +407,19 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     mu = 1e4
 
     def on_support(xs):
+        if supp.all():
+            return _softmax(xs)
         v = np.zeros((len(xs), p.size))
         v[:, supp] = _softmax(xs)
         return v
 
     def penalized(xs):
         v = on_support(xs)
-        pen = np.maximum(cset.violations(v), 0.0).sum(axis=1)
+        pen = np.maximum(cset.rhs - v @ cset.mat.T, 0.0).sum(axis=1)
         return batch_vals(v) + mu * pen
 
-    starts = [np.log(np.maximum(grid[feas[j]][supp], 1e-7)) for j in top]
+    starts = [np.log(np.maximum(nums[j][supp] / resolution, 1e-7))
+              for j in top]
     starts.append(np.log(np.maximum(p[supp], 1e-7)))
     runs = nelder_mead_batch(penalized, starts, scale=1.0, tol=1e-13,
                              max_iter=2500)

@@ -89,7 +89,7 @@ def _log2sumexp2(x, axis=None):
 
 def _softmax(x):
     """Softmax over the last axis."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -604,9 +604,9 @@ def h_partial_variational(state: CqState, a_names, up_name: str,
     # -inf whenever some q_b vanishes, so the supremum sits in the interior
     # and boundary grid points can be dropped.
     log_r = alpha * np.log2(pb) + (1.0 - alpha) * hb
-    grid = simplex_grid(len(pb), 200)
+    nums = simplex_grid(len(pb), 200)
     q_star = optimal_q(2.0 ** (log_r - log_r.max()), alpha)
-    qs = np.vstack([grid[(grid > 0).all(axis=1)], q_star])
+    qs = np.vstack([nums[(nums > 0).all(axis=1)] / 200, q_star])
     vals = _log2sumexp2((1.0 - alpha) * np.log2(qs) + log_r, axis=1) / (1.0 - alpha)
     return float(vals.max())
 

@@ -3,8 +3,8 @@ descent, and certified concave maximization over probability simplices."""
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,32 +155,34 @@ _GRIDS: dict[tuple[int, int], np.ndarray] = {}
 
 
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
-    """All points of the k-coordinate simplex with denominator = resolution.
+    """The integer numerators of all points of the k-coordinate simplex with
+    denominator = resolution, in ``np.min_scalar_type(resolution)`` (uint8 up
+    to 255); divide by ``resolution`` for the points.
 
-    Rows come in lexicographic order of their integer numerators. The array
-    is built once per ``(k, resolution)`` and shared by every later call, so
-    it is read-only: callers must copy a grid or a row before writing to it.
+    Rows come in lexicographic order, first coordinate slowest. The array is
+    built once per ``(k, resolution)`` and shared by every later call, so it
+    is read-only: callers must copy a grid or a row before writing to it.
     """
     if k < 1 or resolution < 1:
         raise BadShapeError(f"simplex grid needs k >= 1 and resolution >= 1, "
                             f"got k={k}, resolution={resolution}")
     grid = _GRIDS.get((k, resolution))
     if grid is None:
-        # stars and bars: k - 1 bar positions among resolution + k - 1 slots;
-        # the gaps between consecutive bars are the numerators. They are
-        # built in the narrowest signed type that holds -slots - 1 (so both
-        # edges, -1 and slots, fit), and the float grid is the only
-        # grid-sized float64 array of the build
-        slots = resolution + k - 1
-        count = math.comb(slots, k - 1)
-        combos = itertools.combinations(range(slots), k - 1)
-        edges = np.array([-1, slots], dtype=np.min_scalar_type(-slots - 1))
-        bars = np.fromiter(itertools.chain.from_iterable(combos),
-                           dtype=edges.dtype,
-                           count=count * (k - 1)).reshape(count, k - 1)
-        nums = np.diff(bars, axis=1, prepend=edges[0], append=edges[1])
-        nums -= 1
-        grid = nums / resolution
+        # each pass gives a row with n still to place n + 1 children that
+        # place 0, 1, ..., n in the next column; its run of children ends at
+        # position cumsum(counts) - 1, and the child at position j keeps that
+        # end minus j. Positions are int32; the columns stay narrow
+        dtype = np.min_scalar_type(operator.index(resolution))
+        cols = [np.array([resolution], dtype=dtype)]  # last: left to place
+        for _ in range(k - 1):
+            counts = cols[-1].astype(np.int32) + 1
+            rest = np.repeat(np.cumsum(counts, dtype=np.int32) - 1, counts)
+            rest -= np.arange(len(rest), dtype=np.int32)
+            rest = rest.astype(dtype)
+            cols = [np.repeat(c, counts) for c in cols]
+            cols[-1] -= rest
+            cols.append(rest)
+        grid = np.stack(cols, axis=1)
         grid.flags.writeable = False
         _GRIDS[(k, resolution)] = grid
     return grid
@@ -212,12 +214,12 @@ def concave_simplex_max(f, k: int, coarse: int = 48) -> SimplexMax:
         x, val = golden_section_max(lambda t: f(np.array([t, 1.0 - t])),
                                     0.0, 1.0, tol=1e-13)
         return SimplexMax(val, np.array([x, 1.0 - x]), 0.0)
-    grid = simplex_grid(k, coarse)
+    grid = simplex_grid(k, coarse) / coarse
     vals = np.array([f(q) for q in grid])
     best_i = int(np.argmax(vals))
     best_q, best_v = grid[best_i].copy(), float(vals[best_i])
     radius = 2.0 / coarse
-    local = simplex_grid(k, 8)
+    local = simplex_grid(k, 8) / 8
     delta = math.inf
     for _ in range(80):
         improved = False

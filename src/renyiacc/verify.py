@@ -614,7 +614,7 @@ def _round_rate_min(proto: SamplingProtocol, kernels,
         return sol.value
 
     res = {2: 48, 3: 20, 4: 12}.get(r_dim, 10)
-    grid = simplex_grid(r_dim, res)
+    grid = simplex_grid(r_dim, res) / res
     vals = values(np.tile(grid, (len(kernels), 1)),
                   np.repeat(np.arange(len(kernels)), len(grid))
                   ).reshape(len(kernels), -1)

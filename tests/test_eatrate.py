@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from renyiacc.errors import (
     BadProbabilityError,
     InfeasibleError,
 )
-from renyiacc.optimize import nelder_mead_batch
+from renyiacc.optimize import nelder_mead_batch, simplex_grid
 from renyiacc.qcore import random_distribution, rng_from
 
 ALPHABET = ("0", "1", BOT)
@@ -880,3 +881,109 @@ def test_grid_oracle_pinned_values():
     ]
     for p, h, cs, alpha, resolution, pinned in cases:
         assert inner_inf_v_grid(p, h, cs, alpha, resolution) == pinned
+
+
+ABCD = ("0", "1", "2", BOT)
+
+
+def grid_reference(p, h, cset, alpha, resolution):
+    """Brute force over the whole grid at once: the feasible rows' indices
+    and values, ordered by value and then by index."""
+    grid = simplex_grid(len(p), resolution) / resolution
+    feas = np.flatnonzero((grid @ cset.mat.T >= cset.rhs - 1e-12).all(axis=1))
+    g = grid[feas]
+    ratio = np.where(g > 0, g / np.where(p > 0, p, 1.0), 1.0)
+    vals = (g * np.log2(ratio)).sum(axis=1) / (alpha - 1.0) + g[:, -1] * h
+    vals[(g[:, p == 0] > 0).any(axis=1)] = np.inf
+    order = np.lexsort((feas, vals))
+    return feas[order], vals[order]
+
+
+def block_cases():
+    rng = np.random.default_rng(11)
+    p3, p4 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+    return [
+        (p3, 0.5, ConstraintSet.min_mass(ALPHABET, "1", p3[1] + 0.1), 2.0, 40),
+        (p4, 0.8, ConstraintSet.max_mass(ABCD, "2", p4[2] - 0.1), 1.5, 30),
+        # the best grid point lies in the last, partial block of 64 rows
+        (np.array([0.9, 0.04, 0.06]), 0.3, ConstraintSet.full_simplex(ALPHABET),
+         1.5, 40),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("block", [5, 64])
+def test_grid_oracle_is_independent_of_the_block_size(monkeypatch, case,
+                                                      block):
+    p, h, cs, alpha, res = block_cases()[case]
+    want = inner_inf_v_grid(p, h, cs, alpha, res)
+    if case == 2:
+        n = len(simplex_grid(len(p), res))
+        assert grid_reference(p, h, cs, alpha, res)[0][0] >= n - n % 64 > 0
+    monkeypatch.setattr(eatrate, "_GRID_BLOCK", block)
+    assert inner_inf_v_grid(p, h, cs, alpha, res) == want
+
+
+@pytest.mark.parametrize("block", [5, 1 << 16])
+def test_grid_oracle_with_one_or_two_feasible_points(monkeypatch, block):
+    monkeypatch.setattr(eatrate, "_GRID_BLOCK", block)
+    p, h, alpha, res = np.array([0.5, 0.2, 0.3]), 0.4, 2.0, 20
+    # only the vertex at symbol 1 meets v(1) >= 1
+    one = ConstraintSet.min_mass(ALPHABET, "1", 1.0)
+    assert len(grid_reference(p, h, one, alpha, res)[0]) == 1
+    assert inner_inf_v_grid(p, h, one, alpha, res) == pytest.approx(
+        -math.log2(0.2) / (alpha - 1.0), abs=1e-12)
+    # v(0) >= 19/20 and v(1) <= 0: two grid points, in different blocks of 5
+    two = ConstraintSet(ALPHABET, [[1, 0, 0], [0, -1, 0]], [1 - 1 / res, 0])
+    idx, vals = grid_reference(p, h, two, alpha, res)
+    assert len(idx) == 2
+    got = inner_inf_v_grid(p, h, two, alpha, res)
+    assert got <= vals[0]
+    assert got == pytest.approx(inner_inf_v(p, h, two, alpha).value,
+                                abs=1e-9)
+
+
+@pytest.mark.parametrize("block", [5, 1 << 16])
+def test_grid_oracle_without_a_feasible_point(monkeypatch, block):
+    # the set v(0) = 0.3 is not empty, but no point of resolution 7 is in it
+    monkeypatch.setattr(eatrate, "_GRID_BLOCK", block)
+    cs = ConstraintSet(ALPHABET, [[1, 0, 0], [-1, 0, 0]], [0.3, -0.3])
+    assert cs.check_nonempty()[0] == pytest.approx(0.3)
+    with pytest.raises(InfeasibleError):
+        inner_inf_v_grid(np.array([0.5, 0.2, 0.3]), 0.4, cs, 2.0, 7)
+
+
+@pytest.mark.parametrize("cs", [ConstraintSet.full_simplex(ABCD),
+                                ConstraintSet.min_mass(ABCD, BOT, 0.2)])
+def test_grid_oracle_breaks_ties_by_grid_index(monkeypatch, cs):
+    # p and the set treat symbols 0 and 1 alike, so rows that swap them tie;
+    # the third and fourth best rows are such a pair
+    p, h, alpha, res = np.array([0.13, 0.13, 0.37, 0.37]), 0.5, 2.0, 12
+    idx, vals = grid_reference(p, h, cs, alpha, res)
+    assert vals[2] == vals[3] and idx[2] < idx[3]
+    seen = []
+    real = eatrate.nelder_mead_batch
+
+    def spy(f, x0s, **kw):
+        seen.append([np.array(x) for x in x0s])
+        return real(f, x0s, **kw)
+
+    monkeypatch.setattr(eatrate, "nelder_mead_batch", spy)
+    inner_inf_v_grid(p, h, cs, alpha, res)
+    rows = simplex_grid(4, res)[idx[:3]] / res
+    want = np.log(np.maximum(rows, 1e-7))
+    assert np.array_equal(np.array(seen[0][:3]), want)
+
+
+def test_grid_oracle_call_traces_little_memory():
+    # every row of the 4-symbol grid is feasible here, so every block is
+    # scored whole; the shared grid is built before tracing starts
+    cs = ConstraintSet.full_simplex(ABCD)
+    simplex_grid(4, 200)
+    tracemalloc.start()
+    try:
+        inner_inf_v_grid(np.full(4, 0.25), 0.5, cs, 2.0, resolution=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6

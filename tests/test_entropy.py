@@ -628,7 +628,7 @@ class TestClassicalUpBruteforce:
         verify._round_rate_min(proto, kernels,
                                ConstraintSet.full_simplex(proto.c_alphabet),
                                alpha)
-        grid = simplex_grid(3, 20)
+        grid = simplex_grid(3, 20) / 20
         h_grid = seen[0].reshape(len(kernels), len(grid))
         for k, kernel in enumerate(kernels):
             for r in range(3):

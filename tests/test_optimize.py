@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from renyiacc.optimize import (
     simplex_grid,
 )
 
-# (3, 130) and (2, 40000) need 16- and 32-bit numerators; the last four put
-# the right edge, slots, one past the top of int8 or int16
+# (1, 128) to (2, 32767) sat at the int8 and int16 edges of an earlier
+# build; (3, 255) and (3, 256) are the last uint8 and the first uint16 grids
 GRID_CASES = [(k, r) for k in range(1, 6) for r in (1, 2, 5, 8, 12)] + [
     (2, 48), (3, 20), (3, 64), (4, 40), (5, 10), (3, 130), (2, 40000),
-    (1, 128), (2, 127), (3, 126), (2, 32767)]
+    (1, 128), (2, 127), (3, 126), (2, 32767), (3, 255), (3, 256)]
 
 
 def reference_grid(k, resolution):
-    """Recursive enumeration: first coordinate slowest, each ascending."""
+    """Recursive enumeration of the integer numerators: first coordinate
+    slowest, each ascending."""
     pts = []
 
     def rec(prefix, left):
@@ -31,25 +33,26 @@ def reference_grid(k, resolution):
             rec(prefix + [i], left - i)
 
     rec([], resolution)
-    return np.asarray(pts, dtype=float) / resolution
+    return np.asarray(pts)
 
 
 @pytest.mark.parametrize("k,resolution", GRID_CASES)
 def test_grid_matches_recursive_enumeration(k, resolution):
     grid = simplex_grid(k, resolution)
-    assert grid.dtype == np.float64
-    assert np.array_equal(grid, reference_grid(k, resolution))
+    ref = reference_grid(k, resolution)
+    assert np.array_equal(grid, ref)
+    points = grid / resolution
+    assert points.dtype == np.float64
+    assert np.array_equal(points, ref / resolution)
 
 
 @pytest.mark.parametrize("k,resolution", GRID_CASES)
 def test_grid_counts_and_numerators(k, resolution):
     grid = simplex_grid(k, resolution)
+    assert grid.dtype == (np.uint8 if resolution <= 255 else np.uint16)
     assert grid.shape == (math.comb(resolution + k - 1, k - 1), k)
-    nums = np.rint(grid * resolution)
-    assert np.array_equal(nums / resolution, grid)
-    assert (nums >= 0).all()
-    assert (nums.sum(axis=1) == resolution).all()
-    assert len(np.unique(nums, axis=0)) == len(nums)
+    assert (grid.sum(axis=1) == resolution).all()
+    assert len(np.unique(grid, axis=0)) == len(grid)
 
 
 def test_grid_is_shared_and_read_only():
@@ -57,12 +60,32 @@ def test_grid_is_shared_and_read_only():
     assert simplex_grid(3, 7) is grid
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
-        grid[0, 0] = 0.5
+        grid[0, 0] = 1
     with pytest.raises(ValueError):
-        grid[1][0] = 0.5
+        grid[1][0] = 1
     row = grid[0].copy()
-    row[0] = 0.5
-    assert grid[0, 0] == 0.0
+    row[0] = 1
+    assert grid[0, 0] == 0
+
+
+def test_grid_rejects_a_float_resolution(monkeypatch):
+    monkeypatch.setattr(optimize, "_GRIDS", {})
+    with pytest.raises(TypeError):
+        simplex_grid(3, 20.0)
+    assert not optimize._GRIDS
+
+
+def test_grid_build_traces_little_memory(monkeypatch):
+    # a fresh cache, so the build runs and the shared grids stay as they are
+    monkeypatch.setattr(optimize, "_GRIDS", {})
+    tracemalloc.start()
+    try:
+        grid = simplex_grid(4, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes == 4 * 1373701  # one byte per numerator
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("k,resolution", [(3, 0), (3, -2), (0, 5), (-1, 5)])

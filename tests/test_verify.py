@@ -305,7 +305,7 @@ def lone_round_rate_min(proto, kernels, cset, alpha):
     a simplex from its best grid point, each point scored with a lone
     ``inner_inf_v``. Returns the minimum and each polish's tick count."""
     r_dim = kernels[0].shape[0]
-    grid = simplex_grid(r_dim, POLISH_GRID[r_dim])
+    grid = simplex_grid(r_dim, POLISH_GRID[r_dim]) / POLISH_GRID[r_dim]
     gen_on = proto.p_gen > 0.0
     best, ticks = math.inf, []
     for k in kernels:
