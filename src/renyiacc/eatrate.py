@@ -34,7 +34,7 @@ from .channel import (
     response_stack,
     strategy_to_cq,
 )
-from .entropy import _softmax, check_alpha
+from .entropy import check_alpha
 from .errors import (
     AlphabetMismatchError,
     BadProbabilityError,
@@ -79,10 +79,6 @@ class ConstraintSet:
         if self.k == 0:
             return np.zeros(v.shape[:-1] + (0,))
         return self.rhs - v @ self.mat.T
-
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        viol = self.violations(v)
-        return bool(viol.size == 0 or viol.max() <= tol)
 
     def vertices(self, support) -> np.ndarray:
         """Every vertex of the face where v is 0 off the boolean mask
@@ -353,14 +349,19 @@ _GRID_BLOCK = 1 << 16  # grid rows the oracle scores at a time
 
 def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
                      resolution: int = 200) -> float:
-    """Brute-force oracle: the best feasible simplex-grid point, polished by
-    a penalised simplex descent. It stays a pure primal search, so the
-    result is independent of the dual-tilting path it checks.
+    """Primal oracle: the least of the best feasible simplex-grid point and
+    a simplex descent over the convex hull of the set's vertices. Both are
+    primal searches, so the result is independent of the dual-tilting path
+    it checks; the descent shares ``ConstraintSet.vertices`` with the
+    solver's feasibility test, and the grid scan shares no code with it.
 
     One pass over the grid's numerators, ``_GRID_BLOCK`` rows at a time,
-    divides each block to points, keeps its feasible rows and merges their
-    values into the best three so far; among equal values the lower grid
-    index wins. Those three rows and p_C start the polish.
+    divides each block to points and keeps the least value of its feasible
+    rows; InfeasibleError if no grid point is feasible. The descent scores
+    v = w(x) @ V over the vertices V of the face on supp(p_C), with weights
+    w = x^2 / sum(x^2) from the centroid x = 1, so every iterate is
+    feasible. Squares, unlike softmax weights, reach a face of the hull at
+    finite x, where the minimum often lies.
     """
     alpha = check_alpha(alpha)
     p = entropy._distribution(p_c, "p_C ")
@@ -368,68 +369,40 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
         raise AlphabetMismatchError("p_C length does not match the alphabet")
     beta = alpha - 1.0
     i_bot = cset.alphabet.index(BOT)
-    supp = p > 0.0
-    p_safe = np.where(supp, p, 1.0)
 
     def batch_vals(batch):
-        # a zero entry reads 0 * log2(1) = 0
-        terms = np.divide(batch, p_safe, out=np.ones_like(batch),
-                          where=batch > 0)
+        # a zero entry reads 0 * log2(1) = 0, and mass off supp(p) reads +inf
+        with np.errstate(divide="ignore"):
+            terms = np.divide(batch, p, out=np.ones_like(batch),
+                              where=batch > 0)
         np.log2(terms, out=terms)
         terms *= batch
         return terms.sum(axis=1) / beta + batch[:, i_bot] * h_gen
 
     # a row's feasibility and value are computed from that row alone, so
-    # scoring block by block gives the results of one pass over the grid
+    # scoring block by block gives the result of one pass over the grid
     nums = simplex_grid(len(cset.alphabet), resolution)
-    top, top_vals = np.empty(0, dtype=np.intp), np.empty(0)
+    mins = []
     for i in range(0, len(nums), _GRID_BLOCK):
         block = nums[i:i + _GRID_BLOCK] / resolution
-        ok = (block @ cset.mat.T >= cset.rhs[None, :] - 1e-12).all(axis=1)
-        block = block[ok]
-        vals = batch_vals(block)
-        vals[(block[:, ~supp] > 0).any(axis=1)] = np.inf  # mass off supp(p)
-        idx = np.concatenate([top, i + np.flatnonzero(ok)])
-        vals = np.concatenate([top_vals, vals])
-        if vals.size > 3:  # only the three least values and their ties stay
-            keep = vals <= np.partition(vals, 2)[2]
-            idx, vals = idx[keep], vals[keep]
-        order = np.lexsort((idx, vals))[:3]  # equal values: lower index
-        top, top_vals = idx[order], vals[order]
-    if top.size == 0:
+        block = block[(block @ cset.mat.T >= cset.rhs - 1e-12).all(axis=1)]
+        if len(block):
+            mins.append(batch_vals(block).min())
+    if not mins:
         raise InfeasibleError("no feasible grid point at this resolution")
-    best_val = float(top_vals[0])
-    # polish with an exact-penalty simplex descent; the L1 penalty weight only
-    # needs to exceed the active multipliers, and feasible iterates are scored
-    # without it, so the result can only move down toward the constrained
-    # minimum from the primal side. Mass off supp(p) scores +inf, so the
-    # descent runs on the support alone, all four starts in lockstep.
-    mu = 1e4
+    best = float(min(mins))
+    verts = cset.vertices(p > 0.0)
+    if len(verts):
+        def hull_vals(xs):
+            w = xs * xs
+            return batch_vals(w / w.sum(axis=1, keepdims=True) @ verts)
 
-    def on_support(xs):
-        if supp.all():
-            return _softmax(xs)
-        v = np.zeros((len(xs), p.size))
-        v[:, supp] = _softmax(xs)
-        return v
-
-    def penalized(xs):
-        v = on_support(xs)
-        pen = np.maximum(cset.rhs - v @ cset.mat.T, 0.0).sum(axis=1)
-        return batch_vals(v) + mu * pen
-
-    starts = [np.log(np.maximum(nums[j][supp] / resolution, 1e-7))
-              for j in top]
-    starts.append(np.log(np.maximum(p[supp], 1e-7)))
-    runs = nelder_mead_batch(penalized, starts, scale=1.0, tol=1e-13,
-                             max_iter=2500)
-    runs = nelder_mead_batch(penalized, [x for x, _, _ in runs], scale=0.01,
-                             tol=1e-14, max_iter=2500)
-    v = on_support(np.array([x for x, _, _ in runs]))
-    for vi, val in zip(v, batch_vals(v)):
-        if cset.contains(vi, tol=1e-9):
-            best_val = min(best_val, float(val))
-    return best_val
+        [(x, _, _)] = nelder_mead_batch(hull_vals, [np.ones(len(verts))],
+                                        scale=1.0, tol=1e-13, max_iter=2500)
+        [(_, val, _)] = nelder_mead_batch(hull_vals, [x], scale=0.01,
+                                          tol=1e-14, max_iter=2500)
+        best = min(best, float(val))
+    return best
 
 
 # ---------------------------------------------------------------------------

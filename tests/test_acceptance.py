@@ -219,7 +219,8 @@ def test_c10_inner_solver_certification():
         n = int(rng.integers(3, 5))
         alphabet = tuple(str(j) for j in range(n - 1)) + (BOT,)
         # keep the score distribution well conditioned so the primal oracle
-        # (grid + polish) resolves the optimum to well below the tolerance
+        # (grid minimum and vertex search) resolves the optimum to well below
+        # the tolerance
         p = random_distribution(n, rng) + 0.05
         p = p / p.sum()
         h = float(rng.uniform(0.0, 1.5))
