@@ -185,6 +185,13 @@ _FLAT = 1e-290     # a variance at or below this is zero
 _WARM_RES = 1e-9   # a warm-started row certified worse than this is redone
 
 
+def _check_h_gen(h):
+    """Raise unless every entry of ``h`` is finite and at least -1e-9."""
+    if not (np.isfinite(h) & (h >= -1e-9)).all():
+        raise BadProbabilityError("generation entropy must be finite and "
+                                  "nonnegative")
+
+
 def inner_inf_v_batch(p_c, h_gen, cset: ConstraintSet,
                       alpha: float) -> InnerSolution:
     """Exact minimizers of (1/(alpha-1)) KL(v||p) + v(bot) h, one per row.
@@ -229,8 +236,7 @@ def _inner_solve(p_c, h_gen, cset: ConstraintSet, alpha: float,
     if p.shape != (n, n_sym) or h.shape != (n,):
         raise AlphabetMismatchError("p_C rows do not match the alphabet")
     entropy._distribution(p, "p_C ")
-    if (h < -1e-9).any():
-        raise BadProbabilityError("generation entropy must be nonnegative")
+    _check_h_gen(h)
     if BOT not in cset.alphabet:
         raise AlphabetMismatchError(f"alphabet lacks the symbol {BOT!r}")
     active = p > 0.0
@@ -355,39 +361,55 @@ def inner_inf_v_grid(p_c, h_gen: float, cset: ConstraintSet, alpha: float,
     it checks; the descent shares ``ConstraintSet.vertices`` with the
     solver's feasibility test, and the grid scan shares no code with it.
 
-    One pass over the grid's numerators, ``_GRID_BLOCK`` rows at a time,
-    divides each block to points and keeps the least value of its feasible
-    rows; InfeasibleError if no grid point is feasible. The descent scores
-    v = w(x) @ V over the vertices V of the face on supp(p_C), with weights
-    w = x^2 / sum(x^2) from the centroid x = 1, so every iterate is
-    feasible. Squares, unlike softmax weights, reach a face of the hull at
-    finite x, where the minimum often lies.
+    The objective adds one term per symbol, and a grid coordinate is some
+    n / resolution, so each symbol's resolution + 1 terms are scored once
+    per call. One pass over the grid's numerators, ``_GRID_BLOCK`` rows at
+    a time, keeps the feasible rows of each block and scores each as a sum
+    of table lookups; InfeasibleError if no grid point is feasible, and
+    BadProbabilityError unless h_gen is finite and nonnegative. The
+    descent scores v = w(x) @ V over the vertices V of the face on
+    supp(p_C), with weights w = x^2 / sum(x^2) from the centroid x = 1, so
+    every iterate is feasible. Squares, unlike softmax weights, reach a
+    face of the hull at finite x, where the minimum often lies.
     """
     alpha = check_alpha(alpha)
     p = entropy._distribution(p_c, "p_C ")
     if p.shape != (len(cset.alphabet),):
         raise AlphabetMismatchError("p_C length does not match the alphabet")
+    _check_h_gen(h_gen)
     beta = alpha - 1.0
     i_bot = cset.alphabet.index(BOT)
 
-    def batch_vals(batch):
-        # a zero entry reads 0 * log2(1) = 0, and mass off supp(p) reads +inf
+    def terms(batch):
+        # x log2(x / p) per entry: a zero x reads 0 * log2(1) = 0, and mass
+        # off supp(p) reads +inf
         with np.errstate(divide="ignore"):
-            terms = np.divide(batch, p, out=np.ones_like(batch),
-                              where=batch > 0)
-        np.log2(terms, out=terms)
-        terms *= batch
-        return terms.sum(axis=1) / beta + batch[:, i_bot] * h_gen
+            t = np.divide(batch, p, out=np.ones_like(batch), where=batch > 0)
+        np.log2(t, out=t)
+        t *= batch
+        return t
 
+    def batch_vals(batch):
+        return terms(batch).sum(axis=1) / beta + batch[:, i_bot] * h_gen
+
+    # table[i, n] scores symbol i at n / resolution. A row's terms add left
+    # to right, the order numpy sums a row of fewer than 8 entries in
+    xs = np.arange(resolution + 1) / resolution
+    table = terms(np.repeat(xs[:, None], len(p), axis=1)).T.copy()
+    hb = xs * h_gen
     # a row's feasibility and value are computed from that row alone, so
     # scoring block by block gives the result of one pass over the grid
     nums = simplex_grid(len(cset.alphabet), resolution)
     mins = []
     for i in range(0, len(nums), _GRID_BLOCK):
-        block = nums[i:i + _GRID_BLOCK] / resolution
-        block = block[(block @ cset.mat.T >= cset.rhs - 1e-12).all(axis=1)]
-        if len(block):
-            mins.append(batch_vals(block).min())
+        ints = nums[i:i + _GRID_BLOCK]
+        ints = ints[(ints / resolution @ cset.mat.T
+                     >= cset.rhs - 1e-12).all(axis=1)]
+        if len(ints):
+            vals = table[0].take(ints[:, 0])
+            for j in range(1, len(p)):
+                vals += table[j].take(ints[:, j])
+            mins.append((vals / beta + hb.take(ints[:, i_bot])).min())
     if not mins:
         raise InfeasibleError("no feasible grid point at this resolution")
     best = float(min(mins))

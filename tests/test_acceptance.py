@@ -197,7 +197,6 @@ def test_c08_fweighted_suite():
            f"props_worst={fw.worst_slack:+.2e}")
 
 
-@pytest.mark.slow
 def test_c09_two_round_accumulation_200():
     t0 = time.time()
     cfg = SuiteConfig(seed=SEED, counts={"two_round": 200},
@@ -209,7 +208,6 @@ def test_c09_two_round_accumulation_200():
            f"worst_slack={rep.worst_slack:+.2e} {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_c10_inner_solver_certification():
     worst_res, worst_gap = 0.0, 0.0
     done, i = 0, 0

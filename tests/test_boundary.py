@@ -213,6 +213,22 @@ def test_solver_vector_that_is_not_a_distribution_is_rejected(fn, p):
         fn(np.array(p))
 
 
+@pytest.mark.parametrize("fn", [
+    lambda h: inner_inf_v(np.ones(3) / 3, h, SOLVER_SET, 2.0),
+    lambda h: inner_inf_v_batch(np.ones((2, 3)) / 3, [0.5, h], SOLVER_SET,
+                                2.0),
+    lambda h: inner_inf_v_grid(np.ones(3) / 3, h, SOLVER_SET, 2.0,
+                               resolution=20),
+], ids=["inner_inf_v", "inner_inf_v_batch", "inner_inf_v_grid"])
+@pytest.mark.parametrize("h", [math.nan, math.inf, -1.0],
+                         ids=["nan", "inf", "negative"])
+def test_solver_generation_entropy_must_be_finite_and_nonnegative(fn, h):
+    # unchecked, nan and inf read as a nan value here, and the grid oracle
+    # read -1.0 as a value of -0.415
+    with pytest.raises(BadProbabilityError):
+        fn(h)
+
+
 def test_kl_of_a_vector_that_is_not_a_distribution_is_rejected():
     with pytest.raises(BadProbabilityError):  # read -2.0
         ent.kl_divergence([0.5, 0.5], [2.0, 2.0])

@@ -902,16 +902,24 @@ def grid_reference(p, h, cset, alpha, resolution):
 def block_cases():
     rng = np.random.default_rng(11)
     p3, p4 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+    p5 = rng.dirichlet(np.ones(5))
     return [
         (p3, 0.5, ConstraintSet.min_mass(ALPHABET, "1", p3[1] + 0.1), 2.0, 40),
         (p4, 0.8, ConstraintSet.max_mass(ABCD, "2", p4[2] - 0.1), 1.5, 30),
         # the best grid point lies in the last, partial block of 64 rows
         (np.array([0.9, 0.04, 0.06]), 0.3, ConstraintSet.full_simplex(ALPHABET),
          1.5, 40),
+        # p_C(1) = 0: every feasible row with mass there sums a +inf term
+        (np.array([0.3, 0.0, 0.5, 0.2]), 0.6,
+         ConstraintSet.min_mass(ABCD, "0", 0.4), 3.0, 30),
+        # five symbols, the longest rows the scan sums: their minimum moves
+        # by one ulp when a row's terms are added right to left
+        (p5, 0.4, ConstraintSet.min_mass(("0", "1", "2", "3", BOT), "1",
+                                         p5[1] + 0.1), 2.0, 20),
     ]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(5))
 @pytest.mark.parametrize("block", [5, 64])
 def test_grid_oracle_is_independent_of_the_block_size(monkeypatch, case,
                                                       block):
