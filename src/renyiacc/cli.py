@@ -53,10 +53,6 @@ EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("RENYI_SEED", "0"))
-
-
 def _alphas(spec: str):
     try:
         return tuple(entropy.check_alpha(x) for x in spec.split(","))
@@ -367,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("verify", help="run the seeded property suite")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get("RENYI_SEED", "0"))
     p.add_argument("--count", type=_positive_int, default=50)
     p.add_argument("--alpha", type=_alphas, default="1.1,1.5,2,3")
     p.add_argument("--only", choices=sorted(ALL_CHECKS))
@@ -381,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pomega", type=_probability, default=0.99,
                    help="probability of the non-abort event, in (0, 1]")
     p.add_argument("--restarts", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get("RENYI_SEED", "0"))
     p.add_argument("--alpha-grid", type=_alpha_grid,
                    help="CSV curve grid lo:hi:n")
     p.add_argument("--json")

@@ -1,39 +1,14 @@
-"""Derivative-free optimization helpers: golden section, Nelder-Mead simplex
-descent, and certified concave maximization over probability simplices."""
+"""Derivative-free optimization helpers: Nelder-Mead simplex descent, one
+start or many in lockstep, and cached integer grids on probability
+simplices."""
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadShapeError
-
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
-    """Maximum of a unimodal function on [lo, hi] in at most 200 steps;
-    returns (x, f(x))."""
-    a, b = float(lo), float(hi)
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def _nelder_mead_steps(x0, scale: float, tol: float, max_iter: int,
@@ -186,58 +161,3 @@ def simplex_grid(k: int, resolution: int) -> np.ndarray:
         grid.flags.writeable = False
         _GRIDS[(k, resolution)] = grid
     return grid
-
-
-@dataclass(frozen=True)
-class SimplexMax:
-    value: float
-    point: np.ndarray
-    certificate: float  # last refinement improvement; inf if out of rounds
-
-
-def concave_simplex_max(f, k: int, coarse: int = 48) -> SimplexMax:
-    """Maximize a concave function over the probability simplex in k coordinates.
-
-    One coordinate reduces to a point, two to golden-section search, more to a
-    coarse grid followed by shrinking star-shaped refinements
-    ``(1 - r) q + r v`` around the running best. The reported certificate is
-    the improvement observed on the last refinement halving; for a smooth
-    concave objective successive halvings converge, so a tiny certificate
-    pins the maximum. The search stops once an improving round gains less
-    than 1e-10 at a radius below 1e-6; the certificate is ``inf`` when 80
-    rounds run out first.
-    """
-    if k == 1:
-        q = np.ones(1)
-        return SimplexMax(f(q), q, 0.0)
-    if k == 2:
-        x, val = golden_section_max(lambda t: f(np.array([t, 1.0 - t])),
-                                    0.0, 1.0, tol=1e-13)
-        return SimplexMax(val, np.array([x, 1.0 - x]), 0.0)
-    grid = simplex_grid(k, coarse) / coarse
-    vals = np.array([f(q) for q in grid])
-    best_i = int(np.argmax(vals))
-    best_q, best_v = grid[best_i].copy(), float(vals[best_i])
-    radius = 2.0 / coarse
-    local = simplex_grid(k, 8) / 8
-    delta = math.inf
-    for _ in range(80):
-        improved = False
-        round_delta = 0.0
-        for v in local:
-            q = (1.0 - radius) * best_q + radius * v
-            val = f(q)
-            if val > best_v:
-                round_delta = max(round_delta, val - best_v)
-                best_v, best_q = val, q
-                improved = True
-        delta = round_delta
-        if not improved:
-            radius *= 0.5
-            if radius < 1e-12:
-                break
-        if improved and round_delta < 1e-10 and radius < 1e-6:
-            break
-    else:
-        delta = math.inf  # the round budget ran out before the stopping rule
-    return SimplexMax(best_v, best_q, delta)

@@ -504,6 +504,41 @@ class TestSimulateCommand:
         assert "kernel 1 has a negative" in err
 
 
+class TestSeedVariable:
+    """RENYI_SEED is the default of --seed, read only where --seed is."""
+
+    def test_malformed_value_leaves_counterexample_alone(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("RENYI_SEED", "abc")
+        code, out, _ = run(["counterexample", "--alpha", "1.5"], capsys)
+        assert code == 0 and "VIOLATED" in out
+
+    def test_malformed_value_is_not_read_past_an_explicit_seed(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("RENYI_SEED", "abc")
+        out_json = tmp_path / "verify.json"
+        code, _, _ = run(["verify", "--seed", "3", "--count", "1", "--only",
+                          "ordering", "--json", str(out_json)], capsys)
+        assert code == 0
+        assert json.loads(out_json.read_text())["seed"] == 3
+
+    def test_malformed_value_exits_2_where_it_is_the_seed(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("RENYI_SEED", "abc")
+        code, out, err = run(["verify", "--count", "1", "--only",
+                              "ordering"], capsys)
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "'abc'" in err
+
+    def test_value_is_the_default_seed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("RENYI_SEED", "4")
+        out_json = tmp_path / "verify.json"
+        code, _, _ = run(["verify", "--count", "1", "--only", "ordering",
+                          "--json", str(out_json)], capsys)
+        assert code == 0
+        assert json.loads(out_json.read_text())["seed"] == 4
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["counterexample", "--bogus"]) == 2
 

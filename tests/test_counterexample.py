@@ -15,7 +15,9 @@ from renyiacc.counterexample import (
     joint_cq_state,
     joint_distribution,
 )
-from renyiacc.qcore import CqState, creg, qreg, random_density, rng_from
+from renyiacc.qcore import CqState, random_density, rng_from
+
+from test_verify import pinched_round_two
 
 ALPHA_SET = (1.1, 1.5, 2.0, 3.0, 5.0)
 
@@ -113,18 +115,11 @@ class TestReport:
             ce_lhs(0.5)
 
 
-def round_two_output(rho_re, d_e) -> CqState:
+def round_two_output(rho_re) -> CqState:
     """Round two of the worked example on an input rho_RE, R a qubit: the
-    output on classical A2, B2 and quantum E, whose block at (a2, b2) is
-    p(b2) sum_r p(a2|r,b2) <r|rho_RE|r>."""
-    _, p_b2, kernel = counterexample_channel_instance()  # kernel[a2, r, b2]
-    t = np.asarray(rho_re).reshape(2, d_e, 2, d_e)
-    mem = np.stack([t[r, :, r, :] for r in range(2)])
-    blocks = np.einsum("b,arb,rij->abij", p_b2, kernel, mem)
-    w = np.einsum("abii->ab", blocks).real
-    conds = blocks / np.where(w > 0.0, w, 1.0)[:, :, None, None]
-    return CqState([creg("A2", (0, 1)), creg("B2", (0, 1)), qreg("E", d_e)],
-                   w, conds)
+    output on classical A2, B2 and quantum E."""
+    _, p_b2, kernel = counterexample_channel_instance()
+    return pinched_round_two(rho_re, p_b2, kernel)
 
 
 def classical_copy(r, d_e):
@@ -147,11 +142,11 @@ class TestInfimumOracle:
         for i in range(60):
             d_e = 2 + i % 3
             rank = None if i % 2 else 1  # pure (entangled) or full rank
-            yield d_e, random_density((2, d_e), rng, rank=rank).matrix
+            yield random_density((2, d_e), rng, rank=rank).matrix
 
     def scores(self, alpha):
-        return np.array([ent.h_up(round_two_output(rho, d_e), ["A2"], alpha)
-                         for d_e, rho in self.inputs()])
+        return np.array([ent.h_up(round_two_output(rho), ["A2"], alpha)
+                         for rho in self.inputs()])
 
     @pytest.mark.parametrize("alpha", ORDERS)
     def test_no_input_falls_below_the_vertex_infimum(self, alpha):
@@ -159,7 +154,7 @@ class TestInfimumOracle:
         assert self.scores(alpha).min() >= inf - 1e-9
         for r in (0, 1):
             for d_e in (2, 3):
-                vertex = round_two_output(classical_copy(r, d_e), d_e)
+                vertex = round_two_output(classical_copy(r, d_e))
                 assert abs(ent.h_up(vertex, ["A2"], alpha) - inf) <= 1e-12
 
     @pytest.mark.parametrize("alpha", ORDERS)
@@ -168,8 +163,8 @@ class TestInfimumOracle:
         # vertex input and the seeded inputs undercut it, so the check above
         # fails on it
         mixed = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
-        wrong = ent.h_up(round_two_output(mixed, 2), ["A2"], alpha)
-        vertex = ent.h_up(round_two_output(classical_copy(0, 2), 2), ["A2"],
+        wrong = ent.h_up(round_two_output(mixed), ["A2"], alpha)
+        vertex = ent.h_up(round_two_output(classical_copy(0, 2)), ["A2"],
                           alpha)
         assert vertex < wrong - 1e-9
         assert self.scores(alpha).min() < wrong - 1e-9

@@ -27,6 +27,31 @@ from renyiacc.qcore import (
 
 ALPHAS = (1.1, 1.5, 2.0, 3.0)
 
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
+    """Maximum of a unimodal function on [lo, hi] in at most 200 steps;
+    returns (x, f(x))."""
+    a, b = float(lo), float(hi)
+    c = b - _PHI * (b - a)
+    d = a + _PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a < tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 # (h_down, h_up) at ALPHAS of random_density(dims, rng_from((911, i))), i the
 # index of dims in DENSE_DIMS, with A its first, its last or all its registers
 DENSE_DIMS = [(2, 3), (3, 2), (2, 2), (2, 2, 2)]
@@ -364,7 +389,6 @@ class TestPartial:
         assert abs(hv - hp) < 1e-6
 
     def test_variational_two_letters_golden(self):
-        from renyiacc.optimize import golden_section_max
         rng = rng_from(15)
         alpha = 2.0
         st = random_cq((2,), (2, 2), rng, names=["B"], qnames=["A", "C"])
@@ -517,7 +541,6 @@ class TestFWeighted:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sup_qb_matches_search(self, seed):
-        from renyiacc.optimize import golden_section_max
         rng = rng_from((32, seed))
         alpha = float(rng.choice(ALPHAS))
         st = random_cq((2, 2), (2, 2), rng, names=["C", "B"], qnames=["A", "E"])

@@ -7,7 +7,6 @@ import pytest
 from renyiacc import optimize
 from renyiacc.errors import BadShapeError
 from renyiacc.optimize import (
-    concave_simplex_max,
     nelder_mead,
     nelder_mead_batch,
     simplex_grid,
@@ -93,37 +92,6 @@ def test_grid_rejects_bad_arguments(k, resolution):
     with pytest.raises(BadShapeError):
         simplex_grid(k, resolution)
     assert (k, resolution) not in optimize._GRIDS
-
-
-@pytest.mark.parametrize("center", [(1.0,), (0.3, 0.7), (0.2, 0.3, 0.5),
-                                    (0.61, 0.05, 0.34)])
-def test_concave_simplex_max_finds_known_maximizer(center):
-    c = np.array(center)
-
-    def f(q):
-        return 1.0 - float(((q - c) ** 2).sum())
-
-    res = concave_simplex_max(f, len(c))
-    assert res.point.shape == c.shape
-    assert res.point.min() >= 0.0
-    assert res.point.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(res.point, c, atol=1e-5)
-    assert res.value == pytest.approx(1.0, abs=1e-10)
-    assert res.certificate <= 1e-10
-
-
-
-def test_concave_simplex_max_out_of_rounds_reports_inf():
-    # maximizer on a face: the star refinement leaves the face and creeps
-    # back, so the default round budget runs out before the stopping rule
-    c = np.array([0.11, 0.0, 0.89])
-
-    def f(q):
-        return 1.0 - float(((q - c) ** 2).sum())
-
-    res = concave_simplex_max(f, 3)
-    assert res.value < 1.0 - 1e-7
-    assert res.certificate == math.inf
 
 
 # ---------------------------------------------------------------------------

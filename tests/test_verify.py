@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from renyiacc import entropy as ent
+from renyiacc import verify
 from renyiacc.channel import BOT, SamplingProtocol
 from renyiacc.counterexample import counterexample_channel_instance
 from renyiacc.eatrate import ConstraintSet, inner_inf_v
 from renyiacc.errors import AlphabetMismatchError, EmptyEventError
 from renyiacc.optimize import nelder_mead_batch, simplex_grid
-from renyiacc.qcore import rng_from
+from renyiacc.qcore import CqState, creg, qreg, random_density, rng_from
 from renyiacc.verify import (
     ALL_CHECKS,
     ClassicalAttack,
@@ -198,7 +199,7 @@ class TestChainRuleInstance:
         slack, cert, lhs, first, inf_term = chain_rule_gap(
             omega, p_b2, kernel, 1.5)
         assert slack > 0.005  # strictly positive gap at order 1.5
-        assert cert < 1e-8
+        assert cert < 1e-13
         assert abs(lhs - 0.82057) < 1e-5
         assert abs(first - 0.35295) < 1e-5
         assert inf_term < 0.47118  # partial-entropy infimum below the up one
@@ -215,6 +216,101 @@ class TestChainRuleInstance:
         slack, cert, lhs, first, inf_term = chain_rule_gap(
             omega, p_b2, kernel, 2.0)
         assert abs(slack) < 1e-9
+
+    @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0, 3.0))
+    def test_counterexample_infimum_in_closed_form(self, alpha):
+        # the maximiser is the uniform memory q = (1/2, 1/2), where every b2
+        # sees sum_a2 p(a2|r,b2)^alpha averaged to (1 + 2^(1-alpha)) / 2
+        _, cert, _, _, inf_term = chain_rule_gap(
+            *counterexample_channel_instance(), alpha)
+        closed = math.log2((1.0 + 2.0 ** (1.0 - alpha)) / 2.0) / (1.0 - alpha)
+        assert abs(inf_term - closed) <= 1e-14
+        assert 0.0 <= cert <= 1e-13
+
+    def test_certificate_catches_a_stopped_search(self, monkeypatch):
+        # one fixed-point step from the centroid leaves every seeded row short
+        # of its maximiser, and the Frank-Wolfe gap says so; the worked
+        # example's maximiser is the centroid itself, so its row still passes
+        monkeypatch.setattr(verify, "_ARIMOTO_ITERS", 1)
+        rep = check_chain_rule(SuiteConfig(seed=0, counts={"chain_rule": 10}))
+        assert rep.instances == 11 and len(rep.failures) == 10
+        assert all(f["certificate"] > 1e-8 for f in rep.failures)
+        assert [f["seed"][2] for f in rep.failures] == list(range(10))
+
+
+def pinched_round_two(rho_re, p_b2, kernel) -> CqState:
+    """Round two of a chain-rule instance on an input rho_RE: the kernel
+    pinches R, so the block at (a2, b2) on E is
+    p(b2) sum_r p(a2|r,b2) <r|rho_RE|r>."""
+    n_a, n_r, n_b = kernel.shape
+    d_e = len(rho_re) // n_r
+    t = np.asarray(rho_re).reshape(n_r, d_e, n_r, d_e)
+    mem = np.stack([t[r, :, r, :] for r in range(n_r)])
+    blocks = np.einsum("b,arb,rij->abij", p_b2, kernel, mem)
+    w = np.einsum("abii->ab", blocks).real
+    conds = blocks / np.where(w > 0.0, w, 1.0)[:, :, None, None]
+    return CqState([creg("A2", tuple(range(n_a))),
+                    creg("B2", tuple(range(n_b))), qreg("E", d_e)], w, conds)
+
+
+@pytest.fixture(scope="module")
+def chain_rule_instances():
+    """The worked example and the first 6 seeded instances of
+    ``check_chain_rule`` at suite seed 0, as (omega, p_b2, kernel)."""
+    seen = []
+    real = verify.chain_rule_gap
+
+    def spy(omega, p_b2, kernel, alpha):
+        seen.append((omega, p_b2, kernel))
+        return real(omega, p_b2, kernel, alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "chain_rule_gap", spy)
+        check_chain_rule(SuiteConfig(seed=0, counts={"chain_rule": 6}))
+    assert len(seen) == 7
+    return seen
+
+
+class TestChainRuleInfimumOracle:
+    """chain_rule_gap takes round two's partial-entropy infimum over all
+    inputs rho_RE as a maximum over classical memory distributions. Seeded
+    quantum inputs, pushed through the kernel and scored with the package's
+    H_partial (B2 optimized, E fixed), must never fall below it."""
+
+    ORDERS = (1.1, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def scores(p_b2, kernel, alpha):
+        n_r = kernel.shape[1]
+        rng = rng_from((2027, n_r))
+        out = []
+        for i in range(40):
+            d_e = 2 + i % 3
+            rank = None if i % 2 else 1  # pure (entangled) or full rank
+            rho = random_density((n_r, d_e), rng, rank=rank).matrix
+            out.append(ent.h_partial(pinched_round_two(rho, p_b2, kernel),
+                                     ["A2"], "B2", alpha))
+        return np.array(out)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("index", range(7))
+    def test_no_input_falls_below_the_infimum(self, chain_rule_instances,
+                                              index, alpha):
+        omega, p_b2, kernel = chain_rule_instances[index]
+        *_, inf_term = chain_rule_gap(omega, p_b2, kernel, alpha)
+        assert self.scores(p_b2, kernel, alpha).min() >= inf_term - 1e-9
+
+    @pytest.mark.parametrize("alpha", (1.5, 2.0, 3.0))
+    def test_oracle_rejects_a_vertex_only_maximum(self, alpha):
+        # the worked example's maximiser is the uniform memory, inside the
+        # simplex: a maximum over its vertices alone, as ce_inf_term takes
+        # for H_up, overstates the infimum and the seeded inputs undercut it
+        _, p_b2, kernel = counterexample_channel_instance()
+        s_eb = (kernel ** alpha).sum(axis=0)
+        vertex_max = max(float((p_b2 * s_eb[r] ** (1.0 / alpha)).sum())
+                         for r in range(2))
+        wrong = alpha / (1.0 - alpha) * math.log2(vertex_max)
+        assert self.scores(p_b2, kernel, alpha).min() < wrong - 1e-9
 
 
 class TestTwoRounds:
